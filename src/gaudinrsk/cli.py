@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
 import random
 import sys
@@ -63,11 +65,17 @@ def _load_matrix(args):
 
 
 def _write_atomic(path, text):
+    """Write text to path through a temporary file in the same directory,
+    which is removed if the write fails."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory)
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _emit(report, args):
@@ -76,16 +84,6 @@ def _emit(report, args):
         _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _write_trace(path, rows):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    with os.fdopen(fd, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["leg", "t", "branch", "eigenvalue"])
-        writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _flow_opts(args):
@@ -183,16 +181,48 @@ def cmd_crystal(args):
     return EXIT_OK
 
 
+def _flow_vector(args, name, length):
+    """The JSON list of finite numbers given as --name, or None when absent."""
+    text = getattr(args, name.replace("-", "_"))
+    if text is None:
+        return None
+    value = _json_vector(text, f"--{name}")
+    if len(value) != length:
+        raise UsageError(f"--{name} needs {length} entries, got {len(value)}")
+    if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in value):
+        raise UsageError(f"--{name} entries must be finite numbers")
+    return value
+
+
+def _flow_params(args, r, n):
+    """Check the block size and grid, and parse --z and --q, before any
+    flow runs."""
+    if r < 1 or n < 1:
+        raise UsageError("--r and --n must be at least 1")
+    if args.steps < 2:
+        raise UsageError("--steps must be at least 2")
+    z = _flow_vector(args, "z", n)
+    if z is not None and not (z[0] > 0 and all(a < b for a, b in zip(z, z[1:]))):
+        raise UsageError("--z must be positive and strictly increasing")
+    q = _flow_vector(args, "q", r)
+    if q is not None and len(set(q)) != len(q):
+        raise UsageError("--q entries must be pairwise distinct")
+    return z, q
+
+
 def cmd_flow(args):
-    k = None if args.col_sums is None else _json_vector(args.col_sums, "--col-sums")
-    weight = None if args.weight is None else _json_vector(args.weight, "--weight")
+    z, q = _flow_params(args, args.r, args.n)
+    k = _flow_vector(args, "col-sums", args.n)
+    weight = _flow_vector(args, "weight", args.r)
+    if any(not isinstance(x, int) or x < 0 for x in (k or []) + (weight or [])):
+        raise UsageError("--col-sums and --weight entries must be non-negative integers")
     if k is None and args.max_entry is None:
         raise UsageError("need --col-sums or --max-entry")
+    if args.max_entry is not None and args.max_entry < 0:
+        raise UsageError("--max-entry must be non-negative")
     dim = _flow_dimension(args.r, args.n, k, weight, args.max_entry)
     if dim > args.budget:
         raise UsageError(f"basis dimension {dim} exceeds budget {args.budget}")
-    z = None if args.z is None else _json_vector(args.z, "--z")
-    q = None if args.q is None else _json_vector(args.q, "--q")
     trace = [] if args.trace else None
     try:
         report = spectralflow.verify_main_theorem(
@@ -203,7 +233,11 @@ def cmd_flow(args):
         _emit({"config": _config(args), "error": str(err)}, args)
         return EXIT_INCONCLUSIVE
     if args.trace:
-        _write_trace(args.trace, trace)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["leg", "t", "branch", "eigenvalue"])
+        writer.writerows(trace)
+        _write_atomic(args.trace, text.getvalue())
     report["config"] = _config(args)
     _emit(report, args)
     if report["failures"]:
@@ -231,8 +265,7 @@ def cmd_cells(args):
         "left": cmcells.left_cells,
         "two-sided": cmcells.two_sided_cells,
     }
-    z = None if args.z is None else _json_vector(args.z, "--z")
-    q = None if args.q is None else _json_vector(args.q, "--q")
+    z, q = _flow_params(args, args.n, args.n)
     try:
         partition = runners[args.kind](args.n, z=z, q=q, opts=_flow_opts(args))
     except spectralflow.FlowError as err:

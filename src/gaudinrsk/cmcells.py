@@ -26,14 +26,7 @@ from .combinatorics import (
     all_permutations,
     rs_permutation,
 )
-from .spectralflow import (
-    FlowContext,
-    FlowError,
-    FlowOpts,
-    PathSpec,
-    coalescence_classes,
-    snap_to_monomials,
-)
+from .spectralflow import FlowContext, PathSpec
 
 
 @dataclass
@@ -87,7 +80,7 @@ def upsilon(point):
 
 def gamma_path(z, q, t_end=1e-3, steps=48):
     """The cell-flow schedule: z slot shrinking straight to zero, q fixed."""
-    return PathSpec("cm-gamma", tuple(z), tuple(q), 1.0, t_end, steps)
+    return PathSpec("straight-to-zero", tuple(z), tuple(q), 1.0, t_end, steps)
 
 
 @dataclass
@@ -167,27 +160,17 @@ def _label_to_permutation(label):
     return Permutation(one_line)
 
 
-def _cell_flow(n, z, q, opts, side, path_variant="through-point"):
-    """Transport the S_n block and return (permutation labels, classes)."""
-    opts = opts or FlowOpts()
-    z = tuple(float(x) for x in (z if z is not None else range(1, n + 1)))
-    q = tuple(float(x) for x in (q if q is not None else range(1, n + 1)))
+def _cells(n, z, q, opts, side, path_variant):
+    """Partition S_n by coalescence of the S_n block's limit records: after
+    leg B on the straight schedule (right cells) or after leg D (left)."""
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
-    frame, labels, _ = ctx.start_frame(path_variant)
     if side == "right":
-        frame, _ = ctx.to_zero_straight(frame)
-        records = ctx.limit_records(frame, side="z")
+        b_path = gamma_path(ctx.z, ctx.q, steps=ctx.opts.steps)
+        result = ctx.run("AB", "B", path_variant, b_path)
     else:
-        frame, _ = ctx.q_to_zero(frame)
-        records = ctx.limit_records(frame, side="q")
-    classes = coalescence_classes(records, opts.cluster_tol, opts.gap_safety)
-    perms = [_label_to_permutation(label) for label in labels]
-    return perms, classes
-
-
-def _cells(n, z, q, opts, side, path_variant="through-point"):
-    perms, classes = _cell_flow(n, z, q, opts, side, path_variant)
-    blocks = [[perms[i] for i in cls] for cls in classes]
+        result = ctx.run("AD", "D", path_variant)
+    labels = [_label_to_permutation(branch.label) for branch in result.branches]
+    blocks = [[labels[i] for i in cls] for cls in result.classes]
     return CellPartition(n, side, blocks)
 
 

@@ -66,14 +66,6 @@ class Operator:
             if coeff:
                 self.terms[tuple(factors)] = coeff
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def identity(cls):
-        return cls({(): 1})
-
     def __add__(self, other):
         terms = dict(self.terms)
         for factors, coeff in other.terms.items():
@@ -380,10 +372,6 @@ def commute_on(op1, op2, basis):
     return op1.commutator(op2).is_zero_on(basis)
 
 
-def commutator(op1, op2):
-    return op1.commutator(op2)
-
-
 def is_adjoint_pair(op1, op2, basis):
     """Exact check that op2 is the adjoint of op1 in the monomial inner
     product with <x^A, x^A> = sqnorm(A)."""
@@ -469,70 +457,3 @@ def joint_eigenprojectors(ops, basis):
                     refined[key + (e,)] = prod
         current = refined
     return {tuple(tuple(row) for row in block) for block in current.values()}
-
-
-class WeightSpaceBasis:
-    """Ordered monomial basis of a graded piece, with optional weight filter."""
-
-    __slots__ = ("r", "n", "col_sums", "row_sums", "monomials")
-
-    def __init__(self, r, n, col_sums, row_sums=None):
-        self.r = r
-        self.n = n
-        self.col_sums = tuple(col_sums)
-        self.row_sums = None if row_sums is None else tuple(row_sums)
-        self.monomials = weight_basis(r, n, self.col_sums, self.row_sums)
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __getitem__(self, i):
-        return self.monomials[i]
-
-
-def basis_for(r, n, k, weight=None):
-    return WeightSpaceBasis(r, n, k, weight)
-
-
-def nested_casimirs(i, degree, n, diagonal=True):
-    """Casimir of order 1 or 2 for the corner subalgebra of rank i."""
-    if not diagonal:
-        raise ValueError("only the diagonal action is provided")
-    return nested_casimir(i, n, order=degree)
-
-
-def to_coord_text(op, basis):
-    """Coordinate-list export: one 'row col numerator denominator' per line."""
-    cols = exact_matrix(op, basis)
-    lines = []
-    for src in sorted(cols):
-        for dst in sorted(cols[src]):
-            coeff = Fraction(cols[src][dst])
-            lines.append(f"{dst} {src} {coeff.numerator} {coeff.denominator}")
-    return "\n".join(lines)
-
-
-class Parameters:
-    """A pair of regular (pairwise distinct) real parameter vectors."""
-
-    __slots__ = ("z", "q")
-
-    def __init__(self, z, q):
-        z = tuple(z)
-        q = tuple(q)
-        for name, vec in (("z", z), ("q", q)):
-            if len(set(vec)) != len(vec):
-                raise ValueError(f"{name} must have pairwise distinct entries")
-        self.z = z
-        self.q = q
-
-    @property
-    def z_increasing(self):
-        return all(a < b for a, b in zip(self.z, self.z[1:]))
-
-    @property
-    def q_increasing(self):
-        return all(a < b for a, b in zip(self.q, self.q[1:]))

@@ -8,24 +8,34 @@ reading Casimir data at the endpoints attaches a pair of same-shape
 tableaux (S, T) to each label; the package's headline check is that this
 pair always equals the RSK image of the label.
 
-Legs of the transport (all operators below commute at every path point):
+The transport runs along the legs of one table (`FlowContext.legs`); all
+operators of a leg's family commute at every path point, and
+`FlowContext.run` carries the frame along each leg in turn:
 
   A  large-parameter -> base point: dynamical family plus z-scaled
      exchange operators; branches start as monomials.
-  B  z -> 0: same family; the z-scaled exchange operators converge to the
-     partial exchange sums J_a, keeping the tracked spectrum simple.
-  C  q-rescale at z = 0: the rescaled dynamical operators converge to the
-     nested commuting limits; tableau S is decoded from corner Casimirs.
-  D  q -> 0 at the base z: exchange family plus q-scaled dynamical
-     operators; the limit family is shared with the mirrored gl_n action.
-  E  z-rescale at q = 0 on the gl_n side; tableau T is decoded from the
-     dual corner Casimirs.
+  B  from A's end, z -> 0: same family; the z-scaled exchange operators
+     converge to the partial exchange sums J_a, keeping the tracked
+     spectrum simple. Its end frame feeds the z-side records (dynamical
+     limits at z = 0), whose coalescence classes the flow reports.
+  C  from B's end, q-rescale at z = 0: the rescaled dynamical operators
+     converge to the nested commuting limits; its end frame feeds the S
+     decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
+  D  from A's end, q -> 0 at the base z: exchange family plus q-scaled
+     dynamical operators; its end frame feeds the q-side records
+     (exchange limits at q = 0), shared with the mirrored gl_n action.
+  E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
+     feeds the T decoder (`FlowContext.extract_T`, dual corner Casimirs).
+
+The cell flows run legs A and B, with B on the straight schedule, or legs
+A and D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -72,23 +82,25 @@ class DecodingError(FlowError):
     pass
 
 
+T_MAX = 1e3  # leg A starts at this collision parameter
+T_MIN = 1e-3  # leg B ends at this z scale
+S_MIN = 1e-3  # legs C, D and E end at this scale
+MATCH_THRESHOLD = 0.9  # a step with a lower overlap is bisected
+HARD_FLOOR = 0.5  # a step with a lower overlap fails the leg
+SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
+MAX_BISECTIONS = 40  # per leg
+START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
+MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
+DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
+MAX_JITTERS = 4  # jittered retries of q after an inconclusive run
+
+
 @dataclass
 class FlowOpts:
     seed: int = 0
     steps: int = 48
-    t_max: float = 1e3
-    t_min: float = 1e-3
-    s_min: float = 1e-3
-    match_threshold: float = 0.9
-    hard_floor: float = 0.5
-    snap_threshold: float = 0.999
-    max_bisections: int = 40
     cluster_tol: float = 1e-6
     gap_safety: float = 1e3
-    start_gap_min: float = 1e-9
-    max_redraws: int = 8
-    decode_tol: float = 0.3
-    max_jitters: int = 4
 
 
 @dataclass
@@ -98,7 +110,6 @@ class PathSpec:
     kinds:
       collision        z follows the ordered-collision schedule, q fixed
       straight-to-zero z scales linearly to zero, q fixed
-      cm-gamma         alias of straight-to-zero (cell-flow naming)
       q-rescale        q_i -> q_i * t^(r-i), z fixed
     """
 
@@ -111,7 +122,7 @@ class PathSpec:
     variant: str = "through-point"
 
     def __post_init__(self):
-        kinds = ("collision", "straight-to-zero", "cm-gamma", "q-rescale")
+        kinds = ("collision", "straight-to-zero", "q-rescale")
         if self.kind not in kinds:
             raise SetupError(f"unknown path kind {self.kind!r}")
         self.base_z = tuple(float(x) for x in self.base_z)
@@ -136,30 +147,20 @@ class PathSpec:
                     val *= 2.0 ** (1 - i) * z[i - 1]
                 out.append(val)
             return tuple(out), q
-        if self.kind in ("straight-to-zero", "cm-gamma"):
+        if self.kind == "straight-to-zero":
             return tuple(t * x for x in z), q
         # q-rescale
         r = len(q)
         return z, tuple(q[i - 1] * t ** (r - i) for i in range(1, r + 1))
 
     def validate(self):
-        """Check schedule health on the grid; returns diagnostics."""
-        diag = {"kind": self.kind}
+        """Check that a collision schedule keeps z increasing on the grid."""
         if self.kind == "collision":
             lo, hi = sorted((self.t_start, self.t_end))
             for t in np.geomspace(lo, hi, self.steps):
                 zt, _ = self.point(t)
                 if any(a >= b for a, b in zip(zt, zt[1:])):
                     raise SetupError(f"collision schedule unordered at t={t}")
-            z_small, _ = self.point(lo)
-            z_big, _ = self.point(hi)
-            diag["max_ratio_at_small_t"] = max(
-                (a / b for a, b in zip(z_small, z_small[1:])), default=0.0
-            )
-            diag["min_gap_at_large_t"] = min(
-                (b - a for a, b in zip(z_big, z_big[1:])), default=math.inf
-            )
-        return diag
 
 
 @dataclass
@@ -167,7 +168,6 @@ class EigenBranch:
     label: NatMatrix
     vector: np.ndarray
     eigenvalues: dict = field(default_factory=dict)
-    min_overlap: float = 1.0
     s_tableau: SemistandardTableau = None
     t_tableau: SemistandardTableau = None
 
@@ -297,7 +297,7 @@ def _match(new_vecs, old_vecs, new_vals=None):
     return matched, vals, min_overlap
 
 
-def transport(vectors, ops_at, grid, opts, rng, trace=None, leg=""):
+def transport(vectors, ops_at, grid, rng, trace=None, leg=""):
     """Continue the eigenframe of a commuting family along the grid.
 
     vectors: dim x m orthonormal columns approximating joint eigenlines at
@@ -305,15 +305,15 @@ def transport(vectors, ops_at, grid, opts, rng, trace=None, leg=""):
     """
     grid = np.asarray(grid, dtype=float)
     ops0 = ops_at(grid[0])
-    for _ in range(opts.max_redraws):
+    for _ in range(MAX_REDRAWS):
         coeffs = _draw_coeffs(rng, len(ops0))
         vals = np.linalg.eigvalsh(_combined(ops0, coeffs))
         gaps = np.diff(np.sort(vals))
-        if len(gaps) == 0 or gaps.min() > opts.start_gap_min:
+        if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
             break
     else:
         raise ContinuationError(
-            f"{leg}: degenerate combined spectrum after {opts.max_redraws} redraws"
+            f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws"
         )
 
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
@@ -325,7 +325,7 @@ def transport(vectors, ops_at, grid, opts, rng, trace=None, leg=""):
     vals, vecs = eigen(grid[0])
     current, cur_vals, overlap = _match(vecs, vectors, vals)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
-    if overlap < opts.match_threshold:
+    if overlap < MATCH_THRESHOLD:
         raise ContinuationError(
             f"{leg}: start frame overlap {overlap:.4f} below threshold"
         )
@@ -340,8 +340,8 @@ def transport(vectors, ops_at, grid, opts, rng, trace=None, leg=""):
             t_next = stack[-1]
             vals, vecs = eigen(t_next)
             matched, mvals, overlap = _match(vecs, current, vals)
-            if overlap >= opts.match_threshold or diag["bisections"] >= opts.max_bisections:
-                if overlap < opts.hard_floor:
+            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
+                if overlap < HARD_FLOOR:
                     raise ContinuationError(
                         f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
                     )
@@ -359,7 +359,7 @@ def transport(vectors, ops_at, grid, opts, rng, trace=None, leg=""):
     return current, diag
 
 
-def snap_to_monomials(vectors, basis, cache, opts):
+def snap_to_monomials(vectors, basis, cache):
     """Identify each start eigenline with a monomial; returns labels.
 
     Cross-checks the coordinate match against rounded diagonal eigenvalues.
@@ -369,7 +369,7 @@ def snap_to_monomials(vectors, basis, cache, opts):
     for b in range(vectors.shape[1]):
         v = vectors[:, b]
         idx = int(np.argmax(np.abs(v)))
-        if abs(v[idx]) < opts.snap_threshold:
+        if abs(v[idx]) < SNAP_THRESHOLD:
             raise ContinuationError(
                 f"branch {b}: start overlap {abs(v[idx]):.5f} with nearest monomial"
             )
@@ -386,10 +386,6 @@ def snap_to_monomials(vectors, basis, cache, opts):
                     )
         labels.append(label)
     return labels
-
-
-def labels_at_infinity(basis, vectors, cache, opts=None):
-    return snap_to_monomials(vectors, basis, cache, opts or FlowOpts())
 
 
 def rayleigh(vectors, ops):
@@ -443,7 +439,7 @@ def coalescence_classes(records, tol=1e-6, safety=1e3):
     return classes
 
 
-def _decode_chain(sizes, casimir_values, opts):
+def _decode_chain(sizes, casimir_values):
     """Recover a tableau from corner Casimir data.
 
     sizes[i] is the exact number of boxes after step i+1; casimir_values[i]
@@ -461,11 +457,11 @@ def _decode_chain(sizes, casimir_values, opts):
             val = casimir_eigenvalue(mu, step)
             candidates.append((abs(val - c2), mu))
         candidates.sort(key=lambda pair: pair[0])
-        if not candidates or candidates[0][0] > opts.decode_tol:
+        if not candidates or candidates[0][0] > DECODE_TOL:
             raise DecodingError(
                 f"no corner shape matches Casimir value {c2:.4f} at letter {step}"
             )
-        if len(candidates) > 1 and candidates[1][0] < 2 * opts.decode_tol:
+        if len(candidates) > 1 and candidates[1][0] < 2 * DECODE_TOL:
             raise DecodingError(
                 f"ambiguous corner shape at letter {step}: {candidates[:2]}"
             )
@@ -476,6 +472,18 @@ def _decode_chain(sizes, casimir_values, opts):
             rows[i - 1].extend([step] * (mu.part(i) - shape.part(i)))
         shape = mu
     return SemistandardTableau(rows, len(sizes))
+
+
+class Leg(NamedTuple):
+    """One row of the leg table."""
+
+    name: str
+    start: str | None  # leg whose end frame this one continues; None: monomials
+    grid: np.ndarray
+    family: Callable  # grid point -> operator list, without the weights
+    limit: Callable | None = None  # () -> exact limit operators for the end frame
+    decode: Callable | None = None  # (end frame, labels) -> tableaux
+    key: str | None = None  # where each branch keeps the records or tableaux
 
 
 class FlowContext:
@@ -493,170 +501,105 @@ class FlowContext:
         self.cache = BlockCache(r, n, self.basis)
         self.rng = np.random.default_rng(self.opts.seed)
 
-    # family builders; every operator below stays bounded on its leg and
-    # the whole list commutes pointwise
-
-    def family_main(self, path):
-        cache, r, n, q = self.cache, self.r, self.n, self.q
-
-        def ops_at(t):
-            z, _ = path.point(t)
-            ops = [cache.nabla_mat(i, z, q) for i in range(1, r + 1)]
-            ops += [z[a - 1] * cache.gaudin_mat(a, z, q) for a in range(1, n + 1)]
-            ops += [cache.wop(i) for i in range(1, r + 1)]
-            return ops
-
-        return ops_at
-
-    def family_straight(self):
-        """z scaled by t, exchange part rescaled to stay bounded."""
+    def legs(self, path_variant="through-point", b_path=None):
+        """The leg table in run order; b_path replaces the collision
+        schedule of leg B. Each family stays bounded on its leg."""
         cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
-
-        def ops_at(t):
-            zt = tuple(t * x for x in z)
-            ops = [cache.nabla_mat(i, zt, q) for i in range(1, r + 1)]
-            ops += [t * cache.gaudin_mat(a, zt, q) for a in range(1, n + 1)]
-            ops += [cache.wop(i) for i in range(1, r + 1)]
-            return ops
-
-        return ops_at
-
-    def family_gt(self):
-        """q-rescale at z = 0; dynamical operators scaled into their limits."""
-        cache, r, n, q = self.cache, self.r, self.n, self.q
-
-        def ops_at(s):
-            qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-            ops = [s ** (r - i) * cache.nabla0_mat(i, qs) for i in range(1, r + 1)]
-            ops += [cache.jm4(a) for a in range(2, n + 1)]
-            ops += [cache.wop(i) for i in range(1, r + 1)]
-            return ops
-
-        return ops_at
-
-    def family_qshrink(self):
-        """q scaled by s at the base z."""
-        cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
-
-        def ops_at(s):
-            qs = tuple(s * x for x in q)
-            ops = [s * cache.nabla_mat(i, z, qs) for i in range(1, r + 1)]
-            ops += [cache.gaudin_mat(a, z, qs) for a in range(1, n + 1)]
-            ops += [cache.wop(i) for i in range(1, r + 1)]
-            return ops
-
-        return ops_at
-
-    def family_dual_gt(self):
-        """z-rescale at q = 0 on the gl_n side."""
-        cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
+        steps = self.opts.steps
+        a_path = collision_path(n, z, T_MAX, 1.0, steps, path_variant)
+        b_path = b_path or PathSpec("collision", z, q, 1.0, T_MIN, steps)
+        s_grid = np.geomspace(1.0, S_MIN, steps)
         nab0 = [cache.nabla0_mat(i, q) for i in range(1, r + 1)]
 
-        def ops_at(u):
+        def main(path):
+            def family(t):
+                zt, _ = path.point(t)
+                return ([cache.nabla_mat(i, zt, q) for i in range(1, r + 1)]
+                        + [zt[a - 1] * cache.gaudin_mat(a, zt, q) for a in range(1, n + 1)])
+            return family
+
+        def gt(s):
+            qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
+            return ([s ** (r - i) * cache.nabla0_mat(i, qs) for i in range(1, r + 1)]
+                    + [cache.jm4(a) for a in range(2, n + 1)])
+
+        def qshrink(s):
+            qs = tuple(s * x for x in q)
+            return ([s * cache.nabla_mat(i, z, qs) for i in range(1, r + 1)]
+                    + [cache.gaudin_mat(a, z, qs) for a in range(1, n + 1)])
+
+        def dual_gt(u):
             zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-            ops = [u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
-            ops += [u ** (n - a) * cache.gaudin0_mat(a, zu) for a in range(1, n + 1)]
-            ops += list(nab0)
-            ops += [cache.wop(i) for i in range(1, r + 1)]
-            return ops
+            return ([u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
+                    + [u ** (n - a) * cache.gaudin0_mat(a, zu) for a in range(1, n + 1)]
+                    + nab0)
 
-        return ops_at
+        def q_limit():
+            return [cache.gaudin0_mat(a, z) for a in range(1, n + 1)]
 
-    # legs
+        return (
+            Leg("A", None, a_path.grid(), main(a_path)),
+            Leg("B", "A", b_path.grid(), main(b_path), limit=lambda: nab0, key="limit_z"),
+            Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
+            Leg("D", "A", s_grid, qshrink, limit=q_limit, key="limit_q"),
+            Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
+        )
 
-    def start_frame(self, path_variant="through-point", steps=None, trace=None):
-        """Leg A: monomial frame at large t transported to the base point."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim == 1:
-            frame = np.ones((1, 1))
-            return frame, [self.basis[0]], {"leg": "A", "steps": 0,
-                                            "bisections": 0, "min_overlap": 1.0}
-        path = collision_path(self.n, self.z, opts.t_max, 1.0, steps, path_variant)
-        start = np.eye(self.cache.dim)
-        ops_at = self.family_main(path)
-        # validate the monomial snap at the far end before transporting
-        labels = snap_to_monomials(start, self.basis, self.cache, opts)
-        frame, diag = transport(start, ops_at, path.grid(), opts, self.rng,
-                                trace=trace, leg="A")
-        return frame, labels, diag
+    def run(self, names, classes_from=None, path_variant="through-point",
+            b_path=None, trace=None):
+        """Run the named legs of the table in order; returns a FlowResult.
 
-    def to_zero_collision(self, frame, steps=None, trace=None):
-        """Leg B along the collision schedule down to z near 0."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim == 1:
-            return frame, {"leg": "B", "steps": 0, "bisections": 0, "min_overlap": 1.0}
-        path = PathSpec("collision", self.z, self.q, 1.0, opts.t_min, steps)
-        return transport(frame, self.family_main(path), path.grid(), opts,
-                         self.rng, trace=trace, leg="B")
-
-    def to_zero_straight(self, frame, steps=None, trace=None):
-        """Leg B along the straight schedule (cell flows)."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim == 1:
-            return frame, {"leg": "B", "steps": 0, "bisections": 0, "min_overlap": 1.0}
-        grid = np.geomspace(1.0, opts.t_min, steps)
-        return transport(frame, self.family_straight(), grid, opts, self.rng,
-                         trace=trace, leg="B")
-
-    def limit_records(self, frame, side="z"):
-        """Endpoint eigenvalue records against the exact limit family.
-
-        side 'z': dynamical limits at z = 0 (plus weights).
-        side 'q': exchange limits at q = 0 (plus weights).
+        Leg A's end frame gives the branch vectors. A leg with limit
+        operators stores its Rayleigh records, weights appended, in each
+        branch's eigenvalues; the records of leg classes_from are
+        clustered as soon as they exist. A decoding leg stores its tableaux
+        on the branches.
         """
         cache = self.cache
-        if side == "z":
-            ops = [cache.nabla0_mat(i, self.q) for i in range(1, self.r + 1)]
-        else:
-            ops = [cache.gaudin0_mat(a, self.z) for a in range(1, self.n + 1)]
-        ops += [cache.wop(i) for i in range(1, self.r + 1)]
-        return rayleigh(frame, ops)
+        weights = [cache.wop(i) for i in range(1, self.r + 1)]
+        labels = snap_to_monomials(np.eye(cache.dim), self.basis, cache)
+        branches = [EigenBranch(label, None) for label in labels]
+        frames, classes, diags = {}, None, []
+        for leg in self.legs(path_variant, b_path):
+            if leg.name not in names:
+                continue
+            frame = np.eye(cache.dim) if leg.start is None else frames[leg.start]
+            if cache.dim == 1:
+                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+            else:
+                frame, diag = transport(frame, lambda t: leg.family(t) + weights,
+                                        leg.grid, self.rng, trace=trace, leg=leg.name)
+            frames[leg.name] = frame
+            diags.append(diag)
+            if leg.limit is not None:
+                records = rayleigh(frame, leg.limit() + weights)
+                for branch, rec in zip(branches, records):
+                    branch.eigenvalues[leg.key] = rec.tolist()
+                if leg.name == classes_from:
+                    classes = coalescence_classes(records, self.opts.cluster_tol,
+                                                  self.opts.gap_safety)
+            if leg.decode is not None:
+                for branch, tab in zip(branches, leg.decode(frame, labels)):
+                    setattr(branch, leg.key, tab)
+        for i, branch in enumerate(branches):
+            branch.vector = frames["A"][:, i].copy()
+        return FlowResult(branches, classes, {"legs": diags})
 
-    def extract_S(self, frame, labels, steps=None, trace=None):
-        """Leg C from a z = 0 frame; decode one tableau per branch."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim > 1:
-            grid = np.geomspace(1.0, opts.s_min, steps)
-            frame, _ = transport(frame, self.family_gt(), grid, opts, self.rng,
-                                 trace=trace, leg="C")
-        casimirs = [self.cache.casimir2(i) for i in range(1, self.r + 1)]
-        values = rayleigh(frame, casimirs)
+    def extract_S(self, frame, labels):
+        """Decode tableau S of every branch from a leg C end frame."""
+        values = rayleigh(frame, [self.cache.casimir2(i) for i in range(1, self.r + 1)])
         out = []
         for b, label in enumerate(labels):
             wt = label.row_sums()
             sizes = [sum(wt[:i]) for i in range(1, self.r + 1)]
-            out.append(_decode_chain(sizes, values[b], opts))
-        return out, frame
+            out.append(_decode_chain(sizes, values[b]))
+        return out
 
-    def q_to_zero(self, frame, steps=None, trace=None):
-        """Leg D from the base-point frame."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim == 1:
-            return frame, {"leg": "D", "steps": 0, "bisections": 0, "min_overlap": 1.0}
-        grid = np.geomspace(1.0, opts.s_min, steps)
-        return transport(frame, self.family_qshrink(), grid, opts, self.rng,
-                         trace=trace, leg="D")
-
-    def extract_T(self, frame, steps=None, trace=None):
-        """Leg E from a q = 0 frame; decode the mirrored tableau."""
-        opts = self.opts
-        steps = steps or opts.steps
-        if self.cache.dim > 1:
-            grid = np.geomspace(1.0, opts.s_min, steps)
-            frame, _ = transport(frame, self.family_dual_gt(), grid, opts,
-                                 self.rng, trace=trace, leg="E")
-        casimirs = [self.cache.dual_casimir2(a) for a in range(1, self.n + 1)]
-        values = rayleigh(frame, casimirs)
+    def extract_T(self, frame, labels):
+        """Decode the mirrored tableau T of every branch from a leg E end frame."""
+        values = rayleigh(frame, [self.cache.dual_casimir2(a) for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
-        out = []
-        for b in range(frame.shape[1]):
-            out.append(_decode_chain(sizes, values[b], opts))
-        return out, frame
+        return [_decode_chain(sizes, row) for row in values]
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
@@ -670,7 +613,7 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
     opts = opts or FlowOpts()
     base_q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
     last_error = None
-    for attempt in range(opts.max_jitters + 1):
+    for attempt in range(MAX_JITTERS + 1):
         jitter_rng = np.random.default_rng((opts.seed, attempt))
         if attempt == 0:
             q_try = base_q
@@ -689,59 +632,25 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
 def _flow_block_once(r, n, col_sums, row_sums, z, q, opts, path_variant,
                      want, trace, attempt):
     ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
-    diagnostics = {"legs": [], "q": list(ctx.q), "z": list(ctx.z),
-                   "seed": opts.seed, "jitter_attempt": attempt}
-    base_frame, labels, diag = ctx.start_frame(path_variant, trace=trace)
-    diagnostics["legs"].append(diag)
-    branches = [EigenBranch(label, base_frame[:, i].copy())
-                for i, label in enumerate(labels)]
-
-    classes = None
+    legs = "A"
     if "classes" in want or "S" in want:
-        zero_frame, diag = ctx.to_zero_collision(base_frame, trace=trace)
-        diagnostics["legs"].append(diag)
-        records = ctx.limit_records(zero_frame, side="z")
-        for b, branch in enumerate(branches):
-            branch.eigenvalues["limit_z"] = records[b].tolist()
-        if "classes" in want:
-            classes = coalescence_classes(records, opts.cluster_tol, opts.gap_safety)
-        if "S" in want:
-            tableaux, _ = ctx.extract_S(zero_frame, labels, trace=trace)
-            for branch, tab in zip(branches, tableaux):
-                branch.s_tableau = tab
-
+        legs += "B"
+    if "S" in want:
+        legs += "C"
     if "T" in want:
-        q0_frame, diag = ctx.q_to_zero(base_frame, trace=trace)
-        diagnostics["legs"].append(diag)
-        records = ctx.limit_records(q0_frame, side="q")
-        for b, branch in enumerate(branches):
-            branch.eigenvalues["limit_q"] = records[b].tolist()
-        tableaux, _ = ctx.extract_T(q0_frame, trace=trace)
-        for branch, tab in zip(branches, tableaux):
-            branch.t_tableau = tab
-
-    for branch in branches:
+        legs += "DE"
+    result = ctx.run(legs, "B" if "classes" in want else None, path_variant,
+                     trace=trace)
+    result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=opts.seed,
+                              jitter_attempt=attempt)
+    for branch in result.branches:
         if branch.s_tableau is not None and branch.t_tableau is not None:
             if branch.s_tableau.shape != branch.t_tableau.shape:
                 raise DecodingError(
                     f"shape mismatch for label {branch.label!r}: "
                     f"{branch.s_tableau.shape} vs {branch.t_tableau.shape}"
                 )
-    return FlowResult(branches, classes, diagnostics)
-
-
-def continue_branches(basis, ops_at, path, opts=None, start_vectors=None,
-                      rng=None, trace=None, leg=""):
-    """Low-level entry point: transport a frame along one path."""
-    opts = opts or FlowOpts()
-    rng = rng or np.random.default_rng(opts.seed)
-    if start_vectors is None:
-        start_vectors = np.eye(len(basis))
-    vectors, diag = transport(start_vectors, ops_at, path.grid(), opts, rng,
-                              trace=trace, leg=leg)
-    branches = [EigenBranch(None, vectors[:, i].copy())
-                for i in range(vectors.shape[1])]
-    return FlowResult(branches, None, diag)
+    return result
 
 
 def col_sum_blocks(r, n, max_entry):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gaudinrsk import cli
 from gaudinrsk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -92,6 +93,22 @@ class TestFlow:
         assert len(lines) > 10
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--z", "[1,2]"],
+    ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1]"],
+    ["flow", "--r", "0", "--n", "2", "--col-sums", "[1,1]"],
+    ["cells", "--n", "3", "--z", "[1,2]"],
+    ["cells", "--n", "0"],
+    ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--z", "[3,2,1]"],
+    ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--q", "[2,2]"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--steps", "0"],
+    ["cells", "--n", "3", "--steps", "0"],
+    ["flow", "--r", "2", "--n", "2", "--max-entry", "-1"],
+])
+def test_malformed_flow_input_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+
+
 class TestCells:
     def test_right_cells(self, capsys):
         code, report = run(capsys, "cells", "--n", "3", "--kind", "right")
@@ -134,6 +151,15 @@ class TestReports:
                            "--matrix", "[[0,1],[1,0]]")
         assert code == EXIT_OK
         assert report["P"] == [[1], [2]]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        with pytest.raises(OSError):
+            cli._write_atomic(str(tmp_path / "report.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == EXIT_USAGE

@@ -13,9 +13,9 @@ from gaudinrsk.spectralflow import (
     coalescence_classes,
     col_sum_blocks,
     collision_path,
-    continue_branches,
     flow_block,
-    labels_at_infinity,
+    snap_to_monomials,
+    transport,
     verify_main_theorem,
 )
 
@@ -95,17 +95,17 @@ class TestTransport:
         # diagonal family: monomials are the joint eigenframe
         ops = [cache.cartan(1, 1), cache.cartan(1, 2), cache.wop(1)]
         path = PathSpec("straight-to-zero", (1.0, 1.0), (1.0, 2.0), 1.0, 0.5, steps=8)
-        result = continue_branches(basis, lambda t: ops, path)
-        frame = np.column_stack([b.vector for b in result.branches])
+        frame, diag = transport(np.eye(len(basis)), lambda t: ops, path.grid(),
+                                np.random.default_rng(0))
         # constant commuting family: the eigenframe cannot move
         off = frame.T @ frame - np.eye(len(basis))
         assert np.max(np.abs(off)) < 1e-10
-        assert result.diagnostics["min_overlap"] > 0.999
+        assert diag["min_overlap"] > 0.999
 
     def test_labels_at_infinity(self):
         basis = weight_basis(2, 2, (1, 1))
         cache = BlockCache(2, 2, basis)
-        labels = labels_at_infinity(basis, np.eye(4), cache)
+        labels = snap_to_monomials(np.eye(4), basis, cache)
         assert labels == basis
 
 
@@ -163,9 +163,10 @@ class TestFlowBlock:
 
     def test_trace_records_all_legs(self):
         trace = []
-        flow_block(2, 2, (1, 1), row_sums=(1, 1), trace=trace)
+        result = flow_block(2, 2, (1, 1), row_sums=(1, 1), trace=trace)
         legs = {row[0] for row in trace}
         assert legs == {"A", "B", "C", "D", "E"}
+        assert [d["leg"] for d in result.diagnostics["legs"]] == list("ABCDE")
 
 
 class TestVerify:
