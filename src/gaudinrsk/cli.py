@@ -220,6 +220,13 @@ def cmd_flow(args):
         raise UsageError("need --col-sums or --max-entry")
     if args.max_entry is not None and args.max_entry < 0:
         raise UsageError("--max-entry must be non-negative")
+    if weight is not None:
+        # a non-negative matrix with given row and column totals exists iff
+        # the totals agree; a sweep reaches column sums up to r * max_entry
+        empty = (sum(weight) != sum(k) if k is not None
+                 else sum(weight) > args.r * args.n * args.max_entry)
+        if empty:
+            raise UsageError("the selected blocks hold no matrix with row sums --weight")
     dim = _flow_dimension(args.r, args.n, k, weight, args.max_entry)
     if dim > args.budget:
         raise UsageError(f"basis dimension {dim} exceeds budget {args.budget}")

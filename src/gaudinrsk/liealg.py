@@ -5,8 +5,16 @@ Monomials x^A are indexed by non-negative integer matrices A. Two commuting
 copies of a general linear Lie algebra act: gl_r through the generators
 E_ij^(a) moving a box between rows i, j inside column a, and gl_n through
 the generators acting inside a fixed row. Operators are stored exactly as
-rational combinations of products of these box moves, so commutators and
-adjointness can be checked without floating point.
+rational combinations of words (products) of these box moves.
+
+On a block of monomials, a `MonomialBlock` numbers the monomials and
+tabulates each generator as a map from a monomial's number to its image's
+number and an integer count. A table entry is filled, through
+`Operator.apply_monomial`, the first time a word reaches that monomial, so
+intermediate images may leave the block. Matrices, commutators,
+adjointness and eigenprojectors follow the words through these tables with
+integer coefficients over the common denominator of the operator's
+rationals, so every check is exact and free of floating point.
 """
 
 from __future__ import annotations
@@ -130,7 +138,9 @@ class Operator:
         return out
 
     def is_zero_on(self, basis):
-        return all(not self.apply_monomial(m) for m in basis)
+        block = _as_block(basis)
+        action = _Action(block, self)
+        return not any(action.column(i) for i in range(block.dim))
 
 
 def op_E(i, j, a):
@@ -281,12 +291,18 @@ def g_h(h, q):
 
 def compositions(total, parts):
     """All tuples of the given length of non-negative integers with the sum."""
-    if parts == 0:
+    return _capped_compositions(total, (total,) * parts)
+
+
+def _capped_compositions(total, caps):
+    """All tuples of non-negative integers with the sum, entry i at most caps[i]."""
+    if not caps:
         return [()] if total == 0 else []
     out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _capped_compositions(total - first, caps[1:]):
+            out.append((first,) + tail)
     return out
 
 
@@ -294,21 +310,32 @@ def weight_basis(r, n, col_sums, row_sums=None):
     """Monomial basis of the graded piece with the given column sums,
     optionally restricted to fixed row sums (a gl_r weight block).
 
-    Deterministic order: lexicographic in the flattened entries.
+    Columns are filled left to right within the row sums still open, so
+    only matrices of the block are built. Deterministic order:
+    lexicographic in the flattened entries.
     """
     if len(col_sums) != n:
         raise ValueError(f"expected {n} column sums, got {len(col_sums)}")
-    per_column = [compositions(k, r) for k in col_sums]
+    if row_sums is None:
+        open_rows = [sum(col_sums)] * r
+    elif len(row_sums) == r and sum(row_sums) == sum(col_sums):
+        open_rows = list(row_sums)
+    else:
+        return []
     out = []
 
+    # with equal totals, any columns that fit the open row sums complete
+    # to a matrix of the block, so no branch of the recursion is wasted
     def rec(a, cols):
         if a == n:
-            m = NatMatrix([[cols[c][i] for c in range(n)] for i in range(r)], r, n)
-            if row_sums is None or m.row_sums() == tuple(row_sums):
-                out.append(m)
+            out.append(NatMatrix([[cols[c][i] for c in range(n)] for i in range(r)], r, n))
             return
-        for col in per_column[a]:
+        for col in _capped_compositions(col_sums[a], tuple(open_rows)):
+            for i, x in enumerate(col):
+                open_rows[i] -= x
             rec(a + 1, cols + [col])
+            for i, x in enumerate(col):
+                open_rows[i] += x
 
     rec(0, [])
     out.sort(key=lambda m: m.entries)
@@ -324,32 +351,127 @@ def sqnorm(matrix):
     return prod
 
 
+class MonomialBlock:
+    """A monomial basis with the box-move generators tabulated on it.
+
+    Monomials are numbered in basis order; a monomial outside the basis
+    that some word reaches gets the next free number. The table of a
+    generator maps a monomial number to (image number, count), or to None
+    where the generator kills the monomial. An entry is filled through
+    `Operator.apply_monomial` the first time a word reaches its monomial,
+    so the tables grow only with the monomials actually reached, and they
+    live as long as the block.
+    """
+
+    def __init__(self, basis):
+        self.basis = list(basis)
+        self.dim = len(self.basis)
+        self.sqnorms = [sqnorm(m) for m in self.basis]
+        self.monomials = list(self.basis)
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.tables = {}
+
+    def _fill(self, gen, i):
+        image = Operator({(gen,): 1}).apply_monomial(self.monomials[i])
+        hit = None
+        if image:
+            (m, count), = image.items()  # one box move has one image
+            j = self.index.get(m)
+            if j is None:
+                j = self.index[m] = len(self.monomials)
+                self.monomials.append(m)
+            hit = (j, int(count))
+        self.tables[gen][i] = hit
+        return hit
+
+    def columns(self, op):
+        """(d, columns): column src maps each basis position to d times the
+        coefficient of op(basis[src]) there, d being the common
+        denominator of op's coefficients. Raises if an image leaves the
+        span of the basis."""
+        action = _Action(self, op)
+        cols = [action.column(src) for src in range(self.dim)]
+        for src, col in enumerate(cols):
+            for dst in col:
+                if dst >= self.dim:
+                    raise ValueError(
+                        "operator image leaves the basis span at "
+                        f"{self.basis[src]!r} -> {self.monomials[dst]!r}"
+                    )
+        return action.den, cols
+
+
+class _Action:
+    """d * op on the monomials of a block, for the common denominator d of
+    op's coefficients: integer columns, followed word by word through the
+    block's generator tables and kept once computed."""
+
+    def __init__(self, block, op):
+        self.block = block
+        self.den = math.lcm(*(c.denominator for c in op.terms.values()))
+        # (generators in order of application, d * coefficient)
+        self.words = [(tuple(reversed(factors)), c.numerator * (self.den // c.denominator))
+                      for factors, c in op.terms.items()]
+        for word, _ in self.words:
+            for gen in word:
+                block.tables.setdefault(gen, {})
+        self._columns = {}
+
+    def column(self, i):
+        """d * op applied to monomial number i, as {number: int}."""
+        col = self._columns.get(i)
+        if col is not None:
+            return col
+        block, tables = self.block, self.block.tables
+        out = {}
+        for word, coeff in self.words:
+            j = i
+            for gen in word:
+                table = tables[gen]
+                hit = table[j] if j in table else block._fill(gen, j)
+                if hit is None:
+                    break
+                j, count = hit
+                coeff *= count
+            else:
+                out[j] = out.get(j, 0) + coeff
+        col = self._columns[i] = {j: c for j, c in out.items() if c}
+        return col
+
+    def __call__(self, vec):
+        """d * op applied to the vector {monomial number: coefficient}."""
+        out = {}
+        for i, c in vec.items():
+            for j, v in self.column(i).items():
+                out[j] = out.get(j, 0) + c * v
+        return {j: v for j, v in out.items() if v}
+
+
+def _as_block(basis):
+    return basis if isinstance(basis, MonomialBlock) else MonomialBlock(basis)
+
+
 def exact_matrix(op, basis):
     """Columns of the operator in the monomial basis, as nested dicts of
-    Fractions: result[src][dst]. Raises if the image leaves the span."""
-    index = {m: i for i, m in enumerate(basis)}
-    out = {}
-    for src, m in enumerate(basis):
-        col = {}
-        for image, coeff in op.apply_monomial(m).items():
-            if image not in index:
-                raise ValueError(
-                    f"operator image leaves the basis span at {m!r} -> {image!r}"
-                )
-            col[index[image]] = coeff
-        out[src] = col
-    return out
+    Fractions: result[src][dst]. Raises if the image leaves the span.
+    The basis may be a sequence of monomials or a MonomialBlock."""
+    den, cols = _as_block(basis).columns(op)
+    return {src: {dst: Fraction(c, den) for dst, c in col.items()}
+            for src, col in enumerate(cols)}
 
 
 def dense(op, basis, orthonormal=True):
     """Float matrix of the operator; the orthonormal flag rescales to the
-    unit-norm monomial basis, making self-adjoint operators symmetric."""
-    cols = exact_matrix(op, basis)
-    norms = np.array([float(sqnorm(m)) for m in basis]) if orthonormal else None
-    mat = np.zeros((len(basis), len(basis)))
-    for src, col in cols.items():
-        for dst, coeff in col.items():
-            val = float(coeff)
+    unit-norm monomial basis, making self-adjoint operators symmetric.
+    The basis may be a sequence of monomials or a MonomialBlock."""
+    block = _as_block(basis)
+    den, cols = block.columns(op)
+    norms = [float(x) for x in block.sqnorms]
+    mat = np.zeros((block.dim, block.dim))
+    for src, col in enumerate(cols):
+        for dst, c in col.items():
+            # int / int rounds correctly, as float(Fraction(c, den)) does
+            val = c / den
             if orthonormal:
                 val *= math.sqrt(norms[dst] / norms[src])
             mat[dst, src] = val
@@ -358,102 +480,86 @@ def dense(op, basis, orthonormal=True):
 
 def is_self_adjoint(op, basis):
     """Exact self-adjointness in the inner product with <x^A, x^A> = sqnorm."""
-    cols = exact_matrix(op, basis)
-    norms = [sqnorm(m) for m in basis]
-    for src, col in cols.items():
-        for dst, coeff in col.items():
-            if coeff * norms[dst] != cols[dst].get(src, 0) * norms[src]:
-                return False
-    return True
+    return is_adjoint_pair(op, op, basis)
 
 
 def commute_on(op1, op2, basis):
-    """Exact check that the commutator vanishes on the basis."""
-    return op1.commutator(op2).is_zero_on(basis)
+    """Exact check that op1 op2 x = op2 op1 x for every basis monomial x;
+    intermediate images may leave the span of the basis."""
+    block = _as_block(basis)
+    a, b = _Action(block, op1), _Action(block, op2)
+    return all(a(b.column(i)) == b(a.column(i)) for i in range(block.dim))
 
 
 def is_adjoint_pair(op1, op2, basis):
     """Exact check that op2 is the adjoint of op1 in the monomial inner
     product with <x^A, x^A> = sqnorm(A)."""
-    cols1 = exact_matrix(op1, basis)
-    cols2 = exact_matrix(op2, basis)
-    norms = [sqnorm(m) for m in basis]
-    for src in range(len(basis)):
-        for dst in range(len(basis)):
-            lhs = cols1[src].get(dst, 0) * norms[dst]
-            rhs = cols2[dst].get(src, 0) * norms[src]
-            if lhs != rhs:
-                return False
-    return True
+    block = _as_block(basis)
+    den1, cols1 = block.columns(op1)
+    den2, cols2 = (den1, cols1) if op2 is op1 else block.columns(op2)
+    norms = block.sqnorms
 
+    # <op1 x_src, x_dst> = <x_src, op2 x_dst>, both sides times den1 * den2
+    def holds(src, dst):
+        return (cols1[src].get(dst, 0) * norms[dst] * den2
+                == cols2[dst].get(src, 0) * norms[src] * den1)
 
-def _exact_dense(op, basis):
-    m = len(basis)
-    cols = exact_matrix(op, basis)
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for src, col in cols.items():
-        for dst, coeff in col.items():
-            mat[dst][src] = Fraction(coeff)
-    return mat
-
-
-def _mat_mul(a, b):
-    m = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _mat_add_scalar(a, scalar):
-    m = len(a)
-    return [
-        [a[i][j] + (scalar if i == j else 0) for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _mat_scale(a, scalar):
-    return [[x * scalar for x in row] for row in a]
-
-
-def exact_spectral_projectors(op, basis):
-    """Exact projectors onto the integer eigenspaces of a semisimple
-    operator. Candidate eigenvalues come from a float diagonalization and
-    the annihilating product is then verified exactly; non-integer or
-    non-semisimple spectra are rejected."""
-    mat = _exact_dense(op, basis)
-    m = len(basis)
-    approx = np.linalg.eigvals(dense(op, basis, orthonormal=False))
-    eigs = sorted({int(round(float(x.real))) for x in approx})
-    check = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    for e in eigs:
-        check = _mat_mul(check, _mat_add_scalar(mat, Fraction(-e)))
-    if any(x for row in check for x in row):
-        raise ValueError("operator is not semisimple with integer spectrum")
-    projectors = {}
-    for e in eigs:
-        proj = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        for f in eigs:
-            if f != e:
-                proj = _mat_mul(proj, _mat_add_scalar(mat, Fraction(-f)))
-                proj = _mat_scale(proj, Fraction(1, e - f))
-        projectors[e] = proj
-    return projectors
+    return (all(holds(src, dst) for src, col in enumerate(cols1) for dst in col)
+            and all(holds(src, dst) for dst, col in enumerate(cols2) for src in col))
 
 
 def joint_eigenprojectors(ops, basis):
     """Exact projectors onto the joint eigenspaces of a commuting family
-    with integer spectra, as a set of matrices (nested tuples)."""
-    m = len(basis)
-    current = {(): [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]}
+    with integer spectra, as a set of matrices (nested tuples).
+
+    Candidate eigenvalues of each operator A come from a float
+    diagonalization; the annihilating product prod_e (A - e) is then
+    checked exactly on every basis vector, so non-integer or
+    non-semisimple spectra are rejected. Projector columns are the images
+    of the basis vectors under the products prod_{f != e} (A - f)/(e - f).
+    """
+    block = _as_block(basis)
+    m = block.dim
+    spectra = []
     for op in ops:
-        projectors = exact_spectral_projectors(op, basis)
-        refined = {}
-        for key, block in current.items():
-            for e, proj in projectors.items():
-                prod = _mat_mul(block, proj)
-                if any(x for row in prod for x in row):
-                    refined[key + (e,)] = prod
-        current = refined
-    return {tuple(tuple(row) for row in block) for block in current.values()}
+        action = _Action(block, op)
+        approx = np.linalg.eigvals(dense(op, block, orthonormal=False))
+        eigs = sorted({int(round(float(x.real))) for x in approx})
+        for src in range(m):
+            vec = {src: Fraction(1)}
+            for e in eigs:
+                vec = _minus_scalar(action, vec, e)
+            if vec:
+                raise ValueError("operator is not semisimple with integer spectrum")
+        spectra.append((action, eigs))
+    # joint key -> {src: column src of that joint projector}
+    projectors = {}
+    for src in range(m):
+        parts = {(): {src: Fraction(1)}}
+        for action, eigs in spectra:
+            refined = {}
+            for key, vec in parts.items():
+                for e in eigs:
+                    image = vec
+                    for f in eigs:
+                        if f != e:
+                            image = {j: v / (e - f)
+                                     for j, v in _minus_scalar(action, image, f).items()}
+                    if image:
+                        refined[key + (e,)] = image
+            parts = refined
+        for key, vec in parts.items():
+            projectors.setdefault(key, {})[src] = vec
+    return {
+        tuple(tuple(cols.get(src, {}).get(dst, Fraction(0)) for src in range(m))
+              for dst in range(m))
+        for cols in projectors.values()
+    }
+
+
+def _minus_scalar(action, vec, f):
+    """(A - f) vec for the operator A that action scales by action.den."""
+    out = {j: Fraction(v, action.den) for j, v in action(vec).items()}
+    for j, v in vec.items():
+        out[j] = out.get(j, 0) - f * v
+    return {j: v for j, v in out.items() if v}

@@ -48,6 +48,7 @@ from .combinatorics import (
 )
 from .crystals import pieri_shapes
 from .liealg import (
+    MonomialBlock,
     casimir_eigenvalue,
     dense,
     dual_kappa,
@@ -180,13 +181,16 @@ class FlowResult:
 
 
 class BlockCache:
-    """Dense orthonormal-basis matrices of the reusable operator blocks."""
+    """Dense orthonormal-basis matrices of the reusable operator blocks,
+    all assembled through the generator tables of one MonomialBlock. None
+    depends on z or q, so one cache serves every jitter attempt."""
 
     def __init__(self, r, n, basis):
         self.r = r
         self.n = n
-        self.basis = list(basis)
-        self.dim = len(self.basis)
+        self.block = MonomialBlock(basis)
+        self.basis = self.block.basis
+        self.dim = self.block.dim
         self._store = {}
 
     def _get(self, key, make):
@@ -195,36 +199,36 @@ class BlockCache:
         return self._store[key]
 
     def cartan(self, i, a):
-        return self._get(("E", i, a), lambda: dense(op_E(i, i, a), self.basis))
+        return self._get(("E", i, a), lambda: dense(op_E(i, i, a), self.block))
 
     def kappa2(self, i, j):
         i, j = min(i, j), max(i, j)
-        return self._get(("K", i, j), lambda: dense(kappa(i, j, self.n), self.basis))
+        return self._get(("K", i, j), lambda: dense(kappa(i, j, self.n), self.block))
 
     def omega4(self, a, b):
         a, b = min(a, b), max(a, b)
         return self._get(
-            ("O", a, b), lambda: dense(omega(a, b, self.r).scale(4), self.basis)
+            ("O", a, b), lambda: dense(omega(a, b, self.r).scale(4), self.block)
         )
 
     def jm4(self, a):
-        return self._get(("J", a), lambda: dense(jm(a, self.r).scale(4), self.basis))
+        return self._get(("J", a), lambda: dense(jm(a, self.r).scale(4), self.block))
 
     def wop(self, i):
-        return self._get(("W", i), lambda: dense(weight_op(i, self.n), self.basis))
+        return self._get(("W", i), lambda: dense(weight_op(i, self.n), self.block))
 
     def casimir2(self, i):
-        return self._get(("C", i), lambda: dense(nested_casimir(i, self.n), self.basis))
+        return self._get(("C", i), lambda: dense(nested_casimir(i, self.n), self.block))
 
     def dual_kappa2(self, a, b):
         a, b = min(a, b), max(a, b)
         return self._get(
-            ("DK", a, b), lambda: dense(dual_kappa(a, b, self.r), self.basis)
+            ("DK", a, b), lambda: dense(dual_kappa(a, b, self.r), self.block)
         )
 
     def dual_casimir2(self, a):
         return self._get(
-            ("DC", a), lambda: dense(dual_nested_casimir(a, self.r), self.basis)
+            ("DC", a), lambda: dense(dual_nested_casimir(a, self.r), self.block)
         )
 
     def nabla_mat(self, i, z, q):
@@ -487,9 +491,11 @@ class Leg(NamedTuple):
 
 
 class FlowContext:
-    """Everything needed to run the legs on one graded block."""
+    """Everything needed to run the legs on one graded block. A BlockCache
+    of the block given as cache is used as it is; else one is built."""
 
-    def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
+    def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
+                 cache=None):
         self.r = r
         self.n = n
         self.col_sums = tuple(col_sums)
@@ -497,8 +503,10 @@ class FlowContext:
         self.z = tuple(float(x) for x in (z if z is not None else range(1, n + 1)))
         self.q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
         self.opts = opts or FlowOpts()
-        self.basis = weight_basis(r, n, self.col_sums, self.row_sums)
-        self.cache = BlockCache(r, n, self.basis)
+        if cache is None:
+            cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))
+        self.cache = cache
+        self.basis = cache.basis
         self.rng = np.random.default_rng(self.opts.seed)
 
     def legs(self, path_variant="through-point", b_path=None):
@@ -608,10 +616,12 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
     """Run all legs on one graded block; returns a FlowResult.
 
     Retries with a seeded jitter of q when the continuation or clustering
-    is inconclusive; the jitter used is reported in the diagnostics.
+    is inconclusive; the jitter used is reported in the diagnostics. The
+    basis and the BlockCache are built once and shared by the attempts.
     """
     opts = opts or FlowOpts()
     base_q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
+    cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
     last_error = None
     for attempt in range(MAX_JITTERS + 1):
         jitter_rng = np.random.default_rng((opts.seed, attempt))
@@ -623,15 +633,15 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
             )
         try:
             return _flow_block_once(r, n, col_sums, row_sums, z, q_try, opts,
-                                    path_variant, want, trace, attempt)
+                                    path_variant, want, trace, attempt, cache)
         except (ContinuationError, ClusteringError, DecodingError) as err:
             last_error = err
     raise last_error
 
 
 def _flow_block_once(r, n, col_sums, row_sums, z, q, opts, path_variant,
-                     want, trace, attempt):
-    ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
+                     want, trace, attempt, cache):
+    ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts, cache)
     legs = "A"
     if "classes" in want or "S" in want:
         legs += "B"

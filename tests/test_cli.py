@@ -104,6 +104,8 @@ class TestFlow:
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--steps", "0"],
     ["cells", "--n", "3", "--steps", "0"],
     ["flow", "--r", "2", "--n", "2", "--max-entry", "-1"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--weight", "[3,0]"],
+    ["flow", "--r", "2", "--n", "2", "--max-entry", "0", "--weight", "[1,0]"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE

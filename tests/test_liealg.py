@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from gaudinrsk.liealg import (
     exact_matrix,
     g_h,
     gaudin_h,
+    is_adjoint_pair,
     is_self_adjoint,
     jm,
     kappa,
@@ -61,6 +63,15 @@ class TestBasis:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             weight_basis(2, 3, (1, 1))
+
+    def test_row_sums_match_filtering(self):
+        # the pruned enumeration equals filtering the whole graded piece
+        for r, n, k in ((2, 3, (1, 1, 1)), (3, 3, (2, 0, 3)), (3, 4, (1, 2, 1, 1)),
+                        (1, 2, (2, 1)), (4, 2, (2, 2))):
+            full = weight_basis(r, n, k)
+            for w in compositions(sum(k), r) + [(sum(k) + 1,) + (0,) * (r - 1)]:
+                block = weight_basis(r, n, k, row_sums=w)
+                assert block == [m for m in full if m.row_sums() == tuple(w)]
 
 
 class TestOperatorAlgebra:
@@ -231,3 +242,86 @@ class TestSingleColumnOperator:
         basis = weight_basis(2, 1, (2,))
         op = g_h((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)))
         assert op.is_zero_on(basis)
+
+
+def _random_operator(rng, r, n, terms=6):
+    """Seeded operator whose words keep row and column sums: each word is a
+    shuffled product of opposite E moves, opposite D moves and diagonal
+    generators, so its intermediate images leave the weight block."""
+    out = Operator()
+    for _ in range(terms):
+        word = []
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randint(1, r), rng.randint(1, r)
+            a, b = rng.randint(1, n), rng.randint(1, n)
+            word += rng.choice([
+                [("E", i, j, a), ("E", j, i, b)],
+                [("D", a, b, i), ("D", b, a, j)],
+                [("E", i, i, a)],
+                [("D", a, a, i)],
+            ])
+        rng.shuffle(word)
+        coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        out = out + Operator({tuple(word): coeff})
+    return out
+
+
+def _word_by_word_columns(op, basis):
+    index = {m: i for i, m in enumerate(basis)}
+    return {src: {index[image]: coeff for image, coeff in op.apply_monomial(m).items()}
+            for src, m in enumerate(basis)}
+
+
+class TestGeneratorTables:
+    BLOCKS = (
+        weight_basis(2, 3, (1, 1, 1), row_sums=(2, 1)),
+        weight_basis(3, 2, (2, 2), row_sums=(2, 1, 1)),
+        weight_basis(2, 4, (2, 1, 1, 2), row_sums=(3, 3)),
+        weight_basis(3, 3, (2, 1, 2), row_sums=(2, 2, 1)),
+    )
+
+    def test_exact_matrix_matches_word_by_word(self):
+        rng = random.Random(0)
+        for basis in self.BLOCKS:
+            r, n = basis[0].r, basis[0].n
+            for _ in range(5):
+                op = _random_operator(rng, r, n)
+                assert exact_matrix(op, basis) == _word_by_word_columns(op, basis)
+
+    def test_commute_on_detects_noncommuting_pairs(self):
+        # E_21^(1) moves a box out of the (1, 1) row-sum block
+        block = weight_basis(2, 2, (1, 1), row_sums=(1, 1))
+        assert not commute_on(op_E(1, 2, 1), op_E(2, 1, 1), block)
+        assert commute_on(op_E(1, 2, 1), op_E(2, 1, 2), block)
+        # the dual generators move boxes out of a column-sum block
+        assert not commute_on(dual_op_E(1, 2, 1), dual_op_E(2, 1, 1), BASIS)
+        assert commute_on(dual_op_E(1, 2, 1), dual_op_E(2, 1, 2), BASIS)
+        assert not commute_on(nabla(1, Z, Q, 3), gaudin_h(1, Z, (Q[1], Q[0]), 2), BASIS)
+
+    def test_adjointness_detects_wrong_pairs(self):
+        assert is_adjoint_pair(op_E(1, 2, 1), op_E(2, 1, 1), BASIS)
+        assert not is_adjoint_pair(op_E(1, 2, 1), op_E(2, 1, 2), BASIS)
+        assert not is_adjoint_pair(op_E(1, 2, 1), op_E(1, 2, 1), BASIS)
+        # dual moves that keep the column sums: row 1 gives, row 2 takes back
+        x = dual_op_E(1, 2, 1) * dual_op_E(2, 1, 2)
+        x_adj = dual_op_E(1, 2, 2) * dual_op_E(2, 1, 1)
+        assert is_adjoint_pair(x, x_adj, BASIS)
+        assert not is_adjoint_pair(x, x, BASIS)
+        assert is_self_adjoint(x + x_adj, BASIS)
+        assert not is_self_adjoint(op_E(1, 2, 1), BASIS)
+        assert not is_self_adjoint(x, BASIS)
+
+    def test_coefficients_beyond_int64(self):
+        tiny = Fraction(1, 10**30)
+        q = (Fraction(1), 1 + tiny, 1 + 3 * tiny)
+        assert float(q[0]) == float(q[1]) == float(q[2])
+        z = (Fraction(3), Fraction(1))
+        basis = weight_basis(3, 2, (2, 1))
+        nabs = [nabla(i, z, q, 2) for i in (1, 2, 3)]
+        assert max(abs(c.numerator) for c in nabs[0].terms.values()) > 2**63
+        for x, y in itertools.combinations(nabs, 2):
+            assert commute_on(x, y, basis)
+        perturbed = nabla(1, z, (q[0], q[1], q[2] + tiny), 2)
+        assert not commute_on(perturbed, nabs[1], basis)
+        assert is_self_adjoint(nabs[0], basis)
+        assert not is_self_adjoint(nabs[0] + op_E(1, 2, 1) * tiny, basis)

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from gaudinrsk import spectralflow
 from gaudinrsk.combinatorics import NatMatrix, rsk
-from gaudinrsk.liealg import weight_basis
+from gaudinrsk.liealg import sqnorm, weight_basis
 from gaudinrsk.spectralflow import (
     BlockCache,
     ClusteringError,
+    ContinuationError,
     FlowContext,
     FlowOpts,
     PathSpec,
@@ -109,7 +113,64 @@ class TestTransport:
         assert labels == basis
 
 
+class TestBlockCache:
+    def test_dense_matches_word_by_word(self, monkeypatch):
+        # every operator the cache assembles, against the float matrix
+        # built monomial by monomial through Operator.apply_monomial
+        built = []
+
+        def recording_dense(op, block):
+            mat = dense(op, block)
+            built.append((op, mat))
+            return mat
+
+        dense = spectralflow.dense
+        monkeypatch.setattr(spectralflow, "dense", recording_dense)
+        r, n = 2, 3
+        basis = weight_basis(r, n, (1, 1, 1))
+        cache = BlockCache(r, n, basis)
+        for i in range(1, r + 1):
+            cache.wop(i)
+            cache.casimir2(i)
+            for a in range(1, n + 1):
+                cache.cartan(i, a)
+            for j in range(i + 1, r + 1):
+                cache.kappa2(i, j)
+        for a in range(1, n + 1):
+            cache.jm4(a)
+            cache.dual_casimir2(a)
+            for b in range(a + 1, n + 1):
+                cache.omega4(a, b)
+                cache.dual_kappa2(a, b)
+        assert len(built) == 2 * r + r * n + math.comb(r, 2) + 2 * n + 2 * math.comb(n, 2)
+        index = {m: i for i, m in enumerate(basis)}
+        norms = [float(sqnorm(m)) for m in basis]
+        for op, mat in built:
+            expected = np.zeros((len(basis), len(basis)))
+            for src, m in enumerate(basis):
+                for image, coeff in op.apply_monomial(m).items():
+                    dst = index[image]
+                    expected[dst, src] = float(coeff) * math.sqrt(norms[dst] / norms[src])
+            assert np.array_equal(mat, expected)
+
+
 class TestFlowBlock:
+    def test_attempts_share_the_block_cache(self, monkeypatch):
+        caches = []
+        run = FlowContext.run
+
+        def failing_twice(self, *args, **kwargs):
+            caches.append(self.cache)
+            if len(caches) < 3:
+                raise ContinuationError("forced")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowContext, "run", failing_twice)
+        result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
+        assert result.diagnostics["jitter_attempt"] == 2
+        assert len(caches) == 3
+        assert all(cache is caches[0] for cache in caches)
+
     def test_known_antidiagonal_block(self):
         # weight (1,1) block of Mat_{2x2}: both permutation matrices appear
         result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
