@@ -125,6 +125,8 @@ def cmd_rsk(args):
 
 
 def _rsk_check(args):
+    if args.max_dim < 1 or args.max_entry < 0 or args.samples < 0:
+        raise UsageError("need --max-dim >= 1, --max-entry >= 0 and --samples >= 0")
     checked = 0
     failures = []
     for r in range(1, min(args.max_dim, 3) + 1):

@@ -18,6 +18,7 @@ classes are endpoint coalescence classes of the tracked eigenframe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -165,7 +166,7 @@ def _cells(n, z, q, opts, side, path_variant):
     leg B on the straight schedule (right cells) or after leg D (left)."""
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
     if side == "right":
-        b_path = gamma_path(ctx.z, ctx.q, steps=ctx.opts.steps)
+        b_path = partial(gamma_path, steps=ctx.opts.steps)
         result = ctx.run("AB", "B", path_variant, b_path)
     else:
         result = ctx.run("AD", "D", path_variant)

@@ -7,6 +7,11 @@ E_ij^(a) moving a box between rows i, j inside column a, and gl_n through
 the generators acting inside a fixed row. Operators are stored exactly as
 rational combinations of words (products) of these box moves.
 
+Each commuting family is written once, as (coefficient, part) terms. A
+part is a hashable key such as (kappa, i, j, n), naming the constant
+operator kappa(i, j, n); symmetric parts are keyed by the ordered pair. The
+exact builders sum the terms in rationals, the spectral flow in floats.
+
 On a block of monomials, a `MonomialBlock` numbers the monomials and
 tabulates each generator as a map from a monomial's number to its image's
 number and an integer count. A table entry is filled, through
@@ -181,27 +186,43 @@ def dual_kappa(a, b, r):
     return (x * y + y * x).scale(2)
 
 
-def nabla(i, z, q, n):
-    """Dynamical Hamiltonian for gl_r index i on n columns.
+def part_operator(part):
+    """The constant operator a part (builder, *indices) names."""
+    return part[0](*part[1:])
 
-    nabla_i = sum_a z_a E_ii^(a) + sum_{j != i} kappa_ij / (q_i - q_j).
-    """
-    out = Operator({(("E", i, i, a),): Fraction(z[a - 1]) for a in range(1, n + 1)})
-    for j in range(1, len(q) + 1):
-        if j == i:
-            continue
-        out = out + kappa(i, j, n) / (Fraction(q[i - 1]) - Fraction(q[j - 1]))
-    return out
+
+def _terms_sum(terms):
+    """The exact sum of coefficient * part operator over the terms."""
+    return sum((part_operator(part).scale(c) for c, part in terms if c), Operator())
+
+
+def _exact(values):
+    return tuple(map(Fraction, values))
+
+
+def nabla_terms(i, z, q, n):
+    """Terms of nabla_i = sum_a z_a E_ii^(a) + sum_{j != i} kappa_ij / (q_i - q_j)."""
+    return ([(z[a - 1], (op_E, i, i, a)) for a in range(1, n + 1)]
+            + [(1 / (q[i - 1] - q[j - 1]), (kappa, min(i, j), max(i, j), n))
+               for j in range(1, len(q) + 1) if j != i])
+
+
+def nabla(i, z, q, n):
+    """Dynamical Hamiltonian for gl_r index i on n columns."""
+    return _terms_sum(nabla_terms(i, _exact(z), _exact(q), n))
+
+
+def dual_nabla_terms(a, w, z, r):
+    """Terms of the gl_n-side dynamical Hamiltonian for column index a:
+    sum_i w_i E_aa in row i + sum_{b != a} dual_kappa_ab / (z_a - z_b)."""
+    return ([(w[i - 1], (dual_op_E, a, a, i)) for i in range(1, r + 1)]
+            + [(1 / (z[a - 1] - z[b - 1]), (dual_kappa, min(a, b), max(a, b), r))
+               for b in range(1, len(z) + 1) if b != a])
 
 
 def dual_nabla(a, w, z, r):
     """Dynamical Hamiltonian on the gl_n side, for column index a on r rows."""
-    out = Operator({(("D", a, a, i),): Fraction(w[i - 1]) for i in range(1, r + 1)})
-    for b in range(1, len(z) + 1):
-        if b == a:
-            continue
-        out = out + dual_kappa(a, b, r) / (Fraction(z[a - 1]) - Fraction(z[b - 1]))
-    return out
+    return _terms_sum(dual_nabla_terms(a, _exact(w), _exact(z), r))
 
 
 def omega(a, b, r):
@@ -213,18 +234,26 @@ def omega(a, b, r):
     return Operator(terms)
 
 
-def gaudin_h(a, z, q, r):
-    """Gaudin Hamiltonian for column a: sum_i q_i E_ii^(a) + exchange terms.
+def gaudin_terms(a, z, q, r):
+    """Terms of H_a = sum_i q_i E_ii^(a) + sum_{b != a} 4 Omega_ab / (z_a - z_b).
 
     The exchange coefficient 4 matches the normalization of kappa, making
     this family commute with every nabla_i at the same (z, q).
     """
-    out = Operator({(("E", i, i, a),): Fraction(q[i - 1]) for i in range(1, r + 1)})
-    for b in range(1, len(z) + 1):
-        if b == a:
-            continue
-        out = out + omega(a, b, r).scale(4) / (Fraction(z[a - 1]) - Fraction(z[b - 1]))
-    return out
+    return ([(q[i - 1], (op_E, i, i, a)) for i in range(1, r + 1)]
+            + [(4 / (z[a - 1] - z[b - 1]), (omega, min(a, b), max(a, b), r))
+               for b in range(1, len(z) + 1) if b != a])
+
+
+def gaudin_h(a, z, q, r):
+    """Gaudin Hamiltonian for column a."""
+    return _terms_sum(gaudin_terms(a, _exact(z), _exact(q), r))
+
+
+def gaudin_limit_terms(a, r):
+    """Terms of 4 J_a, the limit of z_a H_a when z collides to 0 with
+    z_1 << ... << z_n: z_a / (z_a - z_b) tends to 1 for b < a, to 0 for b > a."""
+    return [(4, (jm, a, r))]
 
 
 def jm(a, r):
@@ -273,6 +302,8 @@ def casimir_eigenvalue(shape, rank, order=2):
     shape = shape if isinstance(shape, Partition) else Partition(shape)
     if order == 1:
         return shape.size
+    if order != 2:
+        raise ValueError(f"unsupported Casimir order {order}")
     return sum(p * (p + rank + 1 - 2 * j) for j, p in enumerate(shape, start=1))
 
 

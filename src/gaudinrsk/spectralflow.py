@@ -21,7 +21,7 @@ operators of a leg's family commute at every path point, and
   C  from B's end, q-rescale at z = 0: the rescaled dynamical operators
      converge to the nested commuting limits; its end frame feeds the S
      decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
-  D  from A's end, q -> 0 at the base z: exchange family plus q-scaled
+  D  from A's end, q -> 0 at A's end point z: exchange family plus q-scaled
      dynamical operators; its end frame feeds the q-side records
      (exchange limits at q = 0), shared with the mirrored gl_n action.
   E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
@@ -51,13 +51,14 @@ from .liealg import (
     MonomialBlock,
     casimir_eigenvalue,
     dense,
-    dual_kappa,
+    dual_nabla_terms,
     dual_nested_casimir,
-    jm,
-    kappa,
+    gaudin_limit_terms,
+    gaudin_terms,
+    nabla_terms,
     nested_casimir,
-    omega,
     op_E,
+    part_operator,
     weight_basis,
     weight_op,
 )
@@ -181,9 +182,10 @@ class FlowResult:
 
 
 class BlockCache:
-    """Dense orthonormal-basis matrices of the reusable operator blocks,
-    all assembled through the generator tables of one MonomialBlock. None
-    depends on z or q, so one cache serves every jitter attempt."""
+    """One store of dense orthonormal-basis matrices keyed by liealg part,
+    each assembled once through the generator tables of one MonomialBlock;
+    `combine` sums a liealg term list over them in floats. No part depends
+    on z or q, so one cache serves every jitter attempt."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -191,76 +193,28 @@ class BlockCache:
         self.block = MonomialBlock(basis)
         self.basis = self.block.basis
         self.dim = self.block.dim
-        self._store = {}
+        self._mats = {}
 
-    def _get(self, key, make):
-        if key not in self._store:
-            self._store[key] = make()
-        return self._store[key]
+    def mat(self, part):
+        """Dense matrix of the operator the part names, built on first use."""
+        mat = self._mats.get(part)
+        if mat is None:
+            mat = self._mats[part] = dense(part_operator(part), self.block)
+        return mat
 
-    def cartan(self, i, a):
-        return self._get(("E", i, a), lambda: dense(op_E(i, i, a), self.block))
-
-    def kappa2(self, i, j):
-        i, j = min(i, j), max(i, j)
-        return self._get(("K", i, j), lambda: dense(kappa(i, j, self.n), self.block))
-
-    def omega4(self, a, b):
-        a, b = min(a, b), max(a, b)
-        return self._get(
-            ("O", a, b), lambda: dense(omega(a, b, self.r).scale(4), self.block)
-        )
-
-    def jm4(self, a):
-        return self._get(("J", a), lambda: dense(jm(a, self.r).scale(4), self.block))
-
-    def wop(self, i):
-        return self._get(("W", i), lambda: dense(weight_op(i, self.n), self.block))
-
-    def casimir2(self, i):
-        return self._get(("C", i), lambda: dense(nested_casimir(i, self.n), self.block))
-
-    def dual_kappa2(self, a, b):
-        a, b = min(a, b), max(a, b)
-        return self._get(
-            ("DK", a, b), lambda: dense(dual_kappa(a, b, self.r), self.block)
-        )
-
-    def dual_casimir2(self, a):
-        return self._get(
-            ("DC", a), lambda: dense(dual_nested_casimir(a, self.r), self.block)
-        )
+    def combine(self, terms):
+        """Float sum of coefficient * part matrix; zero terms build no part."""
+        return sum((c * self.mat(part) for c, part in terms if c),
+                   np.zeros((self.dim, self.dim)))
 
     def nabla_mat(self, i, z, q):
-        out = sum(z[a - 1] * self.cartan(i, a) for a in range(1, self.n + 1))
-        out = out + sum(
-            self.kappa2(i, j) / (q[i - 1] - q[j - 1])
-            for j in range(1, self.r + 1)
-            if j != i
-        )
-        return np.asarray(out)
-
-    def nabla0_mat(self, i, q):
-        return self.nabla_mat(i, (0.0,) * self.n, q)
+        return self.combine(nabla_terms(i, z, q, self.n))
 
     def gaudin_mat(self, a, z, q):
-        out = sum(q[i - 1] * self.cartan(i, a) for i in range(1, self.r + 1))
-        out = out + sum(
-            self.omega4(a, b) / (z[a - 1] - z[b - 1])
-            for b in range(1, self.n + 1)
-            if b != a
-        )
-        return np.asarray(out)
-
-    def gaudin0_mat(self, a, z):
-        return self.gaudin_mat(a, z, (0.0,) * self.r)
+        return self.combine(gaudin_terms(a, z, q, self.r))
 
     def dual_nabla0_mat(self, a, z):
-        out = np.zeros((self.dim, self.dim))
-        for b in range(1, self.n + 1):
-            if b != a:
-                out = out + self.dual_kappa2(a, b) / (z[a - 1] - z[b - 1])
-        return out
+        return self.combine(dual_nabla_terms(a, (0.0,) * self.r, z, self.r))
 
 
 def collision_path(n, base_z, t_start=1e3, t_end=1.0, steps=48, variant="through-point"):
@@ -383,7 +337,7 @@ def snap_to_monomials(vectors, basis, cache):
         label = basis[idx]
         for i in range(1, cache.r + 1):
             for a in range(1, cache.n + 1):
-                val = v @ cache.cartan(i, a) @ v
+                val = v @ cache.mat((op_E, i, i, a)) @ v
                 if abs(val - label[i - 1, a - 1]) > 1e-6:
                     raise ContinuationError(
                         f"branch {b}: diagonal eigenvalue {val} disagrees with label"
@@ -510,14 +464,18 @@ class FlowContext:
         self.rng = np.random.default_rng(self.opts.seed)
 
     def legs(self, path_variant="through-point", b_path=None):
-        """The leg table in run order; b_path replaces the collision
+        """The leg table in run order. Every later leg starts at z = leg A's
+        end point; b_path, called as b_path(z, q), replaces the collision
         schedule of leg B. Each family stays bounded on its leg."""
-        cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
+        cache, r, n, q = self.cache, self.r, self.n, self.q
         steps = self.opts.steps
-        a_path = collision_path(n, z, T_MAX, 1.0, steps, path_variant)
-        b_path = b_path or PathSpec("collision", z, q, 1.0, T_MIN, steps)
+        a_path = collision_path(n, self.z, T_MAX, 1.0, steps, path_variant)
+        z, _ = a_path.point(1.0)
+        b_path = (b_path(z, q) if b_path is not None
+                  else PathSpec("collision", z, q, 1.0, T_MIN, steps))
         s_grid = np.geomspace(1.0, S_MIN, steps)
-        nab0 = [cache.nabla0_mat(i, q) for i in range(1, r + 1)]
+        z0, q0 = (0.0,) * n, (0.0,) * r
+        nab0 = [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
 
         def main(path):
             def family(t):
@@ -528,8 +486,8 @@ class FlowContext:
 
         def gt(s):
             qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-            return ([s ** (r - i) * cache.nabla0_mat(i, qs) for i in range(1, r + 1)]
-                    + [cache.jm4(a) for a in range(2, n + 1)])
+            return ([s ** (r - i) * cache.nabla_mat(i, z0, qs) for i in range(1, r + 1)]
+                    + [cache.combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
 
         def qshrink(s):
             qs = tuple(s * x for x in q)
@@ -539,11 +497,11 @@ class FlowContext:
         def dual_gt(u):
             zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
             return ([u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
-                    + [u ** (n - a) * cache.gaudin0_mat(a, zu) for a in range(1, n + 1)]
+                    + [u ** (n - a) * cache.gaudin_mat(a, zu, q0) for a in range(1, n + 1)]
                     + nab0)
 
         def q_limit():
-            return [cache.gaudin0_mat(a, z) for a in range(1, n + 1)]
+            return [cache.gaudin_mat(a, z, q0) for a in range(1, n + 1)]
 
         return (
             Leg("A", None, a_path.grid(), main(a_path)),
@@ -564,7 +522,7 @@ class FlowContext:
         on the branches.
         """
         cache = self.cache
-        weights = [cache.wop(i) for i in range(1, self.r + 1)]
+        weights = [cache.mat((weight_op, i, self.n)) for i in range(1, self.r + 1)]
         labels = snap_to_monomials(np.eye(cache.dim), self.basis, cache)
         branches = [EigenBranch(label, None) for label in labels]
         frames, classes, diags = {}, None, []
@@ -595,7 +553,8 @@ class FlowContext:
 
     def extract_S(self, frame, labels):
         """Decode tableau S of every branch from a leg C end frame."""
-        values = rayleigh(frame, [self.cache.casimir2(i) for i in range(1, self.r + 1)])
+        values = rayleigh(frame, [self.cache.mat((nested_casimir, i, self.n))
+                                  for i in range(1, self.r + 1)])
         out = []
         for b, label in enumerate(labels):
             wt = label.row_sums()
@@ -605,7 +564,8 @@ class FlowContext:
 
     def extract_T(self, frame, labels):
         """Decode the mirrored tableau T of every branch from a leg E end frame."""
-        values = rayleigh(frame, [self.cache.dual_casimir2(a) for a in range(1, self.n + 1)])
+        values = rayleigh(frame, [self.cache.mat((dual_nested_casimir, a, self.r))
+                                  for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
         return [_decode_chain(sizes, row) for row in values]
 

@@ -43,6 +43,18 @@ class TestRsk:
         assert report["failures"] == []
         assert report["checked"] > 50
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-dim", "0"),
+        ("--max-entry", "-1"),
+        ("--samples", "-5"),
+    ])
+    def test_check_rejects_bad_bounds(self, flag, value, capsys, monkeypatch):
+        def no_check(a):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli.cb, "rsk", no_check)
+        assert main(["rsk", "--check", flag, value]) == EXIT_USAGE
+
     def test_bad_matrix(self, capsys):
         assert main(["rsk", "--matrix", "[[1,-2]]"]) == EXIT_USAGE
 

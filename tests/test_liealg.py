@@ -230,6 +230,11 @@ class TestCasimirs:
         with pytest.raises(ValueError):
             nested_casimir(2, 2, order=3)
 
+    @pytest.mark.parametrize("order", [0, 3, -1])
+    def test_eigenvalue_rejects_unsupported_order(self, order):
+        with pytest.raises(ValueError):
+            casimir_eigenvalue([2, 1], 2, order=order)
+
 
 class TestSingleColumnOperator:
     def test_g_h_self_adjoint_and_diagonalizable(self):

@@ -1,11 +1,24 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gaudinrsk import spectralflow
+from gaudinrsk.cmcells import gamma_path
 from gaudinrsk.combinatorics import NatMatrix, rsk
-from gaudinrsk.liealg import sqnorm, weight_basis
+from gaudinrsk.liealg import (
+    dense,
+    dual_nabla,
+    gaudin_h,
+    gaudin_limit_terms,
+    jm,
+    nabla,
+    op_E,
+    sqnorm,
+    weight_basis,
+    weight_op,
+)
 from gaudinrsk.spectralflow import (
     BlockCache,
     ClusteringError,
@@ -97,7 +110,8 @@ class TestTransport:
         basis = weight_basis(2, 2, (1, 1))
         cache = BlockCache(2, 2, basis)
         # diagonal family: monomials are the joint eigenframe
-        ops = [cache.cartan(1, 1), cache.cartan(1, 2), cache.wop(1)]
+        ops = [cache.mat((op_E, 1, 1, 1)), cache.mat((op_E, 1, 1, 2)),
+               cache.mat((weight_op, 1, 2))]
         path = PathSpec("straight-to-zero", (1.0, 1.0), (1.0, 2.0), 1.0, 0.5, steps=8)
         frame, diag = transport(np.eye(len(basis)), lambda t: ops, path.grid(),
                                 np.random.default_rng(0))
@@ -115,34 +129,25 @@ class TestTransport:
 
 class TestBlockCache:
     def test_dense_matches_word_by_word(self, monkeypatch):
-        # every operator the cache assembles, against the float matrix
-        # built monomial by monomial through Operator.apply_monomial
+        # every part the leg table uses, against the float matrix built
+        # monomial by monomial through Operator.apply_monomial
         built = []
 
         def recording_dense(op, block):
-            mat = dense(op, block)
+            mat = spectralflow_dense(op, block)
             built.append((op, mat))
             return mat
 
-        dense = spectralflow.dense
+        spectralflow_dense = spectralflow.dense
         monkeypatch.setattr(spectralflow, "dense", recording_dense)
         r, n = 2, 3
         basis = weight_basis(r, n, (1, 1, 1))
         cache = BlockCache(r, n, basis)
-        for i in range(1, r + 1):
-            cache.wop(i)
-            cache.casimir2(i)
-            for a in range(1, n + 1):
-                cache.cartan(i, a)
-            for j in range(i + 1, r + 1):
-                cache.kappa2(i, j)
-        for a in range(1, n + 1):
-            cache.jm4(a)
-            cache.dual_casimir2(a)
-            for b in range(a + 1, n + 1):
-                cache.omega4(a, b)
-                cache.dual_kappa2(a, b)
-        assert len(built) == 2 * r + r * n + math.comb(r, 2) + 2 * n + 2 * math.comb(n, 2)
+        FlowContext(r, n, (1, 1, 1), cache=cache).run("ABCDE", "B")
+        # Cartans E_ii^(a), weights, corner Casimirs, kappa_ij, Omega_ab,
+        # J_a for a >= 2, dual kappa_ab and dual corner Casimirs
+        assert len(built) == (r * n + 2 * r + math.comb(r, 2) + math.comb(n, 2)
+                              + (n - 1) + math.comb(n, 2) + n)
         index = {m: i for i, m in enumerate(basis)}
         norms = [float(sqnorm(m)) for m in basis]
         for op, mat in built:
@@ -152,6 +157,28 @@ class TestBlockCache:
                     dst = index[image]
                     expected[dst, src] = float(coeff) * math.sqrt(norms[dst] / norms[src])
             assert np.array_equal(mat, expected)
+
+    @pytest.mark.parametrize("r, n, col_sums", [(2, 3, (1, 1, 1)), (3, 2, (2, 2))])
+    def test_float_families_match_exact(self, r, n, col_sums):
+        # each family the leg table sums in floats, against the dense matrix
+        # of the exact liealg family at the same (dyadic, so exact) point
+        basis = weight_basis(r, n, col_sums)
+        cache = BlockCache(r, n, basis)
+        z = (Fraction(3, 4), Fraction(5, 2), Fraction(29, 8))[:n]
+        q = (Fraction(7, 2), Fraction(1, 4), Fraction(9, 8))[:r]
+        zf, qf = tuple(map(float, z)), tuple(map(float, q))
+        z0, q0 = (0,) * n, (0,) * r
+        pairs = []
+        for i in range(1, r + 1):
+            pairs.append((cache.nabla_mat(i, zf, qf), nabla(i, z, q, n)))
+            pairs.append((cache.nabla_mat(i, (0.0,) * n, qf), nabla(i, z0, q, n)))
+        for a in range(1, n + 1):
+            pairs.append((cache.gaudin_mat(a, zf, qf), gaudin_h(a, z, q, r)))
+            pairs.append((cache.gaudin_mat(a, zf, (0.0,) * r), gaudin_h(a, z, q0, r)))
+            pairs.append((cache.dual_nabla0_mat(a, zf), dual_nabla(a, q0, z, r)))
+            pairs.append((cache.combine(gaudin_limit_terms(a, r)), jm(a, r).scale(4)))
+        for mat, op in pairs:
+            assert np.max(np.abs(mat - dense(op, basis))) < 1e-12
 
 
 class TestFlowBlock:
@@ -189,8 +216,8 @@ class TestFlowBlock:
         result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
         ctx = FlowContext(2, 2, (1, 1), (1, 1))
         cache = ctx.cache
-        limit_ops = [cache.nabla0_mat(i, ctx.q) for i in (1, 2)]
-        limit_ops += [cache.wop(i) for i in (1, 2)]
+        limit_ops = [cache.nabla_mat(i, (0.0, 0.0), ctx.q) for i in (1, 2)]
+        limit_ops += [cache.mat((weight_op, i, 2)) for i in (1, 2)]
         exact = set()
         vals = np.linalg.eigvalsh(limit_ops[0])
         for branch in result.branches:
@@ -221,6 +248,18 @@ class TestFlowBlock:
             assert ba.label == bb.label
             assert ba.s_tableau == bb.s_tableau
             assert ba.t_tableau == bb.t_tableau
+
+    @pytest.mark.parametrize("b_path", [None, gamma_path])
+    def test_later_legs_start_at_leg_a_end(self, b_path):
+        # on the unit variant leg A ends at z = (1, 2, 4), not at the base z
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        legs = {leg.name: leg for leg in ctx.legs("unit", b_path)}
+        a_end = legs["A"].family(legs["A"].grid[-1])
+        for mat_a, mat_b in zip(a_end, legs["B"].family(legs["B"].grid[0])):
+            assert np.max(np.abs(mat_a - mat_b)) < 1e-12
+        # at s = 1 the first r operators of leg D are the nabla_i of leg A
+        for mat_a, mat_d in zip(a_end[:2], legs["D"].family(1.0)[:2]):
+            assert np.max(np.abs(mat_a - mat_d)) < 1e-12
 
     def test_trace_records_all_legs(self):
         trace = []
