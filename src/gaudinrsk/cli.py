@@ -29,6 +29,11 @@ EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# cells flows the S_n block, whose n! monomials each get a dense row and
+# column: S_7 has 5040 monomials, and one dense part alone is 5040^2
+# doubles, about 203 MB
+CELLS_MAX_N = 6
+
 
 class UsageError(Exception):
     pass
@@ -275,6 +280,9 @@ def cmd_cells(args):
         "two-sided": cmcells.two_sided_cells,
     }
     z, q = _flow_params(args, args.n, args.n)
+    if args.n > CELLS_MAX_N:
+        raise UsageError(f"cells needs --n at most {CELLS_MAX_N} "
+                         "(the S_n block has n! monomials)")
     try:
         partition = runners[args.kind](args.n, z=z, q=q, opts=_flow_opts(args))
     except spectralflow.FlowError as err:

@@ -18,7 +18,7 @@ operators of a leg's family commute at every path point, and
      converge to the partial exchange sums J_a, keeping the tracked
      spectrum simple. Its end frame feeds the z-side records (dynamical
      limits at z = 0), whose coalescence classes the flow reports.
-  C  from B's end, q-rescale at z = 0: the rescaled dynamical operators
+  C  from B's end, q rescaled at z = 0: the rescaled dynamical operators
      converge to the nested commuting limits; its end frame feeds the S
      decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
   D  from A's end, q -> 0 at A's end point z: exchange family plus q-scaled
@@ -94,7 +94,6 @@ MAX_BISECTIONS = 40  # per leg
 START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
 MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
-MAX_JITTERS = 4  # jittered retries of q after an inconclusive run
 
 
 @dataclass
@@ -112,7 +111,6 @@ class PathSpec:
     kinds:
       collision        z follows the ordered-collision schedule, q fixed
       straight-to-zero z scales linearly to zero, q fixed
-      q-rescale        q_i -> q_i * t^(r-i), z fixed
     """
 
     kind: str
@@ -124,8 +122,7 @@ class PathSpec:
     variant: str = "through-point"
 
     def __post_init__(self):
-        kinds = ("collision", "straight-to-zero", "q-rescale")
-        if self.kind not in kinds:
+        if self.kind not in ("collision", "straight-to-zero"):
             raise SetupError(f"unknown path kind {self.kind!r}")
         self.base_z = tuple(float(x) for x in self.base_z)
         self.base_q = tuple(float(x) for x in self.base_q)
@@ -149,11 +146,7 @@ class PathSpec:
                     val *= 2.0 ** (1 - i) * z[i - 1]
                 out.append(val)
             return tuple(out), q
-        if self.kind == "straight-to-zero":
-            return tuple(t * x for x in z), q
-        # q-rescale
-        r = len(q)
-        return z, tuple(q[i - 1] * t ** (r - i) for i in range(1, r + 1))
+        return tuple(t * x for x in z), q
 
     def validate(self):
         """Check that a collision schedule keeps z increasing on the grid."""
@@ -185,7 +178,7 @@ class BlockCache:
     """One store of dense orthonormal-basis matrices keyed by liealg part,
     each assembled once through the generator tables of one MonomialBlock;
     `combine` sums a liealg term list over them in floats. No part depends
-    on z or q, so one cache serves every jitter attempt."""
+    on z or q, so one cache serves every leg."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -410,19 +403,26 @@ def _decode_chain(sizes, casimir_values):
         added = size - shape.size
         if added < 0:
             raise DecodingError(f"negative strip size at letter {step}")
-        candidates = []
-        for mu in sorted(pieri_shapes(shape, added, step), key=lambda p: p.parts):
-            val = casimir_eigenvalue(mu, step)
-            candidates.append((abs(val - c2), mu))
-        candidates.sort(key=lambda pair: pair[0])
+        exact = {mu: casimir_eigenvalue(mu, step)
+                 for mu in pieri_shapes(shape, added, step)}
+        candidates = sorted(((abs(val - c2), mu) for mu, val in exact.items()),
+                            key=lambda pair: (pair[0], pair[1].parts))
         if not candidates or candidates[0][0] > DECODE_TOL:
             raise DecodingError(
                 f"no corner shape matches Casimir value {c2:.4f} at letter {step}"
             )
-        if len(candidates) > 1 and candidates[1][0] < 2 * DECODE_TOL:
-            raise DecodingError(
-                f"ambiguous corner shape at letter {step}: {candidates[:2]}"
-            )
+        if len(candidates) > 1:
+            (_, first), (_, second) = candidates[:2]
+            if exact[first] == exact[second]:
+                # no choice of z or q separates shapes with equal eigenvalues
+                raise DecodingError(
+                    f"exact Casimir tie at letter {step}: shapes {first.parts} "
+                    f"and {second.parts} both give {exact[first]}"
+                )
+            if candidates[1][0] < 2 * DECODE_TOL:
+                raise DecodingError(
+                    f"ambiguous corner shape at letter {step}: {candidates[:2]}"
+                )
         mu = candidates[0][1]
         for i in range(1, len(mu) + 1):
             while len(rows) < i:
@@ -445,11 +445,10 @@ class Leg(NamedTuple):
 
 
 class FlowContext:
-    """Everything needed to run the legs on one graded block. A BlockCache
-    of the block given as cache is used as it is; else one is built."""
+    """Everything needed to run the legs on one graded block, with the
+    block's BlockCache."""
 
-    def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
-                 cache=None):
+    def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
         self.r = r
         self.n = n
         self.col_sums = tuple(col_sums)
@@ -457,10 +456,8 @@ class FlowContext:
         self.z = tuple(float(x) for x in (z if z is not None else range(1, n + 1)))
         self.q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
         self.opts = opts or FlowOpts()
-        if cache is None:
-            cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))
-        self.cache = cache
-        self.basis = cache.basis
+        self.cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))
+        self.basis = self.cache.basis
         self.rng = np.random.default_rng(self.opts.seed)
 
     def legs(self, path_variant="through-point", b_path=None):
@@ -571,55 +568,22 @@ class FlowContext:
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
-               path_variant="through-point", want=("S", "T", "classes"),
-               trace=None):
-    """Run all legs on one graded block; returns a FlowResult.
+               path_variant="through-point", trace=None):
+    """Run all legs once on one graded block; returns a FlowResult whose
+    classes come from leg B's records.
 
-    Retries with a seeded jitter of q when the continuation or clustering
-    is inconclusive; the jitter used is reported in the diagnostics. The
-    basis and the BlockCache are built once and shared by the attempts.
+    A continuation, clustering or decoding failure, or branches whose S and
+    T shapes differ, raise a FlowError; the block is not run again.
     """
-    opts = opts or FlowOpts()
-    base_q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
-    cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-    last_error = None
-    for attempt in range(MAX_JITTERS + 1):
-        jitter_rng = np.random.default_rng((opts.seed, attempt))
-        if attempt == 0:
-            q_try = base_q
-        else:
-            q_try = tuple(
-                x * (1 + 1e-3 * jitter_rng.integers(1, 1000) / 1000) for x in base_q
-            )
-        try:
-            return _flow_block_once(r, n, col_sums, row_sums, z, q_try, opts,
-                                    path_variant, want, trace, attempt, cache)
-        except (ContinuationError, ClusteringError, DecodingError) as err:
-            last_error = err
-    raise last_error
-
-
-def _flow_block_once(r, n, col_sums, row_sums, z, q, opts, path_variant,
-                     want, trace, attempt, cache):
-    ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts, cache)
-    legs = "A"
-    if "classes" in want or "S" in want:
-        legs += "B"
-    if "S" in want:
-        legs += "C"
-    if "T" in want:
-        legs += "DE"
-    result = ctx.run(legs, "B" if "classes" in want else None, path_variant,
-                     trace=trace)
-    result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=opts.seed,
-                              jitter_attempt=attempt)
+    ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
+    result = ctx.run("ABCDE", "B", path_variant, trace=trace)
+    result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=ctx.opts.seed)
     for branch in result.branches:
-        if branch.s_tableau is not None and branch.t_tableau is not None:
-            if branch.s_tableau.shape != branch.t_tableau.shape:
-                raise DecodingError(
-                    f"shape mismatch for label {branch.label!r}: "
-                    f"{branch.s_tableau.shape} vs {branch.t_tableau.shape}"
-                )
+        if branch.s_tableau.shape != branch.t_tableau.shape:
+            raise DecodingError(
+                f"shape mismatch for label {branch.label!r}: "
+                f"{branch.s_tableau.shape} vs {branch.t_tableau.shape}"
+            )
     return result
 
 

@@ -133,6 +133,13 @@ class TestCells:
     def test_unknown_kind(self, capsys):
         assert main(["cells", "--n", "3", "--kind", "middle"]) == EXIT_USAGE
 
+    def test_refuses_n_7_before_any_flow(self, capsys, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a cell flow ran")
+
+        monkeypatch.setattr(cli.cmcells, "right_cells", no_flow)
+        assert main(["cells", "--n", "7"]) == EXIT_USAGE
+
 
 class TestReports:
     def test_deterministic_bytes(self, tmp_path):

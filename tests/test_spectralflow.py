@@ -8,6 +8,7 @@ from gaudinrsk import spectralflow
 from gaudinrsk.cmcells import gamma_path
 from gaudinrsk.combinatorics import NatMatrix, rsk
 from gaudinrsk.liealg import (
+    casimir_eigenvalue,
     dense,
     dual_nabla,
     gaudin_h,
@@ -23,10 +24,12 @@ from gaudinrsk.spectralflow import (
     BlockCache,
     ClusteringError,
     ContinuationError,
+    DecodingError,
     FlowContext,
     FlowOpts,
     PathSpec,
     SetupError,
+    _decode_chain,
     coalescence_classes,
     col_sum_blocks,
     collision_path,
@@ -82,12 +85,6 @@ class TestPathSpec:
         assert z == (0.5, 1.0)
         assert q == (3.0,)
 
-    def test_q_rescale_schedule(self):
-        path = PathSpec("q-rescale", (1.0,), (1.0, 2.0), 1.0, 1e-3)
-        z, q = path.point(0.1)
-        assert z == (1.0,)
-        assert np.allclose(q, (0.1, 2.0))
-
 
 class TestCoalescence:
     def test_clusters_close_records(self):
@@ -141,9 +138,9 @@ class TestBlockCache:
         spectralflow_dense = spectralflow.dense
         monkeypatch.setattr(spectralflow, "dense", recording_dense)
         r, n = 2, 3
-        basis = weight_basis(r, n, (1, 1, 1))
-        cache = BlockCache(r, n, basis)
-        FlowContext(r, n, (1, 1, 1), cache=cache).run("ABCDE", "B")
+        ctx = FlowContext(r, n, (1, 1, 1))
+        ctx.run("ABCDE", "B")
+        basis = ctx.basis
         # Cartans E_ii^(a), weights, corner Casimirs, kappa_ij, Omega_ab,
         # J_a for a >= 2, dual kappa_ab and dual corner Casimirs
         assert len(built) == (r * n + 2 * r + math.comb(r, 2) + math.comb(n, 2)
@@ -182,21 +179,17 @@ class TestBlockCache:
 
 
 class TestFlowBlock:
-    def test_attempts_share_the_block_cache(self, monkeypatch):
-        caches = []
-        run = FlowContext.run
+    def test_failure_is_not_retried(self, monkeypatch):
+        calls = []
 
-        def failing_twice(self, *args, **kwargs):
-            caches.append(self.cache)
-            if len(caches) < 3:
-                raise ContinuationError("forced")
-            return run(self, *args, **kwargs)
+        def failing(self, *args, **kwargs):
+            calls.append(self)
+            raise ContinuationError("forced")
 
-        monkeypatch.setattr(FlowContext, "run", failing_twice)
-        result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
-        assert result.diagnostics["jitter_attempt"] == 2
-        assert len(caches) == 3
-        assert all(cache is caches[0] for cache in caches)
+        monkeypatch.setattr(FlowContext, "run", failing)
+        with pytest.raises(ContinuationError, match="forced"):
+            flow_block(2, 2, (1, 1), row_sums=(1, 1))
+        assert len(calls) == 1
 
     def test_known_antidiagonal_block(self):
         # weight (1,1) block of Mat_{2x2}: both permutation matrices appear
@@ -241,9 +234,8 @@ class TestFlowBlock:
             assert len(symbols) == 1
 
     def test_path_variants_agree(self):
-        kwargs = dict(want=("S", "T"))
-        res_a = flow_block(2, 3, (1, 1, 1), path_variant="through-point", **kwargs)
-        res_b = flow_block(2, 3, (1, 1, 1), path_variant="unit", **kwargs)
+        res_a = flow_block(2, 3, (1, 1, 1), path_variant="through-point")
+        res_b = flow_block(2, 3, (1, 1, 1), path_variant="unit")
         for ba, bb in zip(res_a.branches, res_b.branches):
             assert ba.label == bb.label
             assert ba.s_tableau == bb.s_tableau
@@ -267,6 +259,19 @@ class TestFlowBlock:
         legs = {row[0] for row in trace}
         assert legs == {"A", "B", "C", "D", "E"}
         assert [d["leg"] for d in result.diagnostics["legs"]] == list("ABCDE")
+
+
+class TestDecodeChain:
+    def test_exact_casimir_tie_is_named(self):
+        # (3,3) and (4,1,1) both extend (3,1) by a horizontal 2-strip and
+        # share the rank-3 quadratic Casimir 24
+        values = [casimir_eigenvalue((3,), 1), casimir_eigenvalue((3, 1), 2), 24]
+        assert casimir_eigenvalue((3, 3), 3) == casimir_eigenvalue((4, 1, 1), 3) == 24
+        with pytest.raises(DecodingError) as err:
+            _decode_chain((3, 4, 6), values)
+        assert str(err.value) == (
+            "exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24"
+        )
 
 
 class TestVerify:
