@@ -2,11 +2,14 @@
 
 Everything here is exact integer combinatorics: no floats, no randomness.
 Objects are immutable value types so they can be hashed, compared and used
-as dictionary keys by the flow and cell modules.
+as dictionary keys by the flow and cell modules. `rsk` bumps each letter in
+place into plain row lists, finding the bump position by bisection, and
+builds (and so validates) P and Q once, after the last letter.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from functools import total_ordering
 
@@ -326,30 +329,29 @@ def all_permutations(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def _bump(rows, value):
+    """Schensted row insertion into rows (lists, changed in place).
+
+    In each row the value takes the place of the leftmost entry strictly
+    larger than it, which moves on to the next row. Returns the index of
+    the row that grew by one box.
+    """
+    for i, row in enumerate(rows):
+        j = bisect.bisect_right(row, value)
+        if j == len(row):
+            row.append(value)
+            return i
+        row[j], value = value, row[j]
+    rows.append([value])
+    return len(rows) - 1
+
+
 def row_insert(tableau, value):
     """Schensted row insertion; returns (new tableau, (row, col) of the new box)."""
     rows = [list(row) for row in tableau.rows]
+    i = _bump(rows, value)
     bound = max(tableau.alphabet_bound, value)
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([value])
-            box = (i, 0)
-            break
-        row = rows[i]
-        # leftmost entry strictly larger than the incoming value
-        pos = None
-        for j, x in enumerate(row):
-            if x > value:
-                pos = j
-                break
-        if pos is None:
-            row.append(value)
-            box = (i, len(row) - 1)
-            break
-        row[pos], value = value, row[pos]
-        i += 1
-    return SemistandardTableau(rows, bound), box
+    return SemistandardTableau(rows, bound), (i, len(rows[i]) - 1)
 
 
 def rsk(matrix):
@@ -357,17 +359,17 @@ def rsk(matrix):
 
     P records the inserted column indices (entries <= n, content = column
     sums); Q records which biword row produced each box (entries <= r,
-    content = row sums). Shapes agree.
+    content = row sums). Shapes agree. Both are built, and validated, once
+    the last letter is in.
     """
-    p = SemistandardTableau((), matrix.n)
+    p_rows = []
     q_rows = []
     for i, j in matrix_to_biword(matrix):
-        p, (bi, bj) = row_insert(p, j)
+        bi = _bump(p_rows, j)
         if bi == len(q_rows):
             q_rows.append([])
         q_rows[bi].append(i)
-    q = SemistandardTableau(q_rows, matrix.r)
-    return p, q
+    return SemistandardTableau(p_rows, matrix.n), SemistandardTableau(q_rows, matrix.r)
 
 
 def rsk_inverse(p, q):
@@ -396,7 +398,9 @@ def rsk_inverse(p, q):
             value = p_rows[bi].pop(bj)
             for row in reversed(p_rows[:bi]):
                 # rightmost entry strictly smaller bumps back out
-                pos = max(j for j, x in enumerate(row) if x < value)
+                pos = bisect.bisect_left(row, value) - 1
+                if pos < 0:
+                    raise ValueError("invalid tableau pair")
                 row[pos], value = value, row[pos]
             pairs.append((i, value))
     if any(row for row in p_rows) or any(row for row in q_rows):
@@ -420,7 +424,7 @@ def transpose_check(matrix):
     """Whether rsk(A^t) equals the swapped rsk(A)."""
     p, q = rsk(matrix)
     pt, qt = rsk(matrix.transpose())
-    return pt == q.with_alphabet(matrix.r) and qt == p.with_alphabet(matrix.n)
+    return pt == q and qt == p
 
 
 def evacuation(tableau):

@@ -14,7 +14,7 @@ from .combinatorics import (
     NatMatrix,
     Partition,
     SemistandardTableau,
-    row_insert,
+    _bump,
 )
 
 
@@ -225,13 +225,14 @@ def g_insert(tableau, column):
     This is the unique crystal isomorphism sending a (tableau, monomial
     column) pair into the disjoint union of Pieri shapes.
     """
-    t = tableau
+    rows = [list(row) for row in tableau.rows]
+    bound = tableau.alphabet_bound
     for i, count in enumerate(column, start=1):
         for _ in range(count):
-            t, _ = row_insert(t, i)
-    if t.alphabet_bound < tableau.alphabet_bound:
-        t = t.with_alphabet(tableau.alphabet_bound)
-    return t
+            _bump(rows, i)
+        if count:
+            bound = max(bound, i)
+    return SemistandardTableau(rows, bound)
 
 
 def u_extend(tableau, mu, letter):

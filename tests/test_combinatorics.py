@@ -160,6 +160,14 @@ class TestRSK:
         with pytest.raises(ValueError):
             rsk_inverse(p, q)
 
+    def test_inverse_rejects_p_without_smaller_entry(self):
+        # the constructor refuses such a P; build it past the checks
+        p = object.__new__(SemistandardTableau)
+        p.rows, p.alphabet_bound = ((2,), (1,)), 2
+        q = SemistandardTableau([[1], [2]], 2)
+        with pytest.raises(ValueError, match="^invalid tableau pair$"):
+            rsk_inverse(p, q)
+
     def test_inverse_hits_every_tableau_pair(self):
         # RSK is onto pairs of same-shape tableaux with bounded entries
         for shape in [(2,), (1, 1), (2, 1)]:
@@ -167,6 +175,65 @@ class TestRSK:
                 for q in semistandard_tableaux(shape, 2):
                     a = rsk_inverse(p, q.with_alphabet(2))
                     assert rsk(a) == (p, q)
+
+
+def _oracle_rsk(matrix):
+    """RSK letter by letter: a linear scan per row and a fresh tableau per
+    bump, independent of the library's insertion."""
+    p = SemistandardTableau((), matrix.n)
+    q_rows = []
+    for i, j in matrix_to_biword(matrix):
+        rows = [list(row) for row in p.rows]
+        value = j
+        bi = 0
+        while True:
+            if bi == len(rows):
+                rows.append([value])
+                break
+            row = rows[bi]
+            pos = None
+            for k, x in enumerate(row):
+                if x > value:
+                    pos = k
+                    break
+            if pos is None:
+                row.append(value)
+                break
+            row[pos], value = value, row[pos]
+            bi += 1
+        p = SemistandardTableau(rows, max(p.alphabet_bound, j))
+        if bi == len(q_rows):
+            q_rows.append([])
+        q_rows[bi].append(i)
+    return p, SemistandardTableau(q_rows, matrix.r)
+
+
+class TestRskOracle:
+    @staticmethod
+    def _assert_same(a):
+        p, q = rsk(a)
+        op, oq = _oracle_rsk(a)
+        assert (p.rows, q.rows) == (op.rows, oq.rows), a
+        assert (p.alphabet_bound, q.alphabet_bound) == (op.alphabet_bound, oq.alphabet_bound), a
+
+    def test_random(self):
+        rng = random.Random(2024)
+        for _ in range(1000):
+            r = rng.randint(1, 8)
+            n = rng.randint(1, 8)
+            self._assert_same(NatMatrix([[rng.randint(0, 4) for _ in range(n)] for _ in range(r)]))
+
+    def test_exhaustive_small(self):
+        for a in all_matrices(2, 3, 2):
+            self._assert_same(a)
+
+    def test_zero_last_row_and_column_keep_bounds(self):
+        # rsk_inverse reads the size of A from the alphabet bounds
+        a = NatMatrix([[1, 0], [0, 0]])
+        self._assert_same(a)
+        p, q = rsk(a)
+        assert (p.alphabet_bound, q.alphabet_bound) == (2, 2)
+        assert rsk_inverse(p, q) == a
 
 
 class TestPermutations:
