@@ -129,6 +129,14 @@ def cmd_rsk(args):
     return EXIT_OK
 
 
+def _round_trips(a):
+    """rsk_inverse undoes rsk on A, and rsk of the transpose swaps (P, Q):
+    what transpose_check tests, with rsk(A) computed once."""
+    p, q = cb.rsk(a)
+    pt, qt = cb.rsk(a.transpose())
+    return cb.rsk_inverse(p, q) == a and pt == q and qt == p
+
+
 def _rsk_check(args):
     if args.max_dim < 1 or args.max_entry < 0 or args.samples < 0:
         raise UsageError("need --max-dim >= 1, --max-entry >= 0 and --samples >= 0")
@@ -138,8 +146,7 @@ def _rsk_check(args):
         for n in range(1, min(args.max_dim, 3) + 1):
             for a in cb.all_matrices(r, n, min(args.max_entry, 2)):
                 checked += 1
-                p, q = cb.rsk(a)
-                if cb.rsk_inverse(p, q) != a or not cb.transpose_check(a):
+                if not _round_trips(a):
                     failures.append(a.to_lists())
     rng = random.Random(args.seed)
     for _ in range(args.samples):
@@ -149,8 +156,7 @@ def _rsk_check(args):
             [[rng.randint(0, args.max_entry) for _ in range(n)] for _ in range(r)]
         )
         checked += 1
-        p, q = cb.rsk(a)
-        if cb.rsk_inverse(p, q) != a or not cb.transpose_check(a):
+        if not _round_trips(a):
             failures.append(a.to_lists())
     report = {
         "config": _config(args),

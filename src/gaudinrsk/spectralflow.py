@@ -94,6 +94,7 @@ MAX_BISECTIONS = 40  # per leg
 START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
 MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
+CANCEL_TOL = 1e-12  # relative squared norm below which a family operator is zero
 
 
 @dataclass
@@ -178,7 +179,13 @@ class BlockCache:
     """One store of dense orthonormal-basis matrices keyed by liealg part,
     each assembled once through the generator tables of one MonomialBlock;
     `combine` sums a liealg term list over them in floats. No part depends
-    on z or q, so one cache serves every leg."""
+    on z or q, so one cache serves every leg.
+
+    A flow family is a list of term lists. `normalised_sum` adds its
+    operators, each scaled to unit Frobenius norm, as one weighted sum of
+    part matrices: the norms come from the coefficient rows and the Gram
+    matrix of the parts, kept once per part set, so no operator of the
+    family is ever built as a matrix of its own."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -187,6 +194,7 @@ class BlockCache:
         self.basis = self.block.basis
         self.dim = self.block.dim
         self._mats = {}
+        self._grams = {}
 
     def mat(self, part):
         """Dense matrix of the operator the part names, built on first use."""
@@ -199,6 +207,50 @@ class BlockCache:
         """Float sum of coefficient * part matrix; zero terms build no part."""
         return sum((c * self.mat(part) for c, part in terms if c),
                    np.zeros((self.dim, self.dim)))
+
+    def _gram(self, parts):
+        """Frobenius inner products of the part matrices, pair by pair."""
+        gram = self._grams.get(parts)
+        if gram is None:
+            gram = np.empty((len(parts), len(parts)))
+            for j, pj in enumerate(parts):
+                for k in range(j, len(parts)):
+                    gram[j, k] = gram[k, j] = np.vdot(self.mat(pj), self.mat(parts[k]))
+            self._grams[parts] = gram
+        return gram
+
+    def normalised_sum(self, ops, coeffs):
+        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops.
+
+        Row o of the coefficient matrix holds op_o's coefficients on the
+        parts, so |op_o|_F^2 = m_o G m_o^T. An operator whose terms cancel
+        on the block, its squared norm at most CANCEL_TOL times
+        sum_jk |m_oj m_ok G_jk|, is left out.
+        """
+        index = {}
+        for terms in ops:
+            for c, part in terms:
+                if c:
+                    index.setdefault(part, len(index))
+        rows = np.zeros((len(ops), len(index)))
+        for o, terms in enumerate(ops):
+            for c, part in terms:
+                if c:
+                    rows[o, index[part]] += c
+        parts = tuple(index)
+        gram = self._gram(parts)
+        sq = np.sum(rows @ gram * rows, axis=1)
+        scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=1)
+        live = sq > CANCEL_TOL * scale
+        factors = np.zeros(len(ops))
+        factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
+        out = np.zeros((self.dim, self.dim))
+        term = np.empty_like(out)
+        for w, part in zip(factors @ rows, parts):
+            if w:
+                np.multiply(self.mat(part), w, out=term)
+                out += term
+        return out
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
@@ -216,18 +268,14 @@ def collision_path(n, base_z, t_start=1e3, t_end=1.0, steps=48, variant="through
     return path
 
 
+def _scaled(scalar, terms):
+    """The term list of scalar times an operator."""
+    return [(scalar * c, part) for c, part in terms]
+
+
 def _draw_coeffs(rng, count):
     # rationals in [1, 2): generic but tame scale
     return np.array([1 + rng.integers(0, 1000) / 1000 for _ in range(count)])
-
-
-def _combined(ops, coeffs):
-    out = np.zeros_like(ops[0])
-    for c, op in zip(coeffs, ops):
-        norm = np.linalg.norm(op)
-        if norm > 0:
-            out = out + c * op / norm
-    return out
 
 
 def _match(new_vecs, old_vecs, new_vals=None):
@@ -248,17 +296,22 @@ def _match(new_vecs, old_vecs, new_vals=None):
     return matched, vals, min_overlap
 
 
-def transport(vectors, ops_at, grid, rng, trace=None, leg=""):
+def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
     """Continue the eigenframe of a commuting family along the grid.
 
     vectors: dim x m orthonormal columns approximating joint eigenlines at
-    grid[0]. Returns (vectors at grid[-1], diagnostics).
+    grid[0]. family(t) lists the family's operators at t as term lists;
+    one draw of coefficients weights them, each scaled to unit norm, into
+    a single operator (`BlockCache.normalised_sum`) whose eigenframe is
+    followed. Returns (vectors at grid[-1], diagnostics); min_gap in the
+    diagnostics is the smallest gap of that operator's spectrum over
+    grid[0] and every accepted step.
     """
     grid = np.asarray(grid, dtype=float)
-    ops0 = ops_at(grid[0])
+    ops0 = family(grid[0])
     for _ in range(MAX_REDRAWS):
         coeffs = _draw_coeffs(rng, len(ops0))
-        vals = np.linalg.eigvalsh(_combined(ops0, coeffs))
+        vals = np.linalg.eigvalsh(cache.normalised_sum(ops0, coeffs))
         gaps = np.diff(np.sort(vals))
         if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
             break
@@ -267,13 +320,20 @@ def transport(vectors, ops_at, grid, rng, trace=None, leg=""):
             f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws"
         )
 
-    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
+            "min_gap": math.inf}
 
     def eigen(t):
-        vals, vecs = np.linalg.eigh(_combined(ops_at(t), coeffs))
+        vals, vecs = np.linalg.eigh(cache.normalised_sum(family(t), coeffs))
         return vals, vecs
 
+    def record_gap(vals):
+        # eigh returns the eigenvalues in ascending order
+        if len(vals) > 1:
+            diag["min_gap"] = min(diag["min_gap"], float(np.diff(vals).min()))
+
     vals, vecs = eigen(grid[0])
+    record_gap(vals)
     current, cur_vals, overlap = _match(vecs, vectors, vals)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
     if overlap < MATCH_THRESHOLD:
@@ -297,6 +357,7 @@ def transport(vectors, ops_at, grid, rng, trace=None, leg=""):
                         f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
                     )
                 current, cur_vals = matched, mvals
+                record_gap(vals)
                 diag["min_overlap"] = min(diag["min_overlap"], overlap)
                 diag["steps"] += 1
                 t_prev = t_next
@@ -363,25 +424,23 @@ def coalescence_classes(records, tol=1e-6, safety=1e3):
             x = parent[x]
         return x
 
+    # sup-norm distances, one record column at a time
     dists = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = np.max(np.abs(records[i] - records[j])) if records.size else 0.0
-            dists[i, j] = dists[j, i] = d
-            if d < tol:
-                parent[find(i)] = find(j)
+    diff = np.empty((m, m))
+    for col in records.reshape(m, -1).T if m else ():
+        np.subtract.outer(col, col, out=diff)
+        np.maximum(dists, np.abs(diff, out=diff), out=dists)
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    for i, j in np.argwhere(upper & (dists < tol)).tolist():
+        parent[find(i)] = find(j)
+    roots = np.array([find(i) for i in range(m)], dtype=int)
     groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
     classes = sorted(groups.values())
-    intra = 0.0
-    inter = math.inf
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) == find(j):
-                intra = max(intra, dists[i, j])
-            else:
-                inter = min(inter, dists[i, j])
+    same = roots[:, None] == roots[None, :]
+    intra = float(dists[upper & same].max(initial=0.0))
+    inter = float(dists[upper & ~same].min(initial=math.inf))
     if intra * safety > inter:
         raise ClusteringError(
             f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}; "
@@ -438,8 +497,8 @@ class Leg(NamedTuple):
     name: str
     start: str | None  # leg whose end frame this one continues; None: monomials
     grid: np.ndarray
-    family: Callable  # grid point -> operator list, without the weights
-    limit: Callable | None = None  # () -> exact limit operators for the end frame
+    family: Callable  # grid point -> operators as term lists, without the weights
+    limit: Callable | None = None  # () -> exact limit operators (dense) for the end frame
     decode: Callable | None = None  # (end frame, labels) -> tableaux
     key: str | None = None  # where each branch keeps the records or tableaux
 
@@ -463,7 +522,8 @@ class FlowContext:
     def legs(self, path_variant="through-point", b_path=None):
         """The leg table in run order. Every later leg starts at z = leg A's
         end point; b_path, called as b_path(z, q), replaces the collision
-        schedule of leg B. Each family stays bounded on its leg."""
+        schedule of leg B. Each family stays bounded on its leg; its path
+        scalars are folded into the coefficients of its term lists."""
         cache, r, n, q = self.cache, self.r, self.n, self.q
         steps = self.opts.steps
         a_path = collision_path(n, self.z, T_MAX, 1.0, steps, path_variant)
@@ -472,37 +532,42 @@ class FlowContext:
                   else PathSpec("collision", z, q, 1.0, T_MIN, steps))
         s_grid = np.geomspace(1.0, S_MIN, steps)
         z0, q0 = (0.0,) * n, (0.0,) * r
-        nab0 = [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
 
         def main(path):
             def family(t):
                 zt, _ = path.point(t)
-                return ([cache.nabla_mat(i, zt, q) for i in range(1, r + 1)]
-                        + [zt[a - 1] * cache.gaudin_mat(a, zt, q) for a in range(1, n + 1)])
+                return ([nabla_terms(i, zt, q, n) for i in range(1, r + 1)]
+                        + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, r))
+                           for a in range(1, n + 1)])
             return family
 
         def gt(s):
             qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-            return ([s ** (r - i) * cache.nabla_mat(i, z0, qs) for i in range(1, r + 1)]
-                    + [cache.combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
+            return ([_scaled(s ** (r - i), nabla_terms(i, z0, qs, n)) for i in range(1, r + 1)]
+                    + [gaudin_limit_terms(a, r) for a in range(2, n + 1)])
 
         def qshrink(s):
             qs = tuple(s * x for x in q)
-            return ([s * cache.nabla_mat(i, z, qs) for i in range(1, r + 1)]
-                    + [cache.gaudin_mat(a, z, qs) for a in range(1, n + 1)])
+            return ([_scaled(s, nabla_terms(i, z, qs, n)) for i in range(1, r + 1)]
+                    + [gaudin_terms(a, z, qs, r) for a in range(1, n + 1)])
 
         def dual_gt(u):
             zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-            return ([u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
-                    + [u ** (n - a) * cache.gaudin_mat(a, zu, q0) for a in range(1, n + 1)]
-                    + nab0)
+            return ([_scaled(u ** (n - a), dual_nabla_terms(a, q0, zu, r))
+                     for a in range(1, n + 1)]
+                    + [_scaled(u ** (n - a), gaudin_terms(a, zu, q0, r))
+                       for a in range(1, n + 1)]
+                    + [nabla_terms(i, z0, q, n) for i in range(1, r + 1)])
+
+        def z_limit():
+            return [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
 
         def q_limit():
             return [cache.gaudin_mat(a, z, q0) for a in range(1, n + 1)]
 
         return (
             Leg("A", None, a_path.grid(), main(a_path)),
-            Leg("B", "A", b_path.grid(), main(b_path), limit=lambda: nab0, key="limit_z"),
+            Leg("B", "A", b_path.grid(), main(b_path), limit=z_limit, key="limit_z"),
             Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
             Leg("D", "A", s_grid, qshrink, limit=q_limit, key="limit_q"),
             Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
@@ -519,8 +584,11 @@ class FlowContext:
         on the branches.
         """
         cache = self.cache
-        weights = [cache.mat((weight_op, i, self.n)) for i in range(1, self.r + 1)]
-        labels = snap_to_monomials(np.eye(cache.dim), self.basis, cache)
+        weight_parts = [(weight_op, i, self.n) for i in range(1, self.r + 1)]
+        weight_terms = [[(1.0, part)] for part in weight_parts]
+        # leg A starts from the identity frame, so its start-overlap test
+        # checks that the monomials are the start eigenlines
+        labels = list(self.basis)
         branches = [EigenBranch(label, None) for label in labels]
         frames, classes, diags = {}, None, []
         for leg in self.legs(path_variant, b_path):
@@ -528,14 +596,15 @@ class FlowContext:
                 continue
             frame = np.eye(cache.dim) if leg.start is None else frames[leg.start]
             if cache.dim == 1:
-                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
+                        "min_gap": math.inf}
             else:
-                frame, diag = transport(frame, lambda t: leg.family(t) + weights,
+                frame, diag = transport(frame, cache, lambda t: leg.family(t) + weight_terms,
                                         leg.grid, self.rng, trace=trace, leg=leg.name)
             frames[leg.name] = frame
             diags.append(diag)
             if leg.limit is not None:
-                records = rayleigh(frame, leg.limit() + weights)
+                records = rayleigh(frame, leg.limit() + [cache.mat(p) for p in weight_parts])
                 for branch, rec in zip(branches, records):
                     branch.eigenvalues[leg.key] = rec.tolist()
                 if leg.name == classes_from:

@@ -43,6 +43,21 @@ class TestRsk:
         assert report["failures"] == []
         assert report["checked"] > 50
 
+    def test_check_runs_rsk_twice_per_matrix(self, capsys, monkeypatch):
+        # rsk(A) serves both the inverse and the transpose comparison
+        calls = []
+        rsk = cli.cb.rsk
+
+        def counting(matrix):
+            calls.append(matrix)
+            return rsk(matrix)
+
+        monkeypatch.setattr(cli.cb, "rsk", counting)
+        code, report = run(capsys, "rsk", "--check", "--samples", "5")
+        assert code == EXIT_OK
+        assert report["ok"]
+        assert len(calls) == 2 * report["checked"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-dim", "0"),
         ("--max-entry", "-1"),

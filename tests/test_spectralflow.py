@@ -21,6 +21,8 @@ from gaudinrsk.liealg import (
     weight_op,
 )
 from gaudinrsk.spectralflow import (
+    T_MAX,
+    T_MIN,
     BlockCache,
     ClusteringError,
     ContinuationError,
@@ -38,6 +40,95 @@ from gaudinrsk.spectralflow import (
     transport,
     verify_main_theorem,
 )
+
+
+# The dense forms that coefficient rows replaced, kept as oracles: every
+# family operator built as its own matrix, then each scaled to unit norm
+# and added.
+
+def _dense_families(ctx):
+    """Leg name -> family(t), a list of dense operator matrices, on the
+    default leg table."""
+    cache, r, n, q = ctx.cache, ctx.r, ctx.n, ctx.q
+    steps = ctx.opts.steps
+    a_path = collision_path(n, ctx.z, T_MAX, 1.0, steps)
+    z, _ = a_path.point(1.0)
+    b_path = PathSpec("collision", z, q, 1.0, T_MIN, steps)
+    z0, q0 = (0.0,) * n, (0.0,) * r
+    nab0 = [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
+
+    def main(path):
+        def family(t):
+            zt, _ = path.point(t)
+            return ([cache.nabla_mat(i, zt, q) for i in range(1, r + 1)]
+                    + [zt[a - 1] * cache.gaudin_mat(a, zt, q) for a in range(1, n + 1)])
+        return family
+
+    def gt(s):
+        qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
+        return ([s ** (r - i) * cache.nabla_mat(i, z0, qs) for i in range(1, r + 1)]
+                + [cache.combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
+
+    def qshrink(s):
+        qs = tuple(s * x for x in q)
+        return ([s * cache.nabla_mat(i, z, qs) for i in range(1, r + 1)]
+                + [cache.gaudin_mat(a, z, qs) for a in range(1, n + 1)])
+
+    def dual_gt(u):
+        zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
+        return ([u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
+                + [u ** (n - a) * cache.gaudin_mat(a, zu, q0) for a in range(1, n + 1)]
+                + nab0)
+
+    return {"A": main(a_path), "B": main(b_path), "C": gt, "D": qshrink, "E": dual_gt}
+
+
+def _combined(ops, coeffs):
+    out = np.zeros_like(ops[0])
+    for c, op in zip(coeffs, ops):
+        norm = np.linalg.norm(op)
+        if norm > 0:
+            out = out + c * op / norm
+    return out
+
+
+def _pairwise_classes(records, tol=1e-6, safety=1e3):
+    """coalescence_classes as a double loop over pairs of branches."""
+    records = np.asarray(records, dtype=float)
+    m = len(records)
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    dists = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = np.max(np.abs(records[i] - records[j])) if records.size else 0.0
+            dists[i, j] = dists[j, i] = d
+            if d < tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    classes = sorted(groups.values())
+    intra = 0.0
+    inter = math.inf
+    for i in range(m):
+        for j in range(i + 1, m):
+            if find(i) == find(j):
+                intra = max(intra, dists[i, j])
+            else:
+                inter = min(inter, dists[i, j])
+    if intra * safety > inter:
+        raise ClusteringError(
+            f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}; "
+            f"try tol near {math.sqrt(intra * inter):.3e}"
+        )
+    return classes
 
 
 class TestPathSpec:
@@ -101,16 +192,45 @@ class TestCoalescence:
         with pytest.raises(ClusteringError):
             coalescence_classes(records, tol=1e-6, safety=1e3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_loop(self, seed):
+        # planted clusters of records spread by 1e-9, against the
+        # branch-by-branch double loop; at odd seeds one record sits
+        # 1.5e-6 from another, past tol but within safety times the spread
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-3, 3, size=(7, 5))
+        members = rng.integers(0, len(centers), size=60)
+        records = centers[members] + rng.uniform(-1e-9, 1e-9, size=(60, 5))
+        if seed % 2:
+            records[0] = records[1] + 1.5e-6
+            with pytest.raises(ClusteringError) as expected:
+                _pairwise_classes(records)
+            with pytest.raises(ClusteringError) as got:
+                coalescence_classes(records)
+            assert str(got.value) == str(expected.value)
+        else:
+            expected = _pairwise_classes(records)
+            assert len(expected) == len(set(members.tolist()))
+            assert coalescence_classes(records) == expected
+
+    def test_error_text_matches_pairwise_loop(self):
+        records = [[0.0, 1.0], [1e-7, 1.0], [1e-5, 1.0], [4.0, 1.0]]
+        with pytest.raises(ClusteringError) as expected:
+            _pairwise_classes(records)
+        with pytest.raises(ClusteringError) as got:
+            coalescence_classes(records)
+        assert str(got.value) == str(expected.value)
+
 
 class TestTransport:
     def test_constant_family_is_identity(self):
         basis = weight_basis(2, 2, (1, 1))
         cache = BlockCache(2, 2, basis)
         # diagonal family: monomials are the joint eigenframe
-        ops = [cache.mat((op_E, 1, 1, 1)), cache.mat((op_E, 1, 1, 2)),
-               cache.mat((weight_op, 1, 2))]
+        ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))],
+               [(1.0, (weight_op, 1, 2))]]
         path = PathSpec("straight-to-zero", (1.0, 1.0), (1.0, 2.0), 1.0, 0.5, steps=8)
-        frame, diag = transport(np.eye(len(basis)), lambda t: ops, path.grid(),
+        frame, diag = transport(np.eye(len(basis)), cache, lambda t: ops, path.grid(),
                                 np.random.default_rng(0))
         # constant commuting family: the eigenframe cannot move
         off = frame.T @ frame - np.eye(len(basis))
@@ -122,6 +242,31 @@ class TestTransport:
         cache = BlockCache(2, 2, basis)
         labels = snap_to_monomials(np.eye(4), basis, cache)
         assert labels == basis
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_labels_are_the_diagonal_eigenvalues(self, r, n, col_sums, row_sums):
+        # each branch label is the monomial whose E_ii^(a) eigenvalues are
+        # the label's entries
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        labels = [branch.label for branch in ctx.run("A").branches]
+        assert labels == ctx.basis
+        for i in range(1, r + 1):
+            for a in range(1, n + 1):
+                diag = np.diag(ctx.cache.mat((op_E, i, i, a)))
+                assert diag.tolist() == [label[i - 1, a - 1] for label in labels]
+
+    def test_min_gap_is_recorded(self):
+        trace = []
+        result = flow_block(2, 3, (1, 1, 1), trace=trace)
+        dim = len(result.branches)
+        for diag in result.diagnostics["legs"]:
+            # the first dim trace rows of a leg hold its grid[0] spectrum
+            start = [v for leg, _, _, v in trace if leg == diag["leg"]][:dim]
+            start_gap = np.diff(np.sort(start)).min()
+            assert 0 < diag["min_gap"] <= start_gap
 
 
 class TestBlockCache:
@@ -176,6 +321,40 @@ class TestBlockCache:
             pairs.append((cache.combine(gaudin_limit_terms(a, r)), jm(a, r).scale(4)))
         for mat, op in pairs:
             assert np.max(np.abs(mat - dense(op, basis))) < 1e-12
+
+    @pytest.mark.parametrize("r, n, col_sums", [(2, 3, (1, 1, 1)), (3, 2, (2, 2))])
+    def test_normalised_sum_matches_dense_families(self, r, n, col_sums):
+        # coefficient rows and the Gram matrix against every operator of
+        # the family built and normalised as a dense matrix
+        ctx = FlowContext(r, n, col_sums)
+        cache = ctx.cache
+        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
+        weights = [cache.mat((weight_op, i, n)) for i in range(1, r + 1)]
+        families = _dense_families(ctx)
+        rng = np.random.default_rng(1)
+        for leg in ctx.legs():
+            grid = leg.grid
+            for t in (grid[0], grid[len(grid) // 2], grid[-1]):
+                ops = leg.family(t) + weight_terms
+                coeffs = rng.uniform(1.0, 2.0, len(ops))
+                expected = _combined(families[leg.name](t) + weights, coeffs)
+                got = cache.normalised_sum(ops, coeffs)
+                err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+                assert err < 1e-12, (leg.name, t, err)
+
+    @pytest.mark.parametrize("cancelling", [
+        [(1.0, (op_E, 1, 1, 1)), (-1.0, (op_E, 1, 1, 1))],
+        # W_1 = sum_a E_11^(a) on the block; in floats 0.1 * 3 - 3 * 0.1 is
+        # not 0, so the dense sum keeps a rounding-noise operator of norm
+        # about 1e-16
+        [(0.1, (weight_op, 1, 3))] + [(-0.1, (op_E, 1, 1, a)) for a in (1, 2, 3)],
+    ])
+    def test_cancelling_operator_is_skipped(self, cancelling):
+        cache = BlockCache(2, 3, weight_basis(2, 3, (1, 1, 1)))
+        other = [(1.0, (op_E, 1, 1, 1)), (2.0, (op_E, 2, 2, 3))]
+        got = cache.normalised_sum([cancelling, other], [1.5, 1.25])
+        mat = cache.combine(other)
+        assert np.max(np.abs(got - 1.25 * mat / np.linalg.norm(mat))) < 1e-12
 
 
 class TestFlowBlock:
@@ -246,12 +425,13 @@ class TestFlowBlock:
         # on the unit variant leg A ends at z = (1, 2, 4), not at the base z
         ctx = FlowContext(2, 3, (1, 1, 1))
         legs = {leg.name: leg for leg in ctx.legs("unit", b_path)}
-        a_end = legs["A"].family(legs["A"].grid[-1])
-        for mat_a, mat_b in zip(a_end, legs["B"].family(legs["B"].grid[0])):
-            assert np.max(np.abs(mat_a - mat_b)) < 1e-12
+        combine = ctx.cache.combine
+        a_end = [combine(terms) for terms in legs["A"].family(legs["A"].grid[-1])]
+        for mat_a, terms_b in zip(a_end, legs["B"].family(legs["B"].grid[0])):
+            assert np.max(np.abs(mat_a - combine(terms_b))) < 1e-12
         # at s = 1 the first r operators of leg D are the nabla_i of leg A
-        for mat_a, mat_d in zip(a_end[:2], legs["D"].family(1.0)[:2]):
-            assert np.max(np.abs(mat_a - mat_d)) < 1e-12
+        for mat_a, terms_d in zip(a_end[:2], legs["D"].family(1.0)[:2]):
+            assert np.max(np.abs(mat_a - combine(terms_d))) < 1e-12
 
     def test_trace_records_all_legs(self):
         trace = []
