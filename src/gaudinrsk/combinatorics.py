@@ -259,13 +259,18 @@ class Biword:
         return f"Biword({list(self.pairs)})"
 
 
-def matrix_to_biword(matrix):
-    """Pairs (i, j) with multiplicity A_ij, sorted with first-entry priority."""
+def _biword_pairs(matrix):
+    """The pairs of the matrix's biword, generated in sorted order."""
     pairs = []
     for i in range(1, matrix.r + 1):
         for j in range(1, matrix.n + 1):
             pairs.extend([(i, j)] * matrix[i - 1, j - 1])
-    return Biword(pairs)
+    return pairs
+
+
+def matrix_to_biword(matrix):
+    """Pairs (i, j) with multiplicity A_ij, sorted with first-entry priority."""
+    return Biword(_biword_pairs(matrix))
 
 
 def biword_to_matrix(biword, r, n):
@@ -364,7 +369,7 @@ def rsk(matrix):
     """
     p_rows = []
     q_rows = []
-    for i, j in matrix_to_biword(matrix):
+    for i, j in _biword_pairs(matrix):
         bi = _bump(p_rows, j)
         if bi == len(q_rows):
             q_rows.append([])
@@ -405,7 +410,8 @@ def rsk_inverse(p, q):
             pairs.append((i, value))
     if any(row for row in p_rows) or any(row for row in q_rows):
         raise ValueError("invalid tableau pair")
-    return biword_to_matrix(Biword(sorted(pairs)), r, n)
+    # the matrix counts the pairs, whatever their order
+    return biword_to_matrix(pairs, r, n)
 
 
 def permutation_matrix(w):

@@ -29,6 +29,14 @@ operators of a leg's family commute at every path point, and
 
 The cell flows run legs A and B, with B on the straight schedule, or legs
 A and D.
+
+Every family holds the diagonal gl_r Cartan, and the flow adds the
+weights W_i to each, so every operator summed along a leg is
+block-diagonal by gl_r weight (the row sums of the monomials). The
+`BlockCache` keeps each part as its weight blocks, stacked by block size;
+sums, eigensolves, frame matching and Rayleigh records all run block by
+block, one batched eigh call per block size and grid point. There is
+still one flow, one coefficient draw and one cache per graded block.
 """
 
 from __future__ import annotations
@@ -162,7 +170,6 @@ class PathSpec:
 @dataclass
 class EigenBranch:
     label: NatMatrix
-    vector: np.ndarray
     eigenvalues: dict = field(default_factory=dict)
     s_tableau: SemistandardTableau = None
     t_tableau: SemistandardTableau = None
@@ -176,14 +183,23 @@ class FlowResult:
 
 
 class BlockCache:
-    """One store of dense orthonormal-basis matrices keyed by liealg part,
-    each assembled once through the generator tables of one MonomialBlock;
-    `combine` sums a liealg term list over them in floats. No part depends
-    on z or q, so one cache serves every leg.
+    """One store of the part matrices of a block, each held as its gl_r
+    weight blocks.
+
+    Every part the flow uses commutes with the diagonal gl_r Cartan, so it
+    maps each weight space (the monomials with fixed row sums) to itself.
+    The basis is split once into these weight blocks, and blocks of equal
+    size d form a batch: `batches` holds one (k, d) array of basis
+    positions per batch, in increasing d. A part is assembled once through
+    the generator tables of one MonomialBlock (`liealg.dense`) and kept
+    only as one (k, d, d) stack per batch; `combine` sums a liealg term list
+    over the stacks in floats. No part depends on z or q, so one cache
+    serves every leg. On a block of one weight, such as the S_n block, there
+    is one batch with k = 1.
 
     A flow family is a list of term lists. `normalised_sum` adds its
     operators, each scaled to unit Frobenius norm, as one weighted sum of
-    part matrices: the norms come from the coefficient rows and the Gram
+    part stacks: the norms come from the coefficient rows and the Gram
     matrix of the parts, kept once per part set, so no operator of the
     family is ever built as a matrix of its own."""
 
@@ -193,34 +209,77 @@ class BlockCache:
         self.block = MonomialBlock(basis)
         self.basis = self.block.basis
         self.dim = self.block.dim
-        self._mats = {}
+        weights = {}
+        for pos, m in enumerate(self.basis):
+            weights.setdefault(m.row_sums(), []).append(pos)
+        by_size = {}
+        for positions in weights.values():
+            by_size.setdefault(len(positions), []).append(positions)
+        self.batches = [np.array(by_size[d]) for d in sorted(by_size)]
+        self._stacks = {}
         self._grams = {}
 
+    def split(self, mat):
+        """The weight blocks of a dim x dim matrix, one stack per batch."""
+        return [mat[idx[:, :, None], idx[:, None, :]] for idx in self.batches]
+
+    def full(self, stacks):
+        """The dim x dim matrix with the given weight blocks, zero elsewhere."""
+        out = np.zeros((self.dim, self.dim))
+        for idx, stack in zip(self.batches, stacks):
+            out[idx[:, :, None], idx[:, None, :]] = stack
+        return out
+
+    def by_branch(self, values):
+        """Per-batch arrays (k, d, ...) laid out like the batches, as one
+        array indexed by basis position."""
+        if not values:  # the empty block
+            return np.zeros(0)
+        out = np.empty((self.dim,) + values[0].shape[2:])
+        for idx, vals in zip(self.batches, values):
+            out[idx] = vals
+        return out
+
+    def stacks(self, part):
+        """The weight blocks of the part's matrix, built on first use."""
+        stacks = self._stacks.get(part)
+        if stacks is None:
+            stacks = self._stacks[part] = self.split(dense(part_operator(part), self.block))
+        return stacks
+
     def mat(self, part):
-        """Dense matrix of the operator the part names, built on first use."""
-        mat = self._mats.get(part)
-        if mat is None:
-            mat = self._mats[part] = dense(part_operator(part), self.block)
-        return mat
+        """Dense dim x dim matrix of the part, rebuilt from its stacks."""
+        return self.full(self.stacks(part))
+
+    def _zeros(self):
+        return [np.zeros((len(idx), idx.shape[1], idx.shape[1])) for idx in self.batches]
 
     def combine(self, terms):
-        """Float sum of coefficient * part matrix; zero terms build no part."""
-        return sum((c * self.mat(part) for c, part in terms if c),
-                   np.zeros((self.dim, self.dim)))
+        """Float sum of coefficient * part as per-batch stacks; zero terms
+        build no part."""
+        out = self._zeros()
+        for c, part in terms:
+            if c:
+                for acc, stack in zip(out, self.stacks(part)):
+                    acc += c * stack
+        return out
 
     def _gram(self, parts):
-        """Frobenius inner products of the part matrices, pair by pair."""
+        """Frobenius inner products of the parts, pair by pair, summed over
+        the batches."""
         gram = self._grams.get(parts)
         if gram is None:
             gram = np.empty((len(parts), len(parts)))
             for j, pj in enumerate(parts):
                 for k in range(j, len(parts)):
-                    gram[j, k] = gram[k, j] = np.vdot(self.mat(pj), self.mat(parts[k]))
+                    gram[j, k] = gram[k, j] = sum(
+                        np.vdot(a, b) for a, b in zip(self.stacks(pj), self.stacks(parts[k])))
             self._grams[parts] = gram
         return gram
 
     def normalised_sum(self, ops, coeffs):
-        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops.
+        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops, as
+        per-batch stacks.
 
         Row o of the coefficient matrix holds op_o's coefficients on the
         parts, so |op_o|_F^2 = m_o G m_o^T. An operator whose terms cancel
@@ -244,12 +303,13 @@ class BlockCache:
         live = sq > CANCEL_TOL * scale
         factors = np.zeros(len(ops))
         factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        out = np.zeros((self.dim, self.dim))
-        term = np.empty_like(out)
+        out = self._zeros()
+        scratch = [np.empty_like(acc) for acc in out]
         for w, part in zip(factors @ rows, parts):
             if w:
-                np.multiply(self.mat(part), w, out=term)
-                out += term
+                for acc, term, stack in zip(out, scratch, self.stacks(part)):
+                    np.multiply(stack, w, out=term)
+                    acc += term
         return out
 
     def nabla_mat(self, i, z, q):
@@ -278,41 +338,55 @@ def _draw_coeffs(rng, count):
     return np.array([1 + rng.integers(0, 1000) / 1000 for _ in range(count)])
 
 
-def _match(new_vecs, old_vecs, new_vals=None):
-    """Reorder and sign-align eigenvector columns to the old frame.
+def _match(new_vecs, old_vecs, new_vals):
+    """Reorder and sign-align the eigenvector columns of every block of a
+    batch, stacks (k, d, d), to the old frame, block by block.
 
-    Returns (vectors, eigenvalue order, min overlap).
+    Returns (vectors, eigenvalues in the new column order, min overlap).
     """
-    overlaps = np.abs(new_vecs.T @ old_vecs)
-    rows, cols = linear_sum_assignment(-overlaps)
-    order = np.empty(len(cols), dtype=int)
-    order[cols] = rows
-    matched = new_vecs[:, order]
-    signs = np.sign(np.einsum("ij,ij->j", matched, old_vecs))
+    overlaps = np.abs(np.swapaxes(new_vecs, 1, 2) @ old_vecs)
+    k, d = overlaps.shape[:2]
+    order = np.empty((k, d), dtype=int)
+    for blk, block in enumerate(overlaps):
+        rows, cols = linear_sum_assignment(-block)
+        order[blk, cols] = rows
+    blk = np.arange(k)[:, None]
+    # the advanced indices come first: column c of block j is row c of matched[j]
+    matched = new_vecs[blk, :, order]
+    signs = np.sign(np.einsum("kcj,kjc->kc", matched, old_vecs))
     signs[signs == 0] = 1.0
-    matched = matched * signs
-    min_overlap = overlaps[order, np.arange(len(order))].min() if len(order) else 1.0
-    vals = None if new_vals is None else new_vals[order]
-    return matched, vals, min_overlap
+    matched *= signs[:, :, None]
+    min_overlap = overlaps[blk, order, np.arange(d)].min()
+    return np.swapaxes(matched, 1, 2), new_vals[blk, order], min_overlap
+
+
+def _gaps(values):
+    """Gaps of the whole sorted spectrum, from per-batch eigenvalue arrays."""
+    return np.diff(np.sort(np.concatenate([vals.ravel() for vals in values])))
 
 
 def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
     """Continue the eigenframe of a commuting family along the grid.
 
-    vectors: dim x m orthonormal columns approximating joint eigenlines at
-    grid[0]. family(t) lists the family's operators at t as term lists;
-    one draw of coefficients weights them, each scaled to unit norm, into
-    a single operator (`BlockCache.normalised_sum`) whose eigenframe is
-    followed. Returns (vectors at grid[-1], diagnostics); min_gap in the
-    diagnostics is the smallest gap of that operator's spectrum over
-    grid[0] and every accepted step.
+    vectors: per-batch stacks (k, d, d) of orthonormal columns
+    approximating joint eigenlines at grid[0], one frame per weight block
+    of the cache (`cache.split` of a dim x dim frame); column c of block j
+    of a batch follows the branch at basis position idx[j, c] of that
+    batch. family(t) lists the family's operators at t as term lists; one
+    draw of coefficients weights them, each scaled to unit norm, into a
+    single operator (`BlockCache.normalised_sum`), block-diagonal on the
+    weight blocks. Each batch is diagonalised by one batched eigh call and
+    each block matched on its own; the step is accepted or bisected on the
+    smallest overlap of all blocks. Returns (vectors at grid[-1],
+    diagnostics); min_gap in the diagnostics is the smallest gap of the
+    operator's whole spectrum over grid[0] and every accepted step.
     """
     grid = np.asarray(grid, dtype=float)
     ops0 = family(grid[0])
     for _ in range(MAX_REDRAWS):
         coeffs = _draw_coeffs(rng, len(ops0))
-        vals = np.linalg.eigvalsh(cache.normalised_sum(ops0, coeffs))
-        gaps = np.diff(np.sort(vals))
+        gaps = _gaps([np.linalg.eigvalsh(stack)
+                      for stack in cache.normalised_sum(ops0, coeffs)])
         if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
             break
     else:
@@ -323,41 +397,49 @@ def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
             "min_gap": math.inf}
 
-    def eigen(t):
-        vals, vecs = np.linalg.eigh(cache.normalised_sum(family(t), coeffs))
-        return vals, vecs
+    def eigen(t, frame):
+        """Eigenframe at t matched to frame: (vectors, values, min overlap)."""
+        matched, values, overlap = [], [], 1.0
+        for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
+            vals, vecs = np.linalg.eigh(stack)
+            vecs, vals, low = _match(vecs, old, vals)
+            matched.append(vecs)
+            values.append(vals)
+            overlap = min(overlap, low)
+        return matched, values, overlap
 
-    def record_gap(vals):
-        # eigh returns the eigenvalues in ascending order
-        if len(vals) > 1:
-            diag["min_gap"] = min(diag["min_gap"], float(np.diff(vals).min()))
+    def record_gap(values):
+        gaps = _gaps(values)
+        if len(gaps):
+            diag["min_gap"] = min(diag["min_gap"], float(gaps.min()))
 
-    vals, vecs = eigen(grid[0])
-    record_gap(vals)
-    current, cur_vals, overlap = _match(vecs, vectors, vals)
+    def record_trace(t, values):
+        if trace is not None:
+            for b, v in enumerate(cache.by_branch(values)):
+                trace.append((leg, float(t), b, float(v)))
+
+    current, cur_vals, overlap = eigen(grid[0], vectors)
+    record_gap(cur_vals)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
     if overlap < MATCH_THRESHOLD:
         raise ContinuationError(
             f"{leg}: start frame overlap {overlap:.4f} below threshold"
         )
-    if trace is not None:
-        for b, v in enumerate(cur_vals):
-            trace.append((leg, float(grid[0]), b, float(v)))
+    record_trace(grid[0], cur_vals)
 
     t_prev = grid[0]
     for t_target in grid[1:]:
         stack = [t_target]
         while stack:
             t_next = stack[-1]
-            vals, vecs = eigen(t_next)
-            matched, mvals, overlap = _match(vecs, current, vals)
+            matched, mvals, overlap = eigen(t_next, current)
             if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
                 if overlap < HARD_FLOOR:
                     raise ContinuationError(
                         f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
                     )
                 current, cur_vals = matched, mvals
-                record_gap(vals)
+                record_gap(mvals)
                 diag["min_overlap"] = min(diag["min_overlap"], overlap)
                 diag["steps"] += 1
                 t_prev = t_next
@@ -365,9 +447,7 @@ def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
             else:
                 stack.append(math.sqrt(t_prev * t_next))
                 diag["bisections"] += 1
-        if trace is not None:
-            for b, v in enumerate(cur_vals):
-                trace.append((leg, float(t_prev), b, float(v)))
+        record_trace(t_prev, cur_vals)
     return current, diag
 
 
@@ -378,6 +458,8 @@ def snap_to_monomials(vectors, basis, cache):
     """
     labels = []
     used = set()
+    diagonals = {(i, a): cache.mat((op_E, i, i, a))
+                 for i in range(1, cache.r + 1) for a in range(1, cache.n + 1)}
     for b in range(vectors.shape[1]):
         v = vectors[:, b]
         idx = int(np.argmax(np.abs(v)))
@@ -389,21 +471,21 @@ def snap_to_monomials(vectors, basis, cache):
             raise ContinuationError(f"branch {b}: duplicate monomial label")
         used.add(idx)
         label = basis[idx]
-        for i in range(1, cache.r + 1):
-            for a in range(1, cache.n + 1):
-                val = v @ cache.mat((op_E, i, i, a)) @ v
-                if abs(val - label[i - 1, a - 1]) > 1e-6:
-                    raise ContinuationError(
-                        f"branch {b}: diagonal eigenvalue {val} disagrees with label"
-                    )
+        for (i, a), mat in diagonals.items():
+            val = v @ mat @ v
+            if abs(val - label[i - 1, a - 1]) > 1e-6:
+                raise ContinuationError(
+                    f"branch {b}: diagonal eigenvalue {val} disagrees with label"
+                )
         labels.append(label)
     return labels
 
 
 def rayleigh(vectors, ops):
-    """Per-branch Rayleigh quotients; rows are branches, columns operators."""
-    return np.array([[vectors[:, b] @ op @ vectors[:, b] for op in ops]
-                     for b in range(vectors.shape[1])])
+    """Per-branch Rayleigh quotients of the columns of vectors (..., dim, m)
+    under the ops (..., dim, dim): shape (..., m, len(ops)), a row per
+    branch and a column per operator."""
+    return np.stack([np.sum(vectors * (op @ vectors), axis=-2) for op in ops], axis=-1)
 
 
 def coalescence_classes(records, tol=1e-6, safety=1e3):
@@ -498,7 +580,7 @@ class Leg(NamedTuple):
     start: str | None  # leg whose end frame this one continues; None: monomials
     grid: np.ndarray
     family: Callable  # grid point -> operators as term lists, without the weights
-    limit: Callable | None = None  # () -> exact limit operators (dense) for the end frame
+    limit: Callable | None = None  # () -> exact limit operators (weight-block stacks)
     decode: Callable | None = None  # (end frame, labels) -> tableaux
     key: str | None = None  # where each branch keeps the records or tableaux
 
@@ -577,9 +659,9 @@ class FlowContext:
             b_path=None, trace=None):
         """Run the named legs of the table in order; returns a FlowResult.
 
-        Leg A's end frame gives the branch vectors. A leg with limit
-        operators stores its Rayleigh records, weights appended, in each
-        branch's eigenvalues; the records of leg classes_from are
+        Frames are kept as weight-block stacks (`BlockCache.split`). A leg
+        with limit operators stores its Rayleigh records, weights appended,
+        in each branch's eigenvalues; the records of leg classes_from are
         clustered as soon as they exist. A decoding leg stores its tableaux
         on the branches.
         """
@@ -589,13 +671,13 @@ class FlowContext:
         # leg A starts from the identity frame, so its start-overlap test
         # checks that the monomials are the start eigenlines
         labels = list(self.basis)
-        branches = [EigenBranch(label, None) for label in labels]
+        branches = [EigenBranch(label) for label in labels]
         frames, classes, diags = {}, None, []
         for leg in self.legs(path_variant, b_path):
             if leg.name not in names:
                 continue
-            frame = np.eye(cache.dim) if leg.start is None else frames[leg.start]
-            if cache.dim == 1:
+            frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
+            if cache.dim <= 1:
                 diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
                         "min_gap": math.inf}
             else:
@@ -604,7 +686,8 @@ class FlowContext:
             frames[leg.name] = frame
             diags.append(diag)
             if leg.limit is not None:
-                records = rayleigh(frame, leg.limit() + [cache.mat(p) for p in weight_parts])
+                records = self._rayleigh(frame, leg.limit()
+                                         + [cache.stacks(p) for p in weight_parts])
                 for branch, rec in zip(branches, records):
                     branch.eigenvalues[leg.key] = rec.tolist()
                 if leg.name == classes_from:
@@ -613,14 +696,18 @@ class FlowContext:
             if leg.decode is not None:
                 for branch, tab in zip(branches, leg.decode(frame, labels)):
                     setattr(branch, leg.key, tab)
-        for i, branch in enumerate(branches):
-            branch.vector = frames["A"][:, i].copy()
         return FlowResult(branches, classes, {"legs": diags})
+
+    def _rayleigh(self, frame, ops):
+        """Rayleigh quotients of the ops (weight-block stacks) on a frame,
+        block by block; a row per branch, in basis order."""
+        return self.cache.by_branch([rayleigh(vecs, batch_ops)
+                                     for vecs, batch_ops in zip(frame, zip(*ops))])
 
     def extract_S(self, frame, labels):
         """Decode tableau S of every branch from a leg C end frame."""
-        values = rayleigh(frame, [self.cache.mat((nested_casimir, i, self.n))
-                                  for i in range(1, self.r + 1)])
+        values = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
+                                        for i in range(1, self.r + 1)])
         out = []
         for b, label in enumerate(labels):
             wt = label.row_sums()
@@ -630,8 +717,8 @@ class FlowContext:
 
     def extract_T(self, frame, labels):
         """Decode the mirrored tableau T of every branch from a leg E end frame."""
-        values = rayleigh(frame, [self.cache.mat((dual_nested_casimir, a, self.r))
-                                  for a in range(1, self.n + 1)])
+        values = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
+                                        for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
         return [_decode_chain(sizes, row) for row in values]
 

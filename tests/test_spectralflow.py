@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from gaudinrsk import spectralflow
 from gaudinrsk.cmcells import gamma_path
@@ -10,17 +11,30 @@ from gaudinrsk.combinatorics import NatMatrix, rsk
 from gaudinrsk.liealg import (
     casimir_eigenvalue,
     dense,
+    dual_kappa,
     dual_nabla,
+    dual_nabla_terms,
+    dual_nested_casimir,
+    dual_op_E,
     gaudin_h,
     gaudin_limit_terms,
+    gaudin_terms,
     jm,
     nabla,
+    nabla_terms,
+    nested_casimir,
     op_E,
+    part_operator,
     sqnorm,
     weight_basis,
     weight_op,
 )
 from gaudinrsk.spectralflow import (
+    HARD_FLOOR,
+    MATCH_THRESHOLD,
+    MAX_BISECTIONS,
+    MAX_REDRAWS,
+    START_GAP_MIN,
     T_MAX,
     T_MIN,
     BlockCache,
@@ -32,6 +46,7 @@ from gaudinrsk.spectralflow import (
     PathSpec,
     SetupError,
     _decode_chain,
+    _draw_coeffs,
     coalescence_classes,
     col_sum_blocks,
     collision_path,
@@ -42,42 +57,62 @@ from gaudinrsk.spectralflow import (
 )
 
 
-# The dense forms that coefficient rows replaced, kept as oracles: every
-# family operator built as its own matrix, then each scaled to unit norm
+# The dense forms that coefficient rows and weight blocks replaced, kept as
+# oracles: every family operator built as its own dim x dim matrix from
+# the whole-block matrices of liealg.dense, then each scaled to unit norm
 # and added.
+
+def _dense_terms(basis):
+    """terms -> float dim x dim sum of coefficient * liealg.dense(part)."""
+    mats = {}
+
+    def combine(terms):
+        out = np.zeros((len(basis), len(basis)))
+        for c, part in terms:
+            if c:
+                if part not in mats:
+                    mats[part] = dense(part_operator(part), basis)
+                out = out + c * mats[part]
+        return out
+
+    return combine
+
 
 def _dense_families(ctx):
     """Leg name -> family(t), a list of dense operator matrices, on the
     default leg table."""
-    cache, r, n, q = ctx.cache, ctx.r, ctx.n, ctx.q
+    r, n, q = ctx.r, ctx.n, ctx.q
+    combine = _dense_terms(ctx.basis)
     steps = ctx.opts.steps
     a_path = collision_path(n, ctx.z, T_MAX, 1.0, steps)
     z, _ = a_path.point(1.0)
     b_path = PathSpec("collision", z, q, 1.0, T_MIN, steps)
     z0, q0 = (0.0,) * n, (0.0,) * r
-    nab0 = [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
+    nab0 = [combine(nabla_terms(i, z0, q, n)) for i in range(1, r + 1)]
 
     def main(path):
         def family(t):
             zt, _ = path.point(t)
-            return ([cache.nabla_mat(i, zt, q) for i in range(1, r + 1)]
-                    + [zt[a - 1] * cache.gaudin_mat(a, zt, q) for a in range(1, n + 1)])
+            return ([combine(nabla_terms(i, zt, q, n)) for i in range(1, r + 1)]
+                    + [zt[a - 1] * combine(gaudin_terms(a, zt, q, r))
+                       for a in range(1, n + 1)])
         return family
 
     def gt(s):
         qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-        return ([s ** (r - i) * cache.nabla_mat(i, z0, qs) for i in range(1, r + 1)]
-                + [cache.combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
+        return ([s ** (r - i) * combine(nabla_terms(i, z0, qs, n)) for i in range(1, r + 1)]
+                + [combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
 
     def qshrink(s):
         qs = tuple(s * x for x in q)
-        return ([s * cache.nabla_mat(i, z, qs) for i in range(1, r + 1)]
-                + [cache.gaudin_mat(a, z, qs) for a in range(1, n + 1)])
+        return ([s * combine(nabla_terms(i, z, qs, n)) for i in range(1, r + 1)]
+                + [combine(gaudin_terms(a, z, qs, r)) for a in range(1, n + 1)])
 
     def dual_gt(u):
         zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-        return ([u ** (n - a) * cache.dual_nabla0_mat(a, zu) for a in range(1, n + 1)]
-                + [u ** (n - a) * cache.gaudin_mat(a, zu, q0) for a in range(1, n + 1)]
+        return ([u ** (n - a) * combine(dual_nabla_terms(a, q0, zu, r))
+                 for a in range(1, n + 1)]
+                + [u ** (n - a) * combine(gaudin_terms(a, zu, q0, r)) for a in range(1, n + 1)]
                 + nab0)
 
     return {"A": main(a_path), "B": main(b_path), "C": gt, "D": qshrink, "E": dual_gt}
@@ -90,6 +125,48 @@ def _combined(ops, coeffs):
         if norm > 0:
             out = out + c * op / norm
     return out
+
+
+def _full_match(new_vecs, old_vecs):
+    """Matching of a whole dim x dim frame: (vectors, min overlap)."""
+    overlaps = np.abs(new_vecs.T @ old_vecs)
+    rows, cols = linear_sum_assignment(-overlaps)
+    order = np.empty(len(cols), dtype=int)
+    order[cols] = rows
+    matched = new_vecs[:, order]
+    signs = np.sign(np.einsum("ij,ij->j", matched, old_vecs))
+    signs[signs == 0] = 1.0
+    return matched * signs, overlaps[order, np.arange(len(order))].min()
+
+
+def _full_transport(vectors, cache, family, grid, rng):
+    """transport on dim x dim matrices: one eigh of the whole operator and
+    one matching of the whole frame per grid point."""
+    def operator(t, coeffs):
+        return cache.full(cache.normalised_sum(family(t), coeffs))
+
+    for _ in range(MAX_REDRAWS):
+        coeffs = _draw_coeffs(rng, len(family(grid[0])))
+        if np.diff(np.linalg.eigvalsh(operator(grid[0], coeffs))).min() > START_GAP_MIN:
+            break
+    diag = {"steps": 0, "bisections": 0}
+    current, overlap = _full_match(np.linalg.eigh(operator(grid[0], coeffs))[1], vectors)
+    assert overlap >= MATCH_THRESHOLD
+    t_prev = grid[0]
+    for t_target in grid[1:]:
+        stack = [t_target]
+        while stack:
+            matched, overlap = _full_match(np.linalg.eigh(operator(stack[-1], coeffs))[1],
+                                           current)
+            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
+                assert overlap >= HARD_FLOOR
+                current = matched
+                diag["steps"] += 1
+                t_prev = stack.pop()
+            else:
+                stack.append(math.sqrt(t_prev * stack[-1]))
+                diag["bisections"] += 1
+    return current, diag
 
 
 def _pairwise_classes(records, tol=1e-6, safety=1e3):
@@ -230,8 +307,9 @@ class TestTransport:
         ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))],
                [(1.0, (weight_op, 1, 2))]]
         path = PathSpec("straight-to-zero", (1.0, 1.0), (1.0, 2.0), 1.0, 0.5, steps=8)
-        frame, diag = transport(np.eye(len(basis)), cache, lambda t: ops, path.grid(),
-                                np.random.default_rng(0))
+        frame, diag = transport(cache.split(np.eye(len(basis))), cache, lambda t: ops,
+                                path.grid(), np.random.default_rng(0))
+        frame = cache.full(frame)
         # constant commuting family: the eigenframe cannot move
         off = frame.T @ frame - np.eye(len(basis))
         assert np.max(np.abs(off)) < 1e-10
@@ -258,6 +336,30 @@ class TestTransport:
                 diag = np.diag(ctx.cache.mat((op_E, i, i, a)))
                 assert diag.tolist() == [label[i - 1, a - 1] for label in labels]
 
+    def test_frame_matches_full_eigh(self):
+        # each leg of the table, chained as FlowContext.run chains them,
+        # against whole-block eigh and matching from the same frame and
+        # coefficient draw
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        cache = ctx.cache
+        assert len(cache.batches) > 1
+        weight_terms = [[(1.0, (weight_op, i, 3))] for i in (1, 2)]
+        blocks, wholes = {}, {}
+        for leg in ctx.legs():
+            def family(t, leg=leg):
+                return leg.family(t) + weight_terms
+            whole = np.eye(cache.dim) if leg.start is None else wholes[leg.start]
+            frame = cache.split(whole) if leg.start is None else blocks[leg.start]
+            frame, diag = transport(frame, cache, family, leg.grid,
+                                    np.random.default_rng(3), leg=leg.name)
+            whole, whole_diag = _full_transport(whole, cache, family, leg.grid,
+                                                np.random.default_rng(3))
+            blocks[leg.name], wholes[leg.name] = frame, whole
+            overlaps = np.abs(np.sum(cache.full(frame) * whole, axis=0))
+            assert overlaps.min() > 1 - 1e-10, (leg.name, overlaps.min())
+            assert (diag["steps"], diag["bisections"]) == (
+                whole_diag["steps"], whole_diag["bisections"])
+
     def test_min_gap_is_recorded(self):
         trace = []
         result = flow_block(2, 3, (1, 1, 1), trace=trace)
@@ -270,6 +372,35 @@ class TestTransport:
 
 
 class TestBlockCache:
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (3, 2, (2, 2), None),
+        (2, 4, (2, 1, 1, 2), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_parts_vanish_outside_weight_blocks(self, r, n, col_sums, row_sums):
+        # every part of every leg family, limit and decoder, dual parts
+        # included: its whole-block matrix is exactly 0 between monomials of
+        # different row sums, so the weight blocks hold all of it
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        basis = ctx.basis
+        z0, q0 = (0.0,) * n, (0.0,) * r
+        parts = {(weight_op, i, n) for i in range(1, r + 1)}
+        parts |= {(nested_casimir, i, n) for i in range(1, r + 1)}
+        parts |= {(dual_nested_casimir, a, r) for a in range(1, n + 1)}
+        limits = ([nabla_terms(i, z0, ctx.q, n) for i in range(1, r + 1)]
+                  + [gaudin_terms(a, ctx.z, q0, r) for a in range(1, n + 1)])
+        for leg in ctx.legs():
+            for terms in leg.family(leg.grid[len(leg.grid) // 2]) + limits:
+                parts |= {part for _, part in terms}
+        assert {part[0] for part in parts} >= {dual_op_E, dual_kappa, dual_nested_casimir}
+        weights = [m.row_sums() for m in basis]
+        outside = np.array([[wi != wj for wj in weights] for wi in weights])
+        for part in parts:
+            mat = dense(part_operator(part), basis)
+            assert not mat[outside].any(), part
+            assert np.array_equal(ctx.cache.mat(part), mat), part
+
     def test_dense_matches_word_by_word(self, monkeypatch):
         # every part the leg table uses, against the float matrix built
         # monomial by monomial through Operator.apply_monomial
@@ -319,8 +450,8 @@ class TestBlockCache:
             pairs.append((cache.gaudin_mat(a, zf, (0.0,) * r), gaudin_h(a, z, q0, r)))
             pairs.append((cache.dual_nabla0_mat(a, zf), dual_nabla(a, q0, z, r)))
             pairs.append((cache.combine(gaudin_limit_terms(a, r)), jm(a, r).scale(4)))
-        for mat, op in pairs:
-            assert np.max(np.abs(mat - dense(op, basis))) < 1e-12
+        for stacks, op in pairs:
+            assert np.max(np.abs(cache.full(stacks) - dense(op, basis))) < 1e-12
 
     @pytest.mark.parametrize("r, n, col_sums", [(2, 3, (1, 1, 1)), (3, 2, (2, 2))])
     def test_normalised_sum_matches_dense_families(self, r, n, col_sums):
@@ -338,7 +469,7 @@ class TestBlockCache:
                 ops = leg.family(t) + weight_terms
                 coeffs = rng.uniform(1.0, 2.0, len(ops))
                 expected = _combined(families[leg.name](t) + weights, coeffs)
-                got = cache.normalised_sum(ops, coeffs)
+                got = cache.full(cache.normalised_sum(ops, coeffs))
                 err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
                 assert err < 1e-12, (leg.name, t, err)
 
@@ -352,8 +483,8 @@ class TestBlockCache:
     def test_cancelling_operator_is_skipped(self, cancelling):
         cache = BlockCache(2, 3, weight_basis(2, 3, (1, 1, 1)))
         other = [(1.0, (op_E, 1, 1, 1)), (2.0, (op_E, 2, 2, 3))]
-        got = cache.normalised_sum([cancelling, other], [1.5, 1.25])
-        mat = cache.combine(other)
+        got = cache.full(cache.normalised_sum([cancelling, other], [1.5, 1.25]))
+        mat = cache.full(cache.combine(other))
         assert np.max(np.abs(got - 1.25 * mat / np.linalg.norm(mat))) < 1e-12
 
 
@@ -388,7 +519,7 @@ class TestFlowBlock:
         result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
         ctx = FlowContext(2, 2, (1, 1), (1, 1))
         cache = ctx.cache
-        limit_ops = [cache.nabla_mat(i, (0.0, 0.0), ctx.q) for i in (1, 2)]
+        limit_ops = [cache.full(cache.nabla_mat(i, (0.0, 0.0), ctx.q)) for i in (1, 2)]
         limit_ops += [cache.mat((weight_op, i, 2)) for i in (1, 2)]
         exact = set()
         vals = np.linalg.eigvalsh(limit_ops[0])
@@ -425,7 +556,9 @@ class TestFlowBlock:
         # on the unit variant leg A ends at z = (1, 2, 4), not at the base z
         ctx = FlowContext(2, 3, (1, 1, 1))
         legs = {leg.name: leg for leg in ctx.legs("unit", b_path)}
-        combine = ctx.cache.combine
+        def combine(terms):
+            return ctx.cache.full(ctx.cache.combine(terms))
+
         a_end = [combine(terms) for terms in legs["A"].family(legs["A"].grid[-1])]
         for mat_a, terms_b in zip(a_end, legs["B"].family(legs["B"].grid[0])):
             assert np.max(np.abs(mat_a - combine(terms_b))) < 1e-12
