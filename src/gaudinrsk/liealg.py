@@ -14,9 +14,9 @@ exact builders sum the terms in rationals, the spectral flow in floats.
 
 On a block of monomials, a `MonomialBlock` numbers the monomials and
 tabulates each generator as a map from a monomial's number to its image's
-number and an integer count. A table entry is filled from the box move
-itself the first time a word reaches that monomial, so intermediate images
-may leave the block. Matrices, commutators,
+number and an integer count. A table entry is filled, through
+`Operator.apply_monomial`, the first time a word reaches that monomial, so
+intermediate images may leave the block. Matrices, commutators,
 adjointness and eigenprojectors follow the words through these tables with
 integer coefficients over the common denominator of the operator's
 rationals, so every check is exact and free of floating point.
@@ -388,10 +388,10 @@ class MonomialBlock:
     Monomials are numbered in basis order; a monomial outside the basis
     that some word reaches gets the next free number. The table of a
     generator maps a monomial number to (image number, count), or to None
-    where the generator kills the monomial. An entry is filled from the
-    box move the first time a word reaches its monomial, so the tables grow
-    only with the monomials actually reached, and they live as long as the
-    block.
+    where the generator kills the monomial. An entry is filled through
+    `Operator.apply_monomial` the first time a word reaches its monomial,
+    so the tables grow only with the monomials actually reached, and they
+    live as long as the block.
     """
 
     def __init__(self, basis):
@@ -403,14 +403,15 @@ class MonomialBlock:
         self.tables = {}
 
     def _fill(self, gen, i):
-        count, m = _apply_generator(gen, self.monomials[i]) or (0, None)
+        image = Operator({(gen,): 1}).apply_monomial(self.monomials[i])
         hit = None
-        if count:  # a diagonal generator counts 0 on an empty row or column
+        if image:
+            (m, count), = image.items()  # one box move has one image
             j = self.index.get(m)
             if j is None:
                 j = self.index[m] = len(self.monomials)
                 self.monomials.append(m)
-            hit = (j, count)
+            hit = (j, int(count))
         self.tables[gen][i] = hit
         return hit
 

@@ -33,9 +33,10 @@ A and D.
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
 block-diagonal by gl_r weight (the row sums of the monomials). The
-`BlockCache` keeps each part as its weight blocks, stacked by block size;
-sums, eigensolves, frame matching and Rayleigh records all run block by
-block, one batched eigh call per block size and grid point. There is
+`BlockCache` keeps each part as one flat buffer of its weight blocks,
+viewed as stacks by block size; sums run over the buffers, and
+eigensolves, frame matching and Rayleigh records block by block, one
+batched eigh call per block size and grid point. There is
 still one flow, one coefficient draw and one cache per graded block.
 """
 
@@ -192,14 +193,16 @@ class BlockCache:
     size d form a batch: `batches` holds one (k, d) array of basis
     positions per batch, in increasing d. A part is assembled once through
     the generator tables of one MonomialBlock (`liealg.dense`) and kept
-    only as one (k, d, d) stack per batch; `combine` sums a liealg term list
-    over the stacks in floats. No part depends on z or q, so one cache
-    serves every leg. On a block of one weight, such as the S_n block, there
-    is one batch with k = 1.
+    only as one flat buffer of its weight blocks, batch after batch;
+    `stacks(part)` views it as one (k, d, d) stack per batch. `combine` sums
+    a liealg term list over the buffers in floats, one multiply-add per
+    part. No part depends on z or q, so one cache serves every leg. On a
+    block of one weight, such as the S_n block, there is one batch with
+    k = 1.
 
     A flow family is a list of term lists. `normalised_sum` adds its
     operators, each scaled to unit Frobenius norm, as one weighted sum of
-    part stacks: the norms come from the coefficient rows and the Gram
+    part buffers: the norms come from the coefficient rows and the Gram
     matrix of the parts, kept once per part set, so no operator of the
     family is ever built as a matrix of its own."""
 
@@ -216,8 +219,18 @@ class BlockCache:
         for positions in weights.values():
             by_size.setdefault(len(positions), []).append(positions)
         self.batches = [np.array(by_size[d]) for d in sorted(by_size)]
-        self._stacks = {}
+        self.size = sum(idx.size * idx.shape[1] for idx in self.batches)
+        self._parts = {}
         self._grams = {}
+
+    def _views(self, flat):
+        """The (k, d, d) stacks of a flat buffer of weight blocks, as views."""
+        out, start = [], 0
+        for idx in self.batches:
+            k, d = idx.shape
+            out.append(flat[start:start + k * d * d].reshape(k, d, d))
+            start += k * d * d
+        return out
 
     def split(self, mat):
         """The weight blocks of a dim x dim matrix, one stack per batch."""
@@ -240,40 +253,42 @@ class BlockCache:
             out[idx] = vals
         return out
 
+    def _part(self, part):
+        """The flat buffer of the part's weight blocks, built on first use."""
+        flat = self._parts.get(part)
+        if flat is None:
+            flat = self._parts[part] = np.empty(self.size)
+            mat = dense(part_operator(part), self.block)
+            for view, stack in zip(self._views(flat), self.split(mat)):
+                view[...] = stack
+        return flat
+
     def stacks(self, part):
-        """The weight blocks of the part's matrix, built on first use."""
-        stacks = self._stacks.get(part)
-        if stacks is None:
-            stacks = self._stacks[part] = self.split(dense(part_operator(part), self.block))
-        return stacks
+        """The weight blocks of the part's matrix, one stack per batch."""
+        return self._views(self._part(part))
 
     def mat(self, part):
         """Dense dim x dim matrix of the part, rebuilt from its stacks."""
         return self.full(self.stacks(part))
 
-    def _zeros(self):
-        return [np.zeros((len(idx), idx.shape[1], idx.shape[1])) for idx in self.batches]
-
     def combine(self, terms):
         """Float sum of coefficient * part as per-batch stacks; zero terms
         build no part."""
-        out = self._zeros()
+        out = np.zeros(self.size)
         for c, part in terms:
             if c:
-                for acc, stack in zip(out, self.stacks(part)):
-                    acc += c * stack
-        return out
+                out += c * self._part(part)
+        return self._views(out)
 
     def _gram(self, parts):
-        """Frobenius inner products of the parts, pair by pair, summed over
-        the batches."""
+        """Frobenius inner products of the parts, pair by pair."""
         gram = self._grams.get(parts)
         if gram is None:
+            flats = [self._part(p) for p in parts]
             gram = np.empty((len(parts), len(parts)))
-            for j, pj in enumerate(parts):
+            for j, a in enumerate(flats):
                 for k in range(j, len(parts)):
-                    gram[j, k] = gram[k, j] = sum(
-                        np.vdot(a, b) for a, b in zip(self.stacks(pj), self.stacks(parts[k])))
+                    gram[j, k] = gram[k, j] = np.vdot(a, flats[k])
             self._grams[parts] = gram
         return gram
 
@@ -303,14 +318,13 @@ class BlockCache:
         live = sq > CANCEL_TOL * scale
         factors = np.zeros(len(ops))
         factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        out = self._zeros()
-        scratch = [np.empty_like(acc) for acc in out]
+        out = np.zeros(self.size)
+        term = np.empty(self.size)
         for w, part in zip(factors @ rows, parts):
             if w:
-                for acc, term, stack in zip(out, scratch, self.stacks(part)):
-                    np.multiply(stack, w, out=term)
-                    acc += term
-        return out
+                np.multiply(self._part(part), w, out=term)
+                out += term
+        return self._views(out)
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))

@@ -473,6 +473,19 @@ class TestBlockCache:
                 err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
                 assert err < 1e-12, (leg.name, t, err)
 
+    def test_each_part_is_held_once(self):
+        # the stacks of a part are views of one flat buffer of its weight
+        # blocks, so the cache holds sum k d^2 floats per part and no
+        # dim x dim copy
+        cache = BlockCache(2, 4, weight_basis(2, 4, (2, 1, 1, 2)))
+        part = (nested_casimir, 2, 4)
+        stacks = cache.stacks(part)
+        assert len(stacks) > 1
+        buffer = stacks[0].base
+        assert all(stack.base is buffer for stack in cache.stacks(part))
+        assert buffer.size == sum(stack.size for stack in stacks) == cache.size
+        assert cache.size < cache.dim ** 2
+
     @pytest.mark.parametrize("cancelling", [
         [(1.0, (op_E, 1, 1, 1)), (-1.0, (op_E, 1, 1, 1))],
         # W_1 = sum_a E_11^(a) on the block; in floats 0.1 * 3 - 3 * 0.1 is
