@@ -193,6 +193,16 @@ class NatMatrix:
         self.n = n
 
     @classmethod
+    def _unchecked(cls, entries, r, n):
+        """The matrix with the given entries, r tuples of n non-negative
+        ints, taken as they are: for callers that have checked them."""
+        matrix = object.__new__(cls)
+        matrix.entries = entries
+        matrix.r = r
+        matrix.n = n
+        return matrix
+
+    @classmethod
     def zero(cls, r, n):
         return cls(tuple((0,) * n for _ in range(r)), r, n)
 

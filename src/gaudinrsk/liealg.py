@@ -20,11 +20,17 @@ intermediate images may leave the block. Matrices, commutators,
 adjointness and eigenprojectors follow the words through these tables with
 integer coefficients over the common denominator of the operator's
 rationals, so every check is exact and free of floating point.
+
+`weight_basis` returns its basis as a `MonomialBlock`, a read-only sequence
+of the monomials, and the tables live as long as that object: every check
+given the same block shares them and fills each entry once. A plain list
+of monomials gets a fresh block, with empty tables, on every call.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +45,7 @@ def _shift(matrix, moves):
         rows[i][a] += d
         if rows[i][a] < 0:
             return None
-    return NatMatrix(rows, matrix.r, matrix.n)
+    return NatMatrix._unchecked(tuple(map(tuple, rows)), matrix.r, matrix.n)
 
 
 def _apply_generator(gen, matrix):
@@ -339,7 +345,9 @@ def _capped_compositions(total, caps):
 
 def weight_basis(r, n, col_sums, row_sums=None):
     """Monomial basis of the graded piece with the given column sums,
-    optionally restricted to fixed row sums (a gl_r weight block).
+    optionally restricted to fixed row sums (a gl_r weight block), as a
+    `MonomialBlock` with empty generator tables. Row sums of the wrong
+    length or total give the empty block.
 
     Columns are filled left to right within the row sums still open, so
     only matrices of the block are built. Deterministic order:
@@ -352,7 +360,7 @@ def weight_basis(r, n, col_sums, row_sums=None):
     elif len(row_sums) == r and sum(row_sums) == sum(col_sums):
         open_rows = list(row_sums)
     else:
-        return []
+        return MonomialBlock([])
     out = []
 
     # with equal totals, any columns that fit the open row sums complete
@@ -370,7 +378,7 @@ def weight_basis(r, n, col_sums, row_sums=None):
 
     rec(0, [])
     out.sort(key=lambda m: m.entries)
-    return out
+    return MonomialBlock(out)
 
 
 def sqnorm(matrix):
@@ -382,8 +390,13 @@ def sqnorm(matrix):
     return prod
 
 
-class MonomialBlock:
+class MonomialBlock(Sequence):
     """A monomial basis with the box-move generators tabulated on it.
+
+    The block is a read-only sequence of its basis monomials: len, indexing
+    and iteration act on the basis, a slice is a list, and the block equals
+    any sequence of the same monomials in the same order. Its tables change
+    as checks run, so it is not hashable.
 
     Monomials are numbered in basis order; a monomial outside the basis
     that some word reaches gets the next free number. The table of a
@@ -391,7 +404,9 @@ class MonomialBlock:
     where the generator kills the monomial. An entry is filled through
     `Operator.apply_monomial` the first time a word reaches its monomial,
     so the tables grow only with the monomials actually reached, and they
-    live as long as the block.
+    live as long as the block: every check given this block (as
+    `weight_basis` returns it) shares them, while a check given a list of
+    monomials builds a fresh block for that call alone.
     """
 
     def __init__(self, basis):
@@ -399,17 +414,33 @@ class MonomialBlock:
         self.dim = len(self.basis)
         self.sqnorms = [sqnorm(m) for m in self.basis]
         self.monomials = list(self.basis)
-        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.numbers = {m: i for i, m in enumerate(self.basis)}
         self.tables = {}
+
+    def __len__(self):
+        return self.dim
+
+    def __getitem__(self, i):
+        return self.basis[i]
+
+    def __iter__(self):
+        return iter(self.basis)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self.basis == list(other)
+
+    __hash__ = None
 
     def _fill(self, gen, i):
         image = Operator({(gen,): 1}).apply_monomial(self.monomials[i])
         hit = None
         if image:
             (m, count), = image.items()  # one box move has one image
-            j = self.index.get(m)
+            j = self.numbers.get(m)
             if j is None:
-                j = self.index[m] = len(self.monomials)
+                j = self.numbers[m] = len(self.monomials)
                 self.monomials.append(m)
             hit = (j, int(count))
         self.tables[gen][i] = hit

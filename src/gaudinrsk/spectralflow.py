@@ -57,7 +57,7 @@ from .combinatorics import (
 )
 from .crystals import pieri_shapes
 from .liealg import (
-    MonomialBlock,
+    _as_block,
     casimir_eigenvalue,
     dense,
     dual_nabla_terms,
@@ -192,13 +192,14 @@ class BlockCache:
     The basis is split once into these weight blocks, and blocks of equal
     size d form a batch: `batches` holds one (k, d) array of basis
     positions per batch, in increasing d. A part is assembled once through
-    the generator tables of one MonomialBlock (`liealg.dense`) and kept
-    only as one flat buffer of its weight blocks, batch after batch;
-    `stacks(part)` views it as one (k, d, d) stack per batch. `combine` sums
-    a liealg term list over the buffers in floats, one multiply-add per
-    part. No part depends on z or q, so one cache serves every leg. On a
-    block of one weight, such as the S_n block, there is one batch with
-    k = 1.
+    the generator tables of one MonomialBlock (`liealg.dense`): the block
+    the cache is given, as `weight_basis` returns it, or one built from a
+    list of monomials. It is kept only as one flat buffer of its weight
+    blocks, batch after batch; `stacks(part)` views it as one (k, d, d)
+    stack per batch. `combine` sums a liealg term list over the buffers in
+    floats, one multiply-add per part. No part depends on z or q, so one
+    cache serves every leg. On a block of one weight, such as the S_n
+    block, there is one batch with k = 1.
 
     A flow family is a list of term lists. `normalised_sum` adds its
     operators, each scaled to unit Frobenius norm, as one weighted sum of
@@ -209,7 +210,7 @@ class BlockCache:
     def __init__(self, r, n, basis):
         self.r = r
         self.n = n
-        self.block = MonomialBlock(basis)
+        self.block = _as_block(basis)
         self.basis = self.block.basis
         self.dim = self.block.dim
         weights = {}

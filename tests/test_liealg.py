@@ -7,6 +7,7 @@ import pytest
 
 from gaudinrsk.combinatorics import NatMatrix
 from gaudinrsk.liealg import (
+    MonomialBlock,
     Operator,
     casimir_eigenvalue,
     commute_on,
@@ -72,6 +73,42 @@ class TestBasis:
             for w in compositions(sum(k), r) + [(sum(k) + 1,) + (0,) * (r - 1)]:
                 block = weight_basis(r, n, k, row_sums=w)
                 assert block == [m for m in full if m.row_sums() == tuple(w)]
+
+
+class TestBasisBlock:
+    @pytest.mark.parametrize("r, n, k", [(2, 3, (1, 1, 1)), (3, 2, (2, 1)), (1, 2, (0, 2))])
+    def test_weight_basis_is_the_sorted_block(self, r, n, k):
+        # every r x n matrix with entries up to the total, filtered and sorted
+        expected = sorted(
+            (m for m in (NatMatrix([flat[i * n:(i + 1) * n] for i in range(r)], r, n)
+                         for flat in itertools.product(range(sum(k) + 1), repeat=r * n))
+             if m.col_sums() == k),
+            key=lambda m: m.entries)
+        block = weight_basis(r, n, k)
+        assert isinstance(block, MonomialBlock)
+        assert len(block) == block.dim == len(expected)
+        assert block == expected and expected == block
+        assert block == tuple(expected) and block != expected[1:]
+        assert list(block) == expected
+        assert [block[i] for i in range(len(block))] == expected
+        assert block[-1] == expected[-1]
+        assert block[1:3] == expected[1:3] and isinstance(block[1:3], list)
+
+    def test_mismatched_row_sums_give_empty_block(self):
+        for row_sums in ((2, 0), (1, 1, 1), (3,)):
+            block = weight_basis(2, 3, (1, 1, 1), row_sums=row_sums)
+            assert isinstance(block, MonomialBlock)
+            assert len(block) == 0 and block == [] and list(block) == []
+
+    def test_block_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(weight_basis(2, 2, (1, 1)))
+
+    def test_two_calls_give_separate_tables(self):
+        a, b = weight_basis(2, 3, (1, 1, 1)), weight_basis(2, 3, (1, 1, 1))
+        assert a == b and a is not b
+        assert commute_on(nabla(1, Z, Q, 3), nabla(2, Z, Q, 3), a)
+        assert a.tables and not b.tables
 
 
 class TestOperatorAlgebra:
@@ -275,6 +312,44 @@ def _word_by_word_columns(op, basis):
     index = {m: i for i, m in enumerate(basis)}
     return {src: {index[image]: coeff for image, coeff in op.apply_monomial(m).items()}
             for src, m in enumerate(basis)}
+
+
+class TestSharedTables:
+    def test_repeated_check_fills_nothing(self, monkeypatch):
+        calls = []
+        original = Operator.apply_monomial
+
+        def counting(self, matrix):
+            calls.append(matrix)
+            return original(self, matrix)
+
+        monkeypatch.setattr(Operator, "apply_monomial", counting)
+        block = weight_basis(2, 3, (1, 1, 1))
+        x, y = nabla(1, Z, Q, 3), nabla(2, Z, Q, 3)
+        assert commute_on(x, y, block)
+        first = len(calls)
+        assert first > 0
+        assert commute_on(x, y, block)
+        assert len(calls) == first
+        # a list gets a fresh block, so every entry is filled again
+        assert commute_on(x, y, list(block))
+        assert len(calls) == 2 * first
+
+    def test_checks_on_a_block_with_outside_monomials(self):
+        block = weight_basis(2, 3, (1, 1, 1))
+        # the dual moves leave the column sums on the way and come back
+        assert commute_on(dual_op_E(1, 2, 1), dual_op_E(2, 1, 2), block)
+        assert len(block.monomials) > block.dim
+        with pytest.raises(ValueError, match="operator image leaves the basis span"):
+            exact_matrix(dual_op_E(1, 2, 1), block)
+        assert not commute_on(dual_op_E(1, 2, 1), dual_op_E(2, 1, 1), block)
+        assert not commute_on(nabla(1, Z, Q, 3), gaudin_h(1, Z, (Q[1], Q[0]), 2), block)
+        x = dual_op_E(1, 2, 1) * dual_op_E(2, 1, 2)
+        x_adj = dual_op_E(1, 2, 2) * dual_op_E(2, 1, 1)
+        assert is_adjoint_pair(x, x_adj, block)
+        assert not is_adjoint_pair(x, x, block)
+        assert not is_adjoint_pair(op_E(1, 2, 1), op_E(2, 1, 2), block)
+        assert not is_adjoint_pair(op_E(1, 2, 1), op_E(1, 2, 1), block)
 
 
 class TestGeneratorTables:

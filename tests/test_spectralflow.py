@@ -372,6 +372,12 @@ class TestTransport:
 
 
 class TestBlockCache:
+    def test_uses_the_block_it_is_given(self):
+        block = weight_basis(2, 3, (1, 1, 1))
+        cache = BlockCache(2, 3, block)
+        assert cache.block is block
+        assert BlockCache(2, 3, list(block)).block is not block
+
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
         (2, 3, (1, 1, 1), None),
         (3, 2, (2, 2), None),
