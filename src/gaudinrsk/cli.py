@@ -96,7 +96,6 @@ def _flow_opts(args):
         seed=args.seed,
         steps=args.steps,
         cluster_tol=args.tol,
-        gap_safety=args.gap_safety,
     )
 
 
@@ -362,7 +361,6 @@ def build_parser():
     p_fl.add_argument("--q", help="base q (JSON list, pairwise distinct)")
     p_fl.add_argument("--steps", type=int, default=48)
     p_fl.add_argument("--tol", type=float, default=1e-6)
-    p_fl.add_argument("--gap-safety", type=float, default=1e3)
     p_fl.add_argument("--budget", type=int, default=300)
     p_fl.add_argument("--trace", help="write eigenvalue traces to this CSV file")
     p_fl.set_defaults(func=cmd_flow)
@@ -375,7 +373,6 @@ def build_parser():
     p_ce.add_argument("--q", help="base q (JSON list)")
     p_ce.add_argument("--steps", type=int, default=48)
     p_ce.add_argument("--tol", type=float, default=1e-6)
-    p_ce.add_argument("--gap-safety", type=float, default=1e3)
     p_ce.set_defaults(func=cmd_cells)
 
     return parser

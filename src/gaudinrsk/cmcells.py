@@ -18,7 +18,6 @@ classes are endpoint coalescence classes of the tracked eigenframe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .combinatorics import (
     all_permutations,
     rs_permutation,
 )
-from .spectralflow import FlowContext, PathSpec
+from .spectralflow import FlowContext
 
 
 @dataclass
@@ -77,11 +76,6 @@ def _sorted_eigs(mat):
 def upsilon(point):
     """The two unordered eigenvalue multisets of a point."""
     return _sorted_eigs(point.Z), _sorted_eigs(point.Y)
-
-
-def gamma_path(z, q, t_end=1e-3, steps=48):
-    """The cell-flow schedule: z slot shrinking straight to zero, q fixed."""
-    return PathSpec("straight-to-zero", tuple(z), tuple(q), 1.0, t_end, steps)
 
 
 @dataclass
@@ -161,32 +155,32 @@ def _label_to_permutation(label):
     return Permutation(one_line)
 
 
-def _cells(n, z, q, opts, side, path_variant):
+def _cells(n, z, q, opts, side):
     """Partition S_n by coalescence of the S_n block's limit records: after
-    leg B on the straight schedule (right cells) or after leg D (left)."""
+    leg B on the straight schedule, z shrinking to zero with q fixed (right
+    cells), or after leg D (left)."""
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
     if side == "right":
-        b_path = partial(gamma_path, steps=ctx.opts.steps)
-        result = ctx.run("AB", "B", path_variant, b_path)
+        result = ctx.run("AB", "B", straight_b=True)
     else:
-        result = ctx.run("AD", "D", path_variant)
+        result = ctx.run("AD", "D")
     labels = [_label_to_permutation(branch.label) for branch in result.branches]
     blocks = [[labels[i] for i in cls] for cls in result.classes]
     return CellPartition(n, side, blocks)
 
 
-def right_cells(n, z=None, q=None, opts=None, path_variant="through-point"):
+def right_cells(n, z=None, q=None, opts=None):
     """Cells from the z-shrinking flow; blocks share the insertion tableau."""
-    return _cells(n, z, q, opts, "right", path_variant)
+    return _cells(n, z, q, opts, "right")
 
 
-def left_cells(n, z=None, q=None, opts=None, path_variant="through-point"):
+def left_cells(n, z=None, q=None, opts=None):
     """Cells from the q-shrinking flow; blocks share the recording tableau."""
-    return _cells(n, z, q, opts, "left", path_variant)
+    return _cells(n, z, q, opts, "left")
 
 
-def two_sided_cells(n, z=None, q=None, opts=None, path_variant="through-point"):
+def two_sided_cells(n, z=None, q=None, opts=None):
     """Join of the left and right cell partitions."""
-    right = right_cells(n, z, q, opts, path_variant)
-    left = left_cells(n, z, q, opts, path_variant)
+    right = right_cells(n, z, q, opts)
+    left = left_cells(n, z, q, opts)
     return right.join(left, kind="two-sided")

@@ -313,19 +313,6 @@ def casimir_eigenvalue(shape, rank, order=2):
     return sum(p * (p + rank + 1 - 2 * j) for j, p in enumerate(shape, start=1))
 
 
-def g_h(h, q):
-    """Single-column operator sum_{i<j} (h_i - h_j)/(q_i - q_j) E_ij E_ji."""
-    r = len(h)
-    out = Operator()
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            c = (Fraction(h[i - 1]) - Fraction(h[j - 1])) / (
-                Fraction(q[i - 1]) - Fraction(q[j - 1])
-            )
-            out = out + op_E(i, j, 1) * op_E(j, i, 1) * c
-    return out
-
-
 def compositions(total, parts):
     """All tuples of the given length of non-negative integers with the sum."""
     return _capped_compositions(total, (total,) * parts)

@@ -8,16 +8,21 @@ reading Casimir data at the endpoints attaches a pair of same-shape
 tableaux (S, T) to each label; the package's headline check is that this
 pair always equals the RSK image of the label.
 
-The transport runs along the legs of one table (`FlowContext.legs`); all
-operators of a leg's family commute at every path point, and
-`FlowContext.run` carries the frame along each leg in turn:
+The transport runs along the legs of one table (`FlowContext.legs`). Each
+leg is one schedule: a log-spaced grid and a family of the grid parameter.
+All operators of a leg's family commute at every path point, and
+`FlowContext.run` carries the frame along each leg in turn. The only input
+that selects the paths is the base point z:
 
   A  large-parameter -> base point: dynamical family plus z-scaled
-     exchange operators; branches start as monomials.
-  B  from A's end, z -> 0: same family; the z-scaled exchange operators
-     converge to the partial exchange sums J_a, keeping the tracked
-     spectrum simple. Its end frame feeds the z-side records (dynamical
-     limits at z = 0), whose coalescence classes the flow reports.
+     exchange operators, z on the ordered-collision schedule
+     (`collision_z`), which passes through the base z at t = 1; branches
+     start as monomials.
+  B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
+     exchange operators converge to the partial exchange sums J_a, keeping
+     the tracked spectrum simple. Its end frame feeds the z-side records
+     (dynamical limits at z = 0), whose coalescence classes the flow
+     reports.
   C  from B's end, q rescaled at z = 0: the rescaled dynamical operators
      converge to the nested commuting limits; its end frame feeds the S
      decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
@@ -27,8 +32,8 @@ operators of a leg's family commute at every path point, and
   E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
      feeds the T decoder (`FlowContext.extract_T`, dual corner Casimirs).
 
-The cell flows run legs A and B, with B on the straight schedule, or legs
-A and D.
+The cell flows run legs A and B, with B scaling z straight to zero, or
+legs A and D.
 
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
@@ -104,6 +109,7 @@ START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
 MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
 CANCEL_TOL = 1e-12  # relative squared norm below which a family operator is zero
+GAP_SAFETY = 1e3  # inter-class distance over intra-class distance a clustering needs
 
 
 @dataclass
@@ -111,61 +117,15 @@ class FlowOpts:
     seed: int = 0
     steps: int = 48
     cluster_tol: float = 1e-6
-    gap_safety: float = 1e3
 
 
-@dataclass
-class PathSpec:
-    """A parameter schedule t -> (z(t), q(t)) on a log-spaced grid.
-
-    kinds:
-      collision        z follows the ordered-collision schedule, q fixed
-      straight-to-zero z scales linearly to zero, q fixed
-    """
-
-    kind: str
-    base_z: tuple
-    base_q: tuple
-    t_start: float
-    t_end: float
-    steps: int = 48
-    variant: str = "through-point"
-
-    def __post_init__(self):
-        if self.kind not in ("collision", "straight-to-zero"):
-            raise SetupError(f"unknown path kind {self.kind!r}")
-        self.base_z = tuple(float(x) for x in self.base_z)
-        self.base_q = tuple(float(x) for x in self.base_q)
-        if self.kind == "collision":
-            if any(x <= 0 for x in self.base_z):
-                raise SetupError("collision schedule needs positive base z")
-            if list(self.base_z) != sorted(set(self.base_z)):
-                raise SetupError("collision schedule needs increasing base z")
-
-    def grid(self):
-        return np.geomspace(self.t_start, self.t_end, self.steps)
-
-    def point(self, t):
-        z, q = self.base_z, self.base_q
-        if self.kind == "collision":
-            n = len(z)
-            out = []
-            for i in range(1, n + 1):
-                val = t ** (n - i + 1) * (1 + t * t) ** (i - 1)
-                if self.variant == "through-point":
-                    val *= 2.0 ** (1 - i) * z[i - 1]
-                out.append(val)
-            return tuple(out), q
-        return tuple(t * x for x in z), q
-
-    def validate(self):
-        """Check that a collision schedule keeps z increasing on the grid."""
-        if self.kind == "collision":
-            lo, hi = sorted((self.t_start, self.t_end))
-            for t in np.geomspace(lo, hi, self.steps):
-                zt, _ = self.point(t)
-                if any(a >= b for a, b in zip(zt, zt[1:])):
-                    raise SetupError(f"collision schedule unordered at t={t}")
+def collision_z(z, t):
+    """The ordered-collision schedule through z: z_i(t) = t^(n-i+1)
+    (1 + t^2)^(i-1) 2^(1-i) z_i, so z(1) = z, the points separate as t
+    grows and all collide at 0 as t -> 0."""
+    n = len(z)
+    return tuple(t ** (n - i + 1) * (1 + t * t) ** (i - 1) * (2.0 ** (1 - i) * z[i - 1])
+                 for i in range(1, n + 1))
 
 
 @dataclass
@@ -276,9 +236,11 @@ class BlockCache:
         """Float sum of coefficient * part as per-batch stacks; zero terms
         build no part."""
         out = np.zeros(self.size)
+        term = np.empty(self.size)
         for c, part in terms:
             if c:
-                out += c * self._part(part)
+                np.multiply(self._part(part), c, out=term)
+                out += term
         return self._views(out)
 
     def _gram(self, parts):
@@ -319,13 +281,7 @@ class BlockCache:
         live = sq > CANCEL_TOL * scale
         factors = np.zeros(len(ops))
         factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        out = np.zeros(self.size)
-        term = np.empty(self.size)
-        for w, part in zip(factors @ rows, parts):
-            if w:
-                np.multiply(self._part(part), w, out=term)
-                out += term
-        return self._views(out)
+        return self.combine(zip(factors @ rows, parts))
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
@@ -335,12 +291,6 @@ class BlockCache:
 
     def dual_nabla0_mat(self, a, z):
         return self.combine(dual_nabla_terms(a, (0.0,) * self.r, z, self.r))
-
-
-def collision_path(n, base_z, t_start=1e3, t_end=1.0, steps=48, variant="through-point"):
-    path = PathSpec("collision", tuple(base_z), (), t_start, t_end, steps, variant)
-    path.validate()
-    return path
 
 
 def _scaled(scalar, terms):
@@ -503,12 +453,12 @@ def rayleigh(vectors, ops):
     return np.stack([np.sum(vectors * (op @ vectors), axis=-2) for op in ops], axis=-1)
 
 
-def coalescence_classes(records, tol=1e-6, safety=1e3):
+def coalescence_classes(records, tol=1e-6):
     """Group branches whose endpoint eigenvalue vectors agree within tol.
 
     records: array (branches, values). Classes are connected components of
     the tol-closeness graph, validated by a gap ratio: the largest
-    intra-class distance times safety must stay below the smallest
+    intra-class distance times GAP_SAFETY must stay below the smallest
     inter-class distance.
     """
     records = np.asarray(records, dtype=float)
@@ -538,7 +488,7 @@ def coalescence_classes(records, tol=1e-6, safety=1e3):
     same = roots[:, None] == roots[None, :]
     intra = float(dists[upper & same].max(initial=0.0))
     inter = float(dists[upper & ~same].min(initial=math.inf))
-    if intra * safety > inter:
+    if intra * GAP_SAFETY > inter:
         raise ClusteringError(
             f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}; "
             f"try tol near {math.sqrt(intra * inter):.3e}"
@@ -602,7 +552,9 @@ class Leg(NamedTuple):
 
 class FlowContext:
     """Everything needed to run the legs on one graded block, with the
-    block's BlockCache."""
+    block's BlockCache. A base z that is not positive and increasing, or
+    that the collision schedule reorders on leg A's grid, raises
+    SetupError."""
 
     def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
         self.r = r
@@ -612,27 +564,41 @@ class FlowContext:
         self.z = tuple(float(x) for x in (z if z is not None else range(1, n + 1)))
         self.q = tuple(float(x) for x in (q if q is not None else range(1, r + 1)))
         self.opts = opts or FlowOpts()
+        if any(x <= 0 for x in self.z):
+            raise SetupError("collision schedule needs positive base z")
+        if list(self.z) != sorted(set(self.z)):
+            raise SetupError("collision schedule needs increasing base z")
+        for t in np.geomspace(1.0, T_MAX, self.opts.steps):
+            zt = collision_z(self.z, t)
+            if any(a >= b for a, b in zip(zt, zt[1:])):
+                raise SetupError(f"collision schedule unordered at t={t}")
         self.cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))
         self.basis = self.cache.basis
         self.rng = np.random.default_rng(self.opts.seed)
 
-    def legs(self, path_variant="through-point", b_path=None):
-        """The leg table in run order. Every later leg starts at z = leg A's
-        end point; b_path, called as b_path(z, q), replaces the collision
-        schedule of leg B. Each family stays bounded on its leg; its path
-        scalars are folded into the coefficients of its term lists."""
-        cache, r, n, q = self.cache, self.r, self.n, self.q
+    def legs(self, straight_b=False):
+        """The leg table in run order; each leg is a log-spaced grid and a
+        family of the grid parameter. Leg A follows the ordered-collision
+        schedule `collision_z` from T_MAX down to t = 1, where it ends at
+        the base z; every later leg starts there. Leg B follows the same
+        schedule on to t = T_MIN, or with straight_b scales z straight to
+        zero, as the right-cell flow does. Each family stays bounded on its
+        leg; its path scalars are folded into the coefficients of its term
+        lists."""
+        cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
         steps = self.opts.steps
-        a_path = collision_path(n, self.z, T_MAX, 1.0, steps, path_variant)
-        z, _ = a_path.point(1.0)
-        b_path = (b_path(z, q) if b_path is not None
-                  else PathSpec("collision", z, q, 1.0, T_MIN, steps))
         s_grid = np.geomspace(1.0, S_MIN, steps)
         z0, q0 = (0.0,) * n, (0.0,) * r
 
-        def main(path):
+        def collision(t):
+            return collision_z(z, t)
+
+        def straight(t):
+            return tuple(t * x for x in z)
+
+        def main(z_of):
             def family(t):
-                zt, _ = path.point(t)
+                zt = z_of(t)
                 return ([nabla_terms(i, zt, q, n) for i in range(1, r + 1)]
                         + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, r))
                            for a in range(1, n + 1)])
@@ -663,16 +629,17 @@ class FlowContext:
             return [cache.gaudin_mat(a, z, q0) for a in range(1, n + 1)]
 
         return (
-            Leg("A", None, a_path.grid(), main(a_path)),
-            Leg("B", "A", b_path.grid(), main(b_path), limit=z_limit, key="limit_z"),
+            Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main(collision)),
+            Leg("B", "A", np.geomspace(1.0, T_MIN, steps),
+                main(straight if straight_b else collision), limit=z_limit, key="limit_z"),
             Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
             Leg("D", "A", s_grid, qshrink, limit=q_limit, key="limit_q"),
             Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
         )
 
-    def run(self, names, classes_from=None, path_variant="through-point",
-            b_path=None, trace=None):
-        """Run the named legs of the table in order; returns a FlowResult.
+    def run(self, names, classes_from=None, straight_b=False, trace=None):
+        """Run the named legs of the table (`legs(straight_b)`) in order;
+        returns a FlowResult.
 
         Frames are kept as weight-block stacks (`BlockCache.split`). A leg
         with limit operators stores its Rayleigh records, weights appended,
@@ -688,7 +655,7 @@ class FlowContext:
         labels = list(self.basis)
         branches = [EigenBranch(label) for label in labels]
         frames, classes, diags = {}, None, []
-        for leg in self.legs(path_variant, b_path):
+        for leg in self.legs(straight_b):
             if leg.name not in names:
                 continue
             frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
@@ -706,8 +673,7 @@ class FlowContext:
                 for branch, rec in zip(branches, records):
                     branch.eigenvalues[leg.key] = rec.tolist()
                 if leg.name == classes_from:
-                    classes = coalescence_classes(records, self.opts.cluster_tol,
-                                                  self.opts.gap_safety)
+                    classes = coalescence_classes(records, self.opts.cluster_tol)
             if leg.decode is not None:
                 for branch, tab in zip(branches, leg.decode(frame, labels)):
                     setattr(branch, leg.key, tab)
@@ -738,8 +704,7 @@ class FlowContext:
         return [_decode_chain(sizes, row) for row in values]
 
 
-def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
-               path_variant="through-point", trace=None):
+def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):
     """Run all legs once on one graded block; returns a FlowResult whose
     classes come from leg B's records.
 
@@ -747,7 +712,7 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None,
     T shapes differ, raise a FlowError; the block is not run again.
     """
     ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
-    result = ctx.run("ABCDE", "B", path_variant, trace=trace)
+    result = ctx.run("ABCDE", "B", trace=trace)
     result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=ctx.opts.seed)
     for branch in result.branches:
         if branch.s_tableau.shape != branch.t_tableau.shape:

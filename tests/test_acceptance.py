@@ -151,7 +151,7 @@ class TestExactIdentities:
 
 
 class TestSpectralFlow:
-    OPTS = FlowOpts(cluster_tol=1e-6, gap_safety=1e3)
+    OPTS = FlowOpts(cluster_tol=1e-6)
 
     def test_exhaustive_2x2(self):
         report = verify_main_theorem(2, 2, max_entry=2, opts=self.OPTS)
@@ -208,18 +208,16 @@ class TestDuality:
 class TestPathRobustness:
     def test_variants_and_grids_agree(self):
         runs = []
-        for variant, steps in (
-            ("through-point", 48),
-            ("unit", 48),
-            ("through-point", 24),
+        for z, steps in (
+            (None, 48),
+            ((1.0, 2.0, 4.0), 48),
+            (None, 24),
         ):
             opts = FlowOpts(steps=steps)
-            result = flow_block(
-                3, 3, (1, 1, 1), (1, 1, 1), opts=opts, path_variant=variant
-            )
+            result = flow_block(3, 3, (1, 1, 1), (1, 1, 1), z=z, opts=opts)
             labels = [b.label for b in result.branches]
             tableaux = [(b.s_tableau, b.t_tableau) for b in result.branches]
-            cells = right_cells(3, opts=opts, path_variant=variant)
+            cells = right_cells(3, z=z, opts=opts)
             runs.append((labels, tableaux, cells))
         for other in runs[1:]:
             assert other == runs[0]

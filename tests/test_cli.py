@@ -133,6 +133,10 @@ class TestFlow:
     ["flow", "--r", "2", "--n", "2", "--max-entry", "-1"],
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--weight", "[3,0]"],
     ["flow", "--r", "2", "--n", "2", "--max-entry", "0", "--weight", "[1,0]"],
+    # the clustering gap check has one fixed safety factor, which no flag
+    # can loosen
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--gap-safety", "1"],
+    ["cells", "--n", "3", "--gap-safety", "1"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE

@@ -5,7 +5,6 @@ from gaudinrsk.combinatorics import Permutation, all_permutations, rs_permutatio
 from gaudinrsk.cmcells import (
     CellPartition,
     cm_point,
-    gamma_path,
     kl_reference_cells,
     left_cells,
     right_cells,
@@ -13,6 +12,7 @@ from gaudinrsk.cmcells import (
     upsilon,
     y_scaled,
 )
+from gaudinrsk.spectralflow import FlowContext
 
 
 class TestCMPoints:
@@ -41,11 +41,15 @@ class TestCMPoints:
         assert np.allclose(sorted(v.real for v in y_eigs), sorted(p), atol=1e-6)
         assert max(abs(v.imag) for v in y_eigs) < 1e-6
 
-    def test_gamma_path_shrinks_z(self):
-        path = gamma_path((1.0, 2.0), (3.0, 4.0), t_end=1e-3)
-        z, q = path.point(1e-3)
-        assert np.allclose(z, (1e-3, 2e-3))
-        assert q == (3.0, 4.0)
+    def test_straight_leg_b_shrinks_z(self):
+        # the right-cell leg B at its last grid point t is leg A's family
+        # at the base point t * z, with q unchanged
+        q = (3.0, 4.0)
+        straight = FlowContext(2, 2, (1, 1), z=(1.0, 2.0), q=q).legs(straight_b=True)[1]
+        t = straight.grid[-1]
+        assert t == 1e-3
+        shrunk = FlowContext(2, 2, (1, 1), z=(1e-3, 2e-3), q=q).legs()[0]
+        assert straight.family(t) == shrunk.family(1.0)
 
 
 class TestCellPartition:

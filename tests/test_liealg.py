@@ -19,7 +19,6 @@ from gaudinrsk.liealg import (
     dual_nested_casimir,
     dual_op_E,
     exact_matrix,
-    g_h,
     gaudin_h,
     is_adjoint_pair,
     is_self_adjoint,
@@ -271,19 +270,6 @@ class TestCasimirs:
     def test_eigenvalue_rejects_unsupported_order(self, order):
         with pytest.raises(ValueError):
             casimir_eigenvalue([2, 1], 2, order=order)
-
-
-class TestSingleColumnOperator:
-    def test_g_h_self_adjoint_and_diagonalizable(self):
-        h = (Fraction(2), Fraction(0))
-        q = (Fraction(3), Fraction(1))
-        basis = weight_basis(2, 1, (2,))
-        assert is_self_adjoint(g_h(h, q), basis)
-
-    def test_g_h_vanishes_for_constant_h(self):
-        basis = weight_basis(2, 1, (2,))
-        op = g_h((Fraction(1), Fraction(1)), (Fraction(3), Fraction(1)))
-        assert op.is_zero_on(basis)
 
 
 def _random_operator(rng, r, n, terms=6):

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from gaudinrsk import spectralflow
-from gaudinrsk.cmcells import gamma_path
 from gaudinrsk.combinatorics import NatMatrix, rsk
 from gaudinrsk.liealg import (
     casimir_eigenvalue,
@@ -35,21 +34,18 @@ from gaudinrsk.spectralflow import (
     MAX_BISECTIONS,
     MAX_REDRAWS,
     START_GAP_MIN,
-    T_MAX,
-    T_MIN,
     BlockCache,
     ClusteringError,
     ContinuationError,
     DecodingError,
     FlowContext,
     FlowOpts,
-    PathSpec,
     SetupError,
     _decode_chain,
     _draw_coeffs,
     coalescence_classes,
     col_sum_blocks,
-    collision_path,
+    collision_z,
     flow_block,
     snap_to_monomials,
     transport,
@@ -81,22 +77,16 @@ def _dense_terms(basis):
 def _dense_families(ctx):
     """Leg name -> family(t), a list of dense operator matrices, on the
     default leg table."""
-    r, n, q = ctx.r, ctx.n, ctx.q
+    r, n, z, q = ctx.r, ctx.n, ctx.z, ctx.q
     combine = _dense_terms(ctx.basis)
-    steps = ctx.opts.steps
-    a_path = collision_path(n, ctx.z, T_MAX, 1.0, steps)
-    z, _ = a_path.point(1.0)
-    b_path = PathSpec("collision", z, q, 1.0, T_MIN, steps)
     z0, q0 = (0.0,) * n, (0.0,) * r
     nab0 = [combine(nabla_terms(i, z0, q, n)) for i in range(1, r + 1)]
 
-    def main(path):
-        def family(t):
-            zt, _ = path.point(t)
-            return ([combine(nabla_terms(i, zt, q, n)) for i in range(1, r + 1)]
-                    + [zt[a - 1] * combine(gaudin_terms(a, zt, q, r))
-                       for a in range(1, n + 1)])
-        return family
+    def main(t):
+        zt = collision_z(z, t)
+        return ([combine(nabla_terms(i, zt, q, n)) for i in range(1, r + 1)]
+                + [zt[a - 1] * combine(gaudin_terms(a, zt, q, r))
+                   for a in range(1, n + 1)])
 
     def gt(s):
         qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
@@ -115,7 +105,7 @@ def _dense_families(ctx):
                 + [u ** (n - a) * combine(gaudin_terms(a, zu, q0, r)) for a in range(1, n + 1)]
                 + nab0)
 
-    return {"A": main(a_path), "B": main(b_path), "C": gt, "D": qshrink, "E": dual_gt}
+    return {"A": main, "B": main, "C": gt, "D": qshrink, "E": dual_gt}
 
 
 def _combined(ops, coeffs):
@@ -208,50 +198,43 @@ def _pairwise_classes(records, tol=1e-6, safety=1e3):
     return classes
 
 
-class TestPathSpec:
+class TestSchedules:
     def test_collision_base_point(self):
-        path = collision_path(3, (1.0, 2.0, 3.0))
-        z, _ = path.point(1.0)
+        z = collision_z((1.0, 2.0, 3.0), 1.0)
         assert np.allclose(z, (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("z", [(1.0, 2.0, 3.0), (0.1, 0.7, 2.5, 9.0),
+                                   (1.0, 2.0, 4.0, 8.0, 16.0), (1e-3, 1.0 + 1e-12)])
+    def test_collision_ends_exactly_at_base_z(self, z):
+        # leg A ends at t = 1, and every later leg starts from the base z
+        assert collision_z(z, 1.0) == z
+
     def test_collision_ordered_on_grid(self):
-        path = collision_path(4, (1.0, 2.0, 3.0, 4.0), t_start=1e3, t_end=1e-3)
-        for t in path.grid():
-            z, _ = path.point(t)
+        for t in np.geomspace(1e3, 1e-3, 48):
+            z = collision_z((1.0, 2.0, 3.0, 4.0), t)
             assert all(a < b for a, b in zip(z, z[1:]))
 
     def test_collision_separates_at_large_t(self):
-        path = collision_path(2, (1.0, 2.0))
-        z, _ = path.point(100.0)
+        z = collision_z((1.0, 2.0), 100.0)
         assert z[1] / z[0] > 100
 
     def test_collision_collapses_at_small_t(self):
-        path = collision_path(2, (1.0, 2.0), t_start=1.0, t_end=1e-3)
-        z, _ = path.point(1e-3)
+        z = collision_z((1.0, 2.0), 1e-3)
         assert max(z) < 1e-2
-
-    def test_unit_variant_drops_base(self):
-        path = PathSpec("collision", (1.0, 2.0), (), 1e3, 1.0, variant="unit")
-        z, _ = path.point(1.0)
-        assert np.allclose(z, (1.0, 2.0))
 
     def test_rejects_unordered_base(self):
         with pytest.raises(SetupError):
-            collision_path(2, (2.0, 1.0))
+            FlowContext(2, 2, (1, 1), z=(2.0, 1.0))
 
     def test_rejects_nonpositive_base(self):
         with pytest.raises(SetupError):
-            collision_path(2, (0.0, 1.0))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(SetupError):
-            PathSpec("spiral", (1.0,), (1.0,), 1.0, 0.1)
+            FlowContext(2, 2, (1, 1), z=(0.0, 1.0))
 
     def test_straight_schedule(self):
-        path = PathSpec("straight-to-zero", (1.0, 2.0), (3.0,), 1.0, 1e-3)
-        z, q = path.point(0.5)
-        assert z == (0.5, 1.0)
-        assert q == (3.0,)
+        # the straight leg B runs leg A's family at z scaled by t, q fixed
+        straight = FlowContext(1, 2, (1, 1), z=(1.0, 2.0), q=(3.0,)).legs(straight_b=True)[1]
+        at_half = FlowContext(1, 2, (1, 1), z=(0.5, 1.0), q=(3.0,)).legs()[0]
+        assert straight.family(0.5) == at_half.family(1.0)
 
 
 class TestCoalescence:
@@ -267,7 +250,7 @@ class TestCoalescence:
         # intra distance 1e-7 and inter distance 1e-5 violate safety 1e3
         records = [[0.0], [1e-7], [1e-5]]
         with pytest.raises(ClusteringError):
-            coalescence_classes(records, tol=1e-6, safety=1e3)
+            coalescence_classes(records, tol=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pairwise_loop(self, seed):
@@ -306,9 +289,8 @@ class TestTransport:
         # diagonal family: monomials are the joint eigenframe
         ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))],
                [(1.0, (weight_op, 1, 2))]]
-        path = PathSpec("straight-to-zero", (1.0, 1.0), (1.0, 2.0), 1.0, 0.5, steps=8)
         frame, diag = transport(cache.split(np.eye(len(basis))), cache, lambda t: ops,
-                                path.grid(), np.random.default_rng(0))
+                                np.geomspace(1.0, 0.5, 8), np.random.default_rng(0))
         frame = cache.full(frame)
         # constant commuting family: the eigenframe cannot move
         off = frame.T @ frame - np.eye(len(basis))
@@ -562,19 +544,18 @@ class TestFlowBlock:
             symbols = {rsk(result.branches[i].label)[1] for i in cls}
             assert len(symbols) == 1
 
-    def test_path_variants_agree(self):
-        res_a = flow_block(2, 3, (1, 1, 1), path_variant="through-point")
-        res_b = flow_block(2, 3, (1, 1, 1), path_variant="unit")
+    def test_base_points_agree(self):
+        res_a = flow_block(2, 3, (1, 1, 1))
+        res_b = flow_block(2, 3, (1, 1, 1), z=(1.0, 2.0, 4.0))
         for ba, bb in zip(res_a.branches, res_b.branches):
             assert ba.label == bb.label
             assert ba.s_tableau == bb.s_tableau
             assert ba.t_tableau == bb.t_tableau
 
-    @pytest.mark.parametrize("b_path", [None, gamma_path])
-    def test_later_legs_start_at_leg_a_end(self, b_path):
-        # on the unit variant leg A ends at z = (1, 2, 4), not at the base z
-        ctx = FlowContext(2, 3, (1, 1, 1))
-        legs = {leg.name: leg for leg in ctx.legs("unit", b_path)}
+    @pytest.mark.parametrize("straight_b", [False, True])
+    def test_later_legs_start_at_leg_a_end(self, straight_b):
+        ctx = FlowContext(2, 3, (1, 1, 1), z=(1.0, 2.0, 4.0))
+        legs = {leg.name: leg for leg in ctx.legs(straight_b)}
         def combine(terms):
             return ctx.cache.full(ctx.cache.combine(terms))
 
