@@ -173,9 +173,10 @@ def restrict(tableau, i):
 
 
 class NatMatrix:
-    """An r-by-n matrix with non-negative integer entries."""
+    """An r-by-n matrix with non-negative integer entries. Its hash is
+    computed on first use and kept."""
 
-    __slots__ = ("entries", "r", "n")
+    __slots__ = ("entries", "r", "n", "_hash")
 
     def __init__(self, entries, r=None, n=None):
         entries = tuple(tuple(int(x) for x in row) for row in entries)
@@ -219,7 +220,11 @@ class NatMatrix:
         )
 
     def __hash__(self):
-        return hash(("NatMatrix", self.r, self.n, self.entries))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(("NatMatrix", self.r, self.n, self.entries))
+            return self._hash
 
     def __repr__(self):
         return f"NatMatrix({[list(row) for row in self.entries]})"

@@ -15,8 +15,10 @@ exact builders sum the terms in rationals, the spectral flow in floats.
 On a block of monomials, a `MonomialBlock` numbers the monomials and
 tabulates each generator as a map from a monomial's number to its image's
 number and an integer count. A table entry is filled, through
-`Operator.apply_monomial`, the first time a word reaches that monomial, so
-intermediate images may leave the block. Matrices, commutators,
+`Operator.apply_monomial` of the block's one operator for that generator,
+the first time a word reaches that monomial, so intermediate images may
+leave the block. `apply_monomial` follows each word in integer counts and
+multiplies by the word's Fraction only at the images it reaches. Matrices, commutators,
 adjointness and eigenprojectors follow the words through these tables with
 integer coefficients over the common denominator of the operator's
 rationals, so every check is exact and free of floating point.
@@ -39,34 +41,40 @@ from .combinatorics import NatMatrix, Partition
 
 
 def _shift(matrix, moves):
-    """Add the (row, col, delta) moves; return None if an entry goes negative."""
-    rows = [list(row) for row in matrix.entries]
+    """Add the (row, col, delta) moves; return None if an entry goes negative.
+    Only the rows that change are rebuilt."""
+    rows = list(matrix.entries)
+    changed = {}
     for i, a, d in moves:
-        rows[i][a] += d
-        if rows[i][a] < 0:
+        row = changed.get(i)
+        if row is None:
+            row = changed[i] = list(rows[i])
+        row[a] += d
+        if row[a] < 0:
             return None
-    return NatMatrix._unchecked(tuple(map(tuple, rows)), matrix.r, matrix.n)
+    for i, row in changed.items():
+        rows[i] = tuple(row)
+    return NatMatrix._unchecked(tuple(rows), matrix.r, matrix.n)
 
 
 def _apply_generator(gen, matrix):
-    """One box move on a monomial: returns (coefficient, new matrix) or None."""
+    """One box move on a monomial: returns (count, new matrix), or None
+    where the move kills the monomial (count 0)."""
     kind, i, j, a = gen
     if kind == "E":  # gl_r: row j -> row i inside column a
         count = matrix[j - 1, a - 1]
-        if i == j:
-            return count, matrix
         if count == 0:
             return None
-        moved = _shift(matrix, [(i - 1, a - 1, +1), (j - 1, a - 1, -1)])
-        return count, moved
+        if i == j:
+            return count, matrix
+        return count, _shift(matrix, [(i - 1, a - 1, +1), (j - 1, a - 1, -1)])
     # kind == "D", gl_n: column j -> column i inside row a
     count = matrix[a - 1, j - 1]
-    if i == j:
-        return count, matrix
     if count == 0:
         return None
-    moved = _shift(matrix, [(a - 1, i - 1, +1), (a - 1, j - 1, -1)])
-    return count, moved
+    if i == j:
+        return count, matrix
+    return count, _shift(matrix, [(a - 1, i - 1, +1), (a - 1, j - 1, -1)])
 
 
 class Operator:
@@ -125,28 +133,27 @@ class Operator:
         return self * other - other * self
 
     def apply_monomial(self, matrix):
-        """Image of the monomial x^matrix as {matrix: Fraction}."""
+        """Image of the monomial x^matrix as {matrix: Fraction}.
+
+        Each word is followed in integer counts; its Fraction multiplies
+        each image it reaches once, and images whose terms cancel are left
+        out."""
         out = {}
         for factors, coeff in self.terms.items():
-            current = {matrix: coeff}
+            current = {matrix: 1}
             for gen in reversed(factors):
                 step = {}
                 for m, c in current.items():
                     hit = _apply_generator(gen, m)
-                    if hit is None:
-                        continue
-                    count, moved = hit
-                    step[moved] = step.get(moved, 0) + c * count
+                    if hit is not None:
+                        count, moved = hit
+                        step[moved] = step.get(moved, 0) + c * count
                 current = step
                 if not current:
                     break
             for m, c in current.items():
-                new = out.get(m, 0) + c
-                if new:
-                    out[m] = new
-                else:
-                    out.pop(m, None)
-        return out
+                out[m] = out.get(m, 0) + coeff * c
+        return {m: c for m, c in out.items() if c}
 
     def is_zero_on(self, basis):
         block = _as_block(basis)
@@ -389,7 +396,8 @@ class MonomialBlock(Sequence):
     that some word reaches gets the next free number. The table of a
     generator maps a monomial number to (image number, count), or to None
     where the generator kills the monomial. An entry is filled through
-    `Operator.apply_monomial` the first time a word reaches its monomial,
+    `Operator.apply_monomial` of the generator's single-term operator,
+    kept in `generators`, the first time a word reaches its monomial,
     so the tables grow only with the monomials actually reached, and they
     live as long as the block: every check given this block (as
     `weight_basis` returns it) shares them, while a check given a list of
@@ -403,6 +411,8 @@ class MonomialBlock(Sequence):
         self.monomials = list(self.basis)
         self.numbers = {m: i for i, m in enumerate(self.basis)}
         self.tables = {}
+        # the single-generator operator that fills each table
+        self.generators = {}
 
     def __len__(self):
         return self.dim
@@ -421,7 +431,7 @@ class MonomialBlock(Sequence):
     __hash__ = None
 
     def _fill(self, gen, i):
-        image = Operator({(gen,): 1}).apply_monomial(self.monomials[i])
+        image = self.generators[gen].apply_monomial(self.monomials[i])
         hit = None
         if image:
             (m, count), = image.items()  # one box move has one image
@@ -463,7 +473,9 @@ class _Action:
                       for factors, c in op.terms.items()]
         for word, _ in self.words:
             for gen in word:
-                block.tables.setdefault(gen, {})
+                if gen not in block.tables:
+                    block.tables[gen] = {}
+                    block.generators[gen] = Operator({(gen,): 1})
         self._columns = {}
 
     def column(self, i):

@@ -35,14 +35,27 @@ that selects the paths is the base point z:
 The cell flows run legs A and B, with B scaling z straight to zero, or
 legs A and D.
 
+Each leg weights its family's operators by one draw of coefficients
+(`start_coeffs`), redrawn until the combined operator at the leg's start
+has a simple spectrum. No start family depends on a frame, so
+`FlowContext.run` draws for every leg it runs, in leg order, before the
+first transport: a degenerate start of any leg ends the run before any
+leg is transported.
+
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
 block-diagonal by gl_r weight (the row sums of the monomials). The
 `BlockCache` keeps each part as one flat buffer of its weight blocks,
 viewed as stacks by block size; sums run over the buffers, and
 eigensolves, frame matching and Rayleigh records block by block, one
-batched eigh call per block size and grid point. There is
-still one flow, one coefficient draw and one cache per graded block.
+batched eigh call per block size d > 1 and grid point. A 1 x 1 weight
+block is not solved: its frame stays +-1 and its value is its entry,
+which is what LAPACK returns. `_match` pairs each old column with the
+new column of largest overlap; where every such overlap exceeds
+MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique optimal
+assignment, and any other block falls back to `linear_sum_assignment`.
+There is still one flow, one coefficient draw per leg and one cache per
+graded block.
 """
 
 from __future__ import annotations
@@ -102,6 +115,7 @@ T_MAX = 1e3  # leg A starts at this collision parameter
 T_MIN = 1e-3  # leg B ends at this z scale
 S_MIN = 1e-3  # legs C, D and E end at this scale
 MATCH_THRESHOLD = 0.9  # a step with a lower overlap is bisected
+MATCH_UNIQUE = 0.8  # largest overlap of a column above which argmax matching is used
 HARD_FLOOR = 0.5  # a step with a lower overlap fails the leg
 SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
@@ -303,17 +317,44 @@ def _draw_coeffs(rng, count):
     return np.array([1 + rng.integers(0, 1000) / 1000 for _ in range(count)])
 
 
+def start_coeffs(cache, ops, rng, leg=""):
+    """A draw of coefficients for the family ops, a leg's start family,
+    whose combined operator (`BlockCache.normalised_sum`) has every gap of
+    its whole spectrum above START_GAP_MIN. Draws again up to MAX_REDRAWS
+    times, then raises ContinuationError."""
+    for _ in range(MAX_REDRAWS):
+        coeffs = _draw_coeffs(rng, len(ops))
+        gaps = _gaps([_eigvals(stack) for stack in cache.normalised_sum(ops, coeffs)])
+        if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
+            return coeffs
+    raise ContinuationError(f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws")
+
+
+def _eigvals(stack):
+    """Eigenvalues of a batch (k, d, d); a 1 x 1 block's is its entry, as
+    LAPACK returns it, with no solve."""
+    if stack.shape[-1] == 1:
+        return stack[:, 0]
+    return np.linalg.eigvalsh(stack)
+
+
 def _match(new_vecs, old_vecs, new_vals):
     """Reorder and sign-align the eigenvector columns of every block of a
     batch, stacks (k, d, d), to the old frame, block by block.
+
+    Each old column takes the new column of largest overlap. Both frames
+    are orthonormal, so where every column's largest overlap exceeds
+    1/sqrt(2) this is a permutation, and the unique one of largest summed
+    overlap; a block where some column's largest overlap is at most
+    MATCH_UNIQUE is matched by `linear_sum_assignment` instead.
 
     Returns (vectors, eigenvalues in the new column order, min overlap).
     """
     overlaps = np.abs(np.swapaxes(new_vecs, 1, 2) @ old_vecs)
     k, d = overlaps.shape[:2]
-    order = np.empty((k, d), dtype=int)
-    for blk, block in enumerate(overlaps):
-        rows, cols = linear_sum_assignment(-block)
+    order = overlaps.argmax(axis=1)
+    for blk in np.flatnonzero(overlaps.max(axis=1).min(axis=1) <= MATCH_UNIQUE):
+        rows, cols = linear_sum_assignment(-overlaps[blk])
         order[blk, cols] = rows
     blk = np.arange(k)[:, None]
     # the advanced indices come first: column c of block j is row c of matched[j]
@@ -330,35 +371,25 @@ def _gaps(values):
     return np.diff(np.sort(np.concatenate([vals.ravel() for vals in values])))
 
 
-def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
+def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     """Continue the eigenframe of a commuting family along the grid.
 
     vectors: per-batch stacks (k, d, d) of orthonormal columns
     approximating joint eigenlines at grid[0], one frame per weight block
     of the cache (`cache.split` of a dim x dim frame); column c of block j
     of a batch follows the branch at basis position idx[j, c] of that
-    batch. family(t) lists the family's operators at t as term lists; one
-    draw of coefficients weights them, each scaled to unit norm, into a
-    single operator (`BlockCache.normalised_sum`), block-diagonal on the
-    weight blocks. Each batch is diagonalised by one batched eigh call and
-    each block matched on its own; the step is accepted or bisected on the
-    smallest overlap of all blocks. Returns (vectors at grid[-1],
-    diagnostics); min_gap in the diagnostics is the smallest gap of the
-    operator's whole spectrum over grid[0] and every accepted step.
+    batch. family(t) lists the family's operators at t as term lists; the
+    coefficients coeffs (`start_coeffs` of family(grid[0])) weight them,
+    each scaled to unit norm, into a single operator
+    (`BlockCache.normalised_sum`), block-diagonal on the weight blocks.
+    Each batch with d > 1 is diagonalised by one batched eigh call and
+    matched by `_match`; a batch of 1 x 1 blocks keeps its frame of +-1,
+    its values the blocks' entries, with no solve. The step is accepted or
+    bisected on the smallest overlap of all blocks. Returns (vectors at
+    grid[-1], diagnostics); min_gap in the diagnostics is the smallest gap
+    of the operator's whole spectrum over grid[0] and every accepted step.
     """
     grid = np.asarray(grid, dtype=float)
-    ops0 = family(grid[0])
-    for _ in range(MAX_REDRAWS):
-        coeffs = _draw_coeffs(rng, len(ops0))
-        gaps = _gaps([np.linalg.eigvalsh(stack)
-                      for stack in cache.normalised_sum(ops0, coeffs)])
-        if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
-            break
-    else:
-        raise ContinuationError(
-            f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws"
-        )
-
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
             "min_gap": math.inf}
 
@@ -366,6 +397,12 @@ def transport(vectors, cache, family, grid, rng, trace=None, leg=""):
         """Eigenframe at t matched to frame: (vectors, values, min overlap)."""
         matched, values, overlap = [], [], 1.0
         for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
+            if stack.shape[-1] == 1:
+                # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
+                # aligns back to the frame's +-1 at overlap 1
+                matched.append(old)
+                values.append(stack[:, 0])
+                continue
             vals, vecs = np.linalg.eigh(stack)
             vecs, vals, low = _match(vecs, old, vals)
             matched.append(vecs)
@@ -641,6 +678,10 @@ class FlowContext:
         """Run the named legs of the table (`legs(straight_b)`) in order;
         returns a FlowResult.
 
+        Each leg's coefficients are drawn (`start_coeffs`) before any leg
+        runs, in leg order, so a degenerate start spectrum of any leg ends
+        the run before the first transport.
+
         Frames are kept as weight-block stacks (`BlockCache.split`). A leg
         with limit operators stores its Rayleigh records, weights appended,
         in each branch's eigenvalues; the records of leg classes_from are
@@ -654,17 +695,25 @@ class FlowContext:
         # checks that the monomials are the start eigenlines
         labels = list(self.basis)
         branches = [EigenBranch(label) for label in labels]
+        legs = [leg for leg in self.legs(straight_b) if leg.name in names]
+
+        def family(leg):
+            return lambda t: leg.family(t) + weight_terms
+
+        coeffs = {}
+        if cache.dim > 1:
+            for leg in legs:
+                coeffs[leg.name] = start_coeffs(cache, family(leg)(leg.grid[0]), self.rng,
+                                                leg.name)
         frames, classes, diags = {}, None, []
-        for leg in self.legs(straight_b):
-            if leg.name not in names:
-                continue
+        for leg in legs:
             frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
                 diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
                         "min_gap": math.inf}
             else:
-                frame, diag = transport(frame, cache, lambda t: leg.family(t) + weight_terms,
-                                        leg.grid, self.rng, trace=trace, leg=leg.name)
+                frame, diag = transport(frame, cache, family(leg), leg.grid, coeffs[leg.name],
+                                        trace=trace, leg=leg.name)
             frames[leg.name] = frame
             diags.append(diag)
             if leg.limit is not None:

@@ -300,6 +300,81 @@ def _word_by_word_columns(op, basis):
             for src, m in enumerate(basis)}
 
 
+def _fraction_walk(op, matrix):
+    """Operator.apply_monomial as a walk in Fractions: every image carries
+    its coefficient through each generator, and sums that cancel are
+    removed as they occur."""
+    out = {}
+    for factors, coeff in op.terms.items():
+        current = {matrix: coeff}
+        for kind, i, j, a in reversed(factors):
+            step = {}
+            for m, c in current.items():
+                rows = m.to_lists()
+                # gl_r: row j -> row i in column a; gl_n: column j -> column i in row a
+                src, dst = ((j - 1, a - 1), (i - 1, a - 1)) if kind == "E" else (
+                    (a - 1, j - 1), (a - 1, i - 1))
+                count = rows[src[0]][src[1]]
+                if count == 0:
+                    continue
+                rows[src[0]][src[1]] -= 1
+                rows[dst[0]][dst[1]] += 1
+                moved = NatMatrix(rows, m.r, m.n)
+                step[moved] = step.get(moved, 0) + c * count
+            current = step
+            if not current:
+                break
+        for m, c in current.items():
+            new = out.get(m, 0) + c
+            if new:
+                out[m] = new
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _random_generator(rng, r, n):
+    i, j = rng.randint(1, r), rng.randint(1, r)
+    a, b = rng.randint(1, n), rng.randint(1, n)
+    return rng.choice([("E", i, j, a), ("D", a, b, i)])
+
+
+class TestApplyMonomial:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fraction_walk(self, seed):
+        # seeded words of up to four generators with rational coefficients,
+        # some beyond int64, on seeded monomials
+        rng = random.Random(seed)
+        for _ in range(20):
+            r, n = rng.randint(1, 3), rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                word = tuple(_random_generator(rng, r, n) for _ in range(rng.randint(0, 4)))
+                big = rng.choice([1, 2**70, 3**50])
+                terms[word] = Fraction(rng.randint(-9, 9) * big, rng.randint(1, 6) * big // 3 + 1)
+            op = Operator(terms)
+            m = NatMatrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(r)])
+            image = op.apply_monomial(m)
+            assert image == _fraction_walk(op, m)
+            assert all(isinstance(c, Fraction) and c for c in image.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cancelling_terms_leave_no_entry(self, seed):
+        # moves in different columns commute: the two orders of a pair of
+        # moves, with opposite coefficients, give images that cancel
+        rng = random.Random(seed)
+        m = NatMatrix([[2, 1, 3], [1, 2, 0]])
+        huge = Fraction(2**80 + 1, 3**41)
+        for _ in range(10):
+            x, y = ("E", 1, 2, 1), ("E", 2, 1, rng.randint(2, 3))
+            extra = _random_generator(rng, 2, 3)
+            op = Operator({(x, y): huge, (y, x): -huge, (extra,): Fraction(5, 7)})
+            image = op.apply_monomial(m)
+            assert image == _fraction_walk(op, m)
+            assert Operator({(x, y): huge, (y, x): -huge}).apply_monomial(m) == {}
+            assert all(image.values())
+
+
 class TestSharedTables:
     def test_repeated_check_fills_nothing(self, monkeypatch):
         calls = []

@@ -48,6 +48,7 @@ from gaudinrsk.spectralflow import (
     collision_z,
     flow_block,
     snap_to_monomials,
+    start_coeffs,
     transport,
     verify_main_theorem,
 )
@@ -157,6 +158,23 @@ def _full_transport(vectors, cache, family, grid, rng):
                 stack.append(math.sqrt(t_prev * stack[-1]))
                 diag["bisections"] += 1
     return current, diag
+
+
+def _lsa_match(new_vecs, old_vecs, new_vals):
+    """_match as one linear_sum_assignment per block, whatever the overlaps."""
+    overlaps = np.abs(np.swapaxes(new_vecs, 1, 2) @ old_vecs)
+    k, d = overlaps.shape[:2]
+    order = np.empty((k, d), dtype=int)
+    for blk, block in enumerate(overlaps):
+        rows, cols = linear_sum_assignment(-block)
+        order[blk, cols] = rows
+    blk = np.arange(k)[:, None]
+    matched = new_vecs[blk, :, order]
+    signs = np.sign(np.einsum("kcj,kjc->kc", matched, old_vecs))
+    signs[signs == 0] = 1.0
+    matched *= signs[:, :, None]
+    min_overlap = overlaps[blk, order, np.arange(d)].min()
+    return np.swapaxes(matched, 1, 2), new_vals[blk, order], min_overlap
 
 
 def _pairwise_classes(records, tol=1e-6, safety=1e3):
@@ -282,6 +300,85 @@ class TestCoalescence:
         assert str(got.value) == str(expected.value)
 
 
+class TestMatch:
+    @staticmethod
+    def _frames(rng, k, d):
+        """k seeded orthonormal d x d frames."""
+        return np.linalg.qr(rng.standard_normal((k, d, d)))[0]
+
+    @staticmethod
+    def _rotate_pairs(frames, angles):
+        """Rotate columns (0, 1), (2, 3), ... of every frame by the angles,
+        one per block."""
+        out = frames.copy()
+        for c in range(0, frames.shape[2] - 1, 2):
+            cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+            a, b = frames[:, :, c], frames[:, :, c + 1]
+            out[:, :, c], out[:, :, c + 1] = cos * a - sin * b, sin * a + cos * b
+        return out
+
+    def _check(self, monkeypatch, new, old, fallbacks):
+        """_match against the per-block assignment loop; counts the blocks
+        that fall back to linear_sum_assignment."""
+        calls = []
+
+        def counting(cost):
+            calls.append(cost)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(spectralflow, "linear_sum_assignment", counting)
+        vals = np.random.default_rng(7).standard_normal(new.shape[:2])
+        got = spectralflow._match(new, old, vals)
+        monkeypatch.undo()
+        expected = _lsa_match(new, old, vals)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
+        assert len(calls) == fallbacks
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_rotations(self, monkeypatch, seed):
+        # the rotated frames of a step: every column's best overlap is
+        # near 1, so no block needs an assignment
+        rng = np.random.default_rng(seed)
+        old = self._frames(rng, 5, 6)
+        step = np.linalg.qr(np.eye(6) + 0.05 * rng.standard_normal((5, 6, 6)))[0]
+        new = old @ step
+        self._check(monkeypatch, new, old, fallbacks=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rotations_near_45_degrees(self, monkeypatch, seed):
+        # columns rotated in pairs by 42-48 degrees overlap about 0.7, at
+        # most 0.8, in blocks 0 and 2; blocks 1 and 3 turn by 10 degrees
+        rng = np.random.default_rng(seed)
+        old = self._frames(rng, 4, 4)
+        angles = np.radians([rng.uniform(42, 48), 10.0, rng.uniform(42, 48), 10.0])
+        self._check(monkeypatch, self._rotate_pairs(old, angles), old, fallbacks=2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unrelated_frames(self, monkeypatch, seed):
+        # independent random frames: best overlaps far below 0.8, and the
+        # column-wise argmax is no permutation, in every block
+        rng = np.random.default_rng(seed)
+        new, old = self._frames(rng, 6, 5), self._frames(rng, 6, 5)
+        overlaps = np.abs(np.swapaxes(new, 1, 2) @ old)
+        assert any(len(set(best)) < 5 for best in overlaps.argmax(axis=1))
+        self._check(monkeypatch, new, old, fallbacks=6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_and_sign_flipped_columns(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        old = self._frames(rng, 3, 5)
+        new = np.stack([frame[:, rng.permutation(5)] * rng.choice([-1.0, 1.0], 5)
+                        for frame in old])
+        self._check(monkeypatch, new, old, fallbacks=0)
+
+    def test_one_dimensional_blocks(self, monkeypatch):
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        self._check(monkeypatch, signs[:, None, None], signs[::-1, None, None],
+                    fallbacks=0)
+
+
 class TestTransport:
     def test_constant_family_is_identity(self):
         basis = weight_basis(2, 2, (1, 1))
@@ -289,8 +386,9 @@ class TestTransport:
         # diagonal family: monomials are the joint eigenframe
         ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))],
                [(1.0, (weight_op, 1, 2))]]
+        coeffs = start_coeffs(cache, ops, np.random.default_rng(0))
         frame, diag = transport(cache.split(np.eye(len(basis))), cache, lambda t: ops,
-                                np.geomspace(1.0, 0.5, 8), np.random.default_rng(0))
+                                np.geomspace(1.0, 0.5, 8), coeffs)
         frame = cache.full(frame)
         # constant commuting family: the eigenframe cannot move
         off = frame.T @ frame - np.eye(len(basis))
@@ -332,8 +430,9 @@ class TestTransport:
                 return leg.family(t) + weight_terms
             whole = np.eye(cache.dim) if leg.start is None else wholes[leg.start]
             frame = cache.split(whole) if leg.start is None else blocks[leg.start]
-            frame, diag = transport(frame, cache, family, leg.grid,
-                                    np.random.default_rng(3), leg=leg.name)
+            coeffs = start_coeffs(cache, family(leg.grid[0]), np.random.default_rng(3),
+                                  leg.name)
+            frame, diag = transport(frame, cache, family, leg.grid, coeffs, leg=leg.name)
             whole, whole_diag = _full_transport(whole, cache, family, leg.grid,
                                                 np.random.default_rng(3))
             blocks[leg.name], wholes[leg.name] = frame, whole
@@ -565,6 +664,22 @@ class TestFlowBlock:
         # at s = 1 the first r operators of leg D are the nabla_i of leg A
         for mat_a, terms_d in zip(a_end[:2], legs["D"].family(1.0)[:2]):
             assert np.max(np.abs(mat_a - combine(terms_d))) < 1e-12
+
+    def test_degenerate_start_ends_before_any_transport(self, monkeypatch):
+        # leg C's start spectrum on (3,3,(2,2,2)) is degenerate on every
+        # draw; every start is checked before legs A and B run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("leg"))
+            return transport(*args, **kwargs)
+
+        monkeypatch.setattr(spectralflow, "transport", counting)
+        with pytest.raises(ContinuationError) as err:
+            flow_block(3, 3, (2, 2, 2))
+        assert str(err.value) == f"C: degenerate combined spectrum after {MAX_REDRAWS} redraws"
+        assert MAX_REDRAWS == 8
+        assert calls == []
 
     def test_trace_records_all_legs(self):
         trace = []
