@@ -30,7 +30,7 @@ def main():
     )
     print(f"\nall branches agree with row insertion: {agree}")
     print("coalescence classes at z -> 0 (indices share a recording tableau):")
-    for cls in result.classes:
+    for cls in result.classes["B"]:
         print(f"  {cls}")
 
 

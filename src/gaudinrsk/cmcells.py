@@ -155,32 +155,32 @@ def _label_to_permutation(label):
     return Permutation(one_line)
 
 
-def _cells(n, z, q, opts, side):
-    """Partition S_n by coalescence of the S_n block's limit records: after
-    leg B on the straight schedule, z shrinking to zero with q fixed (right
-    cells), or after leg D (left)."""
+def _cells(n, z, q, opts, sides):
+    """Partition S_n by coalescence of the S_n block's limit records, once
+    per side: after leg B on the straight schedule, z shrinking to zero
+    with q fixed (right cells), and after leg D (left). One flow runs leg A
+    once and every leg the sides need."""
+    legs = {"right": "B", "left": "D"}
+    names = "".join(legs[side] for side in sides)
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
-    if side == "right":
-        result = ctx.run("AB", "B", straight_b=True)
-    else:
-        result = ctx.run("AD", "D")
+    result = ctx.run("A" + names, names, straight_b=True)
     labels = [_label_to_permutation(branch.label) for branch in result.branches]
-    blocks = [[labels[i] for i in cls] for cls in result.classes]
-    return CellPartition(n, side, blocks)
+    return [CellPartition(n, side, [[labels[i] for i in cls]
+                                    for cls in result.classes[legs[side]]])
+            for side in sides]
 
 
 def right_cells(n, z=None, q=None, opts=None):
     """Cells from the z-shrinking flow; blocks share the insertion tableau."""
-    return _cells(n, z, q, opts, "right")
+    return _cells(n, z, q, opts, ("right",))[0]
 
 
 def left_cells(n, z=None, q=None, opts=None):
     """Cells from the q-shrinking flow; blocks share the recording tableau."""
-    return _cells(n, z, q, opts, "left")
+    return _cells(n, z, q, opts, ("left",))[0]
 
 
 def two_sided_cells(n, z=None, q=None, opts=None):
-    """Join of the left and right cell partitions."""
-    right = right_cells(n, z, q, opts)
-    left = left_cells(n, z, q, opts)
+    """Join of the left and right cell partitions, from one flow."""
+    right, left = _cells(n, z, q, opts, ("right", "left"))
     return right.join(left, kind="two-sided")

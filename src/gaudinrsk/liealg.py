@@ -12,25 +12,32 @@ part is a hashable key such as (kappa, i, j, n), naming the constant
 operator kappa(i, j, n); symmetric parts are keyed by the ordered pair. The
 exact builders sum the terms in rationals, the spectral flow in floats.
 
-On a block of monomials, a `MonomialBlock` numbers the monomials and
-tabulates each generator as a map from a monomial's number to its image's
-number and an integer count. A table entry is filled, through
-`Operator.apply_monomial` of the block's one operator for that generator,
-the first time a word reaches that monomial, so intermediate images may
-leave the block. `apply_monomial` follows each word in integer counts and
-multiplies by the word's Fraction only at the images it reaches. Matrices, commutators,
-adjointness and eigenprojectors follow the words through these tables with
-integer coefficients over the common denominator of the operator's
-rationals, so every check is exact and free of floating point.
+The float matrices of the spectral flow come from `dense`, which walks
+each word over the block's entry array (`MonomialBlock.walk`): every basis
+monomial at once, in integer counts, each image found by an exact integer
+key, with no generator table and no Fraction.
+
+The exact checks (exact matrices, commutators, adjointness and
+eigenprojectors) follow the words through generator tables instead. A
+`MonomialBlock` numbers the monomials and tabulates each generator as a
+map from a monomial's number to its image's number and an integer count.
+A table entry is filled, through `Operator.apply_monomial` of the block's
+one operator for that generator, the first time a word reaches that
+monomial, so intermediate images may leave the block. `apply_monomial`
+follows each word in integer counts and multiplies by the word's Fraction
+only at the images it reaches. The checks keep integer coefficients over
+the common denominator of the operator's rationals, so every check is
+exact and free of floating point.
 
 `weight_basis` returns its basis as a `MonomialBlock`, a read-only sequence
-of the monomials, and the tables live as long as that object: every check
-given the same block shares them and fills each entry once. A plain list
-of monomials gets a fresh block, with empty tables, on every call.
+of the monomials, and its tables and entry array live as long as that
+object: every check given the same block shares them and fills each entry
+once. A plain list of monomials gets a fresh block on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -385,23 +392,26 @@ def sqnorm(matrix):
 
 
 class MonomialBlock(Sequence):
-    """A monomial basis with the box-move generators tabulated on it.
+    """A monomial basis with its entry array and its generator tables.
 
     The block is a read-only sequence of its basis monomials: len, indexing
     and iteration act on the basis, a slice is a list, and the block equals
     any sequence of the same monomials in the same order. Its tables change
     as checks run, so it is not hashable.
 
-    Monomials are numbered in basis order; a monomial outside the basis
-    that some word reaches gets the next free number. The table of a
-    generator maps a monomial number to (image number, count), or to None
-    where the generator kills the monomial. An entry is filled through
-    `Operator.apply_monomial` of the generator's single-term operator,
-    kept in `generators`, the first time a word reaches its monomial,
-    so the tables grow only with the monomials actually reached, and they
-    live as long as the block: every check given this block (as
-    `weight_basis` returns it) shares them, while a check given a list of
-    monomials builds a fresh block for that call alone.
+    `entry_array` holds the basis as one int64 array, built on first use;
+    `walk`, and through it `dense`, reads only that array.
+
+    The tables serve the exact checks. Monomials are numbered in basis
+    order; a monomial outside the basis that some word reaches gets the
+    next free number. The table of a generator maps a monomial number to
+    (image number, count), or to None where the generator kills the
+    monomial. An entry is filled through `Operator.apply_monomial` of the
+    generator's single-term operator, kept in `generators`, the first time
+    a word reaches its monomial, so the tables grow only with the monomials
+    actually reached, and they live as long as the block: every check given
+    this block (as `weight_basis` returns it) shares them, while a check
+    given a list of monomials builds a fresh block for that call alone.
     """
 
     def __init__(self, basis):
@@ -459,6 +469,118 @@ class MonomialBlock(Sequence):
                     )
         return action.den, cols
 
+    @functools.cached_property
+    def entry_array(self):
+        """The basis as an int64 array (dim, r*n): row k holds the entries
+        of basis[k], cell (i, a) at column i * n + a (0-based)."""
+        if not self.dim:
+            return np.zeros((0, 0), dtype=np.int64)
+        return np.array([[x for row in m.entries for x in row] for m in self.basis],
+                        dtype=np.int64).reshape(self.dim, -1)
+
+    @functools.cached_property
+    def _radix(self):
+        """The exact key of a monomial whose every entry is below the
+        basis's largest in that cell: its entries read as the digits of a
+        mixed-radix number, cell 0 most significant. Returns (bases,
+        weights, basis keys, basis positions in key order, sorted keys);
+        the keys are int64 while the largest fits, Python ints beyond."""
+        bases = self.entry_array.max(axis=0, initial=0) + 1
+        dtype = np.int64 if math.prod(bases.tolist()) < 2 ** 63 else object
+        weights = np.ones(len(bases), dtype=dtype)
+        for c in range(len(bases) - 2, -1, -1):
+            weights[c] = weights[c + 1] * int(bases[c + 1])
+        keys = self.entry_array.astype(dtype) @ weights
+        order = np.argsort(keys, kind="stable")
+        return bases, weights, keys, order, keys[order]
+
+    def walk(self, op):
+        """(d, dst, src, c): the nonzero entries of d * op's matrix on the
+        basis as arrays, sorted by (src, dst), d being the common
+        denominator of op's coefficients; the same integers as `columns`.
+
+        Words of equal length are walked over every basis monomial at
+        once: a step's count is the entry of its source cell plus the
+        word's own earlier moves there, a word's coefficient is multiplied
+        by its counts, and a monomial the word does not kill moves by the
+        word's total shift, so no intermediate image is built or looked
+        up. Each image is found by its exact radix key (`_radix`). The
+        integers are int64 while they provably stay below 2^53 (so that
+        c / d rounds as Python's int division does), Python ints beyond.
+        Raises if an image outside the basis span keeps a nonzero
+        coefficient."""
+        den = math.lcm(*(c.denominator for c in op.terms.values()))
+        empty = np.zeros(0, dtype=np.int64)
+        if not self.dim or not op.terms:
+            return den, empty, empty, empty
+        r, n = self.basis[0].r, self.basis[0].n
+        entries = self.entry_array
+        boxes = int(entries.sum(axis=1).max())
+        groups = {}
+        for order, (factors, c) in enumerate(op.terms.items()):
+            groups.setdefault(len(factors), []).append(
+                (order, tuple(reversed(factors)), c.numerator * (den // c.denominator)))
+        # |d * coefficient| times a count of at most `boxes` per step bounds
+        # every product and every sum of products
+        bound = sum(abs(c) * boxes ** len(word) for terms in groups.values()
+                    for _, word, c in terms)
+        dtype = np.int64 if max(bound, den) < 2 ** 53 else object
+        bases, weights, basis_keys, positions, keys = self._radix
+        inside, outside = [], []
+        for length, terms in groups.items():
+            sources, offsets, shifts, raised, rises = _walk_arrays(
+                [word for _, word, _ in terms], r, n)
+            coeffs = np.array([c for _, _, c in terms], dtype=dtype)
+            shift_keys = shifts.astype(keys.dtype) @ weights
+            chunk = max(1, WALK_CHUNK // (self.dim * max(length, 1)))
+            for lo in range(0, len(terms), chunk):
+                part = slice(lo, lo + chunk)
+                counts = entries[:, sources[part]] + offsets[part]
+                products = np.prod(counts, axis=2, dtype=dtype)
+                src, w = np.nonzero(products)
+                vals = products[src, w] * coeffs[part][w]
+                w += lo
+                # an image can leave the basis's radix only where the word raises a cell
+                boxed = np.all(entries[src[:, None], raised[w]] + rises[w] < bases[raised[w]],
+                               axis=1)
+                image = basis_keys[src] + shift_keys[w]
+                at = np.minimum(np.searchsorted(keys, image), self.dim - 1)
+                found = boxed & (keys[at] == image)
+                inside.append((positions[at[found]], src[found], vals[found]))
+                lost = ~found
+                outside.append((src[lost], w[lost], vals[lost], terms, shifts))
+        self._check_span(outside, r, n)
+        dst, src, vals = (np.concatenate(x) for x in zip(*inside))
+        if not len(vals):
+            return den, empty, empty, empty
+        # duplicate (src, dst) pairs are summed after one sort
+        pairs = src * self.dim + dst
+        order = np.argsort(pairs, kind="stable")
+        pairs, vals = pairs[order], vals[order]
+        starts = np.flatnonzero(np.r_[True, pairs[1:] != pairs[:-1]])
+        pairs, vals = pairs[starts], np.add.reduceat(vals, starts)
+        keep = vals != 0
+        pairs, vals = pairs[keep], vals[keep]
+        return den, pairs % self.dim, pairs // self.dim, vals
+
+    def _check_span(self, outside, r, n):
+        """Raise for the first image outside the basis span whose summed
+        coefficient is nonzero, in the order `columns` reports it: the
+        lowest source, then the image its first word reaches first."""
+        images = {}
+        for src, w, vals, terms, shifts in outside:
+            for s, k, v in zip(src.tolist(), w.tolist(), vals.tolist()):
+                row = tuple((self.entry_array[s] + shifts[k]).tolist())
+                key = (s, row)
+                first, total = images.get(key, (terms[k][0], 0))
+                images[key] = (min(first, terms[k][0]), total + v)
+        live = [(s, first, row) for (s, row), (first, total) in images.items() if total]
+        if live:
+            s, _, row = min(live)
+            image = NatMatrix._unchecked(tuple(row[i * n:(i + 1) * n] for i in range(r)), r, n)
+            raise ValueError(f"operator image leaves the basis span at {self.basis[s]!r} "
+                             f"-> {image!r}")
+
 
 class _Action:
     """d * op on the monomials of a block, for the common denominator d of
@@ -512,6 +634,62 @@ def _as_block(basis):
     return basis if isinstance(basis, MonomialBlock) else MonomialBlock(basis)
 
 
+# entries of the (monomials, words, steps) count array in one chunk of a walk
+WALK_CHUNK = 1 << 20
+
+
+def _cells(gen, r, n):
+    """(source cell, target cell) of a box move, as flat indices i * n + a
+    into a monomial's entries."""
+    kind, i, j, a = gen
+    rows, cols = (r, n) if kind == "E" else (n, r)
+    if not (1 <= i <= rows and 1 <= j <= rows and 1 <= a <= cols):
+        raise IndexError(f"generator {gen!r} is out of range on {r} x {n} monomials")
+    if kind == "E":  # row j -> row i inside column a
+        return (j - 1) * n + a - 1, (i - 1) * n + a - 1
+    # kind == "D": column j -> column i inside row a
+    return (a - 1) * n + j - 1, (a - 1) * n + i - 1
+
+
+def _walk_arrays(words, r, n):
+    """Arrays of equal-length words, each given in order of application.
+
+    Returns the source cell of each step (W, L); the word's own earlier
+    moves into that cell minus those out of it (W, L), so a step's count
+    on a monomial is the monomial's entry there plus this offset; the
+    word's total shift of the entries (W, r*n); and the cells the shift
+    raises with their rise (W, L), padded with cell 0 and rise 0."""
+    count, length = len(words), len(words[0])
+    cells = {}
+    sources, offsets, raised, rises = [], [], [], []
+    shift_rows, shift_cells, shift_values = [], [], []
+    for w, word in enumerate(words):
+        shift = {}
+        for gen in word:
+            move = cells.get(gen)
+            if move is None:
+                move = cells[gen] = _cells(gen, r, n)
+            src, dst = move
+            sources.append(src)
+            offsets.append(shift.get(src, 0))
+            if src != dst:
+                shift[src] = shift.get(src, 0) - 1
+                shift[dst] = shift.get(dst, 0) + 1
+        up = sorted(c for c, d in shift.items() if d > 0)
+        raised.extend(up + [0] * (length - len(up)))
+        rises.extend([shift[c] for c in up] + [0] * (length - len(up)))
+        shift_rows.extend([w] * len(shift))
+        shift_cells.extend(shift)
+        shift_values.extend(shift.values())
+    shifts = np.zeros((count, r * n), dtype=np.int64)
+    shifts[shift_rows, shift_cells] = shift_values
+
+    def per_step(values):
+        return np.array(values, dtype=np.int64).reshape(count, length)
+
+    return per_step(sources), per_step(offsets), shifts, per_step(raised), per_step(rises)
+
+
 def exact_matrix(op, basis):
     """Columns of the operator in the monomial basis, as nested dicts of
     Fractions: result[src][dst]. Raises if the image leaves the span.
@@ -524,18 +702,21 @@ def exact_matrix(op, basis):
 def dense(op, basis, orthonormal=True):
     """Float matrix of the operator; the orthonormal flag rescales to the
     unit-norm monomial basis, making self-adjoint operators symmetric.
-    The basis may be a sequence of monomials or a MonomialBlock."""
+    The basis may be a sequence of monomials or a MonomialBlock.
+
+    The entries come from `MonomialBlock.walk`, so no generator table is
+    filled: entry (dst, src) is c / d, c and d the integers of the walk,
+    rounded once, times sqrt(sqnorm(dst) / sqnorm(src)) in floats when
+    orthonormal."""
     block = _as_block(basis)
-    den, cols = block.columns(op)
-    norms = [float(x) for x in block.sqnorms]
+    den, dst, src, coeffs = block.walk(op)
     mat = np.zeros((block.dim, block.dim))
-    for src, col in enumerate(cols):
-        for dst, c in col.items():
-            # int / int rounds correctly, as float(Fraction(c, den)) does
-            val = c / den
-            if orthonormal:
-                val *= math.sqrt(norms[dst] / norms[src])
-            mat[dst, src] = val
+    # int64 / int below 2^53, and Python int / int, round as Fraction -> float does
+    vals = np.asarray(coeffs / den, dtype=float)
+    if orthonormal:
+        norms = np.array([float(x) for x in block.sqnorms])
+        vals *= np.sqrt(norms[dst] / norms[src])
+    mat[dst, src] = vals
     return mat
 
 

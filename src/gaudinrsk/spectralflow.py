@@ -32,8 +32,8 @@ that selects the paths is the base point z:
   E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
      feeds the T decoder (`FlowContext.extract_T`, dual corner Casimirs).
 
-The cell flows run legs A and B, with B scaling z straight to zero, or
-legs A and D.
+The cell flows run leg A and then leg B, with B scaling z straight to
+zero, or leg D, or both B and D for two-sided cells.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`), redrawn until the combined operator at the leg's start
@@ -153,7 +153,7 @@ class EigenBranch:
 @dataclass
 class FlowResult:
     branches: list
-    classes: list
+    classes: dict  # leg name -> coalescence classes of its records
     diagnostics: dict
 
 
@@ -165,10 +165,11 @@ class BlockCache:
     maps each weight space (the monomials with fixed row sums) to itself.
     The basis is split once into these weight blocks, and blocks of equal
     size d form a batch: `batches` holds one (k, d) array of basis
-    positions per batch, in increasing d. A part is assembled once through
-    the generator tables of one MonomialBlock (`liealg.dense`): the block
-    the cache is given, as `weight_basis` returns it, or one built from a
-    list of monomials. It is kept only as one flat buffer of its weight
+    positions per batch, in increasing d. A part is assembled once by
+    `liealg.dense`, a walk of its words over the entry array of one
+    MonomialBlock, which fills no generator table: the block the cache is
+    given, as `weight_basis` returns it, or one built from a list of
+    monomials. It is kept only as one flat buffer of its weight
     blocks, batch after batch; `stacks(part)` views it as one (k, d, d)
     stack per batch. `combine` sums a liealg term list over the buffers in
     floats, one multiply-add per part. No part depends on z or q, so one
@@ -533,12 +534,13 @@ def coalescence_classes(records, tol=1e-6):
     return classes
 
 
-def _decode_chain(sizes, casimir_values):
+def _decode_chain(sizes, casimir_values, max_rows):
     """Recover a tableau from corner Casimir data.
 
     sizes[i] is the exact number of boxes after step i+1; casimir_values[i]
     approximates the quadratic Casimir of the rank-(i+1) corner. Each step
-    adds a horizontal strip filled with the letter i+1.
+    adds a horizontal strip filled with the letter i+1, and no shape has
+    more than max_rows rows.
     """
     shape = Partition([])
     rows = []
@@ -547,7 +549,7 @@ def _decode_chain(sizes, casimir_values):
         if added < 0:
             raise DecodingError(f"negative strip size at letter {step}")
         exact = {mu: casimir_eigenvalue(mu, step)
-                 for mu in pieri_shapes(shape, added, step)}
+                 for mu in pieri_shapes(shape, added, min(step, max_rows))}
         candidates = sorted(((abs(val - c2), mu) for mu, val in exact.items()),
                             key=lambda pair: (pair[0], pair[1].parts))
         if not candidates or candidates[0][0] > DECODE_TOL:
@@ -674,7 +676,7 @@ class FlowContext:
             Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
         )
 
-    def run(self, names, classes_from=None, straight_b=False, trace=None):
+    def run(self, names, classes_from="", straight_b=False, trace=None):
         """Run the named legs of the table (`legs(straight_b)`) in order;
         returns a FlowResult.
 
@@ -684,9 +686,10 @@ class FlowContext:
 
         Frames are kept as weight-block stacks (`BlockCache.split`). A leg
         with limit operators stores its Rayleigh records, weights appended,
-        in each branch's eigenvalues; the records of leg classes_from are
-        clustered as soon as they exist. A decoding leg stores its tableaux
-        on the branches.
+        in each branch's eigenvalues; the records of each leg named in
+        classes_from are clustered as soon as they exist, into the result's
+        classes under the leg's name. A decoding leg stores its tableaux on
+        the branches.
         """
         cache = self.cache
         weight_parts = [(weight_op, i, self.n) for i in range(1, self.r + 1)]
@@ -705,7 +708,7 @@ class FlowContext:
             for leg in legs:
                 coeffs[leg.name] = start_coeffs(cache, family(leg)(leg.grid[0]), self.rng,
                                                 leg.name)
-        frames, classes, diags = {}, None, []
+        frames, classes, diags = {}, {}, []
         for leg in legs:
             frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
@@ -721,8 +724,8 @@ class FlowContext:
                                          + [cache.stacks(p) for p in weight_parts])
                 for branch, rec in zip(branches, records):
                     branch.eigenvalues[leg.key] = rec.tolist()
-                if leg.name == classes_from:
-                    classes = coalescence_classes(records, self.opts.cluster_tol)
+                if leg.name in classes_from:
+                    classes[leg.name] = coalescence_classes(records, self.opts.cluster_tol)
             if leg.decode is not None:
                 for branch, tab in zip(branches, leg.decode(frame, labels)):
                     setattr(branch, leg.key, tab)
@@ -735,27 +738,29 @@ class FlowContext:
                                      for vecs, batch_ops in zip(frame, zip(*ops))])
 
     def extract_S(self, frame, labels):
-        """Decode tableau S of every branch from a leg C end frame."""
+        """Decode tableau S of every branch from a leg C end frame. By Howe
+        duality every shape on an r x n block has at most min(r, n) rows."""
         values = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
                                         for i in range(1, self.r + 1)])
         out = []
         for b, label in enumerate(labels):
             wt = label.row_sums()
             sizes = [sum(wt[:i]) for i in range(1, self.r + 1)]
-            out.append(_decode_chain(sizes, values[b]))
+            out.append(_decode_chain(sizes, values[b], min(self.r, self.n)))
         return out
 
     def extract_T(self, frame, labels):
-        """Decode the mirrored tableau T of every branch from a leg E end frame."""
+        """Decode the mirrored tableau T of every branch from a leg E end
+        frame, with shapes of at most min(r, n) rows as for S."""
         values = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
                                         for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
-        return [_decode_chain(sizes, row) for row in values]
+        return [_decode_chain(sizes, row, min(self.r, self.n)) for row in values]
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):
     """Run all legs once on one graded block; returns a FlowResult whose
-    classes come from leg B's records.
+    classes hold leg B's (`classes["B"]`).
 
     A continuation, clustering or decoding failure, or branches whose S and
     T shapes differ, raise a FlowError; the block is not run again.

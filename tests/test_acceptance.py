@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from gaudinrsk.cmcells import (
     cm_point,
@@ -169,6 +170,14 @@ class TestSpectralFlow:
         )
         assert report["agreement"], report["mismatches"] or report["failures"]
         assert report["checked"] == 6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_2x4_repeated_column_sums(self, seed):
+        # at r = 2 every shape has at most two rows; a third row would tie
+        # (3, 3) with (4, 1, 1) at the rank-3 corner
+        report = verify_main_theorem(2, 4, col_sums=(2, 1, 1, 2), opts=FlowOpts(seed=seed))
+        assert report["agreement"], report["mismatches"] or report["failures"]
+        assert report["checked"] == 36
 
 
 class TestCells:

@@ -121,6 +121,18 @@ class TestFlowCells:
     def test_two_sided_cells_n3(self):
         assert two_sided_cells(3) == kl_reference_cells(3, "two-sided")
 
+    def test_two_sided_cells_run_leg_a_once(self, monkeypatch):
+        runs = []
+        original = FlowContext.run
+
+        def recording(self, names, classes_from="", straight_b=False, trace=None):
+            runs.append((names, classes_from, straight_b))
+            return original(self, names, classes_from, straight_b, trace)
+
+        monkeypatch.setattr(FlowContext, "run", recording)
+        assert two_sided_cells(4) == kl_reference_cells(4, "two-sided")
+        assert runs == [("ABD", "BD", True)]
+
     def test_custom_parameters(self):
         cells = right_cells(2, z=(1.0, 3.0), q=(2.0, 5.0))
         assert cells == kl_reference_cells(2, "right")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,10 +29,12 @@ from gaudinrsk.liealg import (
     nested_casimir,
     omega,
     op_E,
+    part_operator,
     sqnorm,
     weight_basis,
     weight_op,
 )
+from gaudinrsk.spectralflow import FlowContext
 
 Z = (Fraction(5), Fraction(2), Fraction(1))
 Q = (Fraction(3), Fraction(1))
@@ -466,3 +469,184 @@ class TestGeneratorTables:
         assert not commute_on(perturbed, nabs[1], basis)
         assert is_self_adjoint(nabs[0], basis)
         assert not is_self_adjoint(nabs[0] + op_E(1, 2, 1) * tiny, basis)
+
+
+def _dense_oracle(op, basis, orthonormal):
+    """dense as float conversions of exact_matrix: float(Fraction) times the
+    float square root of the squared-norm ratio."""
+    norms = [float(sqnorm(m)) for m in basis]
+    mat = np.zeros((len(basis), len(basis)))
+    for src, col in exact_matrix(op, basis).items():
+        for dst, coeff in col.items():
+            val = float(coeff)
+            if orthonormal:
+                val *= math.sqrt(norms[dst] / norms[src])
+            mat[dst, src] = val
+    return mat
+
+
+def _leg_parts(ctx):
+    """Every part the leg table of a FlowContext sums, the weights, the
+    snapping diagonals and the corner Casimirs of both decoders."""
+    parts = set()
+    for straight_b in (False, True):
+        for leg in ctx.legs(straight_b):
+            for t in (leg.grid[0], leg.grid[-1]):
+                parts.update(part for terms in leg.family(t) for _, part in terms)
+    r, n = ctx.r, ctx.n
+    parts.update((weight_op, i, n) for i in range(1, r + 1))
+    parts.update((nested_casimir, i, n) for i in range(1, r + 1))
+    parts.update((dual_nested_casimir, a, r) for a in range(1, n + 1))
+    parts.update((op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1))
+    return sorted(parts, key=lambda part: (part[0].__name__,) + part[1:])
+
+
+class TestDenseWalk:
+    @pytest.mark.parametrize("r, n, k, w", [
+        (2, 4, (2, 1, 1, 2), None),
+        (3, 3, (2, 2, 2), None),
+        # the S_4 block: row sums fixed, so intermediate images leave it
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_leg_table_parts_match_exact(self, r, n, k, w):
+        ctx = FlowContext(r, n, k, w)
+        block = ctx.cache.block
+        parts = _leg_parts(ctx)
+        assert {part[0] for part in parts} >= {op_E, kappa, omega, jm, weight_op}
+        mats = {part: [dense(part_operator(part), block, orth) for orth in (True, False)]
+                for part in parts}
+        # the walk fills no generator table
+        assert block.tables == {}
+        for part, (orth, raw) in mats.items():
+            op = part_operator(part)
+            assert np.array_equal(orth, _dense_oracle(op, block, True)), part
+            assert np.array_equal(raw, _dense_oracle(op, block, False)), part
+
+    def test_apply_monomial_is_not_called(self, monkeypatch):
+        def fail(self, matrix):
+            raise AssertionError("dense applied an operator monomial by monomial")
+
+        monkeypatch.setattr(Operator, "apply_monomial", fail)
+        block = weight_basis(3, 3, (2, 1, 1))
+        for op in (nabla(1, Z, (3, 1, 2), 3), kappa(1, 3, 3), dual_nested_casimir(3, 3)):
+            assert dense(op, block).any()
+
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    def test_fraction_coefficients(self, orthonormal):
+        z = (Fraction(7, 3), Fraction(-2, 5), Fraction(1, 9))
+        q = (Fraction(3, 7), Fraction(-11, 4))
+        ops = ([nabla(i, z, q, 3) for i in (1, 2)]
+               + [gaudin_h(a, z, q, 2) for a in (1, 2, 3)]
+               + [dual_nabla(a, q, z, 2) for a in (1, 2, 3)])
+        for op in ops:
+            assert any(c.denominator > 1 for c in op.terms.values())
+            for basis in (BASIS, weight_basis(2, 3, (2, 0, 1)), list(BASIS)):
+                assert np.array_equal(dense(op, basis, orthonormal),
+                                      _dense_oracle(op, basis, orthonormal))
+
+    def test_random_operators_on_weight_blocks(self):
+        rng = random.Random(1)
+        for basis in TestGeneratorTables.BLOCKS:
+            r, n = basis[0].r, basis[0].n
+            for _ in range(5):
+                op = _random_operator(rng, r, n)
+                for orth in (True, False):
+                    assert np.array_equal(dense(op, basis, orth),
+                                          _dense_oracle(op, basis, orth))
+                # the walk's integers are the exact columns' integers
+                den, dst, src, coeffs = basis.walk(op)
+                exact_den, cols = basis.columns(op)
+                assert den == exact_den
+                assert list(zip(src.tolist(), dst.tolist(), coeffs.tolist())) == [
+                    (s, d, col[d]) for s, col in enumerate(cols) for d in sorted(col)]
+
+    def test_coefficients_beyond_2_53_take_python_ints(self):
+        tiny = Fraction(1, 10**30)
+        q = (Fraction(1), 1 + tiny, 1 + 3 * tiny)
+        basis = weight_basis(3, 2, (2, 1))
+        op = nabla(1, (Fraction(3), Fraction(1)), q, 2)
+        assert max(abs(c.numerator) for c in op.terms.values()) > 2**53
+        assert basis.walk(op)[3].dtype == object
+        small = nabla(1, (Fraction(3), Fraction(1)), (1, 2, 4), 2)
+        assert basis.walk(small)[3].dtype == np.int64
+        for orth in (True, False):
+            assert np.array_equal(dense(op, basis, orth), _dense_oracle(op, basis, orth))
+
+    def test_radix_beyond_int64(self):
+        # 66 cells of at most one box: the radix key takes Python ints
+        block = weight_basis(33, 2, (1, 1))
+        assert block._radix[2].dtype == object
+        for op in (kappa(1, 33, 2), delta_n(2, 9, 2), op_E(3, 3, 1)):
+            assert block.walk(op)[3].dtype == np.int64
+            for orth in (True, False):
+                assert np.array_equal(dense(op, block, orth), _dense_oracle(op, block, orth))
+
+    def test_leaving_the_span_raises_as_exact_matrix(self):
+        rng = random.Random(2)
+        # in the last case (1, 1) -> (0, 2), whose entry 2 is above the
+        # largest in its cell, so that its radix key, read without that
+        # bound, would be (1, 0)'s
+        cases = [(dual_op_E(1, 2, 1), BASIS),
+                 (op_E(1, 2, 1) + op_E(2, 1, 2), weight_basis(2, 3, (1, 1, 1), (2, 1))),
+                 (dual_op_E(2, 1, 1) * dual_op_E(2, 2, 1),
+                  [NatMatrix([[1, 0]]), NatMatrix([[1, 1]]), NatMatrix([[2, 0]])])]
+        for basis in TestGeneratorTables.BLOCKS:
+            r, n = basis[0].r, basis[0].n
+            for _ in range(6):
+                op = Operator({(_random_generator(rng, r, n), _random_generator(rng, r, n)):
+                               Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                               for _ in range(4)})
+                cases.append((op, basis))
+        raised = 0
+        for op, basis in cases:
+            try:
+                expected = _dense_oracle(op, basis, True)
+            except ValueError as err:
+                raised += 1
+                assert "operator image leaves the basis span" in str(err)
+                with pytest.raises(ValueError) as got:
+                    dense(op, basis)
+                assert str(got.value) == str(err)
+            else:
+                assert np.array_equal(dense(op, basis), expected)
+        assert raised >= 10
+
+    def test_cancelling_images_outside_the_span_do_not_raise(self):
+        # two boxes moved up in columns 1 and 2, in either order: the image
+        # leaves the (1, 2) weight block, and the two words cancel
+        block = weight_basis(2, 3, (1, 1, 1), row_sums=(1, 2))
+        x, y = op_E(1, 2, 1), op_E(1, 2, 2)
+        op = (x * y - y * x) + op_E(1, 1, 3)
+        assert len((x * y - y * x).terms) == 2
+        assert exact_matrix(op, block) == _word_by_word_columns(op_E(1, 1, 3), block)
+        assert np.array_equal(dense(op, block), dense(op_E(1, 1, 3), block))
+        # the same words as separate terms that sum to zero on every image
+        cancel = Operator({(("E", 1, 2, 1), ("E", 1, 2, 2)): 1,
+                           (("E", 1, 2, 2), ("E", 1, 2, 1)): -1})
+        assert len(cancel.terms) == 2
+        assert not dense(cancel, block).any()
+        assert all(len(x) == 0 for x in block.walk(cancel)[1:])
+        # on the whole graded block the two images are inside and cancel there
+        assert all(len(x) == 0 for x in BASIS.walk(cancel)[1:])
+        with pytest.raises(ValueError, match="leaves the basis span"):
+            dense(op_E(1, 2, 1) * op_E(1, 2, 2), block)
+
+    def test_empty_operator_and_empty_block(self):
+        assert np.array_equal(dense(Operator(), BASIS), np.zeros((BASIS.dim, BASIS.dim)))
+        empty = weight_basis(2, 3, (1, 1, 1), row_sums=(2, 0))
+        assert dense(nabla(1, Z, Q, 3), empty).shape == (0, 0)
+        assert dense(Operator(), []).shape == (0, 0)
+        assert empty.entry_array.shape == (0, 0)
+
+    def test_entry_array(self):
+        block = weight_basis(2, 2, (2, 1))
+        assert block.entry_array.dtype == np.int64
+        assert block.entry_array.tolist() == [
+            [x for row in m.entries for x in row] for m in block]
+        assert block.entry_array is block.entry_array
+
+    def test_generator_out_of_range(self):
+        with pytest.raises(IndexError, match="out of range"):
+            dense(op_E(3, 1, 1), BASIS)
+        with pytest.raises(IndexError, match="out of range"):
+            dense(dual_op_E(1, 4, 1), BASIS)

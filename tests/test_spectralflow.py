@@ -638,8 +638,9 @@ class TestFlowBlock:
         # fibers of (recording tableau, weight): shapes (3) give four
         # singletons, shape (2,1) gives two classes of two
         result = flow_block(2, 3, (1, 1, 1))
-        assert sorted(len(c) for c in result.classes) == [1, 1, 1, 1, 2, 2]
-        for cls in result.classes:
+        assert list(result.classes) == ["B"]
+        assert sorted(len(c) for c in result.classes["B"]) == [1, 1, 1, 1, 2, 2]
+        for cls in result.classes["B"]:
             symbols = {rsk(result.branches[i].label)[1] for i in cls}
             assert len(symbols) == 1
 
@@ -696,7 +697,7 @@ class TestDecodeChain:
         values = [casimir_eigenvalue((3,), 1), casimir_eigenvalue((3, 1), 2), 24]
         assert casimir_eigenvalue((3, 3), 3) == casimir_eigenvalue((4, 1, 1), 3) == 24
         with pytest.raises(DecodingError) as err:
-            _decode_chain((3, 4, 6), values)
+            _decode_chain((3, 4, 6), values, 3)
         assert str(err.value) == (
             "exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24"
         )
