@@ -91,14 +91,6 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
-def _flow_opts(args):
-    return spectralflow.FlowOpts(
-        seed=args.seed,
-        steps=args.steps,
-        cluster_tol=args.tol,
-    )
-
-
 def cmd_rsk(args):
     if args.check:
         return _rsk_check(args)
@@ -239,6 +231,10 @@ def cmd_flow(args):
                  else sum(weight) > args.r * args.n * args.max_entry)
         if empty:
             raise UsageError("the selected blocks hold no matrix with row sums --weight")
+    # monomial norms, products of entry factorials, reach k_1! ... k_n! as floats
+    sums = k if k is not None else [args.r * args.max_entry] * args.n
+    if max(sums) > 170 or math.prod(map(math.factorial, sums)) > sys.float_info.max:
+        raise UsageError(f"column sums {sums} give monomial norms beyond float range")
     dim = _flow_dimension(args.r, args.n, k, weight, args.max_entry)
     if dim > args.budget:
         raise UsageError(f"basis dimension {dim} exceeds budget {args.budget}")
@@ -246,7 +242,7 @@ def cmd_flow(args):
     try:
         report = spectralflow.verify_main_theorem(
             args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
-            z=z, q=q, opts=_flow_opts(args), trace=trace,
+            z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,
         )
     except spectralflow.FlowError as err:
         _emit({"config": _config(args), "error": str(err)}, args)
@@ -289,7 +285,8 @@ def cmd_cells(args):
         raise UsageError(f"cells needs --n at most {CELLS_MAX_N} "
                          "(the S_n block has n! monomials)")
     try:
-        partition = runners[args.kind](args.n, z=z, q=q, opts=_flow_opts(args))
+        partition = runners[args.kind](args.n, z=z, q=q,
+                                       opts=spectralflow.FlowOpts(args.seed, args.steps))
     except spectralflow.FlowError as err:
         _emit({"config": _config(args), "error": str(err)}, args)
         return EXIT_INCONCLUSIVE
@@ -360,19 +357,18 @@ def build_parser():
     p_fl.add_argument("--z", help="base z (JSON list, increasing positive)")
     p_fl.add_argument("--q", help="base q (JSON list, pairwise distinct)")
     p_fl.add_argument("--steps", type=int, default=48)
-    p_fl.add_argument("--tol", type=float, default=1e-6)
     p_fl.add_argument("--budget", type=int, default=300)
     p_fl.add_argument("--trace", help="write eigenvalue traces to this CSV file")
     p_fl.set_defaults(func=cmd_flow)
 
-    p_ce = sub.add_parser("cells", help="cell partitions vs tableau-symbol reference")
+    p_ce = sub.add_parser("cells", help="cell partitions by eigenvalue coalescence, "
+                          "cut by the records' own residuals, vs tableau-symbol reference")
     common(p_ce)
     p_ce.add_argument("--n", type=int, required=True)
     p_ce.add_argument("--kind", choices=["right", "left", "two-sided"], default="right")
     p_ce.add_argument("--z", help="base z (JSON list)")
     p_ce.add_argument("--q", help="base q (JSON list)")
     p_ce.add_argument("--steps", type=int, default=48)
-    p_ce.add_argument("--tol", type=float, default=1e-6)
     p_ce.set_defaults(func=cmd_cells)
 
     return parser

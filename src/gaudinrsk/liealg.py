@@ -596,6 +596,8 @@ class _Action:
         for word, _ in self.words:
             for gen in word:
                 if gen not in block.tables:
+                    if block.dim:  # raises IndexError for a generator out of range
+                        _cells(gen, block.basis[0].r, block.basis[0].n)
                     block.tables[gen] = {}
                     block.generators[gen] = Operator({(gen,): 1})
         self._columns = {}

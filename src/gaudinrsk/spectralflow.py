@@ -21,8 +21,8 @@ that selects the paths is the base point z:
   B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
      exchange operators converge to the partial exchange sums J_a, keeping
      the tracked spectrum simple. Its end frame feeds the z-side records
-     (dynamical limits at z = 0), whose coalescence classes the flow
-     reports.
+     (dynamical limits at z = 0), whose coalescence classes, linked by the
+     records' own Rayleigh residuals, the flow reports.
   C  from B's end, q rescaled at z = 0: the rescaled dynamical operators
      converge to the nested commuting limits; its end frame feeds the S
      decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
@@ -124,13 +124,13 @@ MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
 CANCEL_TOL = 1e-12  # relative squared norm below which a family operator is zero
 GAP_SAFETY = 1e3  # inter-class distance over intra-class distance a clustering needs
+ROUNDOFF = 1e-9  # round-off allowed between two records, relative to the largest record
 
 
 @dataclass
 class FlowOpts:
     seed: int = 0
     steps: int = 48
-    cluster_tol: float = 1e-6
 
 
 def collision_z(z, t):
@@ -387,12 +387,10 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     matched by `_match`; a batch of 1 x 1 blocks keeps its frame of +-1,
     its values the blocks' entries, with no solve. The step is accepted or
     bisected on the smallest overlap of all blocks. Returns (vectors at
-    grid[-1], diagnostics); min_gap in the diagnostics is the smallest gap
-    of the operator's whole spectrum over grid[0] and every accepted step.
+    grid[-1], diagnostics).
     """
     grid = np.asarray(grid, dtype=float)
-    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
-            "min_gap": math.inf}
+    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
 
     def eigen(t, frame):
         """Eigenframe at t matched to frame: (vectors, values, min overlap)."""
@@ -411,18 +409,12 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             overlap = min(overlap, low)
         return matched, values, overlap
 
-    def record_gap(values):
-        gaps = _gaps(values)
-        if len(gaps):
-            diag["min_gap"] = min(diag["min_gap"], float(gaps.min()))
-
     def record_trace(t, values):
         if trace is not None:
             for b, v in enumerate(cache.by_branch(values)):
                 trace.append((leg, float(t), b, float(v)))
 
     current, cur_vals, overlap = eigen(grid[0], vectors)
-    record_gap(cur_vals)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
     if overlap < MATCH_THRESHOLD:
         raise ContinuationError(
@@ -442,7 +434,6 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
                         f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
                     )
                 current, cur_vals = matched, mvals
-                record_gap(mvals)
                 diag["min_overlap"] = min(diag["min_overlap"], overlap)
                 diag["steps"] += 1
                 t_prev = t_next
@@ -485,22 +476,33 @@ def snap_to_monomials(vectors, basis, cache):
 
 
 def rayleigh(vectors, ops):
-    """Per-branch Rayleigh quotients of the columns of vectors (..., dim, m)
-    under the ops (..., dim, dim): shape (..., m, len(ops)), a row per
-    branch and a column per operator."""
-    return np.stack([np.sum(vectors * (op @ vectors), axis=-2) for op in ops], axis=-1)
+    """Per-branch Rayleigh quotients rho = v.Lv of the columns v of vectors
+    (..., dim, m) under the ops L (..., dim, dim), and their residuals
+    |Lv - rho v|, each within that distance of L's spectrum
+    (Krylov-Weinstein): two arrays (..., m, len(ops)), a row per branch."""
+    quotients, residuals = [], []
+    for op in ops:
+        image = op @ vectors
+        rho = np.sum(vectors * image, axis=-2)
+        quotients.append(rho)
+        residuals.append(np.linalg.norm(image - vectors * rho[..., None, :], axis=-2))
+    return np.stack(quotients, axis=-1), np.stack(residuals, axis=-1)
 
 
-def coalescence_classes(records, tol=1e-6):
-    """Group branches whose endpoint eigenvalue vectors agree within tol.
+def coalescence_classes(records, residuals):
+    """Group branches whose records agree within their own residuals.
 
-    records: array (branches, values). Classes are connected components of
-    the tol-closeness graph, validated by a gap ratio: the largest
-    intra-class distance times GAP_SAFETY must stay below the smallest
-    inter-class distance.
-    """
-    records = np.asarray(records, dtype=float)
+    records, residuals: arrays (branches, values) from `rayleigh`, the
+    quotients rho of limit operators L_o and their residuals r. Branches b
+    and c on one eigenvalue of every L_o have |rho_bo - rho_co| <= r_bo +
+    r_co; where this holds up to ROUNDOFF times the largest |record| (the
+    round-off of records whose residuals round to zero) they are linked.
+    Classes are the connected components of the links, validated by a gap
+    ratio: the largest intra-class distance times GAP_SAFETY must stay
+    below the smallest inter-class distance (sup norms over the columns)."""
+    records, residuals = (np.asarray(a, dtype=float) for a in (records, residuals))
     m = len(records)
+    slack = ROUNDOFF * np.abs(records).max(initial=0.0)
     parent = list(range(m))
 
     def find(x):
@@ -509,14 +511,18 @@ def coalescence_classes(records, tol=1e-6):
             x = parent[x]
         return x
 
-    # sup-norm distances, one record column at a time
+    # sup-norm distances and links, one record column at a time
     dists = np.zeros((m, m))
+    linked = np.ones((m, m), dtype=bool)
     diff = np.empty((m, m))
-    for col in records.reshape(m, -1).T if m else ():
+    for col, res in zip(records.T, residuals.T):
         np.subtract.outer(col, col, out=diff)
         np.maximum(dists, np.abs(diff, out=diff), out=dists)
+        diff -= res[:, None]
+        diff -= res
+        linked &= diff <= slack
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
-    for i, j in np.argwhere(upper & (dists < tol)).tolist():
+    for i, j in np.argwhere(upper & linked).tolist():
         parent[find(i)] = find(j)
     roots = np.array([find(i) for i in range(m)], dtype=int)
     groups = {}
@@ -527,10 +533,7 @@ def coalescence_classes(records, tol=1e-6):
     intra = float(dists[upper & same].max(initial=0.0))
     inter = float(dists[upper & ~same].min(initial=math.inf))
     if intra * GAP_SAFETY > inter:
-        raise ClusteringError(
-            f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}; "
-            f"try tol near {math.sqrt(intra * inter):.3e}"
-        )
+        raise ClusteringError(f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}")
     return classes
 
 
@@ -712,36 +715,35 @@ class FlowContext:
         for leg in legs:
             frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
-                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
-                        "min_gap": math.inf}
+                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0}
             else:
                 frame, diag = transport(frame, cache, family(leg), leg.grid, coeffs[leg.name],
                                         trace=trace, leg=leg.name)
             frames[leg.name] = frame
             diags.append(diag)
             if leg.limit is not None:
-                records = self._rayleigh(frame, leg.limit()
-                                         + [cache.stacks(p) for p in weight_parts])
+                records, residuals = self._rayleigh(frame, leg.limit()
+                                                    + [cache.stacks(p) for p in weight_parts])
                 for branch, rec in zip(branches, records):
                     branch.eigenvalues[leg.key] = rec.tolist()
                 if leg.name in classes_from:
-                    classes[leg.name] = coalescence_classes(records, self.opts.cluster_tol)
+                    classes[leg.name] = coalescence_classes(records, residuals)
             if leg.decode is not None:
                 for branch, tab in zip(branches, leg.decode(frame, labels)):
                     setattr(branch, leg.key, tab)
         return FlowResult(branches, classes, {"legs": diags})
 
     def _rayleigh(self, frame, ops):
-        """Rayleigh quotients of the ops (weight-block stacks) on a frame,
-        block by block; a row per branch, in basis order."""
-        return self.cache.by_branch([rayleigh(vecs, batch_ops)
-                                     for vecs, batch_ops in zip(frame, zip(*ops))])
+        """Rayleigh quotients of the ops (weight-block stacks) on a frame and
+        their residuals, block by block; rows per branch, in basis order."""
+        batches = [rayleigh(vecs, batch_ops) for vecs, batch_ops in zip(frame, zip(*ops))]
+        return tuple(self.cache.by_branch([batch[k] for batch in batches]) for k in (0, 1))
 
     def extract_S(self, frame, labels):
         """Decode tableau S of every branch from a leg C end frame. By Howe
         duality every shape on an r x n block has at most min(r, n) rows."""
-        values = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
-                                        for i in range(1, self.r + 1)])
+        values, _ = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
+                                           for i in range(1, self.r + 1)])
         out = []
         for b, label in enumerate(labels):
             wt = label.row_sums()
@@ -752,8 +754,8 @@ class FlowContext:
     def extract_T(self, frame, labels):
         """Decode the mirrored tableau T of every branch from a leg E end
         frame, with shapes of at most min(r, n) rows as for S."""
-        values = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
-                                        for a in range(1, self.n + 1)])
+        values, _ = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
+                                           for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
         return [_decode_chain(sizes, row, min(self.r, self.n)) for row in values]
 

@@ -152,7 +152,7 @@ class TestExactIdentities:
 
 
 class TestSpectralFlow:
-    OPTS = FlowOpts(cluster_tol=1e-6)
+    OPTS = FlowOpts()
 
     def test_exhaustive_2x2(self):
         report = verify_main_theorem(2, 2, max_entry=2, opts=self.OPTS)
@@ -193,6 +193,14 @@ class TestCells:
 
     def test_left_cells_n3(self):
         assert left_cells(3) == kl_reference_cells(3, "left")
+
+    @pytest.mark.parametrize("n, kind", [(4, "right"), (5, "right"), (5, "left")])
+    def test_cells_at_doubling_base_z(self, n, kind):
+        # records of one cell differ by up to about 1.4e-6 at these base
+        # points, and their residuals link them
+        z = tuple(2.0 ** a for a in range(n))
+        cells = (right_cells if kind == "right" else left_cells)(n, z=z)
+        assert cells == kl_reference_cells(n, kind)
 
     def test_two_sided_sizes(self):
         assert two_sided_cells(3).block_sizes() == [1, 1, 4]

@@ -107,6 +107,12 @@ class TestFlow:
         assert main(["flow", "--r", "3", "--n", "3", "--col-sums", "[4,4,4]",
                      "--budget", "100"]) == EXIT_USAGE
 
+    def test_largest_float_column_sum_runs(self, capsys):
+        # float(170!) is finite
+        code, report = run(capsys, "flow", "--r", "1", "--n", "1", "--col-sums", "[170]")
+        assert code == EXIT_OK
+        assert report["checked"] == 1
+
     def test_needs_block_selector(self, capsys):
         assert main(["flow", "--r", "2", "--n", "2"]) == EXIT_USAGE
 
@@ -137,6 +143,13 @@ class TestFlow:
     # can loosen
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--gap-safety", "1"],
     ["cells", "--n", "3", "--gap-safety", "1"],
+    # records cluster by their own residuals, so there is no tolerance flag
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--tol", "1e-6"],
+    ["cells", "--n", "3", "--tol", "1e-6"],
+    # a monomial's squared norm k_1! ... k_n! would overflow a float
+    ["flow", "--r", "1", "--n", "1", "--col-sums", "[171]"],
+    ["flow", "--r", "1", "--n", "1", "--max-entry", "171"],
+    ["flow", "--r", "1", "--n", "2", "--col-sums", "[100,100]"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE

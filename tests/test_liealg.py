@@ -470,6 +470,18 @@ class TestGeneratorTables:
         assert is_self_adjoint(nabs[0], basis)
         assert not is_self_adjoint(nabs[0] + op_E(1, 2, 1) * tiny, basis)
 
+    @pytest.mark.parametrize("op", [op_E(0, 1, 1), op_E(3, 1, 1), dual_op_E(1, 1, 0)],
+                             ids=["E(0,1,1)", "E(3,1,1)", "D(1,1,0)"])
+    @pytest.mark.parametrize("check", [
+        lambda op, block: exact_matrix(op, block),
+        lambda op, block: commute_on(op, op_E(1, 1, 1), block),
+        lambda op, block: is_adjoint_pair(op, op, block),
+    ], ids=["exact_matrix", "commute_on", "is_adjoint_pair"])
+    def test_generator_out_of_range(self, check, op):
+        # index 0 would wrap to the last row through negative indexing
+        with pytest.raises(IndexError, match="out of range"):
+            check(op, weight_basis(2, 2, (1, 1)))
+
 
 def _dense_oracle(op, basis, orthonormal):
     """dense as float conversions of exact_matrix: float(Fraction) times the

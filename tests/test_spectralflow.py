@@ -47,6 +47,7 @@ from gaudinrsk.spectralflow import (
     col_sum_blocks,
     collision_z,
     flow_block,
+    rayleigh,
     snap_to_monomials,
     start_coeffs,
     transport,
@@ -177,10 +178,12 @@ def _lsa_match(new_vecs, old_vecs, new_vals):
     return np.swapaxes(matched, 1, 2), new_vals[blk, order], min_overlap
 
 
-def _pairwise_classes(records, tol=1e-6, safety=1e3):
+def _pairwise_classes(records, residuals, roundoff=1e-9, safety=1e3):
     """coalescence_classes as a double loop over pairs of branches."""
     records = np.asarray(records, dtype=float)
+    residuals = np.asarray(residuals, dtype=float)
     m = len(records)
+    slack = roundoff * np.abs(records).max(initial=0.0)
     parent = list(range(m))
 
     def find(x):
@@ -192,9 +195,10 @@ def _pairwise_classes(records, tol=1e-6, safety=1e3):
     dists = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            d = np.max(np.abs(records[i] - records[j])) if records.size else 0.0
-            dists[i, j] = dists[j, i] = d
-            if d < tol:
+            gap = np.abs(records[i] - records[j])
+            dists[i, j] = dists[j, i] = gap.max(initial=0.0)
+            # both records lie within their residuals of one eigenvalue
+            if np.all(gap - residuals[i] - residuals[j] <= slack):
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(m):
@@ -209,10 +213,7 @@ def _pairwise_classes(records, tol=1e-6, safety=1e3):
             else:
                 inter = min(inter, dists[i, j])
     if intra * safety > inter:
-        raise ClusteringError(
-            f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}; "
-            f"try tol near {math.sqrt(intra * inter):.3e}"
-        )
+        raise ClusteringError(f"ambiguous clustering: intra {intra:.3e} vs inter {inter:.3e}")
     return classes
 
 
@@ -257,46 +258,83 @@ class TestSchedules:
 
 class TestCoalescence:
     def test_clusters_close_records(self):
-        records = [[0.0, 1.0], [1e-9, 1.0], [5.0, 1.0]]
-        assert coalescence_classes(records) == [[0, 1], [2]]
+        # records 2e-6 apart, as on S_6, are linked by residuals of 1e-3
+        records = [[0.0, 1.0], [2e-6, 1.0], [5.0, 1.0]]
+        residuals = [[1e-3, 0.0]] * 3
+        assert coalescence_classes(records, residuals) == [[0, 1], [2]]
+        # only the sum of the two residuals covers the gap
+        residuals = [[1.9e-6, 0.0], [2e-7, 0.0], [0.0, 0.0]]
+        assert coalescence_classes(records, residuals) == [[0, 1], [2]]
+        # exact eigenvectors (zero residuals) on distinct values stay apart
+        assert coalescence_classes(records, np.zeros((3, 2))) == [[0], [1], [2]]
+        # and on one value they differ by round-off alone
+        records = [[1.0], [1.0 + 4e-16], [3.0]]
+        assert coalescence_classes(records, np.zeros((3, 1))) == [[0, 1], [2]]
 
     def test_all_separate(self):
         records = [[0.0], [1.0], [2.0]]
-        assert coalescence_classes(records) == [[0], [1], [2]]
+        assert coalescence_classes(records, [[1e-3]] * 3) == [[0], [1], [2]]
+
+    def test_empty(self):
+        assert coalescence_classes(np.zeros(0), np.zeros(0)) == []
+
+    def test_rayleigh_residual_bounds_an_eigenvalue(self):
+        # Krylov-Weinstein: some eigenvalue of each op lies within the
+        # residual of each branch's quotient
+        rng = np.random.default_rng(0)
+        ops = [x + np.swapaxes(x, 1, 2) for x in rng.standard_normal((2, 3, 5, 5))]
+        vecs = np.linalg.qr(rng.standard_normal((3, 5, 5)))[0]
+        quotients, residuals = rayleigh(vecs, ops)
+        assert quotients.shape == residuals.shape == (3, 5, 2)
+        for o, op in enumerate(ops):
+            spectra = np.linalg.eigvalsh(op)
+            for k in range(3):
+                rho = np.einsum("dm,de,em->m", vecs[k], op[k], vecs[k])
+                assert np.allclose(quotients[k, :, o], rho)
+                nearest = np.abs(spectra[k][:, None] - rho).min(axis=0)
+                assert np.all(nearest <= residuals[k, :, o] + 1e-12)
+                # an eigenvector has no residual
+                _, exact = np.linalg.eigh(op[k])
+                assert rayleigh(exact, [op[k]])[1].max() < 1e-12
 
     def test_ambiguous_gap_raises(self):
-        # intra distance 1e-7 and inter distance 1e-5 violate safety 1e3
+        # records 0 and 1 are linked at distance 1e-7, and record 2, 1e-5
+        # away, is not: intra over inter violates safety 1e3
         records = [[0.0], [1e-7], [1e-5]]
+        residuals = [[1e-7], [1e-7], [1e-9]]
         with pytest.raises(ClusteringError):
-            coalescence_classes(records, tol=1e-6)
+            coalescence_classes(records, residuals)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pairwise_loop(self, seed):
-        # planted clusters of records spread by 1e-9, against the
-        # branch-by-branch double loop; at odd seeds one record sits
-        # 1.5e-6 from another, past tol but within safety times the spread
+        # planted clusters of records spread by 1e-7 with residuals of 1e-7
+        # to 2e-7, against the branch-by-branch double loop; at odd seeds
+        # one record sits 5e-6 from another, past both residuals but within
+        # safety times the spread
         rng = np.random.default_rng(seed)
         centers = rng.uniform(-3, 3, size=(7, 5))
         members = rng.integers(0, len(centers), size=60)
-        records = centers[members] + rng.uniform(-1e-9, 1e-9, size=(60, 5))
+        records = centers[members] + rng.uniform(-1e-7, 1e-7, size=(60, 5))
+        residuals = rng.uniform(1e-7, 2e-7, size=(60, 5))
         if seed % 2:
-            records[0] = records[1] + 1.5e-6
+            records[0] = records[1] + 5e-6
             with pytest.raises(ClusteringError) as expected:
-                _pairwise_classes(records)
+                _pairwise_classes(records, residuals)
             with pytest.raises(ClusteringError) as got:
-                coalescence_classes(records)
+                coalescence_classes(records, residuals)
             assert str(got.value) == str(expected.value)
         else:
-            expected = _pairwise_classes(records)
+            expected = _pairwise_classes(records, residuals)
             assert len(expected) == len(set(members.tolist()))
-            assert coalescence_classes(records) == expected
+            assert coalescence_classes(records, residuals) == expected
 
     def test_error_text_matches_pairwise_loop(self):
         records = [[0.0, 1.0], [1e-7, 1.0], [1e-5, 1.0], [4.0, 1.0]]
+        residuals = [[1e-7, 0.0]] * 4
         with pytest.raises(ClusteringError) as expected:
-            _pairwise_classes(records)
+            _pairwise_classes(records, residuals)
         with pytest.raises(ClusteringError) as got:
-            coalescence_classes(records)
+            coalescence_classes(records, residuals)
         assert str(got.value) == str(expected.value)
 
 
@@ -440,16 +478,6 @@ class TestTransport:
             assert overlaps.min() > 1 - 1e-10, (leg.name, overlaps.min())
             assert (diag["steps"], diag["bisections"]) == (
                 whole_diag["steps"], whole_diag["bisections"])
-
-    def test_min_gap_is_recorded(self):
-        trace = []
-        result = flow_block(2, 3, (1, 1, 1), trace=trace)
-        dim = len(result.branches)
-        for diag in result.diagnostics["legs"]:
-            # the first dim trace rows of a leg hold its grid[0] spectrum
-            start = [v for leg, _, _, v in trace if leg == diag["leg"]][:dim]
-            start_gap = np.diff(np.sort(start)).min()
-            assert 0 < diag["min_gap"] <= start_gap
 
 
 class TestBlockCache:
