@@ -46,16 +46,21 @@ Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
 block-diagonal by gl_r weight (the row sums of the monomials). The
 `BlockCache` keeps each part as one flat buffer of its weight blocks,
-viewed as stacks by block size; sums run over the buffers, and
-eigensolves, frame matching and Rayleigh records block by block, one
-batched eigh call per block size d > 1 and grid point. A 1 x 1 weight
-block is not solved: its frame stays +-1 and its value is its entry,
-which is what LAPACK returns. `_match` pairs each old column with the
-new column of largest overlap; where every such overlap exceeds
-MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique optimal
-assignment, and any other block falls back to `linear_sum_assignment`.
-There is still one flow, one coefficient draw per leg and one cache per
-graded block.
+viewed as stacks by block size, or, for a part with no off-diagonal
+entry (the E_ii^(a) and the W_i), as its diagonal alone. A leg runs in
+batches of consecutive grid points, as many as fit BATCH_BYTES: their
+operators are summed into one buffer, one multiply-add per part, and
+each block size is diagonalised by one batched eigh call per batch. A
+1 x 1 weight block is not solved: its frame stays +-1 and its value is
+its entry, which is what LAPACK returns. Each old column takes the new
+column of largest overlap; the points of a batch whose smallest such
+overlap reaches MATCH_THRESHOLD are matched at once by composing these
+matchings. A point below it is reached from the last accepted one one
+step at a time with `_match` and bisection: where every largest overlap
+exceeds MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique
+optimal assignment, and any other block falls back to
+`linear_sum_assignment`. There is still one flow, one coefficient draw
+per leg and one cache per graded block.
 """
 
 from __future__ import annotations
@@ -119,6 +124,7 @@ MATCH_UNIQUE = 0.8  # largest overlap of a column above which argmax matching is
 HARD_FLOOR = 0.5  # a step with a lower overlap fails the leg
 SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
+BATCH_BYTES = 256 * 1024  # summed operators of one transport batch
 START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
 MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
@@ -170,17 +176,25 @@ class BlockCache:
     MonomialBlock, which fills no generator table: the block the cache is
     given, as `weight_basis` returns it, or one built from a list of
     monomials. It is kept only as one flat buffer of its weight
-    blocks, batch after batch; `stacks(part)` views it as one (k, d, d)
-    stack per batch. `combine` sums a liealg term list over the buffers in
-    floats, one multiply-add per part. No part depends on z or q, so one
-    cache serves every leg. On a block of one weight, such as the S_n
-    block, there is one batch with k = 1.
+    blocks, batch after batch, or, when that buffer has no off-diagonal
+    nonzero (the E_ii^(a) and the weights W_i), as the length-dim vector
+    of its diagonal entries alone. `stacks(part)` gives the weight blocks
+    as one (k, d, d) stack per batch, a diagonal part expanded. No part
+    depends on z or q, so one cache serves every leg. On a block of one
+    weight, such as the S_n block, there is one batch with k = 1.
 
-    A flow family is a list of term lists. `normalised_sum` adds its
-    operators, each scaled to unit Frobenius norm, as one weighted sum of
-    part buffers: the norms come from the coefficient rows and the Gram
-    matrix of the parts, kept once per part set, so no operator of the
-    family is ever built as a matrix of its own."""
+    `sum_parts` adds weighted parts for several points at once, one
+    multiply-add per part in the given order into a (points, size) buffer,
+    a diagonal part on the diagonal positions only; every entry sees the
+    additions that one point's sum makes, in the same order, as the other
+    parts add exact zeros there. `combine` is its one-point form for a
+    liealg term list.
+
+    A flow family is a list of term lists. `coefficients` finds the
+    weights on the parts of its operators, each scaled to unit Frobenius
+    norm: the norms come from the coefficient rows and the Gram matrix of
+    the parts, kept once per part set, so no operator of the family is
+    ever built as a matrix of its own. `normalised_sum` is their sum."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -196,17 +210,29 @@ class BlockCache:
             by_size.setdefault(len(positions), []).append(positions)
         self.batches = [np.array(by_size[d]) for d in sorted(by_size)]
         self.size = sum(idx.size * idx.shape[1] for idx in self.batches)
+        # basis position of each frame column, batch after batch
+        self.positions = np.concatenate([idx.ravel() for idx in self.batches] or [[]]).astype(int)
+        # flat-buffer position of each diagonal entry, in the same order
+        self._diagonal = np.concatenate(
+            [start + np.arange(idx.size) * (d + 1) - np.arange(idx.size) // d * d
+             for idx, start, d in self._layout()] or [[]]).astype(int)
         self._parts = {}
+        self._diagonals = {}
         self._grams = {}
 
-    def _views(self, flat):
-        """The (k, d, d) stacks of a flat buffer of weight blocks, as views."""
-        out, start = [], 0
+    def _layout(self):
+        """(positions, flat-buffer start, d) of each batch."""
+        start = 0
         for idx in self.batches:
             k, d = idx.shape
-            out.append(flat[start:start + k * d * d].reshape(k, d, d))
+            yield idx, start, d
             start += k * d * d
-        return out
+
+    def _views(self, flat):
+        """The (..., k, d, d) stacks of flat buffers (..., size) of weight
+        blocks, as views."""
+        return [flat[..., start:start + idx.size * d].reshape(flat.shape[:-1] + idx.shape + (d,))
+                for idx, start, d in self._layout()]
 
     def split(self, mat):
         """The weight blocks of a dim x dim matrix, one stack per batch."""
@@ -219,6 +245,11 @@ class BlockCache:
             out[idx[:, :, None], idx[:, None, :]] = stack
         return out
 
+    def identity(self):
+        """The identity frame: np.eye(d) broadcast to (k, d, d) per batch."""
+        return [np.broadcast_to(np.eye(d), (k, d, d)).copy() for k, d in
+                (idx.shape for idx in self.batches)]
+
     def by_branch(self, values):
         """Per-batch arrays (k, d, ...) laid out like the batches, as one
         array indexed by basis position."""
@@ -229,50 +260,86 @@ class BlockCache:
             out[idx] = vals
         return out
 
-    def _part(self, part):
-        """The flat buffer of the part's weight blocks, built on first use."""
+    def _held(self, part):
+        """The part as held, built on first use: (flat buffer, None), or
+        (None, diagonal) when the buffer has no off-diagonal nonzero."""
+        if part in self._diagonals:
+            return None, self._diagonals[part]
         flat = self._parts.get(part)
         if flat is None:
-            flat = self._parts[part] = np.empty(self.size)
+            flat = np.empty(self.size)
             mat = dense(part_operator(part), self.block)
             for view, stack in zip(self._views(flat), self.split(mat)):
                 view[...] = stack
+            diagonal = flat[self._diagonal]
+            if np.count_nonzero(flat) == np.count_nonzero(diagonal):
+                self._diagonals[part] = diagonal
+                return None, diagonal
+            self._parts[part] = flat
+        return flat, None
+
+    def _flat(self, part, zeros=None):
+        """The flat buffer of the part's weight blocks. A diagonal part is
+        written into zeros, a buffer that is zero off the diagonal
+        positions, or into a new one."""
+        flat, diagonal = self._held(part)
+        if flat is None:
+            flat = np.zeros(self.size) if zeros is None else zeros
+            flat[self._diagonal] = diagonal
         return flat
 
     def stacks(self, part):
         """The weight blocks of the part's matrix, one stack per batch."""
-        return self._views(self._part(part))
+        return self._views(self._flat(part))
 
     def mat(self, part):
         """Dense dim x dim matrix of the part, rebuilt from its stacks."""
         return self.full(self.stacks(part))
 
+    def sum_parts(self, parts, coeffs):
+        """Flat buffers (points, size) of sum_j coeffs[p, j] * parts[j], one
+        row per point p: one multiply-add per part, in the order of parts;
+        a part whose coefficient is 0 at every point builds nothing."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        out = np.zeros((len(coeffs), self.size))
+        term = np.empty_like(out)
+        for c, part in zip(coeffs.T, parts):
+            if not c.any():
+                continue
+            flat, diagonal = self._held(part)
+            if flat is None:
+                out[:, self._diagonal] += c[:, None] * diagonal
+            else:
+                np.multiply(flat, c[:, None], out=term)
+                out += term
+        return out
+
     def combine(self, terms):
         """Float sum of coefficient * part as per-batch stacks; zero terms
         build no part."""
-        out = np.zeros(self.size)
-        term = np.empty(self.size)
-        for c, part in terms:
-            if c:
-                np.multiply(self._part(part), c, out=term)
-                out += term
-        return self._views(out)
+        terms = [(c, part) for c, part in terms if c]
+        return self._views(self.sum_parts([part for _, part in terms],
+                                          [[c for c, _ in terms]])[0])
 
     def _gram(self, parts):
-        """Frobenius inner products of the parts, pair by pair."""
+        """Frobenius inner products of the parts, pair by pair, each a dot
+        product of two whole flat buffers."""
         gram = self._grams.get(parts)
         if gram is None:
-            flats = [self._part(p) for p in parts]
+            # a diagonal part is expanded into one of two buffers that stay
+            # zero off the diagonal positions
+            zeros = np.zeros(self.size), np.zeros(self.size)
             gram = np.empty((len(parts), len(parts)))
-            for j, a in enumerate(flats):
+            for j, a in enumerate(parts):
+                flat = self._flat(a, zeros[0])
                 for k in range(j, len(parts)):
-                    gram[j, k] = gram[k, j] = np.vdot(a, flats[k])
+                    gram[j, k] = gram[k, j] = np.vdot(flat, self._flat(parts[k], zeros[1]))
             self._grams[parts] = gram
         return gram
 
-    def normalised_sum(self, ops, coeffs):
-        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops, as
-        per-batch stacks.
+    def coefficients(self, ops, coeffs):
+        """(parts, weights) with sum_o coeffs[o] * op_o / |op_o|_F =
+        sum_j weights[j] * parts[j] over the term lists ops.
 
         Row o of the coefficient matrix holds op_o's coefficients on the
         parts, so |op_o|_F^2 = m_o G m_o^T. An operator whose terms cancel
@@ -296,7 +363,13 @@ class BlockCache:
         live = sq > CANCEL_TOL * scale
         factors = np.zeros(len(ops))
         factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        return self.combine(zip(factors @ rows, parts))
+        return parts, factors @ rows
+
+    def normalised_sum(self, ops, coeffs):
+        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops, as
+        per-batch stacks (`coefficients`)."""
+        parts, weights = self.coefficients(ops, coeffs)
+        return self._views(self.sum_parts(parts, weights[None])[0])
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
@@ -372,33 +445,123 @@ def _gaps(values):
     return np.diff(np.sort(np.concatenate([vals.ravel() for vals in values])))
 
 
+def _composed(points, frame, cache, family, coeffs):
+    """Eigenframes of the combined operator at consecutive points, each
+    matched to the frame before it (the first to frame), up to the first
+    point whose smallest best overlap is below MATCH_THRESHOLD.
+
+    The operators of all points are summed into one buffer
+    (`BlockCache.sum_parts`), as far as their part lists agree, and each
+    batch with d > 1 is diagonalised by one eigh call over its (points, k,
+    d, d) stack. One batched product gives the overlaps of every point's
+    eigenvectors with the frame before: the given frame for the first
+    point, the unmatched eigenvectors of the point before for the others.
+    Each column takes the row of largest overlap, `_match`'s rule where
+    every such overlap is at least MATCH_THRESHOLD (> MATCH_UNIQUE), and
+    the matchings and signs of the accepted points compose; a 1 x 1 block
+    keeps its frame and takes its entry as value.
+
+    Returns (frame at the last accepted point, per accepted point a pair
+    (eigenvalues in basis order, min overlap), whether a point was
+    refused); the points after the accepted ones are left to the caller.
+    """
+    parts, weights = None, []
+    for t in points:
+        p, w = cache.coefficients(family(t), coeffs)
+        if parts is not None and p != parts:
+            break  # the summation order changes: the next batch starts here
+        parts = p
+        weights.append(w)
+    count = len(weights)
+    stacks = cache._views(cache.sum_parts(parts, weights))
+    # per point and column j of the frame before it, batch after batch:
+    # the global column of the eigenvector j matches, the sign and the
+    # overlap of that match, and the eigenvalue of global column j
+    best, signs, top, values, solved = [], [], [], [], []
+    offset = 0
+    for stack, old in zip(stacks, frame):
+        k, d = old.shape[:2]
+        if d == 1:
+            # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
+            # aligns back to the frame's +-1 at overlap 1
+            vals, vecs = stack[..., 0], None
+            rows, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
+        else:
+            vals, vecs = np.linalg.eigh(stack)
+            # the frames before each point, transposed in memory as matched
+            # frames are, so the first product is the one `_match` forms
+            before = np.empty((count, k, d, d))
+            before[0] = np.swapaxes(old, 1, 2)
+            before[1:] = np.swapaxes(vecs[:-1], 2, 3)
+            product = np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3)
+            rows = np.abs(product).argmax(axis=2)
+            picked = np.take_along_axis(product, rows[:, :, None, :], axis=2)[:, :, 0, :]
+        best.append((rows + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
+        signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
+        top.append(np.abs(picked).reshape(count, -1))
+        values.append(vals.reshape(count, -1))
+        solved.append(vecs)
+        offset += k * d
+    best, signs, top, values = (np.concatenate(a, axis=1) for a in (best, signs, top, values))
+    overlaps = top.min(axis=1, initial=1.0)
+    refused = np.flatnonzero(overlaps < MATCH_THRESHOLD)
+    accepted = int(refused[0]) if refused.size else count
+    order, sign, steps = np.arange(cache.dim), np.ones(cache.dim), []
+    for g in range(accepted):
+        # branch c sits at column order[c] of the frame before point g
+        sign = signs[g, order] * sign
+        order = best[g, order]
+        branch_values = np.empty(cache.dim)
+        branch_values[cache.positions] = values[g, order]
+        steps.append((branch_values, overlaps[g]))
+    if accepted:
+        frame = list(frame)
+        offset = 0
+        for b, (vecs, old) in enumerate(zip(solved, frame)):
+            k, d = old.shape[:2]
+            if vecs is not None:
+                local = (order[offset:offset + k * d] - offset).reshape(k, d)
+                blk = np.arange(k)[:, None]
+                matched = vecs[accepted - 1, blk, :, local - blk * d]
+                matched *= sign[offset:offset + k * d].reshape(k, d, 1)
+                frame[b] = np.swapaxes(matched, 1, 2)
+            offset += k * d
+    return frame, steps, accepted < count
+
+
 def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     """Continue the eigenframe of a commuting family along the grid.
 
     vectors: per-batch stacks (k, d, d) of orthonormal columns
     approximating joint eigenlines at grid[0], one frame per weight block
-    of the cache (`cache.split` of a dim x dim frame); column c of block j
-    of a batch follows the branch at basis position idx[j, c] of that
-    batch. family(t) lists the family's operators at t as term lists; the
-    coefficients coeffs (`start_coeffs` of family(grid[0])) weight them,
-    each scaled to unit norm, into a single operator
+    of the cache (`cache.identity()` or a frame of an earlier leg); column
+    c of block j of a batch follows the branch at basis position idx[j, c]
+    of that batch. family(t) lists the family's operators at t as term
+    lists; the coefficients coeffs (`start_coeffs` of family(grid[0]))
+    weight them, each scaled to unit norm, into a single operator
     (`BlockCache.normalised_sum`), block-diagonal on the weight blocks.
-    Each batch with d > 1 is diagonalised by one batched eigh call and
-    matched by `_match`; a batch of 1 x 1 blocks keeps its frame of +-1,
-    its values the blocks' entries, with no solve. The step is accepted or
-    bisected on the smallest overlap of all blocks. Returns (vectors at
-    grid[-1], diagnostics).
+
+    The grid is taken in batches of consecutive points, as many as keep
+    the batch's summed operators within BATCH_BYTES (at least one).
+    `_composed` diagonalises a batch with one eigh call per block size
+    and accepts its leading points whose smallest best overlap is at
+    least MATCH_THRESHOLD by composing their argmax matchings. A refused
+    start point fails the leg. A refused later point is reached from the
+    last accepted one by the per-point loop: one eigh call per block size,
+    `_match`, and geometric bisection of a step below MATCH_THRESHOLD, up
+    to MAX_BISECTIONS per leg; after that every step runs in that loop and
+    is accepted unless its overlap is below HARD_FLOOR. Returns (vectors
+    at grid[-1], diagnostics).
     """
     grid = np.asarray(grid, dtype=float)
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+    per_batch = max(1, BATCH_BYTES // (8 * cache.size))
 
     def eigen(t, frame):
         """Eigenframe at t matched to frame: (vectors, values, min overlap)."""
         matched, values, overlap = [], [], 1.0
         for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
             if stack.shape[-1] == 1:
-                # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
-                # aligns back to the frame's +-1 at overlap 1
                 matched.append(old)
                 values.append(stack[:, 0])
                 continue
@@ -411,20 +574,30 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
 
     def record_trace(t, values):
         if trace is not None:
-            for b, v in enumerate(cache.by_branch(values)):
+            for b, v in enumerate(values):
                 trace.append((leg, float(t), b, float(v)))
 
-    current, cur_vals, overlap = eigen(grid[0], vectors)
-    diag["min_overlap"] = min(diag["min_overlap"], overlap)
-    if overlap < MATCH_THRESHOLD:
-        raise ContinuationError(
-            f"{leg}: start frame overlap {overlap:.4f} below threshold"
-        )
-    record_trace(grid[0], cur_vals)
-
-    t_prev = grid[0]
-    for t_target in grid[1:]:
-        stack = [t_target]
+    current, i = vectors, 0  # i: the next grid point to reach
+    while i < len(grid):
+        steps, refused = [], True
+        if diag["bisections"] < MAX_BISECTIONS:
+            current, steps, refused = _composed(grid[i:i + per_batch], current, cache,
+                                                family, coeffs)
+        if i == 0 and not steps:
+            _, _, overlap = eigen(grid[0], vectors)
+            raise ContinuationError(
+                f"{leg}: start frame overlap {overlap:.4f} below threshold"
+            )
+        for values, overlap in steps:
+            diag["min_overlap"] = min(diag["min_overlap"], overlap)
+            if i:
+                diag["steps"] += 1
+            record_trace(grid[i], values)
+            i += 1
+        if not refused:
+            continue
+        # the per-point loop, from the last accepted point to grid[i]
+        t_prev, stack = grid[i - 1], [grid[i]]
         while stack:
             t_next = stack[-1]
             matched, mvals, overlap = eigen(t_next, current)
@@ -441,7 +614,8 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             else:
                 stack.append(math.sqrt(t_prev * t_next))
                 diag["bisections"] += 1
-        record_trace(t_prev, cur_vals)
+        record_trace(grid[i], cache.by_branch(cur_vals))
+        i += 1
     return current, diag
 
 
@@ -713,7 +887,7 @@ class FlowContext:
                                                 leg.name)
         frames, classes, diags = {}, {}, []
         for leg in legs:
-            frame = cache.split(np.eye(cache.dim)) if leg.start is None else frames[leg.start]
+            frame = cache.identity() if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
                 diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0}
             else:

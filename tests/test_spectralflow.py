@@ -19,9 +19,11 @@ from gaudinrsk.liealg import (
     gaudin_limit_terms,
     gaudin_terms,
     jm,
+    kappa,
     nabla,
     nabla_terms,
     nested_casimir,
+    omega,
     op_E,
     part_operator,
     sqnorm,
@@ -29,6 +31,7 @@ from gaudinrsk.liealg import (
     weight_op,
 )
 from gaudinrsk.spectralflow import (
+    BATCH_BYTES,
     HARD_FLOOR,
     MATCH_THRESHOLD,
     MAX_BISECTIONS,
@@ -176,6 +179,81 @@ def _lsa_match(new_vecs, old_vecs, new_vals):
     matched *= signs[:, :, None]
     min_overlap = overlaps[blk, order, np.arange(d)].min()
     return np.swapaxes(matched, 1, 2), new_vals[blk, order], min_overlap
+
+
+def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
+    """transport one grid point at a time: one eigh call per block size and
+    point, `_match` at every step and bisection of a step below
+    MATCH_THRESHOLD, as before legs ran in batches."""
+    grid = np.asarray(grid, dtype=float)
+    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+
+    def eigen(t, frame):
+        matched, values, overlap = [], [], 1.0
+        for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
+            if stack.shape[-1] == 1:
+                matched.append(old)
+                values.append(stack[:, 0])
+                continue
+            vals, vecs = np.linalg.eigh(stack)
+            vecs, vals, low = spectralflow._match(vecs, old, vals)
+            matched.append(vecs)
+            values.append(vals)
+            overlap = min(overlap, low)
+        return matched, values, overlap
+
+    def record_trace(t, values):
+        if trace is not None:
+            for b, v in enumerate(cache.by_branch(values)):
+                trace.append((leg, float(t), b, float(v)))
+
+    current, cur_vals, overlap = eigen(grid[0], vectors)
+    diag["min_overlap"] = min(diag["min_overlap"], overlap)
+    if overlap < MATCH_THRESHOLD:
+        raise ContinuationError(
+            f"{leg}: start frame overlap {overlap:.4f} below threshold"
+        )
+    record_trace(grid[0], cur_vals)
+
+    t_prev = grid[0]
+    for t_target in grid[1:]:
+        stack = [t_target]
+        while stack:
+            t_next = stack[-1]
+            matched, mvals, overlap = eigen(t_next, current)
+            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
+                if overlap < HARD_FLOOR:
+                    raise ContinuationError(
+                        f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
+                    )
+                current, cur_vals = matched, mvals
+                diag["min_overlap"] = min(diag["min_overlap"], overlap)
+                diag["steps"] += 1
+                t_prev = t_next
+                stack.pop()
+            else:
+                stack.append(math.sqrt(t_prev * t_next))
+                diag["bisections"] += 1
+        record_trace(t_prev, cur_vals)
+    return current, diag
+
+
+def _whole_flat(cache, part):
+    """The flat buffer of a part's weight blocks, cut from liealg.dense."""
+    mat = dense(part_operator(part), cache.block)
+    return np.concatenate([s.ravel() for s in cache.split(mat)])
+
+
+def _flat_combine(cache, terms):
+    """combine over whole flat buffers of weight blocks, diagonal parts
+    included, as before they were held as diagonals."""
+    out = np.zeros(cache.size)
+    term = np.empty(cache.size)
+    for c, part in terms:
+        if c:
+            np.multiply(_whole_flat(cache, part), c, out=term)
+            out += term
+    return out
 
 
 def _pairwise_classes(records, residuals, roundoff=1e-9, safety=1e3):
@@ -478,6 +556,242 @@ class TestTransport:
             assert overlaps.min() > 1 - 1e-10, (leg.name, overlaps.min())
             assert (diag["steps"], diag["bisections"]) == (
                 whole_diag["steps"], whole_diag["bisections"])
+
+
+class TestBatchedTransport:
+    """transport against the per-point loop it replaced: frames, diag and
+    trace rows equal bit for bit, or the same error."""
+
+    @staticmethod
+    def _both(monkeypatch, start, cache, family, grid, coeffs, leg="X"):
+        """Run transport and the per-point loop on the same input; returns
+        the two outcomes and the eigh calls each made."""
+        outcomes, calls = [], []
+        real_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls[-1] += 1
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for run in (transport, _pointwise_transport):
+            calls.append(0)
+            trace = []
+            try:
+                frame, diag = run(start, cache, family, grid, coeffs, trace=trace, leg=leg)
+                outcomes.append((frame, diag, trace))
+            except ContinuationError as err:
+                outcomes.append(str(err))
+        monkeypatch.undo()
+        return outcomes, calls
+
+    @staticmethod
+    def _assert_same(got, want):
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        (frame, diag, trace), (want_frame, want_diag, want_trace) = got, want
+        assert len(frame) == len(want_frame)
+        for a, b in zip(frame, want_frame):
+            assert np.array_equal(a, b)
+        assert diag == want_diag
+        assert trace == want_trace
+
+    def _legs(self, monkeypatch, ctx, points=None):
+        """Every leg of the table, chained as FlowContext.run chains them;
+        points, if given, fixes the grid points per batch."""
+        cache = ctx.cache
+        if points is not None:
+            monkeypatch.setattr(spectralflow, "BATCH_BYTES", points * 8 * cache.size)
+        weight_terms = [[(1.0, (weight_op, i, ctx.n))] for i in range(1, ctx.r + 1)]
+        frames, calls = {}, [0, 0]
+        for leg in ctx.legs():
+            if leg.start is not None and leg.start not in frames:
+                continue
+
+            def family(t, leg=leg):
+                return leg.family(t) + weight_terms
+            try:
+                coeffs = start_coeffs(cache, family(leg.grid[0]), np.random.default_rng(0))
+            except ContinuationError:
+                continue  # a degenerate start, as on leg C of (3,3,(2,2,2))
+            start = cache.identity() if leg.start is None else frames[leg.start]
+            (got, want), leg_calls = self._both(monkeypatch, start, cache, family, leg.grid,
+                                                coeffs, leg.name)
+            self._assert_same(got, want)
+            frames[leg.name] = got[0]
+            calls = [a + b for a, b in zip(calls, leg_calls)]
+        assert frames
+        return calls
+
+    @pytest.mark.parametrize("r, n, col_sums", [
+        (2, 3, (1, 1, 1)),
+        (3, 4, (1, 1, 1, 1)),
+        (2, 4, (2, 1, 1, 2)),
+        (4, 3, (2, 1, 1)),
+        (3, 3, (2, 2, 2)),
+    ])
+    def test_blocks(self, monkeypatch, r, n, col_sums):
+        batched, pointwise = self._legs(monkeypatch, FlowContext(r, n, col_sums))
+        assert batched < pointwise
+
+    @pytest.mark.parametrize("points", [None, 1, 5])
+    def test_s4_block(self, monkeypatch, points):
+        ctx = FlowContext(4, 4, (1, 1, 1, 1), (1, 1, 1, 1))
+        batched, pointwise = self._legs(monkeypatch, ctx, points)
+        if points is None:
+            # one weight block of dim 24: a whole leg per batch
+            assert BATCH_BYTES // (8 * ctx.cache.size) >= FlowOpts().steps
+            assert batched == 5
+        else:
+            assert batched <= pointwise
+
+    # on the (1,1) weight block of (2,2,(1,1)), spanned by x_11 x_22 and
+    # x_12 x_21: E_11^(1) - E_11^(2) is diag(1, -1), Omega_12 swaps them
+    Z = [(1.0, (op_E, 1, 1, 1)), (-1.0, (op_E, 1, 1, 2))]
+    X = (omega, 1, 2, 2)
+
+    @staticmethod
+    def _planted():
+        cache = BlockCache(2, 2, weight_basis(2, 2, (1, 1)))
+        assert [idx.shape for idx in cache.batches] == [(2, 1), (1, 2)]
+        return cache
+
+    @pytest.mark.parametrize("points", [None, 4])
+    def test_avoided_crossing_mid_batch(self, monkeypatch, points):
+        # (t - c) Z + eps X: the eigenvectors of the 2 x 2 block turn by
+        # about 45 degrees across the step from grid[7] to grid[8], a best
+        # overlap of about 0.71, so that step is bisected while the steps
+        # around it, at most 14 degrees, are not
+        cache = self._planted()
+        if points is not None:
+            monkeypatch.setattr(spectralflow, "BATCH_BYTES", points * 8 * cache.size)
+        grid = np.geomspace(1.0, 2.0, 16)
+        c = math.sqrt(grid[7] * grid[8])
+        eps = (grid[8] - grid[7]) / 2
+
+        def family(t):
+            return [[((t - c) * w, part) for w, part in self.Z] + [(eps, self.X)]]
+
+        (got, want), (batched, pointwise) = self._both(monkeypatch, cache.identity(), cache,
+                                                       family, grid, [1.5])
+        self._assert_same(got, want)
+        assert 0 < got[1]["bisections"] < MAX_BISECTIONS
+        assert got[1]["steps"] == len(grid) - 1 + got[1]["bisections"]
+        assert batched < pointwise
+
+    def test_bisections_run_out(self, monkeypatch):
+        # cos(theta) Z + sin(theta) X with theta = rate * log t: the
+        # eigenvectors turn by 40 degrees per grid step, so each step is
+        # bisected once until MAX_BISECTIONS are used; the later steps are
+        # accepted at an overlap of cos(40 deg) < MATCH_UNIQUE
+        cache = self._planted()
+        grid = np.geomspace(1.0, 2.0, 60)
+        rate = math.radians(80) / math.log(grid[1] / grid[0])
+
+        def family(t):
+            theta = rate * math.log(t)
+            return [[(math.cos(theta) * w, part) for w, part in self.Z]
+                    + [(math.sin(theta), self.X)]]
+
+        (got, want), _ = self._both(monkeypatch, cache.identity(), cache, family, grid, [1.0])
+        self._assert_same(got, want)
+        assert got[1]["bisections"] == MAX_BISECTIONS
+        assert got[1]["min_overlap"] < spectralflow.MATCH_UNIQUE
+
+    def test_part_list_changes_mid_leg(self, monkeypatch):
+        # a coefficient that is exactly 0 at grid[3] drops its part there,
+        # which changes the summation order: one batch ends before grid[3],
+        # one holds grid[3] alone and one the rest
+        cache = self._planted()
+        grid = np.geomspace(1.0, 2.0, 8)
+
+        def family(t):
+            return [[(t - grid[3], (op_E, 1, 1, 1)), (0.1, self.X)]]
+
+        (got, want), (batched, pointwise) = self._both(monkeypatch, cache.identity(), cache,
+                                                       family, grid, [1.0])
+        self._assert_same(got, want)
+        assert got[1]["bisections"] == 0
+        assert (batched, pointwise) == (3, len(grid))
+
+    def test_refused_start(self, monkeypatch):
+        # a start frame turned by 30 degrees in the 2 x 2 block
+        cache = self._planted()
+        start = cache.identity()
+        cos, sin = math.cos(math.radians(30)), math.sin(math.radians(30))
+        start[1] = np.array([[[cos, -sin], [sin, cos]]])
+        (got, want), _ = self._both(monkeypatch, start, cache, lambda t: [self.Z],
+                                    np.geomspace(1.0, 2.0, 8), [1.0])
+        self._assert_same(got, want)
+        assert got == "X: start frame overlap 0.8660 below threshold"
+
+
+class TestDiagonalParts:
+    BLOCKS = [(3, 3, (1, 1, 1), (1, 1, 1)), (3, 3, (2, 1, 1), None)]
+
+    @staticmethod
+    def exchange(i, j, a, b):
+        """E_ij^(a) E_ji^(b), a part that is not diagonal."""
+        return op_E(i, j, a) * op_E(j, i, b)
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
+    def test_detection_is_exact(self, r, n, col_sums, row_sums):
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        diagonal = ([(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)]
+                    + [(weight_op, i, n) for i in range(1, r + 1)])
+        other = [(self.exchange, 1, 2, 1, 2), (self.exchange, 2, 3, 3, 1), (omega, 1, 2, r),
+                 (nested_casimir, 2, n)]
+        for part in diagonal + other:
+            mat = dense(part_operator(part), cache.block)
+            off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
+            flat, held = cache._held(part)
+            assert (flat is None) == (part in diagonal) == (off_diagonal == 0), part
+            if flat is None:
+                assert held.shape == (cache.dim,)
+        # a diagonal part keeps no flat buffer
+        assert set(cache._parts) == set(other)
+        assert set(cache._diagonals) == set(diagonal)
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
+    def test_stacks_and_mat_are_dense(self, r, n, col_sums, row_sums):
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        for part in [(op_E, 2, 2, 1), (op_E, 3, 3, n), (weight_op, 1, n)]:
+            mat = dense(part_operator(part), cache.block)
+            for got, want in zip(cache.stacks(part), cache.split(mat)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(cache.mat(part), mat)
+            assert part in cache._diagonals
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
+    def test_sums_match_whole_buffers(self, r, n, col_sums, row_sums):
+        # mixed diagonal and full parts, repeated coefficients, zeros and
+        # negatives, summed for several points at once
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        parts = [(op_E, 1, 1, 1), (omega, 1, 2, r), (weight_op, 2, n), (op_E, 3, 3, 2),
+                 (kappa, 1, 3, n), (nested_casimir, 3, n), (op_E, 2, 2, 3)]
+        rng = np.random.default_rng(5)
+        coeffs = rng.uniform(-3.0, 3.0, (4, len(parts))) / 7
+        coeffs[1, 2] = coeffs[2, 1] = coeffs[3, :] = 0.0
+        coeffs[:, 5] = 0.0  # a part left out at every point
+        sums = cache.sum_parts(parts, coeffs)
+        for row, got in zip(coeffs, sums):
+            terms = list(zip(row, parts))
+            want = _flat_combine(cache, terms)
+            assert np.array_equal(got, want)
+            for a, b in zip(cache.combine(terms), cache._views(want)):
+                assert np.array_equal(a, b)
+        assert (nested_casimir, 3, n) not in cache._parts
+        assert set(cache._diagonals) == {(op_E, 1, 1, 1), (weight_op, 2, n), (op_E, 3, 3, 2),
+                                         (op_E, 2, 2, 3)}
+        # the Gram matrix: dot products of whole buffers
+        flats = [_whole_flat(cache, part) for part in parts]
+        want = np.empty((len(parts), len(parts)))
+        for j in range(len(parts)):
+            for k in range(j, len(parts)):
+                want[j, k] = want[k, j] = np.vdot(flats[j], flats[k])
+        assert np.array_equal(cache._gram(tuple(parts)), want)
 
 
 class TestBlockCache:
