@@ -45,22 +45,24 @@ leg is transported.
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
 block-diagonal by gl_r weight (the row sums of the monomials). The
-`BlockCache` keeps each part as one flat buffer of its weight blocks,
-viewed as stacks by block size, or, for a part with no off-diagonal
-entry (the E_ii^(a) and the W_i), as its diagonal alone. A leg runs in
-batches of consecutive grid points, as many as fit BATCH_BYTES: their
-operators are summed into one buffer, one multiply-add per part, and
-each block size is diagonalised by one batched eigh call per batch. A
-1 x 1 weight block is not solved: its frame stays +-1 and its value is
-its entry, which is what LAPACK returns. Each old column takes the new
-column of largest overlap; the points of a batch whose smallest such
-overlap reaches MATCH_THRESHOLD are matched at once by composing these
-matchings. A point below it is reached from the last accepted one one
-step at a time with `_match` and bisection: where every largest overlap
-exceeds MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique
-optimal assignment, and any other block falls back to
-`linear_sum_assignment`. There is still one flow, one coefficient draw
-per leg and one cache per graded block.
+`BlockCache` holds each part once, as a row of one of two matrices: the
+flat buffer of its weight blocks, viewed as stacks by block size, or,
+for a part with no off-diagonal entry (the E_ii^(a) and the W_i), its
+diagonal alone. A weighted sum of parts is a matrix-vector product with
+each. A leg runs in batches of consecutive grid points, as many as fit
+BATCH_BYTES: each point's operator is summed on its own, so a part it
+does not use has weight 0 and the batch goes on, and each block size is
+diagonalised by one batched eigh call per batch. A 1 x 1 weight block is
+not solved: its frame stays +-1 and its value is its entry, which is
+what LAPACK returns. Each old column takes the new column of largest
+overlap; the points of a batch whose smallest such overlap reaches
+MATCH_THRESHOLD are matched at once by composing these matchings. A
+point below it is reached from the last accepted one one step at a time
+with `_match` and bisection: where every largest overlap exceeds
+MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique optimal
+assignment, and any other block falls back to `linear_sum_assignment`.
+There is still one flow, one coefficient draw per leg and one cache per
+graded block.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ class FlowResult:
 
 
 class BlockCache:
-    """One store of the part matrices of a block, each held as its gl_r
-    weight blocks.
+    """One store of the part matrices of a block, each held once as its
+    gl_r weight blocks.
 
     Every part the flow uses commutes with the diagonal gl_r Cartan, so it
     maps each weight space (the monomials with fixed row sums) to itself.
@@ -175,26 +177,31 @@ class BlockCache:
     `liealg.dense`, a walk of its words over the entry array of one
     MonomialBlock, which fills no generator table: the block the cache is
     given, as `weight_basis` returns it, or one built from a list of
-    monomials. It is kept only as one flat buffer of its weight
-    blocks, batch after batch, or, when that buffer has no off-diagonal
-    nonzero (the E_ii^(a) and the weights W_i), as the length-dim vector
-    of its diagonal entries alone. `stacks(part)` gives the weight blocks
-    as one (k, d, d) stack per batch, a diagonal part expanded. No part
-    depends on z or q, so one cache serves every leg. On a block of one
-    weight, such as the S_n block, there is one batch with k = 1.
+    monomials. No part depends on z or q, so one cache serves every leg.
+    On a block of one weight, such as the S_n block, there is one batch
+    with k = 1.
 
-    `sum_parts` adds weighted parts for several points at once, one
-    multiply-add per part in the given order into a (points, size) buffer,
-    a diagonal part on the diagonal positions only; every entry sees the
-    additions that one point's sum makes, in the same order, as the other
-    parts add exact zeros there. `combine` is its one-point form for a
-    liealg term list.
+    Each part gets the next position of one block-wide part list and is
+    written straight into the next row of one of two matrices: a row of
+    the part matrix F (parts, size) holds a flat buffer of its weight
+    blocks, batch after batch; a part whose buffer has no off-diagonal
+    nonzero (the E_ii^(a) and the weights W_i) is held instead as its
+    diagonal, a row of the matrix D (parts, dim). `stacks(part)` gives the
+    weight blocks as one (k, d, d) stack per batch, views of F's row or a
+    diagonal part expanded.
+
+    Weights are rows over the block-wide part list. `sum_parts` gives each
+    point's sum as its own two matrix-vector products, w_F @ F plus w_D @ D
+    added on the diagonal positions, so a point's sum does not depend on
+    the other points summed with it; a part a point does not use has
+    weight 0. `combine` is its one-point form for a liealg term list.
 
     A flow family is a list of term lists. `coefficients` finds the
     weights on the parts of its operators, each scaled to unit Frobenius
     norm: the norms come from the coefficient rows and the Gram matrix of
-    the parts, kept once per part set, so no operator of the family is
-    ever built as a matrix of its own. `normalised_sum` is their sum."""
+    all held parts (F F^T, D D^T and F[:, diagonal] D^T), extended when
+    parts are added, so no operator of the family is ever built as a
+    matrix of its own. `normalised_sum` is their sum."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -216,9 +223,15 @@ class BlockCache:
         self._diagonal = np.concatenate(
             [start + np.arange(idx.size) * (d + 1) - np.arange(idx.size) // d * d
              for idx, start, d in self._layout()] or [[]]).astype(int)
-        self._parts = {}
-        self._diagonals = {}
-        self._grams = {}
+        self._index = {}  # part -> its position in the block-wide part list
+        self._where = []  # position -> (held as a diagonal, row of its matrix)
+        # F and D with room for more rows; rows past the used ones are
+        # never written, so they take no memory
+        self._full_rows = np.empty((0, self.size))
+        self._diag_rows = np.empty((0, self.dim))
+        self._full_at = np.zeros(0, dtype=int)  # position of each used row of F
+        self._diag_at = np.zeros(0, dtype=int)  # and of D
+        self._gram = np.empty((0, 0))
 
     def _layout(self):
         """(positions, flat-buffer start, d) of each batch."""
@@ -260,32 +273,64 @@ class BlockCache:
             out[idx] = vals
         return out
 
-    def _held(self, part):
-        """The part as held, built on first use: (flat buffer, None), or
-        (None, diagonal) when the buffer has no off-diagonal nonzero."""
-        if part in self._diagonals:
-            return None, self._diagonals[part]
-        flat = self._parts.get(part)
-        if flat is None:
-            flat = np.empty(self.size)
-            mat = dense(part_operator(part), self.block)
-            for view, stack in zip(self._views(flat), self.split(mat)):
-                view[...] = stack
-            diagonal = flat[self._diagonal]
-            if np.count_nonzero(flat) == np.count_nonzero(diagonal):
-                self._diagonals[part] = diagonal
-                return None, diagonal
-            self._parts[part] = flat
-        return flat, None
+    @property
+    def _full(self):
+        """F: the used rows of the part matrix."""
+        return self._full_rows[:len(self._full_at)]
 
-    def _flat(self, part, zeros=None):
-        """The flat buffer of the part's weight blocks. A diagonal part is
-        written into zeros, a buffer that is zero off the diagonal
-        positions, or into a new one."""
-        flat, diagonal = self._held(part)
-        if flat is None:
-            flat = np.zeros(self.size) if zeros is None else zeros
-            flat[self._diagonal] = diagonal
+    @property
+    def _diag(self):
+        """D: the used rows of the diagonal matrix."""
+        return self._diag_rows[:len(self._diag_at)]
+
+    @staticmethod
+    def _room(rows, used, extra):
+        """rows, or, when it has no room for extra rows past the first used
+        ones, a buffer at least twice as long with those rows copied."""
+        if used + extra <= len(rows):
+            return rows
+        grown = np.empty((max(used + extra, 2 * len(rows)),) + rows.shape[1:])
+        grown[:used] = rows[:used]
+        return grown
+
+    def _add(self, parts):
+        """Build each part not yet held, in order: a part whose matrix has
+        an off-diagonal nonzero goes into the next row of F, any other its
+        diagonal into the next row of D."""
+        new = [part for part in dict.fromkeys(parts) if part not in self._index]
+        if not new:
+            return
+        full_at, diag_at = list(self._full_at), list(self._diag_at)
+        self._full_rows = self._room(self._full_rows, len(full_at), len(new))
+        self._diag_rows = self._room(self._diag_rows, len(diag_at), len(new))
+        for part in new:
+            mat = dense(part_operator(part), self.block)
+            diagonal = np.diagonal(mat)
+            position = len(self._index)
+            self._index[part] = position
+            if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+                self._where.append((True, len(diag_at)))
+                self._diag_rows[len(diag_at)] = diagonal[self.positions]
+                diag_at.append(position)
+            else:
+                row = self._full_rows[len(full_at)]
+                for view, stack in zip(self._views(row), self.split(mat)):
+                    view[...] = stack
+                self._where.append((False, len(full_at)))
+                full_at.append(position)
+            del mat, diagonal  # free this dim x dim matrix before the next is built
+        self._full_at = np.array(full_at, dtype=int)
+        self._diag_at = np.array(diag_at, dtype=int)
+
+    def _flat(self, part):
+        """The flat buffer of the part's weight blocks: its row of F, or
+        its diagonal expanded into a new buffer."""
+        self._add([part])
+        diagonal, row = self._where[self._index[part]]
+        if not diagonal:
+            return self._full_rows[row]
+        flat = np.zeros(self.size)
+        flat[self._diagonal] = self._diag_rows[row]
         return flat
 
     def stacks(self, part):
@@ -296,80 +341,88 @@ class BlockCache:
         """Dense dim x dim matrix of the part, rebuilt from its stacks."""
         return self.full(self.stacks(part))
 
-    def sum_parts(self, parts, coeffs):
-        """Flat buffers (points, size) of sum_j coeffs[p, j] * parts[j], one
-        row per point p: one multiply-add per part, in the order of parts;
-        a part whose coefficient is 0 at every point builds nothing."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        out = np.zeros((len(coeffs), self.size))
-        term = np.empty_like(out)
-        for c, part in zip(coeffs.T, parts):
-            if not c.any():
-                continue
-            flat, diagonal = self._held(part)
-            if flat is None:
-                out[:, self._diagonal] += c[:, None] * diagonal
-            else:
-                np.multiply(flat, c[:, None], out=term)
-                out += term
+    def _weights(self, terms):
+        """The coefficients of the terms, whose nonzero ones' parts are
+        held, as a row over the block-wide part list."""
+        row = np.zeros(len(self._index))
+        for c, part in terms:
+            if c:
+                row[self._index[part]] += c
+        return row
+
+    def sum_parts(self, weights):
+        """Flat buffers (points, size) of sum_j weights[p][j] * part_j over
+        the block-wide part list, one row per point p; a row shorter than
+        the list weighs the later parts 0. Each point's sum is its own pair
+        of products, w_F @ F and then w_D @ D added on the diagonal
+        positions, each into a buffer of its own, so it does not depend on
+        the other points summed with it."""
+        out = np.empty((len(weights), self.size))
+        full, diag = self._full, self._diag
+        for flat, w in zip(out, weights):
+            row = np.zeros(len(self._index))
+            row[:len(w)] = w
+            flat[...] = row[self._full_at] @ full
+            flat[self._diagonal] += row[self._diag_at] @ diag
         return out
 
     def combine(self, terms):
         """Float sum of coefficient * part as per-batch stacks; zero terms
         build no part."""
         terms = [(c, part) for c, part in terms if c]
-        return self._views(self.sum_parts([part for _, part in terms],
-                                          [[c for c, _ in terms]])[0])
+        self._add(part for _, part in terms)
+        return self._views(self.sum_parts([self._weights(terms)])[0])
 
-    def _gram(self, parts):
-        """Frobenius inner products of the parts, pair by pair, each a dot
-        product of two whole flat buffers."""
-        gram = self._grams.get(parts)
-        if gram is None:
-            # a diagonal part is expanded into one of two buffers that stay
-            # zero off the diagonal positions
-            zeros = np.zeros(self.size), np.zeros(self.size)
-            gram = np.empty((len(parts), len(parts)))
-            for j, a in enumerate(parts):
-                flat = self._flat(a, zeros[0])
-                for k in range(j, len(parts)):
-                    gram[j, k] = gram[k, j] = np.vdot(flat, self._flat(parts[k], zeros[1]))
-            self._grams[parts] = gram
-        return gram
+    def _extend_gram(self):
+        """Extend the Gram matrix (Frobenius inner products over the
+        block-wide part list) to the parts added since the last call: the
+        entries of each pair with a new part, from F F^T, D D^T and
+        F[:, diagonal] D^T."""
+        old, count = len(self._gram), len(self._index)
+        if old == count:
+            return
+        gram = np.empty((count, count))
+        gram[:old, :old] = self._gram
+        full, diag, full_at, diag_at = self._full, self._diag, self._full_at, self._diag_at
+        # the new rows of F and of D come after the old ones
+        f0, d0 = np.searchsorted(full_at, old), np.searchsorted(diag_at, old)
+        on_diagonal = full[:, self._diagonal]
+        for rows, cols, block in (
+            (full_at[f0:], full_at, full[f0:] @ full.T),
+            (diag_at[d0:], diag_at, diag[d0:] @ diag.T),
+            (full_at[f0:], diag_at, on_diagonal[f0:] @ diag.T),
+            (diag_at[d0:], full_at[:f0], diag[d0:] @ on_diagonal[:f0].T),
+        ):
+            gram[rows[:, None], cols] = block
+            gram[cols[:, None], rows] = block.T
+        self._gram = gram
 
     def coefficients(self, ops, coeffs):
-        """(parts, weights) with sum_o coeffs[o] * op_o / |op_o|_F =
-        sum_j weights[j] * parts[j] over the term lists ops.
+        """Weights over the block-wide part list with sum_o coeffs[o] *
+        op_o / |op_o|_F = sum_j weights[j] * part_j over the term lists ops.
 
         Row o of the coefficient matrix holds op_o's coefficients on the
         parts, so |op_o|_F^2 = m_o G m_o^T. An operator whose terms cancel
         on the block, its squared norm at most CANCEL_TOL times
         sum_jk |m_oj m_ok G_jk|, is left out.
         """
-        index = {}
-        for terms in ops:
-            for c, part in terms:
-                if c:
-                    index.setdefault(part, len(index))
-        rows = np.zeros((len(ops), len(index)))
-        for o, terms in enumerate(ops):
-            for c, part in terms:
-                if c:
-                    rows[o, index[part]] += c
-        parts = tuple(index)
-        gram = self._gram(parts)
+        self._add(part for terms in ops for c, part in terms if c)
+        rows = np.zeros((len(ops), len(self._index)))
+        for row, terms in zip(rows, ops):
+            row[:] = self._weights(terms)
+        self._extend_gram()
+        gram = self._gram
         sq = np.sum(rows @ gram * rows, axis=1)
         scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=1)
         live = sq > CANCEL_TOL * scale
         factors = np.zeros(len(ops))
         factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        return parts, factors @ rows
+        return factors @ rows
 
     def normalised_sum(self, ops, coeffs):
         """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops, as
         per-batch stacks (`coefficients`)."""
-        parts, weights = self.coefficients(ops, coeffs)
-        return self._views(self.sum_parts(parts, weights[None])[0])
+        return self._views(self.sum_parts([self.coefficients(ops, coeffs)])[0])
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
@@ -451,11 +504,12 @@ def _composed(points, frame, cache, family, coeffs):
     point whose smallest best overlap is below MATCH_THRESHOLD.
 
     The operators of all points are summed into one buffer
-    (`BlockCache.sum_parts`), as far as their part lists agree, and each
-    batch with d > 1 is diagonalised by one eigh call over its (points, k,
-    d, d) stack. One batched product gives the overlaps of every point's
-    eigenvectors with the frame before: the given frame for the first
-    point, the unmatched eigenvectors of the point before for the others.
+    (`BlockCache.sum_parts`, each point's sum on its own, a part that a
+    point does not use weighted 0), and each batch with d > 1 is
+    diagonalised by one eigh call over its (points, k, d, d) stack. One
+    batched product gives the overlaps of every point's eigenvectors with
+    the frame before: the given frame for the first point, the unmatched
+    eigenvectors of the point before for the others.
     Each column takes the row of largest overlap, `_match`'s rule where
     every such overlap is at least MATCH_THRESHOLD (> MATCH_UNIQUE), and
     the matchings and signs of the accepted points compose; a 1 x 1 block
@@ -465,15 +519,9 @@ def _composed(points, frame, cache, family, coeffs):
     (eigenvalues in basis order, min overlap), whether a point was
     refused); the points after the accepted ones are left to the caller.
     """
-    parts, weights = None, []
-    for t in points:
-        p, w = cache.coefficients(family(t), coeffs)
-        if parts is not None and p != parts:
-            break  # the summation order changes: the next batch starts here
-        parts = p
-        weights.append(w)
+    weights = [cache.coefficients(family(t), coeffs) for t in points]
     count = len(weights)
-    stacks = cache._views(cache.sum_parts(parts, weights))
+    stacks = cache._views(cache.sum_parts(weights))
     # per point and column j of the frame before it, batch after batch:
     # the global column of the eigenvector j matches, the sign and the
     # overlap of that match, and the eigenvalue of global column j
@@ -542,7 +590,8 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     (`BlockCache.normalised_sum`), block-diagonal on the weight blocks.
 
     The grid is taken in batches of consecutive points, as many as keep
-    the batch's summed operators within BATCH_BYTES (at least one).
+    the batch's summed operators within BATCH_BYTES (at least one); each
+    point's operator is the same whichever batch it is summed in.
     `_composed` diagonalises a batch with one eigh call per block size
     and accepts its leading points whose smallest best overlap is at
     least MATCH_THRESHOLD by composing their argmax matchings. A refused
@@ -711,22 +760,28 @@ def coalescence_classes(records, residuals):
     return classes
 
 
-def _decode_chain(sizes, casimir_values, max_rows):
+def _decode_chain(sizes, casimir_values, max_rows, memo=None):
     """Recover a tableau from corner Casimir data.
 
     sizes[i] is the exact number of boxes after step i+1; casimir_values[i]
     approximates the quadratic Casimir of the rank-(i+1) corner. Each step
     adds a horizontal strip filled with the letter i+1, and no shape has
-    more than max_rows rows.
+    more than max_rows rows. memo, a dict shared by the chains of one
+    decoder call (one max_rows), keeps the candidate shapes and their
+    exact Casimir values per (shape, boxes added, letter).
     """
+    memo = {} if memo is None else memo
     shape = Partition([])
     rows = []
     for step, (size, c2) in enumerate(zip(sizes, casimir_values), start=1):
         added = size - shape.size
         if added < 0:
             raise DecodingError(f"negative strip size at letter {step}")
-        exact = {mu: casimir_eigenvalue(mu, step)
-                 for mu in pieri_shapes(shape, added, min(step, max_rows))}
+        exact = memo.get((shape, added, step))
+        if exact is None:
+            exact = memo[shape, added, step] = {
+                mu: casimir_eigenvalue(mu, step)
+                for mu in pieri_shapes(shape, added, min(step, max_rows))}
         candidates = sorted(((abs(val - c2), mu) for mu, val in exact.items()),
                             key=lambda pair: (pair[0], pair[1].parts))
         if not candidates or candidates[0][0] > DECODE_TOL:
@@ -918,11 +973,11 @@ class FlowContext:
         duality every shape on an r x n block has at most min(r, n) rows."""
         values, _ = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
                                            for i in range(1, self.r + 1)])
-        out = []
+        out, memo = [], {}
         for b, label in enumerate(labels):
             wt = label.row_sums()
             sizes = [sum(wt[:i]) for i in range(1, self.r + 1)]
-            out.append(_decode_chain(sizes, values[b], min(self.r, self.n)))
+            out.append(_decode_chain(sizes, values[b], min(self.r, self.n), memo))
         return out
 
     def extract_T(self, frame, labels):
@@ -931,7 +986,8 @@ class FlowContext:
         values, _ = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
                                            for a in range(1, self.n + 1)])
         sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
-        return [_decode_chain(sizes, row, min(self.r, self.n)) for row in values]
+        memo = {}
+        return [_decode_chain(sizes, row, min(self.r, self.n), memo) for row in values]
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):

@@ -244,16 +244,15 @@ def _whole_flat(cache, part):
     return np.concatenate([s.ravel() for s in cache.split(mat)])
 
 
-def _flat_combine(cache, terms):
-    """combine over whole flat buffers of weight blocks, diagonal parts
-    included, as before they were held as diagonals."""
-    out = np.zeros(cache.size)
-    term = np.empty(cache.size)
-    for c, part in terms:
-        if c:
-            np.multiply(_whole_flat(cache, part), c, out=term)
-            out += term
-    return out
+def _within_dot_bound(got, pairs, count):
+    """Whether the float got is within gamma_count * sum |a b| of the exact
+    sum of a * b over the float pairs (a, b), gamma_count = count u / (1 -
+    count u) with u = 2^-53: the standard bound on a float sum of count
+    products, whatever the order of addition."""
+    pairs = [(Fraction(a), Fraction(b)) for a, b in pairs if a and b]
+    exact = sum((a * b for a, b in pairs), Fraction(0))
+    bound = Fraction(count, 2 ** 53 - count) * sum((abs(a * b) for a, b in pairs), Fraction(0))
+    return abs(Fraction(got) - exact) <= bound
 
 
 def _pairwise_classes(records, residuals, roundoff=1e-9, safety=1e3):
@@ -701,9 +700,9 @@ class TestBatchedTransport:
         assert got[1]["min_overlap"] < spectralflow.MATCH_UNIQUE
 
     def test_part_list_changes_mid_leg(self, monkeypatch):
-        # a coefficient that is exactly 0 at grid[3] drops its part there,
-        # which changes the summation order: one batch ends before grid[3],
-        # one holds grid[3] alone and one the rest
+        # a coefficient that is exactly 0 at grid[3] drops its part there;
+        # the part keeps weight 0 in that point's sum, so one batch holds
+        # the whole leg
         cache = self._planted()
         grid = np.geomspace(1.0, 2.0, 8)
 
@@ -714,7 +713,7 @@ class TestBatchedTransport:
                                                        family, grid, [1.0])
         self._assert_same(got, want)
         assert got[1]["bisections"] == 0
-        assert (batched, pointwise) == (3, len(grid))
+        assert (batched, pointwise) == (1, len(grid))
 
     def test_refused_start(self, monkeypatch):
         # a start frame turned by 30 degrees in the 2 x 2 block
@@ -736,6 +735,12 @@ class TestDiagonalParts:
         """E_ij^(a) E_ji^(b), a part that is not diagonal."""
         return op_E(i, j, a) * op_E(j, i, b)
 
+    @staticmethod
+    def held(cache):
+        """The parts held as rows of F and those held as rows of D."""
+        full = {part for part, j in cache._index.items() if not cache._where[j][0]}
+        return full, set(cache._index) - full
+
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_detection_is_exact(self, r, n, col_sums, row_sums):
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
@@ -746,52 +751,86 @@ class TestDiagonalParts:
         for part in diagonal + other:
             mat = dense(part_operator(part), cache.block)
             off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
-            flat, held = cache._held(part)
-            assert (flat is None) == (part in diagonal) == (off_diagonal == 0), part
-            if flat is None:
-                assert held.shape == (cache.dim,)
-        # a diagonal part keeps no flat buffer
-        assert set(cache._parts) == set(other)
-        assert set(cache._diagonals) == set(diagonal)
+            cache.stacks(part)
+            as_diagonal, row = cache._where[cache._index[part]]
+            assert as_diagonal == (part in diagonal) == (off_diagonal == 0), part
+            if as_diagonal:
+                assert np.array_equal(cache._diag[row], np.diag(mat)[cache.positions])
+        # a diagonal part keeps no row of F
+        assert self.held(cache) == (set(other), set(diagonal))
+        assert (len(cache._full), len(cache._diag)) == (len(other), len(diagonal))
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_stacks_and_mat_are_dense(self, r, n, col_sums, row_sums):
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-        for part in [(op_E, 2, 2, 1), (op_E, 3, 3, n), (weight_op, 1, n)]:
+        parts = [(op_E, 2, 2, 1), (op_E, 3, 3, n), (weight_op, 1, n), (omega, 1, 2, r)]
+        for part in parts:
             mat = dense(part_operator(part), cache.block)
             for got, want in zip(cache.stacks(part), cache.split(mat)):
                 assert np.array_equal(got, want)
             assert np.array_equal(cache.mat(part), mat)
-            assert part in cache._diagonals
+        assert self.held(cache) == ({(omega, 1, 2, r)}, set(parts[:3]))
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_sums_match_whole_buffers(self, r, n, col_sums, row_sums):
-        # mixed diagonal and full parts, repeated coefficients, zeros and
-        # negatives, summed for several points at once
+        # mixed diagonal and full parts, a repeated part, zeros and
+        # negatives, summed for several points at once, against the exact
+        # sums of the float weights and parts
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
         parts = [(op_E, 1, 1, 1), (omega, 1, 2, r), (weight_op, 2, n), (op_E, 3, 3, 2),
-                 (kappa, 1, 3, n), (nested_casimir, 3, n), (op_E, 2, 2, 3)]
+                 (kappa, 1, 3, n), (nested_casimir, 3, n), (op_E, 2, 2, 3), (omega, 1, 2, r)]
         rng = np.random.default_rng(5)
         coeffs = rng.uniform(-3.0, 3.0, (4, len(parts))) / 7
         coeffs[1, 2] = coeffs[2, 1] = coeffs[3, :] = 0.0
         coeffs[:, 5] = 0.0  # a part left out at every point
-        sums = cache.sum_parts(parts, coeffs)
-        for row, got in zip(coeffs, sums):
-            terms = list(zip(row, parts))
-            want = _flat_combine(cache, terms)
-            assert np.array_equal(got, want)
-            for a, b in zip(cache.combine(terms), cache._views(want)):
+        cache._add(part for row in coeffs for c, part in zip(row, parts) if c)
+        weights = [cache._weights(zip(row, parts)) for row in coeffs]
+        assert (nested_casimir, 3, n) not in cache._index
+        assert self.held(cache)[1] == {(op_E, 1, 1, 1), (weight_op, 2, n), (op_E, 3, 3, 2),
+                                       (op_E, 2, 2, 3)}
+        held = list(cache._index)
+        flats = np.array([_whole_flat(cache, part) for part in held])
+        sums = cache.sum_parts(weights)
+        for w, got in zip(weights, sums):
+            for e in range(cache.size):
+                assert _within_dot_bound(got[e], zip(w, flats[:, e]), len(held))
+            for a, b in zip(cache.combine(zip(w, held)), cache._views(got)):
                 assert np.array_equal(a, b)
-        assert (nested_casimir, 3, n) not in cache._parts
-        assert set(cache._diagonals) == {(op_E, 1, 1, 1), (weight_op, 2, n), (op_E, 3, 3, 2),
-                                         (op_E, 2, 2, 3)}
-        # the Gram matrix: dot products of whole buffers
-        flats = [_whole_flat(cache, part) for part in parts]
-        want = np.empty((len(parts), len(parts)))
-        for j in range(len(parts)):
-            for k in range(j, len(parts)):
-                want[j, k] = want[k, j] = np.vdot(flats[j], flats[k])
-        assert np.array_equal(cache._gram(tuple(parts)), want)
+        # the Gram matrix, extended as parts are added
+        for more in ([], [(nested_casimir, 3, n), (op_E, 3, 3, 3)]):
+            cache.coefficients([[(1.0, part)] for part in held + more], np.ones(len(held + more)))
+            held = list(cache._index)
+            flats = np.array([_whole_flat(cache, part) for part in held])
+            assert cache._gram.shape == (len(held), len(held))
+            for j in range(len(held)):
+                for k in range(len(held)):
+                    assert _within_dot_bound(cache._gram[j, k], zip(flats[j], flats[k]),
+                                             cache.size)
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+        (3, 3, (2, 1, 1), None),
+    ])
+    def test_sum_does_not_depend_on_batch(self, r, n, col_sums, row_sums):
+        # each point's sum alone, against the same weights at every position
+        # of batches of 1 to 5 points: equal bit for bit
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        cache = ctx.cache
+        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
+        rng = np.random.default_rng(2)
+        weights = []
+        for leg in ctx.legs():
+            for t in leg.grid[::16]:
+                ops = leg.family(t) + weight_terms
+                weights.append(cache.coefficients(ops, rng.uniform(1.0, 2.0, len(ops))))
+        alone = [cache.sum_parts([w])[0] for w in weights]
+        for count in range(1, 6):
+            for g in range(count):
+                for i, w in enumerate(weights):
+                    others = rng.choice(len(weights), count)
+                    batch = [weights[j] for j in others]
+                    batch[g] = w
+                    assert np.array_equal(cache.sum_parts(batch)[g], alone[i])
 
 
 class TestBlockCache:
@@ -903,16 +942,25 @@ class TestBlockCache:
                 assert err < 1e-12, (leg.name, t, err)
 
     def test_each_part_is_held_once(self):
-        # the stacks of a part are views of one flat buffer of its weight
-        # blocks, so the cache holds sum k d^2 floats per part and no
-        # dim x dim copy
+        # every part is one row of F (sum k d^2 floats) or of D (dim
+        # floats), however often and however it is asked for, and the
+        # stacks of a part of F are views of its row: no dim x dim copy
         cache = BlockCache(2, 4, weight_basis(2, 4, (2, 1, 1, 2)))
-        part = (nested_casimir, 2, 4)
-        stacks = cache.stacks(part)
-        assert len(stacks) > 1
-        buffer = stacks[0].base
-        assert all(stack.base is buffer for stack in cache.stacks(part))
-        assert buffer.size == sum(stack.size for stack in stacks) == cache.size
+        full = [(nested_casimir, 2, 4), (omega, 1, 2, 2), (kappa, 1, 2, 4)]
+        diagonal = [(op_E, 1, 1, 2), (weight_op, 1, 4)]
+        for part in full + diagonal:
+            cache.stacks(part)
+        cache.combine([(0.5, part) for part in full + diagonal])
+        cache.coefficients([[(1.0, part)] for part in diagonal + full], np.ones(5))
+        cache.stacks(full[0])
+        assert len(cache._index) == len(cache._full) + len(cache._diag) == 5
+        assert cache._full.nbytes == len(full) * cache.size * 8
+        assert cache._diag.nbytes == len(diagonal) * cache.dim * 8
+        for part in full:
+            stacks = cache.stacks(part)
+            assert len(stacks) > 1
+            assert all(stack.base is cache._full_rows for stack in stacks)
+            assert sum(stack.size for stack in stacks) == cache.size
         assert cache.size < cache.dim ** 2
 
     @pytest.mark.parametrize("cancelling", [
