@@ -231,11 +231,13 @@ def cmd_flow(args):
                  else sum(weight) > args.r * args.n * args.max_entry)
         if empty:
             raise UsageError("the selected blocks hold no matrix with row sums --weight")
-    # monomial norms, products of entry factorials, reach k_1! ... k_n! as floats
+    # the largest block: a sweep's has every column sum r * max_entry, as
+    # each factor of a block's dimension grows with its column sum
     sums = k if k is not None else [args.r * args.max_entry] * args.n
+    # monomial norms, products of entry factorials, reach k_1! ... k_n! as floats
     if max(sums) > 170 or math.prod(map(math.factorial, sums)) > sys.float_info.max:
         raise UsageError(f"column sums {sums} give monomial norms beyond float range")
-    dim = _flow_dimension(args.r, args.n, k, weight, args.max_entry)
+    dim = math.prod(math.comb(ka + args.r - 1, args.r - 1) for ka in sums)
     if dim > args.budget:
         raise UsageError(f"basis dimension {dim} exceeds budget {args.budget}")
     trace = [] if args.trace else None
@@ -258,20 +260,6 @@ def cmd_flow(args):
     if report["failures"]:
         return EXIT_INCONCLUSIVE
     return EXIT_OK if report["agreement"] else EXIT_MISMATCH
-
-
-def _flow_dimension(r, n, k, weight, max_entry):
-    from math import comb
-
-    def block_dim(col_sums):
-        out = 1
-        for ka in col_sums:
-            out *= comb(ka + r - 1, r - 1)
-        return out
-
-    if k is not None:
-        return block_dim(k)
-    return max(block_dim(ks) for ks in spectralflow.col_sum_blocks(r, n, max_entry))
 
 
 def cmd_cells(args):

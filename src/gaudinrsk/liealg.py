@@ -417,7 +417,6 @@ class MonomialBlock(Sequence):
     def __init__(self, basis):
         self.basis = list(basis)
         self.dim = len(self.basis)
-        self.sqnorms = [sqnorm(m) for m in self.basis]
         self.monomials = list(self.basis)
         self.numbers = {m: i for i, m in enumerate(self.basis)}
         self.tables = {}
@@ -468,6 +467,12 @@ class MonomialBlock(Sequence):
                         f"{self.basis[src]!r} -> {self.monomials[dst]!r}"
                     )
         return action.den, cols
+
+    @functools.cached_property
+    def sqnorms(self):
+        """The squared norm (`sqnorm`) of each basis monomial, computed on
+        first use."""
+        return [sqnorm(m) for m in self.basis]
 
     @functools.cached_property
     def entry_array(self):

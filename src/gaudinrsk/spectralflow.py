@@ -49,30 +49,31 @@ block-diagonal by gl_r weight (the row sums of the monomials). The
 flat buffer of its weight blocks, viewed as stacks by block size, or,
 for a part with no off-diagonal entry (the E_ii^(a) and the W_i), its
 diagonal alone. A weighted sum of parts is a matrix-vector product with
-each. A leg runs in batches of consecutive grid points, as many as fit
+each. A leg runs in batches of consecutive points, as many as fit
 BATCH_BYTES: each point's operator is summed on its own, so a part it
 does not use has weight 0 and the batch goes on, and each block size is
 diagonalised by one batched eigh call per batch. A 1 x 1 weight block is
 not solved: its frame stays +-1 and its value is its entry, which is
 what LAPACK returns. Each old column takes the new column of largest
-overlap; the points of a batch whose smallest such overlap reaches
-MATCH_THRESHOLD are matched at once by composing these matchings. A
-point below it is reached from the last accepted one one step at a time
-with `_match` and bisection: where every largest overlap exceeds
-MATCH_UNIQUE (0.8 > 1/sqrt(2)) that pairing is the unique optimal
-assignment, and any other block falls back to `linear_sum_assignment`.
-There is still one flow, one coefficient draw per leg and one cache per
-graded block.
+overlap (`_match`); the leading points of a batch whose smallest such
+overlap reaches MATCH_THRESHOLD are matched at once by composing these
+matchings. Every column's overlap then exceeds 1/sqrt(2), so each
+matching is a permutation and the unique optimal assignment. A refused
+point gets the geometric midpoint between it and the last accepted
+point inserted in front of it, and the next batch starts there; a leg
+that is refused again after MAX_BISECTIONS midpoints ends with a
+ContinuationError. There is still one flow, one coefficient draw per
+leg and one cache per graded block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .combinatorics import (
     NatMatrix,
@@ -122,8 +123,6 @@ T_MAX = 1e3  # leg A starts at this collision parameter
 T_MIN = 1e-3  # leg B ends at this z scale
 S_MIN = 1e-3  # legs C, D and E end at this scale
 MATCH_THRESHOLD = 0.9  # a step with a lower overlap is bisected
-MATCH_UNIQUE = 0.8  # largest overlap of a column above which argmax matching is used
-HARD_FLOOR = 0.5  # a step with a lower overlap fails the leg
 SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
 BATCH_BYTES = 256 * 1024  # summed operators of one transport batch
@@ -465,32 +464,20 @@ def _eigvals(stack):
     return np.linalg.eigvalsh(stack)
 
 
-def _match(new_vecs, old_vecs, new_vals):
-    """Reorder and sign-align the eigenvector columns of every block of a
-    batch, stacks (k, d, d), to the old frame, block by block.
+def _match(overlaps):
+    """The matching rule of every transport step, on signed overlaps
+    (..., d, d) whose entry (i, j) is new column i dotted with old column
+    j: each old column j takes the new column of largest |overlap|.
 
-    Each old column takes the new column of largest overlap. Both frames
-    are orthonormal, so where every column's largest overlap exceeds
-    1/sqrt(2) this is a permutation, and the unique one of largest summed
-    overlap; a block where some column's largest overlap is at most
-    MATCH_UNIQUE is matched by `linear_sum_assignment` instead.
+    Both frames are orthonormal, so where every such overlap exceeds
+    1/sqrt(2), as on every step that reaches MATCH_THRESHOLD, this is a
+    permutation, and the unique one of largest summed overlap.
 
-    Returns (vectors, eigenvalues in the new column order, min overlap).
+    Returns (new column of each old column, its signed overlap), two
+    arrays (..., d).
     """
-    overlaps = np.abs(np.swapaxes(new_vecs, 1, 2) @ old_vecs)
-    k, d = overlaps.shape[:2]
-    order = overlaps.argmax(axis=1)
-    for blk in np.flatnonzero(overlaps.max(axis=1).min(axis=1) <= MATCH_UNIQUE):
-        rows, cols = linear_sum_assignment(-overlaps[blk])
-        order[blk, cols] = rows
-    blk = np.arange(k)[:, None]
-    # the advanced indices come first: column c of block j is row c of matched[j]
-    matched = new_vecs[blk, :, order]
-    signs = np.sign(np.einsum("kcj,kjc->kc", matched, old_vecs))
-    signs[signs == 0] = 1.0
-    matched *= signs[:, :, None]
-    min_overlap = overlaps[blk, order, np.arange(d)].min()
-    return np.swapaxes(matched, 1, 2), new_vals[blk, order], min_overlap
+    rows = np.abs(overlaps).argmax(axis=-2)
+    return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
 
 
 def _gaps(values):
@@ -509,15 +496,15 @@ def _composed(points, frame, cache, family, coeffs):
     diagonalised by one eigh call over its (points, k, d, d) stack. One
     batched product gives the overlaps of every point's eigenvectors with
     the frame before: the given frame for the first point, the unmatched
-    eigenvectors of the point before for the others.
-    Each column takes the row of largest overlap, `_match`'s rule where
-    every such overlap is at least MATCH_THRESHOLD (> MATCH_UNIQUE), and
-    the matchings and signs of the accepted points compose; a 1 x 1 block
+    eigenvectors of the point before for the others. `_match` pairs each
+    column of the frame before with a row of that product, and the
+    matchings and signs of the accepted points compose; a 1 x 1 block
     keeps its frame and takes its entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
-    (eigenvalues in basis order, min overlap), whether a point was
-    refused); the points after the accepted ones are left to the caller.
+    (eigenvalues in basis order, min overlap), the min overlap of the
+    first refused point or None); the points after the accepted ones are
+    left to the caller.
     """
     weights = [cache.coefficients(family(t), coeffs) for t in points]
     count = len(weights)
@@ -537,13 +524,11 @@ def _composed(points, frame, cache, family, coeffs):
         else:
             vals, vecs = np.linalg.eigh(stack)
             # the frames before each point, transposed in memory as matched
-            # frames are, so the first product is the one `_match` forms
+            # frames are, so each product rounds as one with a matched frame
             before = np.empty((count, k, d, d))
             before[0] = np.swapaxes(old, 1, 2)
             before[1:] = np.swapaxes(vecs[:-1], 2, 3)
-            product = np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3)
-            rows = np.abs(product).argmax(axis=2)
-            picked = np.take_along_axis(product, rows[:, :, None, :], axis=2)[:, :, 0, :]
+            rows, picked = _match(np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
         best.append((rows + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
         signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
         top.append(np.abs(picked).reshape(count, -1))
@@ -574,7 +559,7 @@ def _composed(points, frame, cache, family, coeffs):
                 matched *= sign[offset:offset + k * d].reshape(k, d, 1)
                 frame[b] = np.swapaxes(matched, 1, 2)
             offset += k * d
-    return frame, steps, accepted < count
+    return frame, steps, float(overlaps[accepted]) if accepted < count else None
 
 
 def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
@@ -589,82 +574,46 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     weight them, each scaled to unit norm, into a single operator
     (`BlockCache.normalised_sum`), block-diagonal on the weight blocks.
 
-    The grid is taken in batches of consecutive points, as many as keep
-    the batch's summed operators within BATCH_BYTES (at least one); each
-    point's operator is the same whichever batch it is summed in.
-    `_composed` diagonalises a batch with one eigh call per block size
-    and accepts its leading points whose smallest best overlap is at
-    least MATCH_THRESHOLD by composing their argmax matchings. A refused
-    start point fails the leg. A refused later point is reached from the
-    last accepted one by the per-point loop: one eigh call per block size,
-    `_match`, and geometric bisection of a step below MATCH_THRESHOLD, up
-    to MAX_BISECTIONS per leg; after that every step runs in that loop and
-    is accepted unless its overlap is below HARD_FLOOR. Returns (vectors
-    at grid[-1], diagnostics).
+    The points still to reach are taken in batches of consecutive points,
+    as many as keep the batch's summed operators within BATCH_BYTES (at
+    least one); each point's operator is the same whichever batch it is
+    summed in. `_composed` accepts a batch's leading points whose smallest
+    best overlap is at least MATCH_THRESHOLD. A refused start point fails
+    the leg. Any other refused point gets the geometric midpoint between
+    it and the last accepted point inserted in front of it, and the next
+    batch starts there; a refusal after MAX_BISECTIONS such midpoints in
+    the leg fails it. Every accepted point after the start is a step;
+    only grid points write trace rows. Returns (vectors at grid[-1],
+    diagnostics).
     """
-    grid = np.asarray(grid, dtype=float)
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
     per_batch = max(1, BATCH_BYTES // (8 * cache.size))
-
-    def eigen(t, frame):
-        """Eigenframe at t matched to frame: (vectors, values, min overlap)."""
-        matched, values, overlap = [], [], 1.0
-        for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
-            if stack.shape[-1] == 1:
-                matched.append(old)
-                values.append(stack[:, 0])
-                continue
-            vals, vecs = np.linalg.eigh(stack)
-            vecs, vals, low = _match(vecs, old, vals)
-            matched.append(vecs)
-            values.append(vals)
-            overlap = min(overlap, low)
-        return matched, values, overlap
-
-    def record_trace(t, values):
-        if trace is not None:
-            for b, v in enumerate(values):
-                trace.append((leg, float(t), b, float(v)))
-
-    current, i = vectors, 0  # i: the next grid point to reach
-    while i < len(grid):
-        steps, refused = [], True
-        if diag["bisections"] < MAX_BISECTIONS:
-            current, steps, refused = _composed(grid[i:i + per_batch], current, cache,
-                                                family, coeffs)
-        if i == 0 and not steps:
-            _, _, overlap = eigen(grid[0], vectors)
-            raise ContinuationError(
-                f"{leg}: start frame overlap {overlap:.4f} below threshold"
-            )
-        for values, overlap in steps:
+    pending = [(t, True) for t in np.asarray(grid, dtype=float)]  # (point, on the grid)
+    current, t_prev = vectors, None  # t_prev: the last accepted point
+    while pending:
+        batch = pending[:per_batch]
+        current, steps, refused = _composed([t for t, _ in batch], current, cache, family,
+                                            coeffs)
+        for (t, on_grid), (values, overlap) in zip(batch, steps):
             diag["min_overlap"] = min(diag["min_overlap"], overlap)
-            if i:
+            if t_prev is not None:
                 diag["steps"] += 1
-            record_trace(grid[i], values)
-            i += 1
-        if not refused:
+            if on_grid and trace is not None:
+                trace.extend((leg, float(t), b, float(v)) for b, v in enumerate(values))
+            t_prev = t
+        del pending[:len(steps)]
+        if refused is None:
             continue
-        # the per-point loop, from the last accepted point to grid[i]
-        t_prev, stack = grid[i - 1], [grid[i]]
-        while stack:
-            t_next = stack[-1]
-            matched, mvals, overlap = eigen(t_next, current)
-            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
-                if overlap < HARD_FLOOR:
-                    raise ContinuationError(
-                        f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
-                    )
-                current, cur_vals = matched, mvals
-                diag["min_overlap"] = min(diag["min_overlap"], overlap)
-                diag["steps"] += 1
-                t_prev = t_next
-                stack.pop()
-            else:
-                stack.append(math.sqrt(t_prev * t_next))
-                diag["bisections"] += 1
-        record_trace(grid[i], cache.by_branch(cur_vals))
-        i += 1
+        t = pending[0][0]
+        if t_prev is None:
+            raise ContinuationError(f"{leg}: start frame overlap {refused:.4f} below threshold")
+        if diag["bisections"] >= MAX_BISECTIONS:
+            raise ContinuationError(
+                f"{leg}: overlap {refused:.4f} below threshold at t={t} "
+                f"after {MAX_BISECTIONS} bisections"
+            )
+        pending.insert(0, (math.sqrt(t_prev * t), False))
+        diag["bisections"] += 1
     return current, diag
 
 
@@ -1010,10 +959,9 @@ def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=N
 
 
 def col_sum_blocks(r, n, max_entry):
-    """All column-sum vectors realized by matrices with bounded entries."""
-    from itertools import product
-
-    return sorted(set(product(range(r * max_entry + 1), repeat=n)))
+    """All column-sum vectors realized by matrices with bounded entries, in
+    lexicographic order."""
+    return list(product(range(r * max_entry + 1), repeat=n))
 
 
 def verify_main_theorem(r, n, col_sums=None, row_sums=None, max_entry=None,

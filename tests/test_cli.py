@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaudinrsk import cli
+from gaudinrsk import cli, cmcells, spectralflow
 from gaudinrsk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -171,6 +171,40 @@ class TestCells:
 
         monkeypatch.setattr(cli.cmcells, "right_cells", no_flow)
         assert main(["cells", "--n", "7"]) == EXIT_USAGE
+
+
+class TestCoarseGrid:
+    """At --steps 2 each leg is one grid step, which the transport reaches
+    through bisections on real blocks."""
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        """The bisections of every leg transported."""
+        counts = []
+        transport = spectralflow.transport
+
+        def counting(*args, **kwargs):
+            frame, diag = transport(*args, **kwargs)
+            counts.append(diag["bisections"])
+            return frame, diag
+
+        monkeypatch.setattr(spectralflow, "transport", counting)
+        return counts
+
+    def test_flow(self, capsys, bisections):
+        code, report = run(capsys, "flow", "--r", "3", "--n", "4",
+                           "--col-sums", "[1,1,1,1]", "--steps", "2")
+        assert code == EXIT_OK
+        assert report["agreement"] and report["checked"] == 81
+        assert max(bisections) > 1
+
+    @pytest.mark.parametrize("kind", ["right", "left"])
+    def test_cells(self, capsys, bisections, kind):
+        code, report = run(capsys, "cells", "--n", "5", "--kind", kind, "--steps", "2")
+        assert code == EXIT_OK
+        assert report["matches_kl"]
+        assert report["block_sizes"] == cmcells.kl_reference_cells(5, kind).block_sizes()
+        assert max(bisections) > 1
 
 
 class TestReports:

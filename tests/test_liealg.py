@@ -102,6 +102,13 @@ class TestBasisBlock:
             assert isinstance(block, MonomialBlock)
             assert len(block) == 0 and block == [] and list(block) == []
 
+    def test_huge_entries_build_at_once(self):
+        # the factorial norms of these monomials are computed only when a
+        # matrix or check needs them
+        block = MonomialBlock([NatMatrix([[2 ** 60 - x, x]]) for x in range(3)])
+        assert len(block) == 3
+        assert block[2] == NatMatrix([[2 ** 60 - 2, 2]])
+
     def test_block_is_not_hashable(self):
         with pytest.raises(TypeError):
             hash(weight_basis(2, 2, (1, 1)))

@@ -32,7 +32,6 @@ from gaudinrsk.liealg import (
 )
 from gaudinrsk.spectralflow import (
     BATCH_BYTES,
-    HARD_FLOOR,
     MATCH_THRESHOLD,
     MAX_BISECTIONS,
     MAX_REDRAWS,
@@ -44,6 +43,7 @@ from gaudinrsk.spectralflow import (
     FlowContext,
     FlowOpts,
     SetupError,
+    _composed,
     _decode_chain,
     _draw_coeffs,
     coalescence_classes,
@@ -153,19 +153,22 @@ def _full_transport(vectors, cache, family, grid, rng):
         while stack:
             matched, overlap = _full_match(np.linalg.eigh(operator(stack[-1], coeffs))[1],
                                            current)
-            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
-                assert overlap >= HARD_FLOOR
+            if overlap >= MATCH_THRESHOLD:
                 current = matched
                 diag["steps"] += 1
                 t_prev = stack.pop()
             else:
+                assert diag["bisections"] < MAX_BISECTIONS
                 stack.append(math.sqrt(t_prev * stack[-1]))
                 diag["bisections"] += 1
     return current, diag
 
 
 def _lsa_match(new_vecs, old_vecs, new_vals):
-    """_match as one linear_sum_assignment per block, whatever the overlaps."""
+    """Reorder and sign-align the eigenvector columns of every block of a
+    batch, stacks (k, d, d), to the old frame by one linear_sum_assignment
+    per block, whatever the overlaps. Returns (vectors, eigenvalues in the
+    new column order, min overlap)."""
     overlaps = np.abs(np.swapaxes(new_vecs, 1, 2) @ old_vecs)
     k, d = overlaps.shape[:2]
     order = np.empty((k, d), dtype=int)
@@ -183,7 +186,7 @@ def _lsa_match(new_vecs, old_vecs, new_vals):
 
 def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     """transport one grid point at a time: one eigh call per block size and
-    point, `_match` at every step and bisection of a step below
+    point, `_lsa_match` at every step and bisection of a step below
     MATCH_THRESHOLD, as before legs ran in batches."""
     grid = np.asarray(grid, dtype=float)
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
@@ -196,7 +199,7 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
                 values.append(stack[:, 0])
                 continue
             vals, vecs = np.linalg.eigh(stack)
-            vecs, vals, low = spectralflow._match(vecs, old, vals)
+            vecs, vals, low = _lsa_match(vecs, old, vals)
             matched.append(vecs)
             values.append(vals)
             overlap = min(overlap, low)
@@ -221,16 +224,17 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
         while stack:
             t_next = stack[-1]
             matched, mvals, overlap = eigen(t_next, current)
-            if overlap >= MATCH_THRESHOLD or diag["bisections"] >= MAX_BISECTIONS:
-                if overlap < HARD_FLOOR:
-                    raise ContinuationError(
-                        f"{leg}: overlap {overlap:.4f} below hard floor at t={t_next}"
-                    )
+            if overlap >= MATCH_THRESHOLD:
                 current, cur_vals = matched, mvals
                 diag["min_overlap"] = min(diag["min_overlap"], overlap)
                 diag["steps"] += 1
                 t_prev = t_next
                 stack.pop()
+            elif diag["bisections"] >= MAX_BISECTIONS:
+                raise ContinuationError(
+                    f"{leg}: overlap {overlap:.4f} below threshold at t={t_next} "
+                    f"after {MAX_BISECTIONS} bisections"
+                )
             else:
                 stack.append(math.sqrt(t_prev * t_next))
                 diag["bisections"] += 1
@@ -422,76 +426,75 @@ class TestMatch:
         return np.linalg.qr(rng.standard_normal((k, d, d)))[0]
 
     @staticmethod
-    def _rotate_pairs(frames, angles):
-        """Rotate columns (0, 1), (2, 3), ... of every frame by the angles,
-        one per block."""
-        out = frames.copy()
-        for c in range(0, frames.shape[2] - 1, 2):
-            cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
-            a, b = frames[:, :, c], frames[:, :, c + 1]
-            out[:, :, c], out[:, :, c + 1] = cos * a - sin * b, sin * a + cos * b
-        return out
-
-    def _check(self, monkeypatch, new, old, fallbacks):
-        """_match against the per-block assignment loop; counts the blocks
-        that fall back to linear_sum_assignment."""
-        calls = []
-
-        def counting(cost):
-            calls.append(cost)
-            return linear_sum_assignment(cost)
-
-        monkeypatch.setattr(spectralflow, "linear_sum_assignment", counting)
+    def _check(new, old):
+        """_match, applied to each block's overlap product as `_composed`
+        applies it, against one linear_sum_assignment per block."""
         vals = np.random.default_rng(7).standard_normal(new.shape[:2])
-        got = spectralflow._match(new, old, vals)
-        monkeypatch.undo()
+        rows, picked = spectralflow._match(np.swapaxes(new, 1, 2) @ old)
+        blk = np.arange(len(new))[:, None]
+        matched = new[blk, :, rows] * np.where(picked < 0, -1.0, 1.0)[:, :, None]
         expected = _lsa_match(new, old, vals)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
-        assert got[2] == expected[2]
-        assert len(calls) == fallbacks
+        assert np.array_equal(np.swapaxes(matched, 1, 2), expected[0])
+        assert np.array_equal(vals[blk, rows], expected[1])
+        assert np.abs(picked).min() == expected[2]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_small_rotations(self, monkeypatch, seed):
+    def test_small_rotations(self, seed):
         # the rotated frames of a step: every column's best overlap is
-        # near 1, so no block needs an assignment
+        # near 1, so the column-wise argmax is the optimal assignment
         rng = np.random.default_rng(seed)
         old = self._frames(rng, 5, 6)
         step = np.linalg.qr(np.eye(6) + 0.05 * rng.standard_normal((5, 6, 6)))[0]
-        new = old @ step
-        self._check(monkeypatch, new, old, fallbacks=0)
+        self._check(old @ step, old)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_rotations_near_45_degrees(self, monkeypatch, seed):
-        # columns rotated in pairs by 42-48 degrees overlap about 0.7, at
-        # most 0.8, in blocks 0 and 2; blocks 1 and 3 turn by 10 degrees
-        rng = np.random.default_rng(seed)
-        old = self._frames(rng, 4, 4)
-        angles = np.radians([rng.uniform(42, 48), 10.0, rng.uniform(42, 48), 10.0])
-        self._check(monkeypatch, self._rotate_pairs(old, angles), old, fallbacks=2)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unrelated_frames(self, monkeypatch, seed):
-        # independent random frames: best overlaps far below 0.8, and the
-        # column-wise argmax is no permutation, in every block
-        rng = np.random.default_rng(seed)
-        new, old = self._frames(rng, 6, 5), self._frames(rng, 6, 5)
-        overlaps = np.abs(np.swapaxes(new, 1, 2) @ old)
-        assert any(len(set(best)) < 5 for best in overlaps.argmax(axis=1))
-        self._check(monkeypatch, new, old, fallbacks=6)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_permuted_and_sign_flipped_columns(self, monkeypatch, seed):
+    def test_permuted_and_sign_flipped_columns(self, seed):
         rng = np.random.default_rng(seed)
         old = self._frames(rng, 3, 5)
         new = np.stack([frame[:, rng.permutation(5)] * rng.choice([-1.0, 1.0], 5)
                         for frame in old])
-        self._check(monkeypatch, new, old, fallbacks=0)
+        self._check(new, old)
 
-    def test_one_dimensional_blocks(self, monkeypatch):
+    def test_one_dimensional_blocks(self):
         signs = np.array([1.0, -1.0, -1.0, 1.0])
-        self._check(monkeypatch, signs[:, None, None], signs[::-1, None, None],
-                    fallbacks=0)
+        self._check(signs[:, None, None], signs[::-1, None, None])
+
+    @staticmethod
+    def _refused(start, cache, family, coeffs):
+        """The overlap at which `_composed` refuses a single point from the
+        start frame, which it returns unchanged with no step."""
+        frame, steps, refused = _composed([1.0], start, cache, family, coeffs)
+        assert frame is start and steps == []
+        assert refused < MATCH_THRESHOLD
+        return refused
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rotations_near_45_degrees(self, seed):
+        # the 2 x 2 block of the planted cache, whose eigenvectors under Z
+        # are the basis vectors, from a start frame turned by 42-48 degrees:
+        # every overlap is about 0.7, the product copies the frame's entries
+        cache = TestBatchedTransport._planted()
+        angle = np.radians(np.random.default_rng(seed).uniform(42, 48))
+        turn = np.array([[[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]])
+        start = cache.identity()
+        start[1] = turn
+        got = self._refused(start, cache, lambda t: [TestBatchedTransport.Z], [1.0])
+        assert got == np.abs(turn).max(axis=1).min()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unrelated_frames(self, seed):
+        # a random start frame on the one weight block of S_3: best
+        # overlaps far below MATCH_THRESHOLD, whether or not the column-wise
+        # argmax is a permutation
+        ctx = FlowContext(3, 3, (1, 1, 1), (1, 1, 1))
+        cache = ctx.cache
+        leg = ctx.legs()[0]
+        coeffs = start_coeffs(cache, leg.family(leg.grid[0]), np.random.default_rng(0))
+        old = self._frames(np.random.default_rng(seed), 1, cache.dim)
+        _, vecs = np.linalg.eigh(cache.normalised_sum(leg.family(1.0), coeffs)[0])
+        overlaps = np.abs(np.swapaxes(vecs, 1, 2) @ old)[0]
+        got = self._refused([old], cache, leg.family, coeffs)
+        assert got == pytest.approx(overlaps.max(axis=0).min(), abs=1e-12)
 
 
 class TestTransport:
@@ -683,8 +686,8 @@ class TestBatchedTransport:
     def test_bisections_run_out(self, monkeypatch):
         # cos(theta) Z + sin(theta) X with theta = rate * log t: the
         # eigenvectors turn by 40 degrees per grid step, so each step is
-        # bisected once until MAX_BISECTIONS are used; the later steps are
-        # accepted at an overlap of cos(40 deg) < MATCH_UNIQUE
+        # bisected once until MAX_BISECTIONS are used; the next refused
+        # step, at an overlap of cos(40 deg), ends the leg
         cache = self._planted()
         grid = np.geomspace(1.0, 2.0, 60)
         rate = math.radians(80) / math.log(grid[1] / grid[0])
@@ -696,8 +699,8 @@ class TestBatchedTransport:
 
         (got, want), _ = self._both(monkeypatch, cache.identity(), cache, family, grid, [1.0])
         self._assert_same(got, want)
-        assert got[1]["bisections"] == MAX_BISECTIONS
-        assert got[1]["min_overlap"] < spectralflow.MATCH_UNIQUE
+        assert got == (f"X: overlap {math.cos(math.radians(40)):.4f} below threshold at "
+                       f"t={grid[MAX_BISECTIONS + 1]} after {MAX_BISECTIONS} bisections")
 
     def test_part_list_changes_mid_leg(self, monkeypatch):
         # a coefficient that is exactly 0 at grid[3] drops its part there;
