@@ -3,11 +3,13 @@
 Runs the full flow on the multilinear block of 2x3 matrices: eigenlines are
 labelled by monomials at large parameter separation, transported to the
 degenerate limits, and decoded into a pair of tableaux per branch. The
-decoded pair is compared against row insertion for every branch.
+decoded pair is compared against row insertion for every branch. The same
+run also clusters leg B's records at z -> 0, which the tableau check alone
+(`flow_block`) does not compute.
 """
 
 from gaudinrsk.combinatorics import rsk
-from gaudinrsk.spectralflow import flow_block
+from gaudinrsk.spectralflow import FlowContext
 
 
 def rows(t):
@@ -15,7 +17,7 @@ def rows(t):
 
 
 def main():
-    result = flow_block(2, 3, (1, 1, 1))
+    result = FlowContext(2, 3, (1, 1, 1)).run("ABCDE", "B")
     print(f"{len(result.branches)} eigenline branches on the block\n")
     print(f"{'label':22} {'S (flow)':10} {'Q (rsk)':10} {'T (flow)':10} {'P (rsk)':10}")
     for branch in result.branches:

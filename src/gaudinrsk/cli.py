@@ -231,15 +231,22 @@ def cmd_flow(args):
                  else sum(weight) > args.r * args.n * args.max_entry)
         if empty:
             raise UsageError("the selected blocks hold no matrix with row sums --weight")
-    # the largest block: a sweep's has every column sum r * max_entry, as
-    # each factor of a block's dimension grows with its column sum
+    # a sweep's largest column sum is r * max_entry
     sums = k if k is not None else [args.r * args.max_entry] * args.n
     # monomial norms, products of entry factorials, reach k_1! ... k_n! as floats
     if max(sums) > 170 or math.prod(map(math.factorial, sums)) > sys.float_info.max:
         raise UsageError(f"column sums {sums} give monomial norms beyond float range")
-    dim = math.prod(math.comb(ka + args.r - 1, args.r - 1) for ka in sums)
+    if k is not None:
+        what = "basis dimension"
+        dim = math.prod(math.comb(ka + args.r - 1, args.r - 1) for ka in k)
+    else:
+        # a sweep is refused by the summed dimension of all its blocks,
+        # before they are listed: per column, the hockey-stick sum of
+        # comb(ka + r - 1, r - 1) over ka <= r * max_entry
+        what = "summed basis dimension of the swept blocks"
+        dim = math.comb(args.r * args.max_entry + args.r, args.r) ** args.n
     if dim > args.budget:
-        raise UsageError(f"basis dimension {dim} exceeds budget {args.budget}")
+        raise UsageError(f"{what} {dim} exceeds budget {args.budget}")
     trace = [] if args.trace else None
     try:
         report = spectralflow.verify_main_theorem(
@@ -345,7 +352,9 @@ def build_parser():
     p_fl.add_argument("--z", help="base z (JSON list, increasing positive)")
     p_fl.add_argument("--q", help="base q (JSON list, pairwise distinct)")
     p_fl.add_argument("--steps", type=int, default=48)
-    p_fl.add_argument("--budget", type=int, default=300)
+    p_fl.add_argument("--budget", type=int, default=300,
+                      help="largest basis dimension run: the block's, or for a sweep "
+                      "the summed dimension of every block it lists (default 300)")
     p_fl.add_argument("--trace", help="write eigenvalue traces to this CSV file")
     p_fl.set_defaults(func=cmd_flow)
 

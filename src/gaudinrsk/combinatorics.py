@@ -71,25 +71,6 @@ class Partition:
         return Partition(cols)
 
 
-def partitions_of(k, max_parts=None):
-    """All partitions of k, optionally with at most max_parts parts."""
-    results = []
-
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            results.append(Partition(acc))
-            return
-        if max_parts is not None and len(acc) == max_parts:
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            rec(remaining - p, p, acc + [p])
-
-    rec(k, k if k else 1, [])
-    if k == 0:
-        return [Partition()]
-    return results
-
-
 class SemistandardTableau:
     """Rows weakly increase, columns strictly increase, entries in 1..alphabet_bound."""
 
@@ -162,14 +143,6 @@ class SemistandardTableau:
 
     def to_lists(self):
         return [list(row) for row in self.rows]
-
-
-def restrict(tableau, i):
-    """Remove all boxes with entries strictly larger than i."""
-    if not 0 <= i <= tableau.alphabet_bound:
-        raise ValueError(f"restriction level {i} outside 0..{tableau.alphabet_bound}")
-    rows = [[x for x in row if x <= i] for row in tableau.rows]
-    return SemistandardTableau([r for r in rows if r], min(i, tableau.alphabet_bound))
 
 
 class NatMatrix:
@@ -364,14 +337,6 @@ def _bump(rows, value):
         row[j], value = value, row[j]
     rows.append([value])
     return len(rows) - 1
-
-
-def row_insert(tableau, value):
-    """Schensted row insertion; returns (new tableau, (row, col) of the new box)."""
-    rows = [list(row) for row in tableau.rows]
-    i = _bump(rows, value)
-    bound = max(tableau.alphabet_bound, value)
-    return SemistandardTableau(rows, bound), (i, len(rows[i]) - 1)
 
 
 def rsk(matrix):

@@ -162,11 +162,6 @@ class Operator:
                 out[m] = out.get(m, 0) + coeff * c
         return {m: c for m, c in out.items() if c}
 
-    def is_zero_on(self, basis):
-        block = _as_block(basis)
-        action = _Action(block, self)
-        return not any(action.column(i) for i in range(block.dim))
-
 
 def op_E(i, j, a):
     """gl_r generator E_ij acting in tensor factor (column) a; 1-based."""
@@ -325,11 +320,6 @@ def casimir_eigenvalue(shape, rank, order=2):
     if order != 2:
         raise ValueError(f"unsupported Casimir order {order}")
     return sum(p * (p + rank + 1 - 2 * j) for j, p in enumerate(shape, start=1))
-
-
-def compositions(total, parts):
-    """All tuples of the given length of non-negative integers with the sum."""
-    return _capped_compositions(total, (total,) * parts)
 
 
 def _capped_compositions(total, caps):
@@ -725,11 +715,6 @@ def dense(op, basis, orthonormal=True):
         vals *= np.sqrt(norms[dst] / norms[src])
     mat[dst, src] = vals
     return mat
-
-
-def is_self_adjoint(op, basis):
-    """Exact self-adjointness in the inner product with <x^A, x^A> = sqnorm."""
-    return is_adjoint_pair(op, op, basis)
 
 
 def commute_on(op1, op2, basis):

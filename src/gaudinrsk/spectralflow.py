@@ -20,27 +20,30 @@ that selects the paths is the base point z:
      start as monomials.
   B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
      exchange operators converge to the partial exchange sums J_a, keeping
-     the tracked spectrum simple. Its end frame feeds the z-side records
-     (dynamical limits at z = 0), whose coalescence classes, linked by the
-     records' own Rayleigh residuals, the flow reports.
+     the tracked spectrum simple. Its end frame feeds leg C, and, when
+     clustered, the z-side records (dynamical limits at z = 0), whose
+     coalescence classes are linked by the records' own Rayleigh residuals.
   C  from B's end, q rescaled at z = 0: the rescaled dynamical operators
      converge to the nested commuting limits; its end frame feeds the S
      decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
   D  from A's end, q -> 0 at A's end point z: exchange family plus q-scaled
-     dynamical operators; its end frame feeds the q-side records
-     (exchange limits at q = 0), shared with the mirrored gl_n action.
+     dynamical operators; its end frame feeds leg E, and, when clustered,
+     the q-side records (exchange limits at q = 0), shared with the
+     mirrored gl_n action.
   E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
      feeds the T decoder (`FlowContext.extract_T`, dual corner Casimirs).
 
-The cell flows run leg A and then leg B, with B scaling z straight to
-zero, or leg D, or both B and D for two-sided cells.
+The tableau check (`flow_block`) runs legs A to E and reads out the two
+decoders only; it computes no records and no classes. The cell flows run
+leg A and then leg B, with B scaling z straight to zero, or leg D, or
+both B and D for two-sided cells, and cluster the records of those legs.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`), redrawn until the combined operator at the leg's start
-has a simple spectrum. No start family depends on a frame, so
-`FlowContext.run` draws for every leg it runs, in leg order, before the
-first transport: a degenerate start of any leg ends the run before any
-leg is transported.
+has a simple spectrum on each weight block. No start family depends on a
+frame, so `FlowContext.run` draws for every leg it runs, in leg order,
+before the first transport: a degenerate start of any leg ends the run
+before any leg is transported.
 
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
@@ -69,7 +72,7 @@ leg and one cache per graded block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -152,7 +155,6 @@ def collision_z(z, t):
 @dataclass
 class EigenBranch:
     label: NatMatrix
-    eigenvalues: dict = field(default_factory=dict)
     s_tableau: SemistandardTableau = None
     t_tableau: SemistandardTableau = None
 
@@ -445,23 +447,17 @@ def _draw_coeffs(rng, count):
 
 def start_coeffs(cache, ops, rng, leg=""):
     """A draw of coefficients for the family ops, a leg's start family,
-    whose combined operator (`BlockCache.normalised_sum`) has every gap of
-    its whole spectrum above START_GAP_MIN. Draws again up to MAX_REDRAWS
-    times, then raises ContinuationError."""
+    whose combined operator (`BlockCache.normalised_sum`) has every gap
+    inside each weight block above START_GAP_MIN. Blocks never interact, so
+    values of two blocks are not compared; each batch with d > 1 is
+    checked by one eigvalsh call. Draws again up to MAX_REDRAWS times, then
+    raises ContinuationError."""
     for _ in range(MAX_REDRAWS):
         coeffs = _draw_coeffs(rng, len(ops))
-        gaps = _gaps([_eigvals(stack) for stack in cache.normalised_sum(ops, coeffs)])
-        if len(gaps) == 0 or gaps.min() > START_GAP_MIN:
+        if all(np.diff(np.linalg.eigvalsh(stack), axis=-1).min() > START_GAP_MIN
+               for stack in cache.normalised_sum(ops, coeffs) if stack.shape[-1] > 1):
             return coeffs
     raise ContinuationError(f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws")
-
-
-def _eigvals(stack):
-    """Eigenvalues of a batch (k, d, d); a 1 x 1 block's is its entry, as
-    LAPACK returns it, with no solve."""
-    if stack.shape[-1] == 1:
-        return stack[:, 0]
-    return np.linalg.eigvalsh(stack)
 
 
 def _match(overlaps):
@@ -478,11 +474,6 @@ def _match(overlaps):
     """
     rows = np.abs(overlaps).argmax(axis=-2)
     return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
-
-
-def _gaps(values):
-    """Gaps of the whole sorted spectrum, from per-batch eigenvalue arrays."""
-    return np.diff(np.sort(np.concatenate([vals.ravel() for vals in values])))
 
 
 def _composed(points, frame, cache, family, coeffs):
@@ -767,7 +758,7 @@ class Leg(NamedTuple):
     family: Callable  # grid point -> operators as term lists, without the weights
     limit: Callable | None = None  # () -> exact limit operators (weight-block stacks)
     decode: Callable | None = None  # (end frame, labels) -> tableaux
-    key: str | None = None  # where each branch keeps the records or tableaux
+    key: str | None = None  # where each branch keeps the decoded tableaux
 
 
 class FlowContext:
@@ -851,9 +842,9 @@ class FlowContext:
         return (
             Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main(collision)),
             Leg("B", "A", np.geomspace(1.0, T_MIN, steps),
-                main(straight if straight_b else collision), limit=z_limit, key="limit_z"),
+                main(straight if straight_b else collision), limit=z_limit),
             Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
-            Leg("D", "A", s_grid, qshrink, limit=q_limit, key="limit_q"),
+            Leg("D", "A", s_grid, qshrink, limit=q_limit),
             Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
         )
 
@@ -865,16 +856,17 @@ class FlowContext:
         runs, in leg order, so a degenerate start spectrum of any leg ends
         the run before the first transport.
 
-        Frames are kept as weight-block stacks (`BlockCache.split`). A leg
-        with limit operators stores its Rayleigh records, weights appended,
-        in each branch's eigenvalues; the records of each leg named in
-        classes_from are clustered as soon as they exist, into the result's
-        classes under the leg's name. A decoding leg stores its tableaux on
-        the branches.
+        Frames are kept as weight-block stacks (`BlockCache.split`). Only a
+        leg named in classes_from reads records off its end frame: the
+        Rayleigh quotients of its limit operators, with residuals, and then
+        the r weights W_i, taken as each branch's exact row sums with
+        residual 0 (a frame column lies in one weight block, where W_i is
+        the constant row sum i). `coalescence_classes` clusters them into
+        the result's classes under the leg's name. A decoding leg stores its
+        tableaux on the branches.
         """
         cache = self.cache
-        weight_parts = [(weight_op, i, self.n) for i in range(1, self.r + 1)]
-        weight_terms = [[(1.0, part)] for part in weight_parts]
+        weight_terms = [[(1.0, (weight_op, i, self.n))] for i in range(1, self.r + 1)]
         # leg A starts from the identity frame, so its start-overlap test
         # checks that the monomials are the start eigenlines
         labels = list(self.basis)
@@ -899,13 +891,12 @@ class FlowContext:
                                         trace=trace, leg=leg.name)
             frames[leg.name] = frame
             diags.append(diag)
-            if leg.limit is not None:
-                records, residuals = self._rayleigh(frame, leg.limit()
-                                                    + [cache.stacks(p) for p in weight_parts])
-                for branch, rec in zip(branches, records):
-                    branch.eigenvalues[leg.key] = rec.tolist()
-                if leg.name in classes_from:
-                    classes[leg.name] = coalescence_classes(records, residuals)
+            if leg.name in classes_from:
+                records, residuals = self._rayleigh(frame, leg.limit())
+                weights = np.array([m.row_sums() for m in self.basis], dtype=float)
+                classes[leg.name] = coalescence_classes(
+                    np.column_stack([records, weights]),
+                    np.column_stack([residuals, np.zeros_like(weights)]))
             if leg.decode is not None:
                 for branch, tab in zip(branches, leg.decode(frame, labels)):
                     setattr(branch, leg.key, tab)
@@ -940,14 +931,14 @@ class FlowContext:
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):
-    """Run all legs once on one graded block; returns a FlowResult whose
-    classes hold leg B's (`classes["B"]`).
+    """Run all legs once on one graded block and decode (S, T) on every
+    branch; returns a FlowResult with no classes, as no leg is clustered.
 
-    A continuation, clustering or decoding failure, or branches whose S and
-    T shapes differ, raise a FlowError; the block is not run again.
+    A continuation or decoding failure, or branches whose S and T shapes
+    differ, raise a FlowError; the block is not run again.
     """
     ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
-    result = ctx.run("ABCDE", "B", trace=trace)
+    result = ctx.run("ABCDE", trace=trace)
     result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=ctx.opts.seed)
     for branch in result.branches:
         if branch.s_tableau.shape != branch.t_tableau.shape:

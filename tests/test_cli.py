@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,21 @@ class TestFlow:
     def test_budget_overflow(self, capsys):
         assert main(["flow", "--r", "3", "--n", "3", "--col-sums", "[4,4,4]",
                      "--budget", "100"]) == EXIT_USAGE
+
+    def test_huge_sweep_is_refused_before_listing(self, capsys):
+        # every block of r = 1 has dimension 1, but the sweep lists 21^7
+        # column-sum vectors; their summed dimension is checked first
+        start = time.perf_counter()
+        assert main(["flow", "--r", "1", "--n", "7", "--max-entry", "20"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert f"swept blocks {21 ** 7} exceeds budget 300" in capsys.readouterr().err
+
+    def test_sweep_within_default_budget(self, capsys):
+        # 25 blocks of dimension (a + 1)(b + 1), 225 labels in all
+        code, report = run(capsys, "flow", "--r", "2", "--n", "2", "--max-entry", "2")
+        assert code == EXIT_OK
+        assert report["checked"] == 225
+        assert report["agreement"]
 
     def test_largest_float_column_sum_runs(self, capsys):
         # float(170!) is finite

@@ -729,6 +729,16 @@ class TestBatchedTransport:
         self._assert_same(got, want)
         assert got == "X: start frame overlap 0.8660 below threshold"
 
+    def test_start_check_stays_inside_weight_blocks(self):
+        # E_11^(1) - E_11^(2) is 0 on both 1 x 1 blocks, a tie across blocks
+        # that never interact, and diag(1, -1) on the 2 x 2 block: the first
+        # draw is accepted
+        cache = self._planted()
+        ones, pair = cache.normalised_sum([self.Z], [1.0])
+        assert not ones.any() and np.diff(np.linalg.eigvalsh(pair)).min() > 1
+        coeffs = start_coeffs(cache, [self.Z], np.random.default_rng(0), "X")
+        assert np.array_equal(coeffs, _draw_coeffs(np.random.default_rng(0), 1))
+
 
 class TestDiagonalParts:
     BLOCKS = [(3, 3, (1, 1, 1), (1, 1, 1)), (3, 3, (2, 1, 1), None)]
@@ -1007,20 +1017,58 @@ class TestFlowBlock:
         assert branch.s_tableau.rows == ((1,), (2,))
         assert branch.t_tableau.rows == ((1,), (2,))
 
-    def test_endpoint_eigenvalues_are_exact_limits(self):
+    @staticmethod
+    def _clustered(monkeypatch, ctx, names, classes_from):
+        """ctx.run(names, classes_from) with the (records, residuals) handed
+        to each coalescence_classes call captured; returns (result, the
+        captured pairs)."""
+        handed = []
+
+        def capture(records, residuals):
+            handed.append((np.asarray(records), np.asarray(residuals)))
+            return coalescence_classes(records, residuals)
+
+        monkeypatch.setattr(spectralflow, "coalescence_classes", capture)
+        return ctx.run(names, classes_from), handed
+
+    def test_endpoint_eigenvalues_are_exact_limits(self, monkeypatch):
         # z = 0 records must match the limit family to continuation accuracy
-        result = flow_block(2, 2, (1, 1), row_sums=(1, 1))
         ctx = FlowContext(2, 2, (1, 1), (1, 1))
+        _, [(records, _)] = self._clustered(monkeypatch, ctx, "AB", "B")
         cache = ctx.cache
         limit_ops = [cache.full(cache.nabla_mat(i, (0.0, 0.0), ctx.q)) for i in (1, 2)]
-        limit_ops += [cache.mat((weight_op, i, 2)) for i in (1, 2)]
         exact = set()
         vals = np.linalg.eigvalsh(limit_ops[0])
-        for branch in result.branches:
-            rec = branch.eigenvalues["limit_z"]
+        for rec in records:
             assert min(abs(rec[0] - v) for v in vals) < 1e-6
             exact.add(round(rec[0], 6))
         assert len(exact) == 2
+
+    def test_records_end_in_exact_row_sums(self, monkeypatch):
+        # the r weight columns of the records are the branches' row sums,
+        # exactly, with residual 0; the classes are those of the records
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        result, [(records, residuals)] = self._clustered(monkeypatch, ctx, "AB", "B")
+        row_sums = np.array([m.row_sums() for m in ctx.basis], dtype=float)
+        assert records.shape == residuals.shape == (ctx.cache.dim, ctx.r + ctx.r)
+        assert np.array_equal(records[:, -ctx.r:], row_sums)
+        assert not residuals[:, -ctx.r:].any()
+        assert result.classes["B"] == _pairwise_classes(records, residuals)
+
+    def test_flow_computes_no_records(self, monkeypatch):
+        # the tableau check reads out only the decoders: no limit operator
+        # is built and nothing is clustered
+        def forbidden(*args, **kwargs):
+            raise AssertionError("flow computed a record")
+
+        monkeypatch.setattr(spectralflow, "coalescence_classes", forbidden)
+        monkeypatch.setattr(BlockCache, "nabla_mat", forbidden)
+        monkeypatch.setattr(BlockCache, "gaudin_mat", forbidden)
+        report = verify_main_theorem(2, 3, col_sums=(1, 1, 1))
+        assert report["agreement"]
+        assert report["checked"] == 8
+        assert report["failures"] == report["mismatches"] == []
+        assert flow_block(2, 3, (1, 1, 1)).classes == {}
 
     def test_shape_consistency(self):
         result = flow_block(2, 3, (1, 1, 1))
@@ -1030,7 +1078,7 @@ class TestFlowBlock:
     def test_classes_group_by_recording_tableau(self):
         # fibers of (recording tableau, weight): shapes (3) give four
         # singletons, shape (2,1) gives two classes of two
-        result = flow_block(2, 3, (1, 1, 1))
+        result = FlowContext(2, 3, (1, 1, 1)).run("AB", "B")
         assert list(result.classes) == ["B"]
         assert sorted(len(c) for c in result.classes["B"]) == [1, 1, 1, 1, 2, 2]
         for cls in result.classes["B"]:
