@@ -12,14 +12,15 @@ configuration and seed, so identical invocations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import random
 import sys
 import tempfile
+from types import SimpleNamespace
 
 from . import combinatorics as cb
 from . import cmcells, crystals, spectralflow
@@ -69,14 +70,16 @@ def _load_matrix(args):
         raise UsageError(f"bad matrix: {err}")
 
 
-def _write_atomic(path, text):
-    """Write text to path through a temporary file in the same directory,
-    which is removed if the write fails."""
+@contextlib.contextmanager
+def _atomic(path):
+    """A text file to write path through: a temporary file in the same
+    directory, renamed to path when the block ends and removed if it
+    raises."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -86,7 +89,8 @@ def _write_atomic(path, text):
 def _emit(report, args):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        _write_atomic(args.out, text)
+        with _atomic(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -247,21 +251,21 @@ def cmd_flow(args):
         dim = math.comb(args.r * args.max_entry + args.r, args.r) ** args.n
     if dim > args.budget:
         raise UsageError(f"{what} {dim} exceeds budget {args.budget}")
-    trace = [] if args.trace else None
     try:
-        report = spectralflow.verify_main_theorem(
-            args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
-            z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,
-        )
+        with contextlib.ExitStack() as files:
+            trace = None
+            if args.trace:
+                # rows go to the file as each grid point is reached
+                writer = csv.writer(files.enter_context(_atomic(args.trace)))
+                writer.writerow(["leg", "t", "branch", "eigenvalue"])
+                trace = SimpleNamespace(extend=writer.writerows)
+            report = spectralflow.verify_main_theorem(
+                args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
+                z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,
+            )
     except spectralflow.FlowError as err:
         _emit({"config": _config(args), "error": str(err)}, args)
         return EXIT_INCONCLUSIVE
-    if args.trace:
-        text = io.StringIO()
-        writer = csv.writer(text)
-        writer.writerow(["leg", "t", "branch", "eigenvalue"])
-        writer.writerows(trace)
-        _write_atomic(args.trace, text.getvalue())
     report["config"] = _config(args)
     _emit(report, args)
     if report["failures"]:

@@ -100,18 +100,19 @@ class Operator:
             if coeff:
                 self.terms[tuple(factors)] = coeff
 
+    @classmethod
+    def _from_fractions(cls, terms):
+        """The operator with the terms, a dict from factor tuples to
+        Fractions, dropping zero coefficients without coercing the others."""
+        op = cls.__new__(cls)
+        op.terms = {f: c for f, c in terms.items() if c}
+        return op
+
     def __add__(self, other):
-        terms = dict(self.terms)
-        for factors, coeff in other.terms.items():
-            new = terms.get(factors, 0) + coeff
-            if new:
-                terms[factors] = new
-            else:
-                terms.pop(factors, None)
-        return Operator(terms)
+        return _summed((self, other))
 
     def __neg__(self):
-        return Operator({f: -c for f, c in self.terms.items()})
+        return Operator._from_fractions({f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -123,7 +124,7 @@ class Operator:
                 for f2, c2 in other.terms.items():
                     key = f1 + f2
                     terms[key] = terms.get(key, 0) + c1 * c2
-            return Operator(terms)
+            return Operator._from_fractions(terms)
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -134,7 +135,7 @@ class Operator:
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        return Operator({f: scalar * c for f, c in self.terms.items()})
+        return Operator._from_fractions({f: scalar * c for f, c in self.terms.items()})
 
     def commutator(self, other):
         return self * other - other * self
@@ -206,9 +207,18 @@ def part_operator(part):
     return part[0](*part[1:])
 
 
+def _summed(ops):
+    """The exact sum of the operators, built as one terms dict."""
+    terms = {}
+    for op in ops:
+        for factors, c in op.terms.items():
+            terms[factors] = terms.get(factors, 0) + c
+    return Operator._from_fractions(terms)
+
+
 def _terms_sum(terms):
     """The exact sum of coefficient * part operator over the terms."""
-    return sum((part_operator(part).scale(c) for c, part in terms if c), Operator())
+    return _summed(part_operator(part).scale(c) for c, part in terms if c)
 
 
 def _exact(values):
@@ -273,42 +283,27 @@ def gaudin_limit_terms(a, r):
 
 def jm(a, r):
     """Jucys-Murphy style limit of the Gaudin Hamiltonian: sum_{b<a} Omega_ba."""
-    out = Operator()
-    for b in range(1, a):
-        out = out + omega(b, a, r)
-    return out
+    return _summed(omega(b, a, r) for b in range(1, a))
 
 
 def nested_casimir(i, n, order=2):
     """Casimir of gl_i inside gl_r, acting diagonally on n columns."""
     if order == 1:
-        out = Operator()
-        for a in range(1, i + 1):
-            out = out + delta_n(a, a, n)
-        return out
+        return _summed(delta_n(a, a, n) for a in range(1, i + 1))
     if order != 2:
         raise ValueError(f"unsupported Casimir order {order}")
-    out = Operator()
-    for a in range(1, i + 1):
-        for b in range(1, i + 1):
-            out = out + delta_n(a, b, n) * delta_n(b, a, n)
-    return out
+    return _summed(delta_n(a, b, n) * delta_n(b, a, n)
+                   for a in range(1, i + 1) for b in range(1, i + 1))
 
 
 def dual_nested_casimir(a, r, order=2):
     """Casimir of gl_a inside gl_n, acting diagonally on r rows."""
     if order == 1:
-        out = Operator()
-        for b in range(1, a + 1):
-            out = out + delta_r(b, b, r)
-        return out
+        return _summed(delta_r(b, b, r) for b in range(1, a + 1))
     if order != 2:
         raise ValueError(f"unsupported Casimir order {order}")
-    out = Operator()
-    for b in range(1, a + 1):
-        for c in range(1, a + 1):
-            out = out + delta_r(b, c, r) * delta_r(c, b, r)
-    return out
+    return _summed(delta_r(b, c, r) * delta_r(c, b, r)
+                   for b in range(1, a + 1) for c in range(1, a + 1))
 
 
 def casimir_eigenvalue(shape, rank, order=2):

@@ -52,12 +52,17 @@ block-diagonal by gl_r weight (the row sums of the monomials). The
 flat buffer of its weight blocks, viewed as stacks by block size, or,
 for a part with no off-diagonal entry (the E_ii^(a) and the W_i), its
 diagonal alone. A weighted sum of parts is a matrix-vector product with
-each. A leg runs in batches of consecutive points, as many as fit
-BATCH_BYTES: each point's operator is summed on its own, so a part it
-does not use has weight 0 and the batch goes on, and each block size is
-diagonalised by one batched eigh call per batch. A 1 x 1 weight block is
-not solved: its frame stays +-1 and its value is its entry, which is
-what LAPACK returns. Each old column takes the new column of largest
+each. A family is a function of an array of points whose term lists'
+coefficients broadcast over those points: each leg evaluates it once on
+its whole grid and turns it into one array of weights, a row per point
+(`BlockCache.coefficients`); a bisection midpoint, and the start point
+of the coefficient draw, are one-point arrays. A leg runs in batches of
+consecutive points, as many as fit BATCH_BYTES: each point's operator
+is summed on its own, so a part it does not use has weight 0 and the
+batch goes on, and each block size is diagonalised by one batched eigh
+call per batch. A 1 x 1 weight block is not solved: its frame stays +-1
+and its value is its entry, which is what LAPACK returns. Each old
+column takes the new column of largest
 overlap (`_match`); the leading points of a batch whose smallest such
 overlap reaches MATCH_THRESHOLD are matched at once by composing these
 matchings. Every column's overlap then exceeds 1/sqrt(2), so each
@@ -195,14 +200,19 @@ class BlockCache:
     point's sum as its own two matrix-vector products, w_F @ F plus w_D @ D
     added on the diagonal positions, so a point's sum does not depend on
     the other points summed with it; a part a point does not use has
-    weight 0. `combine` is its one-point form for a liealg term list.
+    weight 0.
 
-    A flow family is a list of term lists. `coefficients` finds the
-    weights on the parts of its operators, each scaled to unit Frobenius
-    norm: the norms come from the coefficient rows and the Gram matrix of
-    all held parts (F F^T, D D^T and F[:, diagonal] D^T), extended when
-    parts are added, so no operator of the family is ever built as a
-    matrix of its own. `normalised_sum` is their sum."""
+    A flow family, evaluated on an array of points, is a list of term
+    lists whose coefficients are numbers or arrays over those points.
+    `_rows` lays them out as one (points, operators, parts) array, and
+    `coefficients` turns that into one weight row per point on the parts
+    of the operators, each scaled to unit Frobenius norm: the norms come
+    from the coefficient rows and the Gram matrix of all held parts (F
+    F^T, D D^T and F[:, diagonal] D^T), extended when parts are added, so
+    no operator of the family is ever built as a matrix of its own. A
+    point's row is the same whichever points it is evaluated with.
+    `normalised_sum` is the one-point sum of a family, and `combine` that
+    of one liealg term list, unnormalised."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -342,15 +352,6 @@ class BlockCache:
         """Dense dim x dim matrix of the part, rebuilt from its stacks."""
         return self.full(self.stacks(part))
 
-    def _weights(self, terms):
-        """The coefficients of the terms, whose nonzero ones' parts are
-        held, as a row over the block-wide part list."""
-        row = np.zeros(len(self._index))
-        for c, part in terms:
-            if c:
-                row[self._index[part]] += c
-        return row
-
     def sum_parts(self, weights):
         """Flat buffers (points, size) of sum_j weights[p][j] * part_j over
         the block-wide part list, one row per point p; a row shorter than
@@ -367,12 +368,22 @@ class BlockCache:
             flat[self._diagonal] += row[self._diag_at] @ diag
         return out
 
+    def _rows(self, ops, points):
+        """Coefficient rows (points, ops, parts) of the term lists ops over
+        the block-wide part list. Each coefficient is a number or an array
+        over the points; a part whose coefficient is 0 at every point is not
+        built, and one that is 0 at some points has weight 0 there."""
+        live = [(o, c, part) for o, terms in enumerate(ops) for c, part in terms if np.any(c)]
+        self._add(part for _, _, part in live)
+        rows = np.zeros((points, len(ops), len(self._index)))
+        for o, c, part in live:
+            rows[:, o, self._index[part]] += c
+        return rows
+
     def combine(self, terms):
-        """Float sum of coefficient * part as per-batch stacks; zero terms
-        build no part."""
-        terms = [(c, part) for c, part in terms if c]
-        self._add(part for _, part in terms)
-        return self._views(self.sum_parts([self._weights(terms)])[0])
+        """Float sum of coefficient * part as per-batch stacks, the one-point
+        rows of `_rows`; zero terms build no part."""
+        return self._views(self.sum_parts(self._rows([terms], 1)[:, 0])[0])
 
     def _extend_gram(self):
         """Extend the Gram matrix (Frobenius inner products over the
@@ -398,32 +409,33 @@ class BlockCache:
             gram[cols[:, None], rows] = block.T
         self._gram = gram
 
-    def coefficients(self, ops, coeffs):
-        """Weights over the block-wide part list with sum_o coeffs[o] *
-        op_o / |op_o|_F = sum_j weights[j] * part_j over the term lists ops.
+    def coefficients(self, ops, coeffs, points=1):
+        """Weights (points, parts) over the block-wide part list with
+        sum_o coeffs[o] * op_o / |op_o|_F = sum_j weights[p, j] * part_j at
+        each point p, for term lists ops whose coefficients are numbers or
+        arrays over the points (`_rows`).
 
-        Row o of the coefficient matrix holds op_o's coefficients on the
-        parts, so |op_o|_F^2 = m_o G m_o^T. An operator whose terms cancel
-        on the block, its squared norm at most CANCEL_TOL times
-        sum_jk |m_oj m_ok G_jk|, is left out.
+        Row o of a point's coefficient matrix holds op_o's coefficients on
+        the parts, so |op_o|_F^2 = m_o G m_o^T at that point. An operator
+        whose terms cancel on the block there, its squared norm at most
+        CANCEL_TOL times sum_jk |m_oj m_ok G_jk|, is left out at that point.
+        Every product is taken per point, so a point's weights do not
+        depend on the other points evaluated with it.
         """
-        self._add(part for terms in ops for c, part in terms if c)
-        rows = np.zeros((len(ops), len(self._index)))
-        for row, terms in zip(rows, ops):
-            row[:] = self._weights(terms)
+        rows = self._rows(ops, points)
         self._extend_gram()
         gram = self._gram
-        sq = np.sum(rows @ gram * rows, axis=1)
-        scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=1)
+        sq = np.sum(rows @ gram * rows, axis=-1)
+        scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=-1)
         live = sq > CANCEL_TOL * scale
-        factors = np.zeros(len(ops))
-        factors[live] = np.asarray(coeffs)[live] / np.sqrt(sq[live])
-        return factors @ rows
+        factors = np.zeros(sq.shape)
+        factors[live] = np.broadcast_to(coeffs, sq.shape)[live] / np.sqrt(sq[live])
+        return (factors[:, None, :] @ rows)[:, 0]
 
     def normalised_sum(self, ops, coeffs):
-        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops, as
-        per-batch stacks (`coefficients`)."""
-        return self._views(self.sum_parts([self.coefficients(ops, coeffs)])[0])
+        """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops of one
+        point, as per-batch stacks (`coefficients`)."""
+        return self._views(self.sum_parts(self.coefficients(ops, coeffs))[0])
 
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
@@ -446,9 +458,10 @@ def _draw_coeffs(rng, count):
 
 
 def start_coeffs(cache, ops, rng, leg=""):
-    """A draw of coefficients for the family ops, a leg's start family,
-    whose combined operator (`BlockCache.normalised_sum`) has every gap
-    inside each weight block above START_GAP_MIN. Blocks never interact, so
+    """A draw of coefficients for the family ops, a leg's start family
+    evaluated at a one-point array, whose combined operator
+    (`BlockCache.normalised_sum`) has every gap inside each weight block
+    above START_GAP_MIN. Blocks never interact, so
     values of two blocks are not compared; each batch with d > 1 is
     checked by one eigvalsh call. Draws again up to MAX_REDRAWS times, then
     raises ContinuationError."""
@@ -476,10 +489,12 @@ def _match(overlaps):
     return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
 
 
-def _composed(points, frame, cache, family, coeffs):
-    """Eigenframes of the combined operator at consecutive points, each
-    matched to the frame before it (the first to frame), up to the first
-    point whose smallest best overlap is below MATCH_THRESHOLD.
+def _composed(weights, frame, cache):
+    """Eigenframes of the combined operator at consecutive points, given by
+    their weight rows over the block-wide part list
+    (`BlockCache.coefficients`), each matched to the frame before it (the
+    first to frame), up to the first point whose smallest best overlap is
+    below MATCH_THRESHOLD.
 
     The operators of all points are summed into one buffer
     (`BlockCache.sum_parts`, each point's sum on its own, a part that a
@@ -497,7 +512,6 @@ def _composed(points, frame, cache, family, coeffs):
     first refused point or None); the points after the accepted ones are
     left to the caller.
     """
-    weights = [cache.coefficients(family(t), coeffs) for t in points]
     count = len(weights)
     stacks = cache._views(cache.sum_parts(weights))
     # per point and column j of the frame before it, batch after batch:
@@ -560,32 +574,37 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     approximating joint eigenlines at grid[0], one frame per weight block
     of the cache (`cache.identity()` or a frame of an earlier leg); column
     c of block j of a batch follows the branch at basis position idx[j, c]
-    of that batch. family(t) lists the family's operators at t as term
-    lists; the coefficients coeffs (`start_coeffs` of family(grid[0]))
-    weight them, each scaled to unit norm, into a single operator
-    (`BlockCache.normalised_sum`), block-diagonal on the weight blocks.
+    of that batch. family(t) lists the family's operators at an array of
+    points t as term lists whose coefficients broadcast over the points;
+    the coefficients coeffs (`start_coeffs` of family(grid[:1])) weight
+    them, each scaled to unit norm, into a single operator, block-diagonal
+    on the weight blocks.
 
+    The family is evaluated once on the whole grid, and
+    `BlockCache.coefficients` turns it into one weight row per grid point.
     The points still to reach are taken in batches of consecutive points,
     as many as keep the batch's summed operators within BATCH_BYTES (at
     least one); each point's operator is the same whichever batch it is
     summed in. `_composed` accepts a batch's leading points whose smallest
     best overlap is at least MATCH_THRESHOLD. A refused start point fails
     the leg. Any other refused point gets the geometric midpoint between
-    it and the last accepted point inserted in front of it, and the next
-    batch starts there; a refusal after MAX_BISECTIONS such midpoints in
-    the leg fails it. Every accepted point after the start is a step;
-    only grid points write trace rows. Returns (vectors at grid[-1],
-    diagnostics).
+    it and the last accepted point inserted in front of it, evaluated as a
+    one-point array, and the next batch starts there; a refusal after
+    MAX_BISECTIONS such midpoints in the leg fails it. Every accepted point
+    after the start is a step; only grid points write trace rows, through
+    trace.extend. Returns (vectors at grid[-1], diagnostics).
     """
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
     per_batch = max(1, BATCH_BYTES // (8 * cache.size))
-    pending = [(t, True) for t in np.asarray(grid, dtype=float)]  # (point, on the grid)
+    grid = np.asarray(grid, dtype=float)
+    weights = cache.coefficients(family(grid), coeffs, len(grid))
+    # (point, on the grid, weight row)
+    pending = [(t, True, w) for t, w in zip(grid, weights)]
     current, t_prev = vectors, None  # t_prev: the last accepted point
     while pending:
         batch = pending[:per_batch]
-        current, steps, refused = _composed([t for t, _ in batch], current, cache, family,
-                                            coeffs)
-        for (t, on_grid), (values, overlap) in zip(batch, steps):
+        current, steps, refused = _composed([w for _, _, w in batch], current, cache)
+        for (t, on_grid, _), (values, overlap) in zip(batch, steps):
             diag["min_overlap"] = min(diag["min_overlap"], overlap)
             if t_prev is not None:
                 diag["steps"] += 1
@@ -603,7 +622,8 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
                 f"{leg}: overlap {refused:.4f} below threshold at t={t} "
                 f"after {MAX_BISECTIONS} bisections"
             )
-        pending.insert(0, (math.sqrt(t_prev * t), False))
+        mid = math.sqrt(t_prev * t)
+        pending.insert(0, (mid, False, cache.coefficients(family(np.array([mid])), coeffs)[0]))
         diag["bisections"] += 1
     return current, diag
 
@@ -755,7 +775,9 @@ class Leg(NamedTuple):
     name: str
     start: str | None  # leg whose end frame this one continues; None: monomials
     grid: np.ndarray
-    family: Callable  # grid point -> operators as term lists, without the weights
+    # array of points -> term lists whose coefficients broadcast over them,
+    # without the weights
+    family: Callable
     limit: Callable | None = None  # () -> exact limit operators (weight-block stacks)
     decode: Callable | None = None  # (end frame, labels) -> tableaux
     key: str | None = None  # where each branch keeps the decoded tableaux
@@ -879,7 +901,7 @@ class FlowContext:
         coeffs = {}
         if cache.dim > 1:
             for leg in legs:
-                coeffs[leg.name] = start_coeffs(cache, family(leg)(leg.grid[0]), self.rng,
+                coeffs[leg.name] = start_coeffs(cache, family(leg)(leg.grid[:1]), self.rng,
                                                 leg.name)
         frames, classes, diags = {}, {}, []
         for leg in legs:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import time
 
@@ -141,6 +143,36 @@ class TestFlow:
         assert lines[0] == "leg,t,branch,eigenvalue"
         assert len(lines) > 10
 
+    def test_trace_streams_the_flow_rows(self, capsys, tmp_path):
+        # the trace file holds the CSV of every row the flow hands over, in
+        # the order reached, with the header first
+        rows = []
+        spectralflow.verify_main_theorem(2, 4, col_sums=(2, 1, 1, 2), trace=rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["leg", "t", "branch", "eigenvalue"])
+        writer.writerows(rows)
+        trace = tmp_path / "trace.csv"
+        code, _ = run(capsys, "flow", "--r", "2", "--n", "4", "--col-sums", "[2,1,1,2]",
+                      "--trace", str(trace))
+        assert code == EXIT_OK
+        assert trace.read_bytes() == expected.getvalue().encode()
+
+    def test_failed_flow_leaves_no_trace(self, capsys, tmp_path, monkeypatch):
+        # rows already streamed are removed with the temporary file when the
+        # flow raises
+        def failing(*args, trace=None, **kwargs):
+            trace.extend([("A", 1.0, 0, 2.0)])
+            raise spectralflow.SetupError("forced")
+
+        monkeypatch.setattr(spectralflow, "verify_main_theorem", failing)
+        trace = tmp_path / "trace.csv"
+        code, report = run(capsys, "flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]",
+                           "--trace", str(trace))
+        assert code == cli.EXIT_INCONCLUSIVE
+        assert report["error"] == "forced"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--z", "[1,2]"],
@@ -261,7 +293,8 @@ class TestReports:
 
         monkeypatch.setattr(cli.os, "replace", fail)
         with pytest.raises(OSError):
-            cli._write_atomic(str(tmp_path / "report.json"), "{}\n")
+            with cli._atomic(str(tmp_path / "report.json")) as fh:
+                fh.write("{}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self, capsys):

@@ -185,15 +185,16 @@ def _lsa_match(new_vecs, old_vecs, new_vals):
 
 
 def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
-    """transport one grid point at a time: one eigh call per block size and
-    point, `_lsa_match` at every step and bisection of a step below
+    """transport one grid point at a time: the family evaluated at each
+    point as a one-point array, one eigh call per block size and point,
+    `_lsa_match` at every step and bisection of a step below
     MATCH_THRESHOLD, as before legs ran in batches."""
     grid = np.asarray(grid, dtype=float)
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
 
     def eigen(t, frame):
         matched, values, overlap = [], [], 1.0
-        for stack, old in zip(cache.normalised_sum(family(t), coeffs), frame):
+        for stack, old in zip(cache.normalised_sum(family(np.array([t])), coeffs), frame):
             if stack.shape[-1] == 1:
                 matched.append(old)
                 values.append(stack[:, 0])
@@ -463,7 +464,8 @@ class TestMatch:
     def _refused(start, cache, family, coeffs):
         """The overlap at which `_composed` refuses a single point from the
         start frame, which it returns unchanged with no step."""
-        frame, steps, refused = _composed([1.0], start, cache, family, coeffs)
+        weights = cache.coefficients(family(np.array([1.0])), coeffs)
+        frame, steps, refused = _composed(weights, start, cache)
         assert frame is start and steps == []
         assert refused < MATCH_THRESHOLD
         return refused
@@ -489,9 +491,9 @@ class TestMatch:
         ctx = FlowContext(3, 3, (1, 1, 1), (1, 1, 1))
         cache = ctx.cache
         leg = ctx.legs()[0]
-        coeffs = start_coeffs(cache, leg.family(leg.grid[0]), np.random.default_rng(0))
+        coeffs = start_coeffs(cache, leg.family(leg.grid[:1]), np.random.default_rng(0))
         old = self._frames(np.random.default_rng(seed), 1, cache.dim)
-        _, vecs = np.linalg.eigh(cache.normalised_sum(leg.family(1.0), coeffs)[0])
+        _, vecs = np.linalg.eigh(cache.normalised_sum(leg.family(np.array([1.0])), coeffs)[0])
         overlaps = np.abs(np.swapaxes(vecs, 1, 2) @ old)[0]
         got = self._refused([old], cache, leg.family, coeffs)
         assert got == pytest.approx(overlaps.max(axis=0).min(), abs=1e-12)
@@ -548,7 +550,7 @@ class TestTransport:
                 return leg.family(t) + weight_terms
             whole = np.eye(cache.dim) if leg.start is None else wholes[leg.start]
             frame = cache.split(whole) if leg.start is None else blocks[leg.start]
-            coeffs = start_coeffs(cache, family(leg.grid[0]), np.random.default_rng(3),
+            coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(3),
                                   leg.name)
             frame, diag = transport(frame, cache, family, leg.grid, coeffs, leg=leg.name)
             whole, whole_diag = _full_transport(whole, cache, family, leg.grid,
@@ -615,7 +617,7 @@ class TestBatchedTransport:
             def family(t, leg=leg):
                 return leg.family(t) + weight_terms
             try:
-                coeffs = start_coeffs(cache, family(leg.grid[0]), np.random.default_rng(0))
+                coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(0))
             except ContinuationError:
                 continue  # a degenerate start, as on leg C of (3,3,(2,2,2))
             start = cache.identity() if leg.start is None else frames[leg.start]
@@ -693,9 +695,9 @@ class TestBatchedTransport:
         rate = math.radians(80) / math.log(grid[1] / grid[0])
 
         def family(t):
-            theta = rate * math.log(t)
-            return [[(math.cos(theta) * w, part) for w, part in self.Z]
-                    + [(math.sin(theta), self.X)]]
+            theta = rate * np.log(t)
+            return [[(np.cos(theta) * w, part) for w, part in self.Z]
+                    + [(np.sin(theta), self.X)]]
 
         (got, want), _ = self._both(monkeypatch, cache.identity(), cache, family, grid, [1.0])
         self._assert_same(got, want)
@@ -796,8 +798,8 @@ class TestDiagonalParts:
         coeffs = rng.uniform(-3.0, 3.0, (4, len(parts))) / 7
         coeffs[1, 2] = coeffs[2, 1] = coeffs[3, :] = 0.0
         coeffs[:, 5] = 0.0  # a part left out at every point
-        cache._add(part for row in coeffs for c, part in zip(row, parts) if c)
-        weights = [cache._weights(zip(row, parts)) for row in coeffs]
+        # one operator whose coefficients are arrays over the four points
+        weights = cache._rows([list(zip(coeffs.T, parts))], len(coeffs))[:, 0]
         assert (nested_casimir, 3, n) not in cache._index
         assert self.held(cache)[1] == {(op_E, 1, 1, 1), (weight_op, 2, n), (op_E, 3, 3, 2),
                                        (op_E, 2, 2, 3)}
@@ -835,7 +837,7 @@ class TestDiagonalParts:
         for leg in ctx.legs():
             for t in leg.grid[::16]:
                 ops = leg.family(t) + weight_terms
-                weights.append(cache.coefficients(ops, rng.uniform(1.0, 2.0, len(ops))))
+                weights.append(cache.coefficients(ops, rng.uniform(1.0, 2.0, len(ops)))[0])
         alone = [cache.sum_parts([w])[0] for w in weights]
         for count in range(1, 6):
             for g in range(count):
@@ -844,6 +846,49 @@ class TestDiagonalParts:
                     batch = [weights[j] for j in others]
                     batch[g] = w
                     assert np.array_equal(cache.sum_parts(batch)[g], alone[i])
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (3, 4, (1, 1, 1, 1), None),
+        (2, 4, (2, 1, 1, 2), None),
+        (4, 3, (2, 1, 1), None),
+        (3, 3, (2, 2, 2), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_weights_do_not_depend_on_points(self, r, n, col_sums, row_sums):
+        # every leg's family evaluated once on its whole grid, as transport
+        # evaluates it, against each grid point evaluated alone as a
+        # one-point array: equal bit for bit
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        cache = ctx.cache
+        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
+        rng = np.random.default_rng(2)
+        for leg in ctx.legs():
+            def family(t, leg=leg):
+                return leg.family(t) + weight_terms
+            coeffs = rng.uniform(1.0, 2.0, len(family(leg.grid[:1])))
+            whole = cache.coefficients(family(leg.grid), coeffs, len(leg.grid))
+            assert whole.shape == (len(leg.grid), len(cache._index))
+            for p, t in enumerate(leg.grid):
+                alone = cache.coefficients(family(np.array([t])), coeffs)
+                assert np.array_equal(alone, whole[p:p + 1]), (leg.name, p)
+
+    def test_zero_coefficients_build_no_part(self):
+        # a part whose coefficient is 0 at every point is never built; a
+        # part whose coefficient is 0 at one point has weight 0 there
+        cache = TestBatchedTransport._planted()
+        grid = np.geomspace(1.0, 2.0, 8)
+        ops = [[(grid - grid[3], (op_E, 1, 1, 1)), (0.0 * grid, (op_E, 2, 2, 2)),
+                (0.0, TestBatchedTransport.X)],
+               [(1.0, (weight_op, 1, 2))]]
+        weights = cache.coefficients(ops, [1.0, 1.0], len(grid))
+        assert set(cache._index) == {(op_E, 1, 1, 1), (weight_op, 1, 2)}
+        column = weights[:, cache._index[(op_E, 1, 1, 1)]]
+        assert column[3] == 0.0
+        assert np.count_nonzero(column) == len(grid) - 1
+        # that point's sum is the weight operator's alone
+        alone = cache.sum_parts(cache.coefficients(ops[1:], [1.0]))[0]
+        assert np.array_equal(cache.sum_parts(weights[3:4])[0], alone)
 
 
 class TestBlockCache:
@@ -1122,6 +1167,38 @@ class TestFlowBlock:
         assert str(err.value) == f"C: degenerate combined spectrum after {MAX_REDRAWS} redraws"
         assert MAX_REDRAWS == 8
         assert calls == []
+
+    def test_family_evaluated_once_per_leg(self, monkeypatch):
+        # each leg's family is called once on its whole grid, once on its
+        # start point for the coefficient draw, and once per bisection
+        # midpoint; leg A of this block bisects one step, and every leg
+        # takes its first draw
+        calls, draws = [], []
+        legs, draw = FlowContext.legs, spectralflow._draw_coeffs
+
+        def counting_legs(self, straight_b=False):
+            def counted(leg):
+                def family(t):
+                    calls.append((leg.name, np.shape(t)))
+                    return leg.family(t)
+                return leg._replace(family=family)
+            return tuple(counted(leg) for leg in legs(self, straight_b))
+
+        def counting_draw(rng, count):
+            draws.append(count)
+            return draw(rng, count)
+
+        monkeypatch.setattr(FlowContext, "legs", counting_legs)
+        monkeypatch.setattr(spectralflow, "_draw_coeffs", counting_draw)
+        result = flow_block(2, 4, (2, 1, 1, 2))
+        bisections = {d["leg"]: d["bisections"] for d in result.diagnostics["legs"]}
+        assert bisections == {"A": 1, "B": 0, "C": 0, "D": 0, "E": 0}
+        assert len(draws) == 5
+        steps = FlowOpts().steps
+        assert len(calls) == 5 + len(draws) + 1
+        for name in "BCDE":
+            assert [shape for leg, shape in calls if leg == name] == [(1,), (steps,)]
+        assert [shape for leg, shape in calls if leg == "A"] == [(1,), (steps,), (1,)]
 
     def test_trace_records_all_legs(self):
         trace = []
