@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -166,7 +165,10 @@ def _rsk_check(args):
 def cmd_crystal(args):
     if args.shape is not None:
         shape = _json_vector(args.shape, "--shape")
-        elements = cb.semistandard_tableaux(shape, args.rank)
+        try:
+            elements = cb.semistandard_tableaux(shape, args.rank)
+        except (ValueError, TypeError) as err:
+            raise UsageError(f"bad shape: {err}")
         serialize = lambda t: t.to_lists()
     elif args.col_sums is not None:
         k = _json_vector(args.col_sums, "--col-sums")
@@ -218,6 +220,23 @@ def _flow_params(args, r, n):
     return z, q
 
 
+def _trace_sink(fh):
+    """Write the trace header to fh; returns the sink whose append writes one
+    grid point's record (leg, t, eigenvalues) as rows leg,t,branch,eigenvalue.
+
+    The rows are the bytes csv.writer gives (floats by repr, CRLF line
+    ends), formatted as one block per point with the leg and t written once.
+    """
+    fh.write("leg,t,branch,eigenvalue\r\n")
+
+    def append(point):
+        leg, t, values = point
+        prefix = f"{leg},{t!r},"
+        fh.write("".join([f"{prefix}{b},{v!r}\r\n" for b, v in enumerate(values)]))
+
+    return SimpleNamespace(append=append)
+
+
 def cmd_flow(args):
     z, q = _flow_params(args, args.r, args.n)
     k = _flow_vector(args, "col-sums", args.n)
@@ -256,9 +275,7 @@ def cmd_flow(args):
             trace = None
             if args.trace:
                 # rows go to the file as each grid point is reached
-                writer = csv.writer(files.enter_context(_atomic(args.trace)))
-                writer.writerow(["leg", "t", "branch", "eigenvalue"])
-                trace = SimpleNamespace(extend=writer.writerows)
+                trace = _trace_sink(files.enter_context(_atomic(args.trace)))
             report = spectralflow.verify_main_theorem(
                 args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
                 z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,

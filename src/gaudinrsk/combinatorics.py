@@ -2,16 +2,19 @@
 
 Everything here is exact integer combinatorics: no floats, no randomness.
 Objects are immutable value types so they can be hashed, compared and used
-as dictionary keys by the flow and cell modules. `rsk` bumps each letter in
-place into plain row lists, finding the bump position by bisection, and
-builds (and so validates) P and Q once, after the last letter.
+as dictionary keys by the flow and cell modules. Their constructors check
+every row in one pass of builtins (`map`, `all`, `min`, `max`). `rsk`
+inserts each matrix row as one weakly increasing run into plain row lists,
+row by row, and builds (and so validates) P and Q once, after the last run;
+`rsk_inverse` counts each unwound letter straight into the matrix.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-from functools import total_ordering
+import operator
 
 
 class Partition:
@@ -20,10 +23,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p != 0)
-        for a, b in itertools.pairwise(parts):
-            if a < b:
-                raise ValueError(f"parts {parts} are not weakly decreasing")
+        parts = tuple(map(int, filter(functools.partial(operator.ne, 0), parts)))
+        if not all(map(operator.ge, parts, parts[1:])):
+            raise ValueError(f"parts {parts} are not weakly decreasing")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts {parts} contain a negative entry")
         self.parts = parts
@@ -77,21 +79,22 @@ class SemistandardTableau:
     __slots__ = ("rows", "alphabet_bound")
 
     def __init__(self, rows=(), alphabet_bound=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows if len(row) > 0)
-        max_entry = max((x for row in rows for x in row), default=0)
+        rows = tuple(tuple(map(int, row)) for row in rows if len(row) > 0)
+        max_entry = max(map(max, rows), default=0)
         if alphabet_bound is None:
             alphabet_bound = max_entry
         if max_entry > alphabet_bound:
             raise ValueError(f"entry {max_entry} exceeds alphabet bound {alphabet_bound}")
         for row in rows:
-            if any(x < 1 for x in row):
+            if min(row) < 1:
                 raise ValueError("entries must be >= 1")
-            if any(a > b for a, b in itertools.pairwise(row)):
+            if not all(map(operator.le, row, row[1:])):
                 raise ValueError(f"row {row} is not weakly increasing")
         for upper, lower in itertools.pairwise(rows):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
+            # map stops at the end of the shorter, lower row
+            if not all(map(operator.lt, upper, lower)):
                 raise ValueError("columns must strictly increase")
         self.rows = rows
         self.alphabet_bound = int(alphabet_bound)
@@ -152,7 +155,7 @@ class NatMatrix:
     __slots__ = ("entries", "r", "n", "_hash")
 
     def __init__(self, entries, r=None, n=None):
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        entries = tuple(tuple(map(int, row)) for row in entries)
         if entries:
             r = len(entries) if r is None else r
             n = len(entries[0]) if n is None else n
@@ -160,7 +163,8 @@ class NatMatrix:
             raise ValueError("empty matrix needs explicit r and n")
         if len(entries) != r or any(len(row) != n for row in entries):
             raise ValueError("ragged or mis-sized matrix")
-        if any(x < 0 for row in entries for x in row):
+        # every row now has n entries, so min has something to look at
+        if n and entries and min(map(min, entries)) < 0:
             raise ValueError("entries must be non-negative")
         self.entries = entries
         self.r = r
@@ -250,9 +254,9 @@ class Biword:
 def _biword_pairs(matrix):
     """The pairs of the matrix's biword, generated in sorted order."""
     pairs = []
-    for i in range(1, matrix.r + 1):
-        for j in range(1, matrix.n + 1):
-            pairs.extend([(i, j)] * matrix[i - 1, j - 1])
+    for i, row in enumerate(matrix.entries, start=1):
+        for j, count in enumerate(row, start=1):
+            pairs.extend([(i, j)] * count)
     return pairs
 
 
@@ -268,7 +272,7 @@ def biword_to_matrix(biword, r, n):
     return NatMatrix(counts, r, n)
 
 
-@total_ordering
+@functools.total_ordering
 class Permutation:
     """A permutation of {1..n} in one-line notation."""
 
@@ -344,16 +348,44 @@ def rsk(matrix):
 
     P records the inserted column indices (entries <= n, content = column
     sums); Q records which biword row produced each box (entries <= r,
-    content = row sums). Shapes agree. Both are built, and validated, once
-    the last letter is in.
+    content = row sums). Shapes agree.
+
+    Biword row i is the weakly increasing word holding each column index j
+    A_ij times, and it goes in as one run. By the row bumping lemma each
+    letter of such a word lands strictly right of the one before it, so
+    each row is searched by bisection from just past the last bump, the
+    bumped letters form the weakly increasing word for the next row, and
+    the letters left after the last row make a new row. Q appends i to
+    each row once per box that row gained. P and Q are built, and
+    validated, once the last run is in.
     """
     p_rows = []
     q_rows = []
-    for i, j in _biword_pairs(matrix):
-        bi = _bump(p_rows, j)
-        if bi == len(q_rows):
-            q_rows.append([])
-        q_rows[bi].append(i)
+    columns = range(1, matrix.n + 1)
+    for i, counts in enumerate(matrix.entries, start=1):
+        word = list(itertools.chain.from_iterable(map(itertools.repeat, columns, counts)))
+        for row, q_row in zip(p_rows, q_rows):
+            bumped = []
+            lo = 0
+            end = len(row)
+            for k, x in enumerate(word):
+                lo = bisect.bisect_right(row, x, lo)
+                if lo == end:
+                    # x and every later letter are at least the row's last
+                    # entry: they all go on the end of this row
+                    row += word[k:]
+                    q_row += [i] * (len(word) - k)
+                    break
+                bumped.append(row[lo])
+                row[lo] = x
+                lo += 1
+            word = bumped
+            if not word:
+                break
+        else:
+            if word:
+                p_rows.append(word)
+                q_rows.append([i] * len(word))
     return SemistandardTableau(p_rows, matrix.n), SemistandardTableau(q_rows, matrix.r)
 
 
@@ -361,22 +393,26 @@ def rsk_inverse(p, q):
     """Invert RSK: recover the matrix with rsk(A) == (P, Q).
 
     Dimensions come from the alphabet bounds: A is q.alphabet_bound by
-    p.alphabet_bound.
+    p.alphabet_bound. The boxes of Q are unwound from the largest entry
+    down, each reverse-bumping one letter out of P, and each (i, letter)
+    adds one to A_i,letter.
     """
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     r, n = q.alphabet_bound, p.alphabet_bound
     p_rows = [list(row) for row in p.rows]
     q_rows = [list(row) for row in q.rows]
-    pairs = []
+    counts = [[0] * n for _ in range(r)]
+    # unwinding a box pops it, the last of its row, so the boxes left keep
+    # their places
+    boxes = {}
+    for bi, row in enumerate(q.rows):
+        for bj, x in enumerate(row):
+            boxes.setdefault(x, []).append((bi, bj))
     for i in range(r, 0, -1):
         # boxes recorded i form a horizontal strip, added left to right;
         # unwind them right to left
-        boxes = sorted(
-            ((bi, bj) for bi, row in enumerate(q_rows) for bj, x in enumerate(row) if x == i),
-            key=lambda b: -b[1],
-        )
-        for bi, bj in boxes:
+        for bi, bj in sorted(boxes.get(i, ()), key=lambda b: -b[1]):
             if bj != len(q_rows[bi]) - 1:
                 raise ValueError("recording tableau is not a valid RSK output")
             q_rows[bi].pop()
@@ -387,11 +423,10 @@ def rsk_inverse(p, q):
                 if pos < 0:
                     raise ValueError("invalid tableau pair")
                 row[pos], value = value, row[pos]
-            pairs.append((i, value))
+            counts[i - 1][value - 1] += 1
     if any(row for row in p_rows) or any(row for row in q_rows):
         raise ValueError("invalid tableau pair")
-    # the matrix counts the pairs, whatever their order
-    return biword_to_matrix(pairs, r, n)
+    return NatMatrix(counts, r, n)
 
 
 def permutation_matrix(w):

@@ -2,12 +2,17 @@
 
 Matrices with fixed column sums form a tensor product of monomial crystals,
 one factor per column (columns ordered left to right). Tableaux carry the
-usual crystal structure via their column reading word. The exhaustive
-RSK-equivariance suite in the tests pins the sign conventions.
+usual crystal structure via their column reading word. The signature rule
+works factor by factor, not letter by letter, and `verify_isomorphism`
+maps each element and applies each codomain operator to it at most once
+per call. Every crystal image is still built by the validating
+constructors. The exhaustive RSK-equivariance suite in the tests pins the
+sign conventions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .combinatorics import (
@@ -33,28 +38,32 @@ def _signature_select(eps_phi):
     Each factor contributes '+' * phi then '-' * eps; a '+' cancels the
     nearest unmatched '-' to its left. e_i acts on the factor owning the
     leftmost surviving '-', f_i on the factor owning the rightmost
-    surviving '+'.
+    surviving '+'. The unmatched '-' are kept as a stack of (factor, count)
+    pairs, so the work is linear in the number of factors, not of letters.
     """
-    stack = []  # (char, factor index)
+    stack = []  # (factor index, its unmatched '-' count > 0)
+    f_target = None
     for idx, (eps, phi) in enumerate(eps_phi):
-        for _ in range(phi):
-            if stack and stack[-1][0] == "-":
-                stack.pop()
+        while phi and stack:
+            factor, count = stack[-1]
+            if phi < count:
+                stack[-1] = (factor, count - phi)
+                phi = 0
             else:
-                stack.append(("+", idx))
-        for _ in range(eps):
-            stack.append(("-", idx))
-    e_target = next((idx for ch, idx in stack if ch == "-"), None)
-    f_target = next((idx for ch, idx in reversed(stack) if ch == "+"), None)
+                stack.pop()
+                phi -= count
+        if phi:
+            # a '+' that finds no '-' to cancel survives to the end
+            f_target = idx
+        if eps:
+            stack.append((idx, eps))
+    e_target = stack[0][0] if stack else None
     return e_target, f_target
 
 
 def _matrix_targets(matrix, i):
-    eps_phi = [
-        (matrix[i, a], matrix[i - 1, a])  # eps_i = A[i+1,a], phi_i = A[i,a] (1-based)
-        for a in range(matrix.n)
-    ]
-    return _signature_select(eps_phi)
+    # eps_i = A[i+1,a], phi_i = A[i,a] (1-based), column by column
+    return _signature_select(zip(matrix.entries[i], matrix.entries[i - 1]))
 
 
 def _matrix_apply(matrix, i, col, raise_op):
@@ -171,24 +180,32 @@ class IsomorphismReport:
 
 
 def verify_isomorphism(cmap, samples, max_violations=10):
-    """Check weight preservation and e_i/f_i equivariance on the samples."""
+    """Check weight preservation and e_i/f_i equivariance on the samples.
+
+    The map and the codomain operators are functions of hashable elements,
+    and many samples share an image or reach the same element through
+    e_i/f_i. So within one call each of them runs once per distinct
+    argument; the memo goes when the call returns.
+    """
+    apply = functools.cache(cmap.apply)
+    ops = (
+        (cmap.dom_e, functools.cache(cmap.cod_e), "e"),
+        (cmap.dom_f, functools.cache(cmap.cod_f), "f"),
+    )
     report = IsomorphismReport()
     for x in samples:
         report.checked += 1
-        y = cmap.apply(x)
+        y = apply(x)
         if tuple(cmap.dom_weight(x)) != tuple(cmap.cod_weight(y)):
             report.violations.append(("weight", x, cmap.dom_weight(x), cmap.cod_weight(y)))
         for i in range(1, cmap.rank):
-            for dom_op, cod_op, tag in (
-                (cmap.dom_e, cmap.cod_e, "e"),
-                (cmap.dom_f, cmap.cod_f, "f"),
-            ):
+            for dom_op, cod_op, tag in ops:
                 xi = dom_op(i, x)
                 yi = cod_op(i, y)
                 if (xi is None) != (yi is None):
                     report.violations.append((tag, i, x, "defined/undefined mismatch"))
-                elif xi is not None and cmap.apply(xi) != yi:
-                    report.violations.append((tag, i, x, cmap.apply(xi), yi))
+                elif xi is not None and apply(xi) != yi:
+                    report.violations.append((tag, i, x, apply(xi), yi))
                 if len(report.violations) >= max_violations:
                     return report
     return report

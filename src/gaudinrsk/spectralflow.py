@@ -591,8 +591,9 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     it and the last accepted point inserted in front of it, evaluated as a
     one-point array, and the next batch starts there; a refusal after
     MAX_BISECTIONS such midpoints in the leg fails it. Every accepted point
-    after the start is a step; only grid points write trace rows, through
-    trace.extend. Returns (vectors at grid[-1], diagnostics).
+    after the start is a step; each grid point, and no midpoint, hands
+    trace.append one record (leg, t, eigenvalues as a list of floats in
+    branch order). Returns (vectors at grid[-1], diagnostics).
     """
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
     per_batch = max(1, BATCH_BYTES // (8 * cache.size))
@@ -609,7 +610,7 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             if t_prev is not None:
                 diag["steps"] += 1
             if on_grid and trace is not None:
-                trace.extend((leg, float(t), b, float(v)) for b, v in enumerate(values))
+                trace.append((leg, float(t), values.tolist()))
             t_prev = t
         del pending[:len(steps)]
         if refused is None:

@@ -97,6 +97,10 @@ class TestCrystal:
     def test_needs_selector(self, capsys):
         assert main(["crystal", "--rank", "2"]) == EXIT_USAGE
 
+    def test_bad_shape_is_a_usage_error(self, capsys):
+        assert main(["crystal", "--rank", "3", "--shape", "[2,3]"]) == EXIT_USAGE
+        assert "bad shape: parts (2, 3) are not weakly decreasing" in capsys.readouterr().err
+
 
 class TestFlow:
     def test_block_agreement(self, capsys):
@@ -144,14 +148,16 @@ class TestFlow:
         assert len(lines) > 10
 
     def test_trace_streams_the_flow_rows(self, capsys, tmp_path):
-        # the trace file holds the CSV of every row the flow hands over, in
-        # the order reached, with the header first
-        rows = []
-        spectralflow.verify_main_theorem(2, 4, col_sums=(2, 1, 1, 2), trace=rows)
+        # the trace file holds, as csv.writer writes it, one row per branch
+        # of every grid point the flow hands over, in the order reached,
+        # with the header first
+        points = []
+        spectralflow.verify_main_theorem(2, 4, col_sums=(2, 1, 1, 2), trace=points)
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["leg", "t", "branch", "eigenvalue"])
-        writer.writerows(rows)
+        for leg, t, values in points:
+            writer.writerows((leg, t, b, v) for b, v in enumerate(values))
         trace = tmp_path / "trace.csv"
         code, _ = run(capsys, "flow", "--r", "2", "--n", "4", "--col-sums", "[2,1,1,2]",
                       "--trace", str(trace))
@@ -162,7 +168,7 @@ class TestFlow:
         # rows already streamed are removed with the temporary file when the
         # flow raises
         def failing(*args, trace=None, **kwargs):
-            trace.extend([("A", 1.0, 0, 2.0)])
+            trace.append(("A", 1.0, [2.0]))
             raise spectralflow.SetupError("forced")
 
         monkeypatch.setattr(spectralflow, "verify_main_theorem", failing)

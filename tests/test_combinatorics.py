@@ -25,6 +25,67 @@ from gaudinrsk.combinatorics import (
 from gaudinrsk.combinatorics import _bump
 
 
+class TestConstructorMessages:
+    """Each rejection with its message. Inputs that break two rules pin the
+    order of the checks: the message is that of the first."""
+
+    @pytest.mark.parametrize("parts,message", [
+        ([1, 2], "parts (1, 2) are not weakly decreasing"),
+        ([0, 1, 0, 2], "parts (1, 2) are not weakly decreasing"),
+        ([2, -1], "parts (2, -1) contain a negative entry"),
+        ([-1, 2], "parts (-1, 2) are not weakly decreasing"),
+    ])
+    def test_partition(self, parts, message):
+        with pytest.raises(ValueError) as err:
+            Partition(parts)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rows,bound,message", [
+        ([[1, 3]], 2, "entry 3 exceeds alphabet bound 2"),
+        ([[0, 1]], None, "entries must be >= 1"),
+        ([[2, 1]], None, "row (2, 1) is not weakly increasing"),
+        ([[1], [2, 2]], None, "row lengths must weakly decrease"),
+        ([[1, 1], [1]], None, "columns must strictly increase"),
+        # two rules broken
+        ([[0, 3]], 2, "entry 3 exceeds alphabet bound 2"),
+        ([[2, 0]], None, "entries must be >= 1"),
+        ([[2, 1], [0]], None, "row (2, 1) is not weakly increasing"),
+        ([[1, 1], [1, 0]], None, "entries must be >= 1"),
+        ([[2, 2], [2, 1]], None, "row (2, 1) is not weakly increasing"),
+        ([[2], [1, 3]], None, "row lengths must weakly decrease"),
+        ([[1, 2], [1], [1]], None, "columns must strictly increase"),
+    ])
+    def test_tableau(self, rows, bound, message):
+        with pytest.raises(ValueError) as err:
+            SemistandardTableau(rows, bound)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("entries,r,n,message", [
+        ([], None, None, "empty matrix needs explicit r and n"),
+        ([], 2, None, "empty matrix needs explicit r and n"),
+        ([[1, 2], [3]], None, None, "ragged or mis-sized matrix"),
+        ([[1]], 2, None, "ragged or mis-sized matrix"),
+        ([[1, 2]], None, 3, "ragged or mis-sized matrix"),
+        ([[1, -1]], None, None, "entries must be non-negative"),
+        # two rules broken
+        ([[1, -1], [2]], None, None, "ragged or mis-sized matrix"),
+        ([[-1]], 1, 2, "ragged or mis-sized matrix"),
+    ])
+    def test_matrix(self, entries, r, n, message):
+        with pytest.raises(ValueError) as err:
+            NatMatrix(entries, r, n)
+        assert str(err.value) == message
+
+    def test_accepted_edge_cases(self):
+        assert SemistandardTableau([[1], [], [2]]).rows == ((1,), (2,))
+        assert SemistandardTableau([], None).alphabet_bound == 0
+        assert SemistandardTableau([[1.0, 2]], 3).rows == ((1, 2),)
+        assert NatMatrix([[], []]).entries == ((), ())
+        assert NatMatrix((), 0, 3).entries == ()
+        assert NatMatrix([[1.0, 0]]).entries == ((1, 0),)
+        assert Partition([3, 0, 3, 1]).parts == (3, 3, 1)
+
+
 class TestPartition:
     def test_normalization_drops_zeros(self):
         assert Partition([3, 2, 0, 0]).parts == (3, 2)
@@ -96,8 +157,9 @@ class TestBiword:
 
 
 class TestRowInsert:
-    # Schensted row insertion as rsk runs it: _bump inserts into the rows in
-    # place and returns the index of the row that grew by one box
+    # Schensted row insertion of one letter, as g_insert runs it: _bump
+    # inserts into the rows in place and returns the index of the row that
+    # grew by one box
     def test_bumping(self):
         rows = [[1, 2, 2], [3]]
         i = _bump(rows, 1)
@@ -158,6 +220,37 @@ class TestRSK:
         with pytest.raises(ValueError, match="^invalid tableau pair$"):
             rsk_inverse(p, q)
 
+    @staticmethod
+    def _past_checks(rows, bound):
+        """A tableau with the given rows, built without the constructor's
+        checks."""
+        t = object.__new__(SemistandardTableau)
+        t.rows, t.alphabet_bound = tuple(map(tuple, rows)), bound
+        return t
+
+    @pytest.mark.parametrize("p,q,message", [
+        # Q's only 2 is not the last box of its row
+        (((1, 2),), ((2, 1),), "recording tableau is not a valid RSK output"),
+        # the box recorded 2 bumps 1 up, but the row above holds nothing
+        # smaller than 1
+        (((1,), (1,)), ((1,), (2,)), "invalid tableau pair"),
+        # an entry beyond Q's bound is never unwound
+        (((1,),), ((3,),), "invalid tableau pair"),
+        # an entry 0 in Q is never unwound either
+        (((1, 2),), ((0, 1),), "invalid tableau pair"),
+    ])
+    def test_inverse_rejects_corrupted_pairs(self, p, q, message):
+        with pytest.raises(ValueError) as err:
+            rsk_inverse(self._past_checks(p, 2), self._past_checks(q, 2))
+        assert str(err.value) == message
+
+    def test_inverse_names_the_shapes(self):
+        p = SemistandardTableau([[1, 2]], 2)
+        q = SemistandardTableau([[1], [2]], 2)
+        with pytest.raises(ValueError) as err:
+            rsk_inverse(p, q)
+        assert str(err.value) == "shape mismatch: Partition([2]) vs Partition([1, 1])"
+
     def test_inverse_hits_every_tableau_pair(self):
         # RSK is onto pairs of same-shape tableaux with bounded entries
         for shape in [(2,), (1, 1), (2, 1)]:
@@ -216,6 +309,23 @@ class TestRskOracle:
     def test_exhaustive_small(self):
         for a in all_matrices(2, 3, 2):
             self._assert_same(a)
+
+    def test_exhaustive_three_by_three(self):
+        for a in all_matrices(3, 3, 2):
+            self._assert_same(a)
+
+    def test_single_row_and_column(self):
+        # one row is one weakly increasing run; one column inserts its
+        # letter once per row, each run bumping the one before
+        for k in range(1, 4):
+            for a in all_matrices(1, k, 9):
+                self._assert_same(a)
+                self._assert_same(a.transpose())
+        rng = random.Random(11)
+        for _ in range(200):
+            row = [rng.randint(0, 9) for _ in range(rng.randint(4, 8))]
+            self._assert_same(NatMatrix([row]))
+            self._assert_same(NatMatrix([[x] for x in row]))
 
     def test_zero_last_row_and_column_keep_bounds(self):
         # rsk_inverse reads the size of A from the alphabet bounds

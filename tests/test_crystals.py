@@ -12,6 +12,8 @@ from gaudinrsk.combinatorics import (
 )
 from gaudinrsk.crystals import (
     CrystalMap,
+    IsomorphismReport,
+    _signature_select,
     crystal_e,
     crystal_f,
     crystal_graph,
@@ -169,3 +171,142 @@ class TestChains:
         t = SemistandardTableau([[1, 1]], 2)
         with pytest.raises(ValueError):
             u_extend(t, Partition([2, 1, 1]), 3)
+
+
+def _letter_signature_select(eps_phi):
+    """The tensor rule letter by letter: each factor pushes '+' * phi then
+    '-' * eps onto one stack, a '+' popping a '-' on top of it."""
+    stack = []  # (char, factor index)
+    for idx, (eps, phi) in enumerate(eps_phi):
+        for _ in range(phi):
+            if stack and stack[-1][0] == "-":
+                stack.pop()
+            else:
+                stack.append(("+", idx))
+        for _ in range(eps):
+            stack.append(("-", idx))
+    e_target = next((idx for ch, idx in stack if ch == "-"), None)
+    f_target = next((idx for ch, idx in reversed(stack) if ch == "+"), None)
+    return e_target, f_target
+
+
+class TestSignatureRule:
+    def test_matches_letter_stack(self):
+        # every sequence of at most 4 factors with eps, phi in {0, 1, 2}
+        factors = list(itertools.product(range(3), repeat=2))
+        for length in range(5):
+            for seq in itertools.product(factors, repeat=length):
+                assert _signature_select(seq) == _letter_signature_select(seq), seq
+
+    def test_known_targets(self):
+        # "+ -" survives; "- +" cancels; factor 1's '+' cancels only one
+        # of factor 0's two '-'
+        assert _signature_select([(0, 1), (1, 0)]) == (1, 0)
+        assert _signature_select([(1, 0), (0, 1)]) == (None, None)
+        assert _signature_select([(2, 0), (0, 1)]) == (0, None)
+        assert _signature_select([]) == (None, None)
+
+
+def _oracle_verify(cmap, samples, max_violations=10):
+    """verify_isomorphism as one plain loop, calling the map and every
+    operator afresh each time it needs them."""
+    report = IsomorphismReport()
+    for x in samples:
+        report.checked += 1
+        y = cmap.apply(x)
+        if tuple(cmap.dom_weight(x)) != tuple(cmap.cod_weight(y)):
+            report.violations.append(("weight", x, cmap.dom_weight(x), cmap.cod_weight(y)))
+        for i in range(1, cmap.rank):
+            for dom_op, cod_op, tag in (
+                (cmap.dom_e, cmap.cod_e, "e"),
+                (cmap.dom_f, cmap.cod_f, "f"),
+            ):
+                xi = dom_op(i, x)
+                yi = cod_op(i, y)
+                if (xi is None) != (yi is None):
+                    report.violations.append((tag, i, x, "defined/undefined mismatch"))
+                elif xi is not None and cmap.apply(xi) != yi:
+                    report.violations.append((tag, i, x, cmap.apply(xi), yi))
+                if len(report.violations) >= max_violations:
+                    return report
+    return report
+
+
+def _recording(a):
+    return rsk(a)[1]
+
+
+def _wrong_at(bad):
+    """The recording tableau, except at the matrix bad, which maps to the
+    tableau of its size with a single 2, in the second row."""
+    def apply(a):
+        q = rsk(a)[1]
+        if a != bad:
+            return q
+        return SemistandardTableau([[1] * (q.size - 1), [2]], q.alphabet_bound)
+    return apply
+
+
+class TestVerifyIsomorphismMemo:
+    CASES = (
+        ("recording", _recording, 2, (2, 3, 2)),
+        ("recording", _recording, 3, (3, 2, 1)),
+        ("insertion", lambda a: rsk(a)[0], 2, (2, 3, 2)),
+        ("insertion", lambda a: rsk(a)[0], 3, (3, 3, 1)),
+        ("one wrong", _wrong_at(NatMatrix([[1, 1, 0], [0, 1, 1]])), 2, (2, 3, 1)),
+    )
+
+    @pytest.mark.parametrize("name,apply,rank,spec", CASES,
+                             ids=[f"{c[0]}-{c[2]}" for c in CASES])
+    @pytest.mark.parametrize("max_violations", [1, 3, 10, 10 ** 6])
+    def test_same_report_as_plain_loop(self, name, apply, rank, spec, max_violations):
+        samples = all_matrices(*spec)
+        cmap = CrystalMap(name, apply, rank=rank)
+        got = verify_isomorphism(cmap, samples, max_violations)
+        want = _oracle_verify(cmap, samples, max_violations)
+        # the dataclass compares checked and the violations, in order
+        assert got == want
+
+    def test_planted_maps_are_caught(self):
+        wrong_side = CrystalMap("insertion", lambda a: rsk(a)[0], rank=2)
+        report = verify_isomorphism(wrong_side, all_matrices(2, 3, 2), max_violations=5)
+        assert len(report.violations) == 5 and report.checked < 3 ** 6
+        bad = NatMatrix([[1, 1, 0], [0, 1, 1]])
+        one_wrong = CrystalMap("one wrong", _wrong_at(bad), rank=2)
+        report = verify_isomorphism(one_wrong, all_matrices(2, 3, 1), max_violations=10 ** 6)
+        assert report.checked == 2 ** 6
+        assert report.violations
+        # every violation involves bad: at bad itself, or at a neighbour
+        # whose e_1 or f_1 image is bad
+        for violation in report.violations:
+            x = violation[1] if violation[0] == "weight" else violation[2]
+            assert x == bad or bad in (crystal_e(1, x), crystal_f(1, x)), violation
+
+    def test_map_and_codomain_operators_run_once_per_argument(self):
+        applied, cod_calls = [], []
+
+        def apply(a):
+            applied.append(a)
+            return rsk(a)[1]
+
+        def counting(op, tag):
+            def wrapped(i, y):
+                cod_calls.append((tag, i, y))
+                return op(i, y)
+            return wrapped
+
+        cmap = CrystalMap("recording", apply, rank=3,
+                          cod_e=counting(crystal_e, "e"), cod_f=counting(crystal_f, "f"))
+        samples = all_matrices(3, 3, 1)
+        report = verify_isomorphism(cmap, samples)
+        assert report.ok and report.checked == len(samples)
+        assert len(applied) == len(set(applied))
+        assert len(cod_calls) == len(set(cod_calls))
+        # the samples are mapped, and so is every e_i/f_i image of one
+        images = {op(i, x) for x in samples for i in (1, 2) for op in (crystal_e, crystal_f)}
+        assert set(applied) == set(samples) | (images - {None})
+        # the plain loop maps a shared image once per sample reaching it
+        plain = []
+        _oracle_verify(CrystalMap("recording", lambda a: plain.append(a) or rsk(a)[1],
+                                  rank=3), samples)
+        assert len(plain) > len(applied)

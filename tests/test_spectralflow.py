@@ -208,8 +208,7 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
 
     def record_trace(t, values):
         if trace is not None:
-            for b, v in enumerate(cache.by_branch(values)):
-                trace.append((leg, float(t), b, float(v)))
+            trace.append((leg, float(t), [float(v) for v in cache.by_branch(values)]))
 
     current, cur_vals, overlap = eigen(grid[0], vectors)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
@@ -1203,7 +1202,7 @@ class TestFlowBlock:
     def test_trace_records_all_legs(self):
         trace = []
         result = flow_block(2, 2, (1, 1), row_sums=(1, 1), trace=trace)
-        legs = {row[0] for row in trace}
+        legs = {leg for leg, _, _ in trace}
         assert legs == {"A", "B", "C", "D", "E"}
         assert [d["leg"] for d in result.diagnostics["legs"]] == list("ABCDE")
 
