@@ -163,6 +163,8 @@ def _rsk_check(args):
 
 
 def cmd_crystal(args):
+    if args.rank < 1:
+        raise UsageError("--rank must be at least 1")
     if args.shape is not None:
         shape = _json_vector(args.shape, "--shape")
         try:
@@ -172,6 +174,8 @@ def cmd_crystal(args):
         serialize = lambda t: t.to_lists()
     elif args.col_sums is not None:
         k = _json_vector(args.col_sums, "--col-sums")
+        if any(not isinstance(x, int) or x < 0 for x in k):
+            raise UsageError("--col-sums entries must be non-negative integers")
         from .liealg import weight_basis
 
         elements = weight_basis(args.rank, len(k), k)

@@ -11,6 +11,11 @@ Each commuting family is written once, as (coefficient, part) terms. A
 part is a hashable key such as (kappa, i, j, n), naming the constant
 operator kappa(i, j, n); symmetric parts are keyed by the ordered pair. The
 exact builders sum the terms in rationals, the spectral flow in floats.
+The flow's term lists name four kinds of part only: the E_ii^(a), the
+kappa_ij, the Omega_ab and the identity (the empty word). The collision
+limit 4 J_a is the sum of its Omega terms (`gaudin_limit_terms`), and on
+a block with column sums c the dual dynamical operators take dual kappa_ab
+= 4 Omega_ab + 2 (c_a + c_b) (`block_dual_nabla_terms`).
 
 The float matrices of the spectral flow come from `dense`, which walks
 each word over the block's entry array (`MonomialBlock.walk`): every basis
@@ -174,6 +179,11 @@ def dual_op_E(a, b, i):
     return Operator({(("D", a, b, i),): 1})
 
 
+def identity():
+    """The identity operator: the empty word."""
+    return Operator({(): 1})
+
+
 def delta_n(i, j, n):
     """Diagonal gl_r action: sum of E_ij over all n columns."""
     return Operator({(("E", i, j, a),): 1 for a in range(1, n + 1)})
@@ -245,6 +255,20 @@ def dual_nabla_terms(a, w, z, r):
                for b in range(1, len(z) + 1) if b != a])
 
 
+def block_dual_nabla_terms(a, w, z, r, col_sums):
+    """The terms of `dual_nabla_terms` on the block with column sums c, in
+    parts of the gl_r side and the identity: E_aa in row i is E_ii^(a), and
+    dual_kappa_ab = 4 Omega_ab + 2 (c_a + c_b) there, since E'_ab E'_ba =
+    Omega_ab + E'_aa and E'_aa is the constant c_a on the block."""
+    out = [(w[i - 1], (op_E, i, i, a)) for i in range(1, r + 1)]
+    for b in range(1, len(z) + 1):
+        if b != a:
+            x = 1 / (z[a - 1] - z[b - 1])
+            out += [(4 * x, (omega, min(a, b), max(a, b), r)),
+                    (2 * (col_sums[a - 1] + col_sums[b - 1]) * x, (identity,))]
+    return out
+
+
 def dual_nabla(a, w, z, r):
     """Dynamical Hamiltonian on the gl_n side, for column index a on r rows."""
     return _terms_sum(dual_nabla_terms(a, _exact(w), _exact(z), r))
@@ -277,8 +301,10 @@ def gaudin_h(a, z, q, r):
 
 def gaudin_limit_terms(a, r):
     """Terms of 4 J_a, the limit of z_a H_a when z collides to 0 with
-    z_1 << ... << z_n: z_a / (z_a - z_b) tends to 1 for b < a, to 0 for b > a."""
-    return [(4, (jm, a, r))]
+    z_1 << ... << z_n: z_a / (z_a - z_b) tends to 1 for b < a, to 0 for b > a.
+    They are the exchange parts themselves, J_a = sum_{b<a} Omega_ba, so no
+    part of its own is built for J_a."""
+    return [(4, (omega, b, a, r)) for b in range(1, a)]
 
 
 def jm(a, r):
@@ -458,6 +484,11 @@ class MonomialBlock(Sequence):
         """The squared norm (`sqnorm`) of each basis monomial, computed on
         first use."""
         return [sqnorm(m) for m in self.basis]
+
+    @functools.cached_property
+    def float_sqnorms(self):
+        """`sqnorms` as a float array, computed on first use."""
+        return np.array([float(x) for x in self.sqnorms])
 
     @functools.cached_property
     def entry_array(self):
@@ -706,7 +737,7 @@ def dense(op, basis, orthonormal=True):
     # int64 / int below 2^53, and Python int / int, round as Fraction -> float does
     vals = np.asarray(coeffs / den, dtype=float)
     if orthonormal:
-        norms = np.array([float(x) for x in block.sqnorms])
+        norms = block.float_sqnorms
         vals *= np.sqrt(norms[dst] / norms[src])
     mat[dst, src] = vals
     return mat

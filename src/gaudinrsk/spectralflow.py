@@ -47,12 +47,24 @@ before any leg is transported.
 
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
-block-diagonal by gl_r weight (the row sums of the monomials). The
-`BlockCache` holds each part once, as a row of one of two matrices: the
-flat buffer of its weight blocks, viewed as stacks by block size, or,
-for a part with no off-diagonal entry (the E_ii^(a) and the W_i), its
-diagonal alone. A weighted sum of parts is a matrix-vector product with
-each. A family is a function of an array of points whose term lists'
+block-diagonal by gl_r weight (the row sums of the monomials). A block
+with column sums c is built from r*n + C(r,2) + C(n,2) + 1 primitive
+parts only: the E_ii^(a), the kappa_ij (i < j), the Omega_ab (a < b) and
+the identity. Every other operator the flow uses is an exact sum of
+these on the block:
+
+  W_i = sum_a E_ii^(a),
+  J_a = sum_{b<a} Omega_ba (`liealg.gaudin_limit_terms`),
+  dual kappa_ab = 4 Omega_ab + 2 (c_a + c_b) (`liealg.block_dual_nabla_terms`),
+  C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext.extract_S`),
+  C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a} (2 Omega_bd + c_b + c_d)
+         (`FlowContext.extract_T`).
+
+The `BlockCache` holds each part once, as a row of one of two matrices:
+the flat buffer of its weight blocks, viewed as stacks by block size, or,
+for a part with no off-diagonal entry (the E_ii^(a) and the identity),
+its diagonal alone. A weighted sum of parts is a matrix-vector product
+with each. A family is a function of an array of points whose term lists'
 coefficients broadcast over those points: each leg evaluates it once on
 its whole grid and turns it into one array of weights, a row per point
 (`BlockCache.coefficients`); a bisection midpoint, and the start point
@@ -92,18 +104,17 @@ from .combinatorics import (
 from .crystals import pieri_shapes
 from .liealg import (
     _as_block,
+    block_dual_nabla_terms,
     casimir_eigenvalue,
     dense,
-    dual_nabla_terms,
-    dual_nested_casimir,
     gaudin_limit_terms,
     gaudin_terms,
+    kappa,
     nabla_terms,
-    nested_casimir,
+    omega,
     op_E,
     part_operator,
     weight_basis,
-    weight_op,
 )
 
 
@@ -185,13 +196,16 @@ class BlockCache:
     given, as `weight_basis` returns it, or one built from a list of
     monomials. No part depends on z or q, so one cache serves every leg.
     On a block of one weight, such as the S_n block, there is one batch
-    with k = 1.
+    with k = 1. The flow asks it for the primitive parts only (the
+    E_ii^(a), kappa_ij, Omega_ab and the identity; see the module
+    docstring), and `col_sums` holds the block's column sums, the
+    constants of the dual operators.
 
     Each part gets the next position of one block-wide part list and is
     written straight into the next row of one of two matrices: a row of
     the part matrix F (parts, size) holds a flat buffer of its weight
     blocks, batch after batch; a part whose buffer has no off-diagonal
-    nonzero (the E_ii^(a) and the weights W_i) is held instead as its
+    nonzero (the E_ii^(a) and the identity) is held instead as its
     diagonal, a row of the matrix D (parts, dim). `stacks(part)` gives the
     weight blocks as one (k, d, d) stack per batch, views of F's row or a
     diagonal part expanded.
@@ -220,6 +234,7 @@ class BlockCache:
         self.block = _as_block(basis)
         self.basis = self.block.basis
         self.dim = self.block.dim
+        self.col_sums = self.basis[0].col_sums() if self.dim else (0,) * n
         weights = {}
         for pos, m in enumerate(self.basis):
             weights.setdefault(m.row_sums(), []).append(pos)
@@ -444,7 +459,8 @@ class BlockCache:
         return self.combine(gaudin_terms(a, z, q, self.r))
 
     def dual_nabla0_mat(self, a, z):
-        return self.combine(dual_nabla_terms(a, (0.0,) * self.r, z, self.r))
+        return self.combine(block_dual_nabla_terms(a, (0.0,) * self.r, z, self.r,
+                                                   self.col_sums))
 
 
 def _scaled(scalar, terms):
@@ -850,7 +866,7 @@ class FlowContext:
 
         def dual_gt(u):
             zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-            return ([_scaled(u ** (n - a), dual_nabla_terms(a, q0, zu, r))
+            return ([_scaled(u ** (n - a), block_dual_nabla_terms(a, q0, zu, r, self.col_sums))
                      for a in range(1, n + 1)]
                     + [_scaled(u ** (n - a), gaudin_terms(a, zu, q0, r))
                        for a in range(1, n + 1)]
@@ -879,17 +895,19 @@ class FlowContext:
         runs, in leg order, so a degenerate start spectrum of any leg ends
         the run before the first transport.
 
-        Frames are kept as weight-block stacks (`BlockCache.split`). Only a
-        leg named in classes_from reads records off its end frame: the
-        Rayleigh quotients of its limit operators, with residuals, and then
-        the r weights W_i, taken as each branch's exact row sums with
-        residual 0 (a frame column lies in one weight block, where W_i is
-        the constant row sum i). `coalescence_classes` clusters them into
-        the result's classes under the leg's name. A decoding leg stores its
-        tableaux on the branches.
+        Every leg's family gets the weights W_i = sum_a E_ii^(a) added, as
+        sums of the E_ii^(a) parts. Frames are kept as weight-block stacks
+        (`BlockCache.split`). Only a leg named in classes_from reads records
+        off its end frame: the Rayleigh quotients of its limit operators,
+        with residuals, and then the r weights W_i, taken as each branch's
+        exact row sums with residual 0 (a frame column lies in one weight
+        block, where W_i is the constant row sum i). `coalescence_classes`
+        clusters them into the result's classes under the leg's name. A
+        decoding leg stores its tableaux on the branches.
         """
         cache = self.cache
-        weight_terms = [[(1.0, (weight_op, i, self.n))] for i in range(1, self.r + 1)]
+        weight_terms = [[(1.0, (op_E, i, i, a)) for a in range(1, self.n + 1)]
+                        for i in range(1, self.r + 1)]
         # leg A starts from the identity frame, so its start-overlap test
         # checks that the monomials are the start eigenlines
         labels = list(self.basis)
@@ -933,24 +951,44 @@ class FlowContext:
 
     def extract_S(self, frame, labels):
         """Decode tableau S of every branch from a leg C end frame. By Howe
-        duality every shape on an r x n block has at most min(r, n) rows."""
-        values, _ = self._rayleigh(frame, [self.cache.stacks((nested_casimir, i, self.n))
-                                           for i in range(1, self.r + 1)])
+        duality every shape on an r x n block has at most min(r, n) rows.
+
+        The corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab
+        is read off the kappa parts the legs hold: a branch lies in one
+        weight block, where W_a is its row sum w_a, so its value is the exact
+        integer sum_{a<=i} w_a^2 plus the Rayleigh quotient of the summed
+        kappa stacks."""
+        r, n = self.r, self.n
+        quotients, _ = self._rayleigh(frame, [
+            self.cache.combine([(0.5, (kappa, a, b, n)) for b in range(2, i + 1)
+                                for a in range(1, b)])
+            for i in range(1, r + 1)])
         out, memo = [], {}
-        for b, label in enumerate(labels):
+        for label, row in zip(labels, quotients):
             wt = label.row_sums()
-            sizes = [sum(wt[:i]) for i in range(1, self.r + 1)]
-            out.append(_decode_chain(sizes, values[b], min(self.r, self.n), memo))
+            sizes = [sum(wt[:i]) for i in range(1, r + 1)]
+            values = [sum(x * x for x in wt[:i]) + row[i - 1] for i in range(1, r + 1)]
+            out.append(_decode_chain(sizes, values, min(r, n), memo))
         return out
 
     def extract_T(self, frame, labels):
         """Decode the mirrored tableau T of every branch from a leg E end
-        frame, with shapes of at most min(r, n) rows as for S."""
-        values, _ = self._rayleigh(frame, [self.cache.stacks((dual_nested_casimir, a, self.r))
-                                           for a in range(1, self.n + 1)])
-        sizes = [sum(self.col_sums[:a]) for a in range(1, self.n + 1)]
+        frame, with shapes of at most min(r, n) rows as for S.
+
+        The dual corner Casimir C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a}
+        (2 Omega_bd + c_b + c_d) on the block with column sums c is read off
+        the Omega parts the legs hold: the Rayleigh quotient of the summed
+        Omega stacks plus the exact integer, the same on every branch."""
+        r, n, c = self.r, self.n, self.col_sums
+        quotients, _ = self._rayleigh(frame, [
+            self.cache.combine([(2.0, (omega, b, d, r)) for d in range(2, a + 1)
+                                for b in range(1, d)])
+            for a in range(1, n + 1)])
+        constants = np.array([sum(x * x for x in c[:a]) + (a - 1) * sum(c[:a])
+                              for a in range(1, n + 1)])
+        sizes = [sum(c[:a]) for a in range(1, n + 1)]
         memo = {}
-        return [_decode_chain(sizes, row, min(self.r, self.n), memo) for row in values]
+        return [_decode_chain(sizes, constants + row, min(r, n), memo) for row in quotients]
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):

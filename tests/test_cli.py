@@ -97,6 +97,18 @@ class TestCrystal:
     def test_needs_selector(self, capsys):
         assert main(["crystal", "--rank", "2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["--rank", "-1", "--col-sums", "[1]"],
+        ["--rank", "0", "--shape", "[1]"],
+        ["--rank", "2", "--col-sums", "[-1, 1]"],
+        ["--rank", "2", "--col-sums", "[1.5, 1]"],
+        ["--rank", "2", "--col-sums", "[\"1\"]"],
+    ])
+    def test_bad_rank_or_col_sums_is_a_usage_error(self, capsys, argv):
+        # as for flow: no empty graph for a block that cannot exist
+        assert main(["crystal"] + argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_bad_shape_is_a_usage_error(self, capsys):
         assert main(["crystal", "--rank", "3", "--shape", "[2,3]"]) == EXIT_USAGE
         assert "bad shape: parts (2, 3) are not weakly decreasing" in capsys.readouterr().err

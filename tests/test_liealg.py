@@ -10,16 +10,20 @@ from gaudinrsk.combinatorics import NatMatrix
 from gaudinrsk.liealg import (
     MonomialBlock,
     Operator,
+    block_dual_nabla_terms,
     casimir_eigenvalue,
     commute_on,
     delta_n,
     delta_r,
     dense,
+    dual_kappa,
     dual_nabla,
     dual_nested_casimir,
     dual_op_E,
     exact_matrix,
     gaudin_h,
+    gaudin_limit_terms,
+    identity,
     is_adjoint_pair,
     jm,
     kappa,
@@ -32,7 +36,7 @@ from gaudinrsk.liealg import (
     weight_basis,
     weight_op,
 )
-from gaudinrsk.liealg import _capped_compositions
+from gaudinrsk.liealg import _capped_compositions, _summed, _terms_sum
 from gaudinrsk.spectralflow import FlowContext
 
 Z = (Fraction(5), Fraction(2), Fraction(1))
@@ -286,6 +290,77 @@ class TestCasimirs:
             casimir_eigenvalue([2, 1], 2, order=order)
 
 
+class TestBlockIdentities:
+    """The identities through which the flow reads the weights, J_a, dual
+    kappa and both corner Casimirs off the parts E_ii^(a), kappa_ij,
+    Omega_ab and the identity, checked on exact matrices."""
+
+    # (r, n, column sums, row sums): r = 1 to 4, zero column sums, the S_4
+    # block and a restricted weight
+    BLOCKS = [
+        (1, 3, (2, 1, 1), None),
+        (1, 2, (3, 0), None),
+        (2, 3, (1, 1, 1), None),
+        (2, 4, (2, 1, 1, 2), None),
+        (2, 2, (4, 3), None),
+        (2, 3, (0, 0, 0), None),
+        (3, 3, (1, 1, 1), None),
+        (3, 2, (2, 2), None),
+        (3, 3, (0, 2, 0), None),
+        (3, 3, (2, 1, 1), (2, 1, 1)),
+        (3, 3, (2, 2, 2), None),
+        (3, 4, (1, 1, 1, 1), None),
+        (4, 3, (2, 1, 1), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ]
+
+    @staticmethod
+    def same(lhs, rhs, block):
+        assert exact_matrix(lhs, block) == exact_matrix(rhs, block)
+
+    @pytest.mark.parametrize("r, n, k, w", BLOCKS)
+    def test_weights_and_corner_casimirs(self, r, n, k, w):
+        # W_i = sum_a E_ii^(a) and
+        # C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab
+        block = weight_basis(r, n, k, w)
+        assert len(block)
+        for i in range(1, r + 1):
+            self.same(weight_op(i, n), _summed(op_E(i, i, a) for a in range(1, n + 1)), block)
+            squares = _summed(weight_op(a, n) * weight_op(a, n) for a in range(1, i + 1))
+            kappas = _summed(kappa(a, b, n) for b in range(2, i + 1) for a in range(1, b))
+            self.same(nested_casimir(i, n), squares + kappas / 2, block)
+
+    @pytest.mark.parametrize("r, n, k, w", BLOCKS)
+    def test_dual_kappa_and_dual_corner_casimirs(self, r, n, k, w):
+        # dual kappa_ab = 4 Omega_ab + 2 (c_a + c_b) and
+        # C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a} (2 Omega_bd + c_b + c_d)
+        block = weight_basis(r, n, k, w)
+        one = identity()
+        for b in range(2, n + 1):
+            for a in range(1, b):
+                self.same(dual_kappa(a, b, r),
+                          4 * omega(a, b, r) + (2 * (k[a - 1] + k[b - 1])) * one, block)
+        for a in range(1, n + 1):
+            rhs = _summed([sum(c * c for c in k[:a]) * one]
+                          + [2 * omega(b, d, r) + (k[b - 1] + k[d - 1]) * one
+                             for d in range(2, a + 1) for b in range(1, d)])
+            self.same(dual_nested_casimir(a, r), rhs, block)
+
+    @pytest.mark.parametrize("r, n, k, w", BLOCKS)
+    def test_limit_and_dual_terms(self, r, n, k, w):
+        # the flow's term lists against the composites they replace: 4 J_a
+        # = sum_{b<a} 4 Omega_ba, and the dual dynamical operators in Omega
+        # parts and the identity
+        block = weight_basis(r, n, k, w)
+        for a in range(2, n + 1):
+            self.same(_terms_sum(gaudin_limit_terms(a, r)), 4 * jm(a, r), block)
+        z = tuple(Fraction(x, 3) for x in (2, 5, 7, 11)[:n])
+        dq = tuple(Fraction(x, 2) for x in (3, -1, 4, 1)[:r])
+        for a in range(1, n + 1):
+            self.same(_terms_sum(block_dual_nabla_terms(a, dq, z, r, k)),
+                      dual_nabla(a, dq, z, r), block)
+
+
 def _random_operator(rng, r, n, terms=6):
     """Seeded operator whose words keep row and column sums: each word is a
     shuffled product of opposite E moves, opposite D moves and diagonal
@@ -511,19 +586,24 @@ def _dense_oracle(op, basis, orthonormal):
 
 
 def _leg_parts(ctx):
-    """Every part the leg table of a FlowContext sums, the weights, the
-    snapping diagonals and the corner Casimirs of both decoders."""
+    """Every part the leg table of a FlowContext sums, the snapping
+    diagonals, and the composites the flow reads through them: the weights,
+    J_a, dual kappa_ab and the corner Casimirs of both decoders. Returns
+    (the parts, the builders of the leg table's parts)."""
     parts = set()
     for straight_b in (False, True):
         for leg in ctx.legs(straight_b):
             for t in (leg.grid[0], leg.grid[-1]):
                 parts.update(part for terms in leg.family(t) for _, part in terms)
+    builders = {part[0] for part in parts}
     r, n = ctx.r, ctx.n
     parts.update((weight_op, i, n) for i in range(1, r + 1))
+    parts.update((jm, a, r) for a in range(2, n + 1))
+    parts.update((dual_kappa, a, b, r) for b in range(2, n + 1) for a in range(1, b))
     parts.update((nested_casimir, i, n) for i in range(1, r + 1))
     parts.update((dual_nested_casimir, a, r) for a in range(1, n + 1))
     parts.update((op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1))
-    return sorted(parts, key=lambda part: (part[0].__name__,) + part[1:])
+    return sorted(parts, key=lambda part: (part[0].__name__,) + part[1:]), builders
 
 
 class TestDenseWalk:
@@ -536,8 +616,10 @@ class TestDenseWalk:
     def test_leg_table_parts_match_exact(self, r, n, k, w):
         ctx = FlowContext(r, n, k, w)
         block = ctx.cache.block
-        parts = _leg_parts(ctx)
-        assert {part[0] for part in parts} >= {op_E, kappa, omega, jm, weight_op}
+        parts, builders = _leg_parts(ctx)
+        assert builders == {op_E, kappa, omega, identity}
+        assert {part[0] for part in parts} >= {op_E, kappa, omega, identity, jm, weight_op,
+                                               dual_kappa, nested_casimir, dual_nested_casimir}
         mats = {part: [dense(part_operator(part), block, orth) for orth in (True, False)]
                 for part in parts}
         # the walk fills no generator table

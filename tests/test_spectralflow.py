@@ -18,6 +18,7 @@ from gaudinrsk.liealg import (
     gaudin_h,
     gaudin_limit_terms,
     gaudin_terms,
+    identity,
     jm,
     kappa,
     nabla,
@@ -910,15 +911,23 @@ class TestBlockCache:
         ctx = FlowContext(r, n, col_sums, row_sums)
         basis = ctx.basis
         z0, q0 = (0.0,) * n, (0.0,) * r
-        parts = {(weight_op, i, n) for i in range(1, r + 1)}
-        parts |= {(nested_casimir, i, n) for i in range(1, r + 1)}
-        parts |= {(dual_nested_casimir, a, r) for a in range(1, n + 1)}
         limits = ([nabla_terms(i, z0, ctx.q, n) for i in range(1, r + 1)]
                   + [gaudin_terms(a, ctx.z, q0, r) for a in range(1, n + 1)])
+        parts = set()
         for leg in ctx.legs():
             for terms in leg.family(leg.grid[len(leg.grid) // 2]) + limits:
                 parts |= {part for _, part in terms}
-        assert {part[0] for part in parts} >= {dual_op_E, dual_kappa, dual_nested_casimir}
+        # the legs sum primitive parts only; the composites the flow reads
+        # through them are listed here so that they are checked too
+        assert {part[0] for part in parts} == {op_E, kappa, omega, identity}
+        parts |= {(weight_op, i, n) for i in range(1, r + 1)}
+        parts |= {(nested_casimir, i, n) for i in range(1, r + 1)}
+        parts |= {(dual_nested_casimir, a, r) for a in range(1, n + 1)}
+        parts |= {(jm, a, r) for a in range(2, n + 1)}
+        parts |= {(dual_op_E, a, a, i) for a in range(1, n + 1) for i in range(1, r + 1)}
+        parts |= {(dual_kappa, a, b, r) for b in range(2, n + 1) for a in range(1, b)}
+        assert {part[0] for part in parts} >= {dual_op_E, dual_kappa, dual_nested_casimir,
+                                               jm, weight_op, nested_casimir}
         weights = [m.row_sums() for m in basis]
         outside = np.array([[wi != wj for wj in weights] for wi in weights])
         for part in parts:
@@ -942,10 +951,23 @@ class TestBlockCache:
         ctx = FlowContext(r, n, (1, 1, 1))
         ctx.run("ABCDE", "B")
         basis = ctx.basis
-        # Cartans E_ii^(a), weights, corner Casimirs, kappa_ij, Omega_ab,
-        # J_a for a >= 2, dual kappa_ab and dual corner Casimirs
-        assert len(built) == (r * n + 2 * r + math.comb(r, 2) + math.comb(n, 2)
-                              + (n - 1) + math.comb(n, 2) + n)
+        # Cartans E_ii^(a), kappa_ij, Omega_ab and the identity: the weights,
+        # J_a, dual kappa_ab and both corner Casimirs are read off these, so
+        # no composite is built
+        primitives = ([op_E(i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)]
+                      + [kappa(i, j, n) for j in range(2, r + 1) for i in range(1, j)]
+                      + [omega(a, b, r) for b in range(2, n + 1) for a in range(1, b)]
+                      + [identity()])
+        assert len(built) == r * n + math.comb(r, 2) + math.comb(n, 2) + 1
+        assert ({frozenset(op.terms.items()) for op, _ in built}
+                == {frozenset(op.terms.items()) for op in primitives})
+        # the composites, which the flow no longer builds, word by word too
+        for op in ([weight_op(i, n) for i in range(1, r + 1)]
+                   + [jm(a, r) for a in range(2, n + 1)]
+                   + [dual_kappa(a, b, r) for b in range(2, n + 1) for a in range(1, b)]
+                   + [nested_casimir(i, n) for i in range(1, r + 1)]
+                   + [dual_nested_casimir(a, r) for a in range(1, n + 1)]):
+            built.append((op, spectralflow_dense(op, basis)))
         index = {m: i for i, m in enumerate(basis)}
         norms = [float(sqnorm(m)) for m in basis]
         for op, mat in built:
