@@ -44,13 +44,21 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _holds_bool(value):
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def _json_vector(text, name):
+    """The JSON list given as name. JSON's true and false are refused at any
+    depth: Python reads them as the integers 1 and 0."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as err:
         raise UsageError(f"bad {name}: {err}")
     if not isinstance(value, list):
         raise UsageError(f"{name} must be a JSON list")
+    if _holds_bool(value):
+        raise UsageError(f"{name} entries must be numbers, not true or false")
     return value
 
 

@@ -60,11 +60,13 @@ these on the block:
   C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a} (2 Omega_bd + c_b + c_d)
          (`FlowContext.extract_T`).
 
-The `BlockCache` holds each part once, as a row of one of two matrices:
-the flat buffer of its weight blocks, viewed as stacks by block size, or,
-for a part with no off-diagonal entry (the E_ii^(a) and the identity),
-its diagonal alone. A weighted sum of parts is a matrix-vector product
-with each. A family is a function of an array of points whose term lists'
+The `BlockCache` builds these parts once, when it is built, in one fixed
+order (`primitive_parts`), so every float sum over them adds its terms in
+one order; a term that names any other part raises. It holds each as a
+row of one of two matrices: the flat buffer of its weight blocks, viewed
+as stacks by block size, or, for a part with no off-diagonal entry (the
+E_ii^(a) and the identity), its diagonal alone. A weighted sum of parts
+is a matrix-vector product with each. A family is a function of an array of points whose term lists'
 coefficients broadcast over those points: each leg evaluates it once on
 its whole grid and turns it into one array of weights, a row per point
 (`BlockCache.coefficients`); a bisection midpoint, and the start point
@@ -109,6 +111,7 @@ from .liealg import (
     dense,
     gaudin_limit_terms,
     gaudin_terms,
+    identity,
     kappa,
     nabla_terms,
     omega,
@@ -182,49 +185,62 @@ class FlowResult:
     diagnostics: dict
 
 
+def primitive_parts(r, n):
+    """The r*n + C(r,2) + C(n,2) + 1 parts of a block of r x n matrices, in
+    the order in which the legs first name them: for each row i the
+    E_ii^(a), a = 1..n, then the kappa_ij, j > i; then the Omega_ab, a < b,
+    in lexicographic order; then the identity. A `BlockCache` holds them in
+    this fixed order, so every float sum over them keeps one order."""
+    return ([part for i in range(1, r + 1)
+             for part in [(op_E, i, i, a) for a in range(1, n + 1)]
+             + [(kappa, i, j, n) for j in range(i + 1, r + 1)]]
+            + [(omega, a, b, r) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+            + [(identity,)])
+
+
 class BlockCache:
-    """One store of the part matrices of a block, each held once as its
-    gl_r weight blocks.
+    """The part matrices of a block, each built once and held as its gl_r
+    weight blocks.
 
     Every part the flow uses commutes with the diagonal gl_r Cartan, so it
     maps each weight space (the monomials with fixed row sums) to itself.
     The basis is split once into these weight blocks, and blocks of equal
     size d form a batch: `batches` holds one (k, d) array of basis
-    positions per batch, in increasing d. A part is assembled once by
+    positions per batch, in increasing d. The cache holds the parts
+    `primitive_parts(r, n)`, in that order, as `parts`, and no other: every
+    operator the flow sums is a combination of them (see the module
+    docstring). Each is assembled once, when the cache is built, by
     `liealg.dense`, a walk of its words over the entry array of one
     MonomialBlock, which fills no generator table: the block the cache is
     given, as `weight_basis` returns it, or one built from a list of
     monomials. No part depends on z or q, so one cache serves every leg.
     On a block of one weight, such as the S_n block, there is one batch
-    with k = 1. The flow asks it for the primitive parts only (the
-    E_ii^(a), kappa_ij, Omega_ab and the identity; see the module
-    docstring), and `col_sums` holds the block's column sums, the
-    constants of the dual operators.
+    with k = 1. `col_sums` holds the block's column sums, the constants of
+    the dual operators.
 
-    Each part gets the next position of one block-wide part list and is
-    written straight into the next row of one of two matrices: a row of
-    the part matrix F (parts, size) holds a flat buffer of its weight
-    blocks, batch after batch; a part whose buffer has no off-diagonal
-    nonzero (the E_ii^(a) and the identity) is held instead as its
-    diagonal, a row of the matrix D (parts, dim). `stacks(part)` gives the
-    weight blocks as one (k, d, d) stack per batch, views of F's row or a
-    diagonal part expanded.
+    Each part is written into a row of one of two matrices: a row of the
+    part matrix F (parts, size) holds a flat buffer of its weight blocks,
+    batch after batch; a part whose matrix has no off-diagonal nonzero (the
+    E_ii^(a), the identity, and any part that is diagonal or 0 on a
+    degenerate block) is held instead as its diagonal, a row of the matrix
+    D (parts, dim). `stacks(part)` gives the weight blocks as one
+    (k, d, d) stack per batch, views of F's row or a diagonal part
+    expanded.
 
-    Weights are rows over the block-wide part list. `sum_parts` gives each
-    point's sum as its own two matrix-vector products, w_F @ F plus w_D @ D
-    added on the diagonal positions, so a point's sum does not depend on
-    the other points summed with it; a part a point does not use has
-    weight 0.
+    Weights are rows over `parts`. `sum_parts` gives each point's sum as
+    its own two matrix-vector products, w_F @ F plus w_D @ D added on the
+    diagonal positions, so a point's sum does not depend on the other
+    points summed with it; a part a point does not use has weight 0.
 
     A flow family, evaluated on an array of points, is a list of term
     lists whose coefficients are numbers or arrays over those points.
     `_rows` lays them out as one (points, operators, parts) array, and
     `coefficients` turns that into one weight row per point on the parts
     of the operators, each scaled to unit Frobenius norm: the norms come
-    from the coefficient rows and the Gram matrix of all held parts (F
-    F^T, D D^T and F[:, diagonal] D^T), extended when parts are added, so
-    no operator of the family is ever built as a matrix of its own. A
-    point's row is the same whichever points it is evaluated with.
+    from the coefficient rows and the Gram matrix of the parts (F F^T, D
+    D^T and F[:, diagonal] D^T, computed once with the parts), so no
+    operator of the family is ever built as a matrix of its own. A point's
+    row is the same whichever points it is evaluated with.
     `normalised_sum` is the one-point sum of a family, and `combine` that
     of one liealg term list, unnormalised."""
 
@@ -249,15 +265,37 @@ class BlockCache:
         self._diagonal = np.concatenate(
             [start + np.arange(idx.size) * (d + 1) - np.arange(idx.size) // d * d
              for idx, start, d in self._layout()] or [[]]).astype(int)
-        self._index = {}  # part -> its position in the block-wide part list
+        self.parts = primitive_parts(r, n)
+        self._index = {part: j for j, part in enumerate(self.parts)}
+        # a row of F and of D for every part; the rows a part does not take
+        # are never written, so they take no memory
+        full = np.empty((len(self.parts), self.size))
+        diag = np.empty((len(self.parts), self.dim))
         self._where = []  # position -> (held as a diagonal, row of its matrix)
-        # F and D with room for more rows; rows past the used ones are
-        # never written, so they take no memory
-        self._full_rows = np.empty((0, self.size))
-        self._diag_rows = np.empty((0, self.dim))
-        self._full_at = np.zeros(0, dtype=int)  # position of each used row of F
-        self._diag_at = np.zeros(0, dtype=int)  # and of D
-        self._gram = np.empty((0, 0))
+        full_at, diag_at = [], []  # the position of each row of F and of D
+        for position, part in enumerate(self.parts):
+            mat = dense(part_operator(part), self.block)
+            diagonal = np.diagonal(mat)
+            if np.count_nonzero(mat) == np.count_nonzero(diagonal):
+                self._where.append((True, len(diag_at)))
+                diag[len(diag_at)] = diagonal[self.positions]
+                diag_at.append(position)
+            else:
+                for view, stack in zip(self._views(full[len(full_at)]), self.split(mat)):
+                    view[...] = stack
+                self._where.append((False, len(full_at)))
+                full_at.append(position)
+            del mat, diagonal  # free this dim x dim matrix before the next is built
+        self._full, self._diag = full[:len(full_at)], diag[:len(diag_at)]
+        self._full_at = np.array(full_at, dtype=int)
+        self._diag_at = np.array(diag_at, dtype=int)
+        # the Gram matrix: Frobenius inner products of the parts
+        cross = self._full[:, self._diagonal] @ self._diag.T
+        self._gram = np.empty((len(self.parts),) * 2)
+        self._gram[self._full_at[:, None], self._full_at] = self._full @ self._full.T
+        self._gram[self._diag_at[:, None], self._diag_at] = self._diag @ self._diag.T
+        self._gram[self._full_at[:, None], self._diag_at] = cross
+        self._gram[self._diag_at[:, None], self._full_at] = cross.T
 
     def _layout(self):
         """(positions, flat-buffer start, d) of each batch."""
@@ -299,64 +337,22 @@ class BlockCache:
             out[idx] = vals
         return out
 
-    @property
-    def _full(self):
-        """F: the used rows of the part matrix."""
-        return self._full_rows[:len(self._full_at)]
-
-    @property
-    def _diag(self):
-        """D: the used rows of the diagonal matrix."""
-        return self._diag_rows[:len(self._diag_at)]
-
-    @staticmethod
-    def _room(rows, used, extra):
-        """rows, or, when it has no room for extra rows past the first used
-        ones, a buffer at least twice as long with those rows copied."""
-        if used + extra <= len(rows):
-            return rows
-        grown = np.empty((max(used + extra, 2 * len(rows)),) + rows.shape[1:])
-        grown[:used] = rows[:used]
-        return grown
-
-    def _add(self, parts):
-        """Build each part not yet held, in order: a part whose matrix has
-        an off-diagonal nonzero goes into the next row of F, any other its
-        diagonal into the next row of D."""
-        new = [part for part in dict.fromkeys(parts) if part not in self._index]
-        if not new:
-            return
-        full_at, diag_at = list(self._full_at), list(self._diag_at)
-        self._full_rows = self._room(self._full_rows, len(full_at), len(new))
-        self._diag_rows = self._room(self._diag_rows, len(diag_at), len(new))
-        for part in new:
-            mat = dense(part_operator(part), self.block)
-            diagonal = np.diagonal(mat)
-            position = len(self._index)
-            self._index[part] = position
-            if np.count_nonzero(mat) == np.count_nonzero(diagonal):
-                self._where.append((True, len(diag_at)))
-                self._diag_rows[len(diag_at)] = diagonal[self.positions]
-                diag_at.append(position)
-            else:
-                row = self._full_rows[len(full_at)]
-                for view, stack in zip(self._views(row), self.split(mat)):
-                    view[...] = stack
-                self._where.append((False, len(full_at)))
-                full_at.append(position)
-            del mat, diagonal  # free this dim x dim matrix before the next is built
-        self._full_at = np.array(full_at, dtype=int)
-        self._diag_at = np.array(diag_at, dtype=int)
+    def _position(self, part):
+        """The part's position in `parts`; any other part raises ValueError."""
+        try:
+            return self._index[part]
+        except KeyError:
+            raise ValueError(f"{part[0].__name__}{part[1:]} is not a primitive part "
+                             f"of the r = {self.r}, n = {self.n} block") from None
 
     def _flat(self, part):
         """The flat buffer of the part's weight blocks: its row of F, or
         its diagonal expanded into a new buffer."""
-        self._add([part])
-        diagonal, row = self._where[self._index[part]]
+        diagonal, row = self._where[self._position(part)]
         if not diagonal:
-            return self._full_rows[row]
+            return self._full[row]
         flat = np.zeros(self.size)
-        flat[self._diagonal] = self._diag_rows[row]
+        flat[self._diagonal] = self._diag[row]
         return flat
 
     def stacks(self, part):
@@ -369,63 +365,33 @@ class BlockCache:
 
     def sum_parts(self, weights):
         """Flat buffers (points, size) of sum_j weights[p][j] * part_j over
-        the block-wide part list, one row per point p; a row shorter than
-        the list weighs the later parts 0. Each point's sum is its own pair
-        of products, w_F @ F and then w_D @ D added on the diagonal
-        positions, each into a buffer of its own, so it does not depend on
-        the other points summed with it."""
+        `parts`, one row per point p. Each point's sum is its own pair of
+        products, w_F @ F and then w_D @ D added on the diagonal positions,
+        each into a buffer of its own, so it does not depend on the other
+        points summed with it."""
         out = np.empty((len(weights), self.size))
-        full, diag = self._full, self._diag
         for flat, w in zip(out, weights):
-            row = np.zeros(len(self._index))
-            row[:len(w)] = w
-            flat[...] = row[self._full_at] @ full
-            flat[self._diagonal] += row[self._diag_at] @ diag
+            flat[...] = w[self._full_at] @ self._full
+            flat[self._diagonal] += w[self._diag_at] @ self._diag
         return out
 
     def _rows(self, ops, points):
         """Coefficient rows (points, ops, parts) of the term lists ops over
-        the block-wide part list. Each coefficient is a number or an array
-        over the points; a part whose coefficient is 0 at every point is not
-        built, and one that is 0 at some points has weight 0 there."""
-        live = [(o, c, part) for o, terms in enumerate(ops) for c, part in terms if np.any(c)]
-        self._add(part for _, _, part in live)
-        rows = np.zeros((points, len(ops), len(self._index)))
-        for o, c, part in live:
-            rows[:, o, self._index[part]] += c
+        `parts`. Each coefficient is a number or an array over the points;
+        a term that names a part outside `parts` raises ValueError."""
+        rows = np.zeros((points, len(ops), len(self.parts)))
+        for o, terms in enumerate(ops):
+            for c, part in terms:
+                rows[:, o, self._position(part)] += c
         return rows
 
     def combine(self, terms):
         """Float sum of coefficient * part as per-batch stacks, the one-point
-        rows of `_rows`; zero terms build no part."""
+        rows of `_rows`."""
         return self._views(self.sum_parts(self._rows([terms], 1)[:, 0])[0])
 
-    def _extend_gram(self):
-        """Extend the Gram matrix (Frobenius inner products over the
-        block-wide part list) to the parts added since the last call: the
-        entries of each pair with a new part, from F F^T, D D^T and
-        F[:, diagonal] D^T."""
-        old, count = len(self._gram), len(self._index)
-        if old == count:
-            return
-        gram = np.empty((count, count))
-        gram[:old, :old] = self._gram
-        full, diag, full_at, diag_at = self._full, self._diag, self._full_at, self._diag_at
-        # the new rows of F and of D come after the old ones
-        f0, d0 = np.searchsorted(full_at, old), np.searchsorted(diag_at, old)
-        on_diagonal = full[:, self._diagonal]
-        for rows, cols, block in (
-            (full_at[f0:], full_at, full[f0:] @ full.T),
-            (diag_at[d0:], diag_at, diag[d0:] @ diag.T),
-            (full_at[f0:], diag_at, on_diagonal[f0:] @ diag.T),
-            (diag_at[d0:], full_at[:f0], diag[d0:] @ on_diagonal[:f0].T),
-        ):
-            gram[rows[:, None], cols] = block
-            gram[cols[:, None], rows] = block.T
-        self._gram = gram
-
     def coefficients(self, ops, coeffs, points=1):
-        """Weights (points, parts) over the block-wide part list with
+        """Weights (points, parts) over `parts` with
         sum_o coeffs[o] * op_o / |op_o|_F = sum_j weights[p, j] * part_j at
         each point p, for term lists ops whose coefficients are numbers or
         arrays over the points (`_rows`).
@@ -438,7 +404,6 @@ class BlockCache:
         depend on the other points evaluated with it.
         """
         rows = self._rows(ops, points)
-        self._extend_gram()
         gram = self._gram
         sq = np.sum(rows @ gram * rows, axis=-1)
         scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=-1)
@@ -507,10 +472,9 @@ def _match(overlaps):
 
 def _composed(weights, frame, cache):
     """Eigenframes of the combined operator at consecutive points, given by
-    their weight rows over the block-wide part list
-    (`BlockCache.coefficients`), each matched to the frame before it (the
-    first to frame), up to the first point whose smallest best overlap is
-    below MATCH_THRESHOLD.
+    their weight rows over the cache's parts (`BlockCache.coefficients`),
+    each matched to the frame before it (the first to frame), up to the
+    first point whose smallest best overlap is below MATCH_THRESHOLD.
 
     The operators of all points are summed into one buffer
     (`BlockCache.sum_parts`, each point's sum on its own, a part that a

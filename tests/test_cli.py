@@ -39,6 +39,15 @@ class TestRsk:
         assert code == EXIT_OK
         assert report["P"] == [[1, 2]]
 
+    @pytest.mark.parametrize("argv", [
+        ["--matrix", "[[true,0],[0,1]]"],
+        ["--inverse", "--p", "[[true]]", "--q", "[[1]]", "--n", "1", "--r", "1"],
+    ])
+    def test_booleans_are_usage_errors(self, capsys, argv):
+        # JSON true would be read as the entry 1
+        assert main(["rsk"] + argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_check_suite(self, capsys):
         code, report = run(capsys, "rsk", "--check", "--samples", "50")
         assert code == EXIT_OK
@@ -103,6 +112,8 @@ class TestCrystal:
         ["--rank", "2", "--col-sums", "[-1, 1]"],
         ["--rank", "2", "--col-sums", "[1.5, 1]"],
         ["--rank", "2", "--col-sums", "[\"1\"]"],
+        ["--rank", "2", "--col-sums", "[true]"],
+        ["--rank", "2", "--shape", "[true]"],
     ])
     def test_bad_rank_or_col_sums_is_a_usage_error(self, capsys, argv):
         # as for flow: no empty graph for a block that cannot exist
@@ -121,6 +132,14 @@ class TestFlow:
         assert code == EXIT_OK
         assert report["agreement"]
         assert report["checked"] == 4
+
+    def test_block_with_an_empty_column(self, capsys):
+        # Omega_12 and Omega_23 are 0 on this block and held as diagonals
+        code, report = run(capsys, "flow", "--r", "2", "--n", "3",
+                           "--col-sums", "[2,0,1]")
+        assert code == EXIT_OK
+        assert report["agreement"] and report["checked"] == 6
+        assert report["failures"] == report["mismatches"] == []
 
     def test_budget_overflow(self, capsys):
         assert main(["flow", "--r", "3", "--n", "3", "--col-sums", "[4,4,4]",
@@ -216,6 +235,12 @@ class TestFlow:
     ["flow", "--r", "1", "--n", "1", "--col-sums", "[171]"],
     ["flow", "--r", "1", "--n", "1", "--max-entry", "171"],
     ["flow", "--r", "1", "--n", "2", "--col-sums", "[100,100]"],
+    # JSON booleans are not numbers, though Python reads them as 1 and 0
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[true, 1]"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,0]", "--weight", "[true,0]"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--z", "[true,2]"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[true,2]"],
+    ["cells", "--n", "2", "--z", "[true,2]"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE

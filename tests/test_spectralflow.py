@@ -114,6 +114,12 @@ def _dense_families(ctx):
     return {"A": main, "B": main, "C": gt, "D": qshrink, "E": dual_gt}
 
 
+def _weight_terms(r, n):
+    """The weights W_i = sum_a E_ii^(a) as `FlowContext.run` adds them to
+    every family: term lists over the primitive parts."""
+    return [[(1.0, (op_E, i, i, a)) for a in range(1, n + 1)] for i in range(1, r + 1)]
+
+
 def _combined(ops, coeffs):
     out = np.zeros_like(ops[0])
     for c, op in zip(coeffs, ops):
@@ -504,8 +510,7 @@ class TestTransport:
         basis = weight_basis(2, 2, (1, 1))
         cache = BlockCache(2, 2, basis)
         # diagonal family: monomials are the joint eigenframe
-        ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))],
-               [(1.0, (weight_op, 1, 2))]]
+        ops = [[(1.0, (op_E, 1, 1, 1))], [(1.0, (op_E, 1, 1, 2))]] + _weight_terms(2, 2)[:1]
         coeffs = start_coeffs(cache, ops, np.random.default_rng(0))
         frame, diag = transport(cache.split(np.eye(len(basis))), cache, lambda t: ops,
                                 np.geomspace(1.0, 0.5, 8), coeffs)
@@ -543,7 +548,7 @@ class TestTransport:
         ctx = FlowContext(2, 3, (1, 1, 1))
         cache = ctx.cache
         assert len(cache.batches) > 1
-        weight_terms = [[(1.0, (weight_op, i, 3))] for i in (1, 2)]
+        weight_terms = _weight_terms(2, 3)
         blocks, wholes = {}, {}
         for leg in ctx.legs():
             def family(t, leg=leg):
@@ -608,7 +613,7 @@ class TestBatchedTransport:
         cache = ctx.cache
         if points is not None:
             monkeypatch.setattr(spectralflow, "BATCH_BYTES", points * 8 * cache.size)
-        weight_terms = [[(1.0, (weight_op, i, ctx.n))] for i in range(1, ctx.r + 1)]
+        weight_terms = _weight_terms(ctx.r, ctx.n)
         frames, calls = {}, [0, 0]
         for leg in ctx.legs():
             if leg.start is not None and leg.start not in frames:
@@ -743,7 +748,14 @@ class TestBatchedTransport:
 
 
 class TestDiagonalParts:
-    BLOCKS = [(3, 3, (1, 1, 1), (1, 1, 1)), (3, 3, (2, 1, 1), None)]
+    # the last two blocks are degenerate: their second column is empty, so
+    # Omega_12 and Omega_23 are 0 on (2,3,(2,0,1)) and Omega_12 is 0 on
+    # (2,2,(2,0)), where every weight block is 1 x 1, so kappa_12 is diagonal
+    BLOCKS = [(3, 3, (1, 1, 1), (1, 1, 1)), (3, 3, (2, 1, 1), None),
+              (2, 3, (2, 0, 1), None), (2, 2, (2, 0), None)]
+    # the primitive parts held in D besides the E_ii^(a) and the identity
+    DEGENERATE = {(2, 0, 1): {(omega, 1, 2, 2), (omega, 2, 3, 2)},
+                  (2, 0): {(omega, 1, 2, 2), (kappa, 1, 2, 2)}}
 
     @staticmethod
     def exchange(i, j, a, b):
@@ -753,38 +765,55 @@ class TestDiagonalParts:
     @staticmethod
     def held(cache):
         """The parts held as rows of F and those held as rows of D."""
-        full = {part for part, j in cache._index.items() if not cache._where[j][0]}
-        return full, set(cache._index) - full
+        full = {part for part, (as_diagonal, _) in zip(cache.parts, cache._where)
+                if not as_diagonal}
+        return full, set(cache.parts) - full
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_detection_is_exact(self, r, n, col_sums, row_sums):
+        # every primitive part lands in D exactly when its dense matrix has
+        # no off-diagonal nonzero
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-        diagonal = ([(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)]
-                    + [(weight_op, i, n) for i in range(1, r + 1)])
-        other = [(self.exchange, 1, 2, 1, 2), (self.exchange, 2, 3, 3, 1), (omega, 1, 2, r),
-                 (nested_casimir, 2, n)]
-        for part in diagonal + other:
+        for part, (as_diagonal, row) in zip(cache.parts, cache._where):
             mat = dense(part_operator(part), cache.block)
             off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
-            cache.stacks(part)
-            as_diagonal, row = cache._where[cache._index[part]]
-            assert as_diagonal == (part in diagonal) == (off_diagonal == 0), part
+            assert as_diagonal == (off_diagonal == 0), part
             if as_diagonal:
                 assert np.array_equal(cache._diag[row], np.diag(mat)[cache.positions])
+            else:
+                assert np.array_equal(cache._full[row], _whole_flat(cache, part))
+        cartans = {(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)}
+        full, diagonal = self.held(cache)
+        assert diagonal - cartans - {(identity,)} == self.DEGENERATE.get(col_sums, set())
         # a diagonal part keeps no row of F
-        assert self.held(cache) == (set(other), set(diagonal))
-        assert (len(cache._full), len(cache._diag)) == (len(other), len(diagonal))
+        assert (len(cache._full), len(cache._diag)) == (len(full), len(diagonal))
+        if col_sums in self.DEGENERATE:
+            return
+        # composites are not held; the same exact test on their dense
+        # matrices, whose weight blocks hold all of them
+        composites = [(weight_op, i, n) for i in range(1, r + 1)]
+        others = [(self.exchange, 1, 2, 1, 2), (self.exchange, 2, 3, 3, 1),
+                  (nested_casimir, 2, n)]
+        for part in composites + others:
+            mat = dense(part_operator(part), cache.block)
+            off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
+            assert (part in composites) == (off_diagonal == 0), part
+            assert np.array_equal(cache.full(cache.split(mat)), mat), part
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_stacks_and_mat_are_dense(self, r, n, col_sums, row_sums):
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-        parts = [(op_E, 2, 2, 1), (op_E, 3, 3, n), (weight_op, 1, n), (omega, 1, 2, r)]
-        for part in parts:
+        for part in cache.parts:
             mat = dense(part_operator(part), cache.block)
             for got, want in zip(cache.stacks(part), cache.split(mat)):
                 assert np.array_equal(got, want)
             assert np.array_equal(cache.mat(part), mat)
-        assert self.held(cache) == ({(omega, 1, 2, r)}, set(parts[:3]))
+        # the weights W_i summed from their E_ii^(a) parts: the weight
+        # blocks of weight_op's own dense matrix, bit for bit
+        for i, terms in enumerate(_weight_terms(r, n), start=1):
+            mat = dense(weight_op(i, n), cache.block)
+            for got, want in zip(cache.combine(terms), cache.split(mat)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_sums_match_whole_buffers(self, r, n, col_sums, row_sums):
@@ -792,35 +821,28 @@ class TestDiagonalParts:
         # negatives, summed for several points at once, against the exact
         # sums of the float weights and parts
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-        parts = [(op_E, 1, 1, 1), (omega, 1, 2, r), (weight_op, 2, n), (op_E, 3, 3, 2),
-                 (kappa, 1, 3, n), (nested_casimir, 3, n), (op_E, 2, 2, 3), (omega, 1, 2, r)]
+        parts = [(op_E, 1, 1, 1), (omega, 1, 2, r), (identity,), (op_E, r, r, 2),
+                 (kappa, 1, r, n), (op_E, 1, 1, n), (op_E, 2, 2, n), (omega, 1, 2, r)]
         rng = np.random.default_rng(5)
         coeffs = rng.uniform(-3.0, 3.0, (4, len(parts))) / 7
         coeffs[1, 2] = coeffs[2, 1] = coeffs[3, :] = 0.0
         coeffs[:, 5] = 0.0  # a part left out at every point
         # one operator whose coefficients are arrays over the four points
         weights = cache._rows([list(zip(coeffs.T, parts))], len(coeffs))[:, 0]
-        assert (nested_casimir, 3, n) not in cache._index
-        assert self.held(cache)[1] == {(op_E, 1, 1, 1), (weight_op, 2, n), (op_E, 3, 3, 2),
-                                       (op_E, 2, 2, 3)}
-        held = list(cache._index)
-        flats = np.array([_whole_flat(cache, part) for part in held])
+        assert weights.shape == (len(coeffs), len(cache.parts))
+        assert not weights[:, cache.parts.index(parts[5])].any()
+        flats = np.array([_whole_flat(cache, part) for part in cache.parts])
         sums = cache.sum_parts(weights)
         for w, got in zip(weights, sums):
             for e in range(cache.size):
-                assert _within_dot_bound(got[e], zip(w, flats[:, e]), len(held))
-            for a, b in zip(cache.combine(zip(w, held)), cache._views(got)):
+                assert _within_dot_bound(got[e], zip(w, flats[:, e]), len(cache.parts))
+            for a, b in zip(cache.combine(zip(w, cache.parts)), cache._views(got)):
                 assert np.array_equal(a, b)
-        # the Gram matrix, extended as parts are added
-        for more in ([], [(nested_casimir, 3, n), (op_E, 3, 3, 3)]):
-            cache.coefficients([[(1.0, part)] for part in held + more], np.ones(len(held + more)))
-            held = list(cache._index)
-            flats = np.array([_whole_flat(cache, part) for part in held])
-            assert cache._gram.shape == (len(held), len(held))
-            for j in range(len(held)):
-                for k in range(len(held)):
-                    assert _within_dot_bound(cache._gram[j, k], zip(flats[j], flats[k]),
-                                             cache.size)
+        # the Gram matrix of the whole part list
+        assert cache._gram.shape == (len(cache.parts), len(cache.parts))
+        for j in range(len(cache.parts)):
+            for k in range(len(cache.parts)):
+                assert _within_dot_bound(cache._gram[j, k], zip(flats[j], flats[k]), cache.size)
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
         (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
@@ -831,7 +853,7 @@ class TestDiagonalParts:
         # of batches of 1 to 5 points: equal bit for bit
         ctx = FlowContext(r, n, col_sums, row_sums)
         cache = ctx.cache
-        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
+        weight_terms = _weight_terms(r, n)
         rng = np.random.default_rng(2)
         weights = []
         for leg in ctx.legs():
@@ -861,29 +883,30 @@ class TestDiagonalParts:
         # one-point array: equal bit for bit
         ctx = FlowContext(r, n, col_sums, row_sums)
         cache = ctx.cache
-        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
+        weight_terms = _weight_terms(r, n)
         rng = np.random.default_rng(2)
         for leg in ctx.legs():
             def family(t, leg=leg):
                 return leg.family(t) + weight_terms
             coeffs = rng.uniform(1.0, 2.0, len(family(leg.grid[:1])))
             whole = cache.coefficients(family(leg.grid), coeffs, len(leg.grid))
-            assert whole.shape == (len(leg.grid), len(cache._index))
+            assert whole.shape == (len(leg.grid), len(cache.parts))
             for p, t in enumerate(leg.grid):
                 alone = cache.coefficients(family(np.array([t])), coeffs)
                 assert np.array_equal(alone, whole[p:p + 1]), (leg.name, p)
 
-    def test_zero_coefficients_build_no_part(self):
-        # a part whose coefficient is 0 at every point is never built; a
-        # part whose coefficient is 0 at one point has weight 0 there
+    def test_zero_coefficients_weigh_nothing(self):
+        # a part whose coefficient is 0 at every point has weight 0 at every
+        # point; a part whose coefficient is 0 at one point has weight 0 there
         cache = TestBatchedTransport._planted()
         grid = np.geomspace(1.0, 2.0, 8)
-        ops = [[(grid - grid[3], (op_E, 1, 1, 1)), (0.0 * grid, (op_E, 2, 2, 2)),
+        ops = [[(grid - grid[3], (op_E, 1, 1, 1)), (0.0 * grid, (op_E, 1, 1, 2)),
                 (0.0, TestBatchedTransport.X)],
-               [(1.0, (weight_op, 1, 2))]]
+               _weight_terms(2, 2)[1]]
         weights = cache.coefficients(ops, [1.0, 1.0], len(grid))
-        assert set(cache._index) == {(op_E, 1, 1, 1), (weight_op, 1, 2)}
-        column = weights[:, cache._index[(op_E, 1, 1, 1)]]
+        for part in [(op_E, 1, 1, 2), TestBatchedTransport.X]:
+            assert not weights[:, cache.parts.index(part)].any()
+        column = weights[:, cache.parts.index((op_E, 1, 1, 1))]
         assert column[3] == 0.0
         assert np.count_nonzero(column) == len(grid) - 1
         # that point's sum is the weight operator's alone
@@ -897,6 +920,63 @@ class TestBlockCache:
         cache = BlockCache(2, 3, block)
         assert cache.block is block
         assert BlockCache(2, 3, list(block)).block is not block
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (3, 3, (2, 0, 1), None),
+        (1, 2, (2, 1), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_holds_exactly_the_primitive_parts(self, r, n, col_sums, row_sums):
+        # the fixed part list: for each row i the E_ii^(a) and then the
+        # kappa_ij, j > i; the Omega_ab, a < b, lexicographically; the
+        # identity. It is the order in which the legs' families first name
+        # the parts, leg A first, so float sums keep that order
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        cache = ctx.cache
+        want = ([part for i in range(1, r + 1)
+                 for part in [(op_E, i, i, a) for a in range(1, n + 1)]
+                 + [(kappa, i, j, n) for j in range(i + 1, r + 1)]]
+                + [(omega, a, b, r) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+                + [(identity,)])
+        assert len(want) == r * n + math.comb(r, 2) + math.comb(n, 2) + 1
+        assert cache.parts == spectralflow.primitive_parts(r, n) == want
+        named = {}
+        for leg in ctx.legs():
+            for terms in leg.family(leg.grid[:1]):
+                named.update(dict.fromkeys(part for _, part in terms))
+        assert list(named) == want
+        # one row of F or D per part, and weights over exactly this list
+        assert len(cache._full) + len(cache._diag) == len(cache._where) == len(want)
+        assert cache._gram.shape == (len(want), len(want))
+        rows = cache.coefficients([[(1.0, part)] for part in want], np.ones(len(want)))
+        assert rows.shape == (1, len(want))
+
+    @pytest.mark.parametrize("part", [
+        (weight_op, 1, 3),
+        (nested_casimir, 2, 3),
+        (jm, 2, 2),
+        (kappa, 2, 1, 3),  # kappa_ij is listed with i < j only
+        (omega, 1, 2, 3),  # an Omega of the wrong rank
+        (op_E, 1, 2, 1),
+        (op_E, 3, 3, 1),  # a row the block does not have
+    ])
+    def test_other_parts_raise(self, monkeypatch, part):
+        # a term naming a part outside the list is refused, not built
+        cache = BlockCache(2, 3, weight_basis(2, 3, (1, 1, 1)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a part was built")
+
+        monkeypatch.setattr(spectralflow, "dense", forbidden)
+        message = "is not a primitive part of the r = 2, n = 3 block"
+        with pytest.raises(ValueError, match=message):
+            cache.combine([(1.0, (op_E, 1, 1, 1)), (1.0, part)])
+        with pytest.raises(ValueError, match=message):
+            cache.coefficients([[(1.0, (op_E, 1, 1, 1))], [(0.0, part)]], [1.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            cache.stacks(part)
+        assert part not in cache.parts
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
         (2, 3, (1, 1, 1), None),
@@ -920,6 +1000,7 @@ class TestBlockCache:
         # the legs sum primitive parts only; the composites the flow reads
         # through them are listed here so that they are checked too
         assert {part[0] for part in parts} == {op_E, kappa, omega, identity}
+        assert parts <= set(ctx.cache.parts)
         parts |= {(weight_op, i, n) for i in range(1, r + 1)}
         parts |= {(nested_casimir, i, n) for i in range(1, r + 1)}
         parts |= {(dual_nested_casimir, a, r) for a in range(1, n + 1)}
@@ -933,7 +1014,10 @@ class TestBlockCache:
         for part in parts:
             mat = dense(part_operator(part), basis)
             assert not mat[outside].any(), part
-            assert np.array_equal(ctx.cache.mat(part), mat), part
+            # a primitive as the cache holds it, a composite by its weight blocks
+            got = (ctx.cache.mat(part) if part in ctx.cache.parts
+                   else ctx.cache.full(ctx.cache.split(mat)))
+            assert np.array_equal(got, mat), part
 
     def test_dense_matches_word_by_word(self, monkeypatch):
         # every part the leg table uses, against the float matrix built
@@ -961,6 +1045,9 @@ class TestBlockCache:
         assert len(built) == r * n + math.comb(r, 2) + math.comb(n, 2) + 1
         assert ({frozenset(op.terms.items()) for op, _ in built}
                 == {frozenset(op.terms.items()) for op in primitives})
+        # built once each, when the cache is built, in the order of the list
+        assert [op.terms for op, _ in built] == [
+            part_operator(part).terms for part in ctx.cache.parts]
         # the composites, which the flow no longer builds, word by word too
         for op in ([weight_op(i, n) for i in range(1, r + 1)]
                    + [jm(a, r) for a in range(2, n + 1)]
@@ -1006,8 +1093,9 @@ class TestBlockCache:
         # the family built and normalised as a dense matrix
         ctx = FlowContext(r, n, col_sums)
         cache = ctx.cache
-        weight_terms = [[(1.0, (weight_op, i, n))] for i in range(1, r + 1)]
-        weights = [cache.mat((weight_op, i, n)) for i in range(1, r + 1)]
+        weight_terms = _weight_terms(r, n)
+        # the weights summed from their E_ii^(a) parts, against weight_op
+        weights = [dense(weight_op(i, n), ctx.basis) for i in range(1, r + 1)]
         families = _dense_families(ctx)
         rng = np.random.default_rng(1)
         for leg in ctx.legs():
@@ -1025,29 +1113,33 @@ class TestBlockCache:
         # floats), however often and however it is asked for, and the
         # stacks of a part of F are views of its row: no dim x dim copy
         cache = BlockCache(2, 4, weight_basis(2, 4, (2, 1, 1, 2)))
-        full = [(nested_casimir, 2, 4), (omega, 1, 2, 2), (kappa, 1, 2, 4)]
-        diagonal = [(op_E, 1, 1, 2), (weight_op, 1, 4)]
+        full = [(omega, 3, 4, 2), (omega, 1, 2, 2), (kappa, 1, 2, 4)]
+        diagonal = [(op_E, 1, 1, 2), (identity,)]
         for part in full + diagonal:
             cache.stacks(part)
         cache.combine([(0.5, part) for part in full + diagonal])
         cache.coefficients([[(1.0, part)] for part in diagonal + full], np.ones(5))
         cache.stacks(full[0])
-        assert len(cache._index) == len(cache._full) + len(cache._diag) == 5
-        assert cache._full.nbytes == len(full) * cache.size * 8
-        assert cache._diag.nbytes == len(diagonal) * cache.dim * 8
+        held_full, held_diagonal = TestDiagonalParts.held(cache)
+        assert set(full) <= held_full and set(diagonal) <= held_diagonal
+        # the 8 E_ii^(a) and the identity in D; kappa_12 and the 6 Omega_ab in F
+        assert (len(held_full), len(held_diagonal)) == (7, 9)
+        assert len(cache.parts) == len(cache._full) + len(cache._diag) == 16
+        assert cache._full.nbytes == len(held_full) * cache.size * 8
+        assert cache._diag.nbytes == len(held_diagonal) * cache.dim * 8
         for part in full:
             stacks = cache.stacks(part)
             assert len(stacks) > 1
-            assert all(stack.base is cache._full_rows for stack in stacks)
+            assert all(stack.base is cache._full.base for stack in stacks)
             assert sum(stack.size for stack in stacks) == cache.size
         assert cache.size < cache.dim ** 2
 
     @pytest.mark.parametrize("cancelling", [
         [(1.0, (op_E, 1, 1, 1)), (-1.0, (op_E, 1, 1, 1))],
-        # W_1 = sum_a E_11^(a) on the block; in floats 0.1 * 3 - 3 * 0.1 is
-        # not 0, so the dense sum keeps a rounding-noise operator of norm
-        # about 1e-16
-        [(0.1, (weight_op, 1, 3))] + [(-0.1, (op_E, 1, 1, a)) for a in (1, 2, 3)],
+        # W_1 + W_2 = sum_a (E_11^(a) + E_22^(a)) is 3 times the identity on
+        # the block; in floats 0.1 + 0.1 + 0.1 - 0.3 is not 0, so the dense
+        # sum keeps a rounding-noise operator of norm about 1e-16
+        [(0.1, (op_E, i, i, a)) for i in (1, 2) for a in (1, 2, 3)] + [(-0.3, (identity,))],
     ])
     def test_cancelling_operator_is_skipped(self, cancelling):
         cache = BlockCache(2, 3, weight_basis(2, 3, (1, 1, 1)))
