@@ -227,8 +227,9 @@ def _flow_params(args, r, n):
     if z is not None and not (z[0] > 0 and all(a < b for a, b in zip(z, z[1:]))):
         raise UsageError("--z must be positive and strictly increasing")
     q = _flow_vector(args, "q", r)
-    if q is not None and len(set(q)) != len(q):
-        raise UsageError("--q entries must be pairwise distinct")
+    # the flow pairs its branches with RSK only for increasing q
+    if q is not None and not all(a < b for a, b in zip(q, q[1:])):
+        raise UsageError("--q must be strictly increasing")
     return z, q
 
 
@@ -383,7 +384,7 @@ def build_parser():
     p_fl.add_argument("--weight", help="row-sum filter (JSON list)")
     p_fl.add_argument("--max-entry", type=int, help="sweep all blocks up to this entry bound")
     p_fl.add_argument("--z", help="base z (JSON list, increasing positive)")
-    p_fl.add_argument("--q", help="base q (JSON list, pairwise distinct)")
+    p_fl.add_argument("--q", help="base q (JSON list, strictly increasing)")
     p_fl.add_argument("--steps", type=int, default=48)
     p_fl.add_argument("--budget", type=int, default=300,
                       help="largest basis dimension run: the block's, or for a sweep "
@@ -397,7 +398,7 @@ def build_parser():
     p_ce.add_argument("--n", type=int, required=True)
     p_ce.add_argument("--kind", choices=["right", "left", "two-sided"], default="right")
     p_ce.add_argument("--z", help="base z (JSON list)")
-    p_ce.add_argument("--q", help="base q (JSON list)")
+    p_ce.add_argument("--q", help="base q (JSON list, strictly increasing)")
     p_ce.add_argument("--steps", type=int, default=48)
     p_ce.set_defaults(func=cmd_cells)
 

@@ -65,8 +65,9 @@ order (`primitive_parts`), so every float sum over them adds its terms in
 one order; a term that names any other part raises. It holds each as a
 row of one of two matrices: the flat buffer of its weight blocks, viewed
 as stacks by block size, or, for a part with no off-diagonal entry (the
-E_ii^(a) and the identity), its diagonal alone. A weighted sum of parts
-is a matrix-vector product with each. A family is a function of an array of points whose term lists'
+E_ii^(a) and the identity), its diagonal alone, read off the monomials'
+exponents. A weighted sum of parts is a matrix-vector product with each.
+A family is a function of an array of points whose term lists'
 coefficients broadcast over those points: each leg evaluates it once on
 its whole grid and turns it into one array of weights, a row per point
 (`BlockCache.coefficients`); a bisection midpoint, and the start point
@@ -75,17 +76,27 @@ consecutive points, as many as fit BATCH_BYTES: each point's operator
 is summed on its own, so a part it does not use has weight 0 and the
 batch goes on, and each block size is diagonalised by one batched eigh
 call per batch. A 1 x 1 weight block is not solved: its frame stays +-1
-and its value is its entry, which is what LAPACK returns. Each old
-column takes the new column of largest
-overlap (`_match`); the leading points of a batch whose smallest such
-overlap reaches MATCH_THRESHOLD are matched at once by composing these
-matchings. Every column's overlap then exceeds 1/sqrt(2), so each
-matching is a permutation and the unique optimal assignment. A refused
-point gets the geometric midpoint between it and the last accepted
-point inserted in front of it, and the next batch starts there; a leg
-that is refused again after MAX_BISECTIONS midpoints ends with a
-ContinuationError. There is still one flow, one coefficient draw per
-leg and one cache per graded block.
+and its value is its entry, which is what LAPACK returns.
+
+Until a leg first moves its frame, a point is not solved either where
+the incoming frame already diagonalises its operator: where every column
+residual |S v - rho v| of every weight block is at most d eps max|rho|,
+the backward-error scale of eigh itself, the point keeps the frame and
+its Rayleigh quotients rho are its eigenvalues (Davis-Kahan: residual
+over gap bounds the angle to the eigenvectors, as for eigh's own). Leg A
+starts at T_MAX, where the monomials are eigenlines to round-off, so its
+first points keep the monomial frame.
+
+Each old column takes the new column of largest overlap (`_match`); the
+leading points of a batch whose smallest such overlap reaches
+MATCH_THRESHOLD are matched at once by composing these matchings. Every
+column's overlap then exceeds 1/sqrt(2), so each matching is a
+permutation and the unique optimal assignment. A refused point gets the
+geometric midpoint between it and the last accepted point inserted in
+front of it, and the next batch starts there; a leg that is refused
+again after MAX_BISECTIONS midpoints ends with a ContinuationError.
+There is still one flow, one coefficient draw per leg and one cache per
+graded block.
 """
 
 from __future__ import annotations
@@ -209,11 +220,15 @@ class BlockCache:
     positions per batch, in increasing d. The cache holds the parts
     `primitive_parts(r, n)`, in that order, as `parts`, and no other: every
     operator the flow sums is a combination of them (see the module
-    docstring). Each is assembled once, when the cache is built, by
-    `liealg.dense`, a walk of its words over the entry array of one
-    MonomialBlock, which fills no generator table: the block the cache is
-    given, as `weight_basis` returns it, or one built from a list of
-    monomials. No part depends on z or q, so one cache serves every leg.
+    docstring). Each is assembled once, when the cache is built, from the
+    entry array of one MonomialBlock, which fills no generator table: the
+    block the cache is given, as `weight_basis` returns it, or one built
+    from a list of monomials. E_ii^(a) and the identity are diagonal, with
+    the monomials' (i, a) entries and ones on the diagonal, and their
+    diagonals are written straight from that array; each kappa_ij and
+    Omega_ab is built by `liealg.dense`, a walk of its words over it, as a
+    dim x dim matrix that lives until its weight blocks are copied out.
+    No part depends on z or q, so one cache serves every leg.
     On a block of one weight, such as the S_n block, there is one batch
     with k = 1. `col_sums` holds the block's column sums, the constants of
     the dual operators.
@@ -221,11 +236,11 @@ class BlockCache:
     Each part is written into a row of one of two matrices: a row of the
     part matrix F (parts, size) holds a flat buffer of its weight blocks,
     batch after batch; a part whose matrix has no off-diagonal nonzero (the
-    E_ii^(a), the identity, and any part that is diagonal or 0 on a
-    degenerate block) is held instead as its diagonal, a row of the matrix
-    D (parts, dim). `stacks(part)` gives the weight blocks as one
-    (k, d, d) stack per batch, views of F's row or a diagonal part
-    expanded.
+    E_ii^(a), the identity, and any kappa_ij or Omega_ab that is diagonal
+    or 0 on a degenerate block, by an exact test of its dense matrix) is
+    held instead as its diagonal, a row of the matrix D (parts, dim).
+    `stacks(part)` gives the weight blocks as one (k, d, d) stack per
+    batch, views of F's row or a diagonal part expanded.
 
     Weights are rows over `parts`. `sum_parts` gives each point's sum as
     its own two matrix-vector products, w_F @ F plus w_D @ D added on the
@@ -273,19 +288,23 @@ class BlockCache:
         diag = np.empty((len(self.parts), self.dim))
         self._where = []  # position -> (held as a diagonal, row of its matrix)
         full_at, diag_at = [], []  # the position of each row of F and of D
+        # E_ii^(a) multiplies each monomial by its entry (i, a), and the
+        # identity by 1: the exact values `dense` gives on their diagonals
+        entries = self.block.entry_array[self.positions].reshape(self.dim, r * n).astype(float)
         for position, part in enumerate(self.parts):
-            mat = dense(part_operator(part), self.block)
-            diagonal = np.diagonal(mat)
-            if np.count_nonzero(mat) == np.count_nonzero(diagonal):
-                self._where.append((True, len(diag_at)))
-                diag[len(diag_at)] = diagonal[self.positions]
-                diag_at.append(position)
+            if part[0] is op_E:
+                diagonal = entries[:, (part[1] - 1) * n + part[3] - 1]
+            elif part[0] is identity:
+                diagonal = np.ones(self.dim)
             else:
-                for view, stack in zip(self._views(full[len(full_at)]), self.split(mat)):
-                    view[...] = stack
+                diagonal = self._build(part, full[len(full_at)])
+            if diagonal is None:
                 self._where.append((False, len(full_at)))
                 full_at.append(position)
-            del mat, diagonal  # free this dim x dim matrix before the next is built
+            else:
+                self._where.append((True, len(diag_at)))
+                diag[len(diag_at)] = diagonal
+                diag_at.append(position)
         self._full, self._diag = full[:len(full_at)], diag[:len(diag_at)]
         self._full_at = np.array(full_at, dtype=int)
         self._diag_at = np.array(diag_at, dtype=int)
@@ -296,6 +315,18 @@ class BlockCache:
         self._gram[self._diag_at[:, None], self._diag_at] = self._diag @ self._diag.T
         self._gram[self._full_at[:, None], self._diag_at] = cross
         self._gram[self._diag_at[:, None], self._full_at] = cross.T
+
+    def _build(self, part, row):
+        """Build the part's dim x dim matrix by `liealg.dense`, freed on
+        return. Where it has an off-diagonal nonzero, write its weight
+        blocks into row, a flat buffer, and return None; otherwise return
+        its diagonal in frame-column order."""
+        mat = dense(part_operator(part), self.block)
+        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
+            return np.diagonal(mat)[self.positions]
+        for view, stack in zip(self._views(row), self.split(mat)):
+            view[...] = stack
+        return None
 
     def _layout(self):
         """(positions, flat-buffer start, d) of each batch."""
@@ -470,7 +501,32 @@ def _match(overlaps):
     return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
 
 
-def _composed(weights, frame, cache):
+def _frozen(stacks, frame):
+    """(number of leading points the frame diagonalises, Rayleigh quotients
+    per batch) for per-batch stacks (points, k, d, d) of summed operators
+    S and the frame V they come in with. One product S V per batch gives
+    each column's quotient rho = v.Sv, (points, k, d), and residual
+    |Sv - rho v|; a point passes where every residual of every block with
+    d > 1 is at most d eps max|rho| over that block, the backward-error
+    scale of LAPACK's eigh. By Davis-Kahan the frame is then as close to
+    the point's eigenvectors as eigh's own would be. The quotients of a
+    batch with d = 1 are None."""
+    count = len(stacks[0])
+    passing, quotients = np.ones(count, dtype=bool), []
+    for stack, old in zip(stacks, frame):
+        d = old.shape[-1]
+        rho = None
+        if d > 1:
+            image = stack @ old
+            rho = np.sum(old * image, axis=-2)
+            residual = np.linalg.norm(image - old * rho[..., None, :], axis=-2)
+            bound = d * np.finfo(float).eps * np.abs(rho).max(axis=-1, keepdims=True)
+            passing &= np.all(residual <= bound, axis=(1, 2))
+        quotients.append(rho)
+    return (count if passing.all() else int(passing.argmin())), quotients
+
+
+def _composed(weights, frame, cache, test=False):
     """Eigenframes of the combined operator at consecutive points, given by
     their weight rows over the cache's parts (`BlockCache.coefficients`),
     each matched to the frame before it (the first to frame), up to the
@@ -478,42 +534,66 @@ def _composed(weights, frame, cache):
 
     The operators of all points are summed into one buffer
     (`BlockCache.sum_parts`, each point's sum on its own, a part that a
-    point does not use weighted 0), and each batch with d > 1 is
-    diagonalised by one eigh call over its (points, k, d, d) stack. One
-    batched product gives the overlaps of every point's eigenvectors with
-    the frame before: the given frame for the first point, the unmatched
-    eigenvectors of the point before for the others. `_match` pairs each
-    column of the frame before with a row of that product, and the
-    matchings and signs of the accepted points compose; a 1 x 1 block
-    keeps its frame and takes its entry as value.
+    point does not use weighted 0). With test, the leading points that the
+    given frame diagonalises to eigh's backward error (`_frozen`) are
+    frozen: each keeps the given frame, takes its Rayleigh quotients as
+    eigenvalues and matches at overlap 1. The leading point is tested
+    alone, and the rest of the batch only if it is frozen.
+
+    Each batch with d > 1 is diagonalised at the points after the frozen
+    ones by one eigh call over their stack. One batched product gives the
+    overlaps of every solved point's eigenvectors with the frame before:
+    the given frame for the first, the unmatched eigenvectors of the point
+    before for the others. `_match` pairs each column of the frame before
+    with a row of that product, and the matchings and signs of the
+    accepted points compose; a 1 x 1 block keeps its frame and takes its
+    entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
     (eigenvalues in basis order, min overlap), the min overlap of the
     first refused point or None); the points after the accepted ones are
-    left to the caller.
+    left to the caller. The frame returned is the given object itself
+    while no solved point is accepted.
     """
     count = len(weights)
     stacks = cache._views(cache.sum_parts(weights))
+    frozen, quotients = 0, [None] * len(frame)
+    if test:
+        # the leading point alone first, so that where it moves, as at the
+        # start of most legs, the rest of the batch is not multiplied
+        frozen, quotients = _frozen([stack[:1] for stack in stacks], frame)
+        if frozen and count > 1:
+            frozen, quotients = _frozen(stacks, frame)
     # per point and column j of the frame before it, batch after batch:
     # the global column of the eigenvector j matches, the sign and the
     # overlap of that match, and the eigenvalue of global column j
     best, signs, top, values, solved = [], [], [], [], []
     offset = 0
-    for stack, old in zip(stacks, frame):
+    for stack, old, rho in zip(stacks, frame, quotients):
         k, d = old.shape[:2]
+        vecs = None
         if d == 1:
             # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
             # aligns back to the frame's +-1 at overlap 1
-            vals, vecs = stack[..., 0], None
+            vals = stack[..., 0]
             rows, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
         else:
-            vals, vecs = np.linalg.eigh(stack)
-            # the frames before each point, transposed in memory as matched
-            # frames are, so each product rounds as one with a matched frame
-            before = np.empty((count, k, d, d))
-            before[0] = np.swapaxes(old, 1, 2)
-            before[1:] = np.swapaxes(vecs[:-1], 2, 3)
-            rows, picked = _match(np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
+            # a frozen point keeps each column at overlap 1
+            vals = np.empty((count, k, d))
+            rows = np.broadcast_to(np.arange(d), (count, k, d)).copy()
+            picked = np.ones((count, k, d))
+            if frozen:
+                vals[:frozen] = rho[:frozen]
+            if frozen < count:
+                vals[frozen:], vecs = np.linalg.eigh(stack[frozen:])
+                # the frames before each solved point, transposed in memory
+                # as matched frames are, so each product rounds as one with
+                # a matched frame
+                before = np.empty((count - frozen, k, d, d))
+                before[0] = np.swapaxes(old, 1, 2)
+                before[1:] = np.swapaxes(vecs[:-1], 2, 3)
+                rows[frozen:], picked[frozen:] = _match(
+                    np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
         best.append((rows + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
         signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
         top.append(np.abs(picked).reshape(count, -1))
@@ -532,7 +612,7 @@ def _composed(weights, frame, cache):
         branch_values = np.empty(cache.dim)
         branch_values[cache.positions] = values[g, order]
         steps.append((branch_values, overlaps[g]))
-    if accepted:
+    if accepted > frozen:
         frame = list(frame)
         offset = 0
         for b, (vecs, old) in enumerate(zip(solved, frame)):
@@ -540,7 +620,7 @@ def _composed(weights, frame, cache):
             if vecs is not None:
                 local = (order[offset:offset + k * d] - offset).reshape(k, d)
                 blk = np.arange(k)[:, None]
-                matched = vecs[accepted - 1, blk, :, local - blk * d]
+                matched = vecs[accepted - 1 - frozen, blk, :, local - blk * d]
                 matched *= sign[offset:offset + k * d].reshape(k, d, 1)
                 frame[b] = np.swapaxes(matched, 1, 2)
             offset += k * d
@@ -565,9 +645,14 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     The points still to reach are taken in batches of consecutive points,
     as many as keep the batch's summed operators within BATCH_BYTES (at
     least one); each point's operator is the same whichever batch it is
-    summed in. `_composed` accepts a batch's leading points whose smallest
-    best overlap is at least MATCH_THRESHOLD. A refused start point fails
-    the leg. Any other refused point gets the geometric midpoint between
+    summed in. Until an accepted point has moved the frame, `_composed`
+    tests each batch's leading points against the frame they come in
+    with: a point that frame diagonalises to eigh's backward error keeps
+    it, solves nothing and takes its Rayleigh quotients as eigenvalues,
+    at overlap 1; its trace row holds those quotients, and the rows are
+    the same in number. `_composed` accepts a batch's leading points whose
+    smallest best overlap is at least MATCH_THRESHOLD. A refused start
+    point fails the leg. Any other refused point gets the geometric midpoint between
     it and the last accepted point inserted in front of it, evaluated as a
     one-point array, and the next batch starts there; a refusal after
     MAX_BISECTIONS such midpoints in the leg fails it. Every accepted point
@@ -582,9 +667,12 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     # (point, on the grid, weight row)
     pending = [(t, True, w) for t, w in zip(grid, weights)]
     current, t_prev = vectors, None  # t_prev: the last accepted point
+    still = True  # no accepted point has moved the frame yet
     while pending:
         batch = pending[:per_batch]
-        current, steps, refused = _composed([w for _, _, w in batch], current, cache)
+        frame, steps, refused = _composed([w for _, _, w in batch], current, cache, still)
+        still = still and frame is current
+        current = frame
         for (t, on_grid, _), (values, overlap) in zip(batch, steps):
             diag["min_overlap"] = min(diag["min_overlap"], overlap)
             if t_prev is not None:
@@ -767,8 +855,8 @@ class Leg(NamedTuple):
 class FlowContext:
     """Everything needed to run the legs on one graded block, with the
     block's BlockCache. A base z that is not positive and increasing, or
-    that the collision schedule reorders on leg A's grid, raises
-    SetupError."""
+    that the collision schedule reorders on leg A's grid, and a base q that
+    is not strictly increasing raise SetupError."""
 
     def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
         self.r = r
@@ -782,6 +870,9 @@ class FlowContext:
             raise SetupError("collision schedule needs positive base z")
         if list(self.z) != sorted(set(self.z)):
             raise SetupError("collision schedule needs increasing base z")
+        # the flow pairs its branches with RSK only for increasing q
+        if list(self.q) != sorted(set(self.q)):
+            raise SetupError("flow needs strictly increasing base q")
         for t in np.geomspace(1.0, T_MAX, self.opts.steps):
             zt = collision_z(self.z, t)
             if any(a >= b for a, b in zip(zt, zt[1:])):

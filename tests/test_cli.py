@@ -241,6 +241,9 @@ class TestFlow:
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--z", "[true,2]"],
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[true,2]"],
     ["cells", "--n", "2", "--z", "[true,2]"],
+    # distinct but not increasing: the flow would pair branches wrongly
+    ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--q", "[3,1]"],
+    ["cells", "--n", "3", "--q", "[1,3,2]"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE

@@ -12,6 +12,7 @@ from gaudinrsk.cmcells import (
     upsilon,
     y_scaled,
 )
+from gaudinrsk import spectralflow
 from gaudinrsk.spectralflow import FlowContext
 
 
@@ -132,6 +133,30 @@ class TestFlowCells:
         monkeypatch.setattr(FlowContext, "run", recording)
         assert two_sided_cells(4) == kl_reference_cells(4, "two-sided")
         assert runs == [("ABD", "BD", True)]
+
+    def test_leg_a_freezes_its_near_monomial_points(self, monkeypatch):
+        # the eigh-solved matrices per leg on S_4 (dim 24, a whole leg per
+        # eigh call): leg A keeps the monomial frame at its first 8 points,
+        # where the frame diagonalises the operator to within 24 eps max|rho|
+        # (their residual ratios grow about 2x a point, 0.87 at the 8th and
+        # 1.8 at the 9th); leg B's start ratio is about 8, so B solves all 48
+        solved = []
+        real_eigh, real_transport = np.linalg.eigh, spectralflow.transport
+
+        def counting(a, *args, **kwargs):
+            solved[-1][1] += a.shape[0]
+            return real_eigh(a, *args, **kwargs)
+
+        def tracking(*args, leg="", **kwargs):
+            solved.append([leg, 0])
+            return real_transport(*args, leg=leg, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(spectralflow, "transport", tracking)
+        cells = right_cells(4)
+        monkeypatch.undo()
+        assert cells == kl_reference_cells(4, "right")
+        assert solved == [["A", 40], ["B", 48]]
 
     def test_custom_parameters(self):
         cells = right_cells(2, z=(1.0, 3.0), q=(2.0, 5.0))

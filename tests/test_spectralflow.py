@@ -195,13 +195,38 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
     """transport one grid point at a time: the family evaluated at each
     point as a one-point array, one eigh call per block size and point,
     `_lsa_match` at every step and bisection of a step below
-    MATCH_THRESHOLD, as before legs ran in batches."""
+    MATCH_THRESHOLD, as before legs ran in batches. Until a solved point is
+    accepted, a point whose every block of d > 1 the current frame V
+    diagonalises, each column residual |S v - rho v| at most d eps max|rho|
+    over the block, is not solved: it keeps V and takes the Rayleigh
+    quotients rho = v.Sv as its eigenvalues, at overlap 1."""
     grid = np.asarray(grid, dtype=float)
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+    eps = np.finfo(float).eps
 
-    def eigen(t, frame):
+    def frozen(stacks, frame):
+        """The eigenvalues the frame gives every block, or None if some
+        block of d > 1 leaves a residual above the bound."""
+        values = []
+        for stack, old in zip(stacks, frame):
+            if stack.shape[-1] == 1:
+                values.append(stack[:, 0])
+                continue
+            image = stack @ old
+            rho = np.sum(old * image, axis=-2)
+            residual = np.linalg.norm(image - old * rho[:, None, :], axis=-2)
+            if np.any(residual > stack.shape[-1] * eps * np.abs(rho).max(axis=-1)[:, None]):
+                return None
+            values.append(rho)
+        return values
+
+    def eigen(t, frame, test):
+        stacks = cache.normalised_sum(family(np.array([t])), coeffs)
+        values = frozen(stacks, frame) if test else None
+        if values is not None:
+            return frame, values, 1.0, True
         matched, values, overlap = [], [], 1.0
-        for stack, old in zip(cache.normalised_sum(family(np.array([t])), coeffs), frame):
+        for stack, old in zip(stacks, frame):
             if stack.shape[-1] == 1:
                 matched.append(old)
                 values.append(stack[:, 0])
@@ -211,13 +236,13 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
             matched.append(vecs)
             values.append(vals)
             overlap = min(overlap, low)
-        return matched, values, overlap
+        return matched, values, overlap, False
 
     def record_trace(t, values):
         if trace is not None:
             trace.append((leg, float(t), [float(v) for v in cache.by_branch(values)]))
 
-    current, cur_vals, overlap = eigen(grid[0], vectors)
+    current, cur_vals, overlap, still = eigen(grid[0], vectors, True)
     diag["min_overlap"] = min(diag["min_overlap"], overlap)
     if overlap < MATCH_THRESHOLD:
         raise ContinuationError(
@@ -230,9 +255,10 @@ def _pointwise_transport(vectors, cache, family, grid, coeffs, trace=None, leg="
         stack = [t_target]
         while stack:
             t_next = stack[-1]
-            matched, mvals, overlap = eigen(t_next, current)
+            matched, mvals, overlap, frozen_point = eigen(t_next, current, still)
             if overlap >= MATCH_THRESHOLD:
                 current, cur_vals = matched, mvals
+                still = still and frozen_point
                 diag["min_overlap"] = min(diag["min_overlap"], overlap)
                 diag["steps"] += 1
                 t_prev = t_next
@@ -336,6 +362,20 @@ class TestSchedules:
     def test_rejects_nonpositive_base(self):
         with pytest.raises(SetupError):
             FlowContext(2, 2, (1, 1), z=(0.0, 1.0))
+
+    @pytest.mark.parametrize("q", [(3.0, 1.0), (2.0, 2.0), (1.0, 3.0, 2.0)])
+    def test_rejects_q_not_increasing(self, q):
+        # the flow pairs branches with RSK only for increasing q: at q =
+        # (3, 1) it gave 6 mismatches on (2,3,(1,1,1)), now a failure
+        r = len(q)
+        with pytest.raises(SetupError, match="strictly increasing base q"):
+            FlowContext(r, 3, (1, 1, 1), q=q)
+        report = verify_main_theorem(r, 3, col_sums=(1, 1, 1), q=q)
+        assert report["failures"] and not report["mismatches"] and not report["checked"]
+
+    def test_accepts_increasing_q_of_any_sign(self):
+        report = verify_main_theorem(2, 3, col_sums=(1, 1, 1), q=(-1.0, 2.0))
+        assert report["agreement"] and report["checked"] == 8
 
     def test_straight_schedule(self):
         # the straight leg B runs leg A's family at z scaled by t, q fixed
@@ -725,6 +765,44 @@ class TestBatchedTransport:
         assert got[1]["bisections"] == 0
         assert (batched, pointwise) == (1, len(grid))
 
+    def test_constant_diagonal_family_solves_nothing(self, monkeypatch):
+        # the start frame diagonalises every point exactly: each point
+        # keeps it and takes its diagonal as eigenvalues, with no eigh call
+        cache = self._planted()
+        grid = np.geomspace(1.0, 2.0, 8)
+        ops = [self.Z, _weight_terms(2, 2)[0]]
+        start = cache.identity()
+        (got, want), calls = self._both(monkeypatch, start, cache, lambda t: ops, grid,
+                                        [1.5, 1.25])
+        self._assert_same(got, want)
+        assert calls == [0, 0]
+        frame, diag, trace = got
+        assert frame is start
+        assert (diag["steps"], diag["min_overlap"]) == (len(grid) - 1, 1.0)
+        diagonal = [float(x) for x in np.diag(cache.full(cache.normalised_sum(ops, [1.5, 1.25])))]
+        assert [values for _, _, values in trace] == [diagonal] * len(grid)
+
+    @pytest.mark.parametrize("coupling, solved", [(2.0, 0), (8.0, 16)])
+    def test_frozen_until_past_the_bound(self, monkeypatch, coupling, solved):
+        # Z + t E_11^(1) + e X is c [[-1, e], [e, 1 + t]] on the 2 x 2
+        # block: from the identity frame each column residual is c e and
+        # the bound d eps max|rho| is 2 eps c (1 + t), 4 to 6 eps c on this
+        # grid. At e = 2 eps every point keeps the frame; at e = 8 eps the
+        # first point moves it and every point is solved, one per batch
+        cache = self._planted()
+        monkeypatch.setattr(spectralflow, "BATCH_BYTES", 8 * cache.size)
+        grid = np.geomspace(1.0, 2.0, 16)
+        e = coupling * np.finfo(float).eps
+
+        def family(t):
+            return [self.Z + [(t, (op_E, 1, 1, 1)), (e, self.X)]]
+
+        (got, want), calls = self._both(monkeypatch, cache.identity(), cache, family, grid,
+                                        [1.0])
+        self._assert_same(got, want)
+        assert calls == [solved, solved]
+        assert got[1]["bisections"] == 0
+
     def test_refused_start(self, monkeypatch):
         # a start frame turned by 30 degrees in the 2 x 2 block
         cache = self._planted()
@@ -799,6 +877,25 @@ class TestDiagonalParts:
             off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
             assert (part in composites) == (off_diagonal == 0), part
             assert np.array_equal(cache.full(cache.split(mat)), mat), part
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (5, 5, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+        (4, 3, (2, 1, 1), None),
+        (2, 3, (2, 0, 1), None),
+    ])
+    def test_entry_rows_are_dense_diagonals(self, r, n, col_sums, row_sums):
+        # the rows of the E_ii^(a) and the identity, written off the entry
+        # array: the diagonal of dense's matrix bit for bit, and no
+        # off-diagonal nonzero in it; so D, and the Gram matrix computed
+        # from F and D, are what building every part by dense gives
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        written = [part for part in cache.parts if part[0] in (op_E, identity)]
+        assert len(written) == r * n + 1
+        for part in written:
+            as_diagonal, row = cache._where[cache.parts.index(part)]
+            mat = dense(part_operator(part), cache.block)
+            assert as_diagonal and not np.count_nonzero(mat - np.diag(np.diag(mat))), part
+            assert cache._diag[row].tobytes() == np.diag(mat)[cache.positions].tobytes(), part
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_stacks_and_mat_are_dense(self, r, n, col_sums, row_sums):
@@ -1035,19 +1132,23 @@ class TestBlockCache:
         ctx = FlowContext(r, n, (1, 1, 1))
         ctx.run("ABCDE", "B")
         basis = ctx.basis
-        # Cartans E_ii^(a), kappa_ij, Omega_ab and the identity: the weights,
-        # J_a, dual kappa_ab and both corner Casimirs are read off these, so
-        # no composite is built
-        primitives = ([op_E(i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)]
-                      + [kappa(i, j, n) for j in range(2, r + 1) for i in range(1, j)]
-                      + [omega(a, b, r) for b in range(2, n + 1) for a in range(1, b)]
-                      + [identity()])
-        assert len(built) == r * n + math.comb(r, 2) + math.comb(n, 2) + 1
+        # only the off-diagonal primitives, kappa_ij and Omega_ab, go through
+        # dense: the E_ii^(a) and the identity are written off the entry
+        # array, and the weights, J_a, dual kappa_ab and both corner
+        # Casimirs are read off the parts, so no composite is built
+        off_diagonal = ([kappa(i, j, n) for j in range(2, r + 1) for i in range(1, j)]
+                        + [omega(a, b, r) for b in range(2, n + 1) for a in range(1, b)])
+        assert len(built) == math.comb(r, 2) + math.comb(n, 2)
         assert ({frozenset(op.terms.items()) for op, _ in built}
-                == {frozenset(op.terms.items()) for op in primitives})
+                == {frozenset(op.terms.items()) for op in off_diagonal})
         # built once each, when the cache is built, in the order of the list
         assert [op.terms for op, _ in built] == [
-            part_operator(part).terms for part in ctx.cache.parts]
+            part_operator(part).terms for part in ctx.cache.parts
+            if part[0] in (kappa, omega)]
+        # the parts written off the entry array, as the cache holds them
+        for part in ctx.cache.parts:
+            if part[0] in (op_E, identity):
+                built.append((part_operator(part), ctx.cache.mat(part)))
         # the composites, which the flow no longer builds, word by word too
         for op in ([weight_op(i, n) for i in range(1, r + 1)]
                    + [jm(a, r) for a in range(2, n + 1)]
