@@ -223,6 +223,9 @@ def _flow_params(args, r, n):
         raise UsageError("--r and --n must be at least 1")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
+    # numpy's generator takes no negative seed
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     z = _flow_vector(args, "z", n)
     if z is not None and not (z[0] > 0 and all(a < b for a, b in zip(z, z[1:]))):
         raise UsageError("--z must be positive and strictly increasing")

@@ -6,7 +6,8 @@ as dictionary keys by the flow and cell modules. Their constructors check
 every row in one pass of builtins (`map`, `all`, `min`, `max`). `rsk`
 inserts each matrix row as one weakly increasing run into plain row lists,
 row by row, and builds (and so validates) P and Q once, after the last run;
-`rsk_inverse` counts each unwound letter straight into the matrix.
+`rsk_inverse` unwinds each letter's strip of Q as one run, row by row,
+and counts the word that leaves the first row straight into the matrix.
 """
 
 from __future__ import annotations
@@ -393,9 +394,17 @@ def rsk_inverse(p, q):
     """Invert RSK: recover the matrix with rsk(A) == (P, Q).
 
     Dimensions come from the alphabet bounds: A is q.alphabet_bound by
-    p.alphabet_bound. The boxes of Q are unwound from the largest entry
-    down, each reverse-bumping one letter out of P, and each (i, letter)
-    adds one to A_i,letter.
+    p.alphabet_bound. The letters of Q are unwound from the largest down,
+    each undoing the run `rsk` inserted for that row of A. The boxes
+    recorded i form a horizontal strip, the last boxes of their rows, and
+    the run is unwound row by row from the lowest of them up: a row gives
+    back its strip boxes, the letters appended to it, and then takes the
+    word bumped out of it, right to left, each letter displacing the
+    rightmost entry strictly smaller than it. By the row bumping lemma
+    each displaced entry lies strictly left of the one before, so each row
+    is searched by bisection below the last position. The displaced
+    entries, then the appended letters, make the word that entered the
+    row; the word that entered the first row is row i of A.
     """
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
@@ -403,27 +412,38 @@ def rsk_inverse(p, q):
     p_rows = [list(row) for row in p.rows]
     q_rows = [list(row) for row in q.rows]
     counts = [[0] * n for _ in range(r)]
-    # unwinding a box pops it, the last of its row, so the boxes left keep
-    # their places
-    boxes = {}
+    # letter -> row -> columns of the boxes recorded with it
+    strips = {}
     for bi, row in enumerate(q.rows):
         for bj, x in enumerate(row):
-            boxes.setdefault(x, []).append((bi, bj))
+            strips.setdefault(x, {}).setdefault(bi, []).append(bj)
     for i in range(r, 0, -1):
-        # boxes recorded i form a horizontal strip, added left to right;
-        # unwind them right to left
-        for bi, bj in sorted(boxes.get(i, ()), key=lambda b: -b[1]):
-            if bj != len(q_rows[bi]) - 1:
+        strip = strips.get(i)
+        if not strip:
+            continue
+        for bi, cols in strip.items():
+            end = len(q_rows[bi])
+            if cols != list(range(end - len(cols), end)):
                 raise ValueError("recording tableau is not a valid RSK output")
-            q_rows[bi].pop()
-            value = p_rows[bi].pop(bj)
-            for row in reversed(p_rows[:bi]):
-                # rightmost entry strictly smaller bumps back out
-                pos = bisect.bisect_left(row, value) - 1
-                if pos < 0:
+            del q_rows[bi][end - len(cols):]
+        word = []
+        for bi in range(max(strip), -1, -1):
+            row = p_rows[bi]
+            cut = len(row) - len(strip.get(bi, ()))
+            appended = row[cut:]
+            del row[cut:]
+            displaced = []
+            hi = cut
+            for y in reversed(word):
+                hi = bisect.bisect_left(row, y, 0, hi) - 1
+                if hi < 0:
                     raise ValueError("invalid tableau pair")
-                row[pos], value = value, row[pos]
-            counts[i - 1][value - 1] += 1
+                displaced.append(row[hi])
+                row[hi] = y
+            displaced.reverse()
+            word = displaced + appended
+        for x in word:
+            counts[i - 1][x - 1] += 1
     if any(row for row in p_rows) or any(row for row in q_rows):
         raise ValueError("invalid tableau pair")
     return NatMatrix(counts, r, n)

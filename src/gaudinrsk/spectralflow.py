@@ -78,14 +78,33 @@ batch goes on, and each block size is diagonalised by one batched eigh
 call per batch. A 1 x 1 weight block is not solved: its frame stays +-1
 and its value is its entry, which is what LAPACK returns.
 
-Until a leg first moves its frame, a point is not solved either where
-the incoming frame already diagonalises its operator: where every column
-residual |S v - rho v| of every weight block is at most d eps max|rho|,
-the backward-error scale of eigh itself, the point keeps the frame and
-its Rayleigh quotients rho are its eigenvalues (Davis-Kahan: residual
-over gap bounds the angle to the eigenvectors, as for eigh's own). Leg A
-starts at T_MAX, where the monomials are eigenlines to round-off, so its
-first points keep the monomial frame.
+A point is not solved either where the incoming frame V is certified to
+be close enough to its eigenvectors (`_frozen`). One product S V per
+weight block gives the Rayleigh quotients rho and column residuals
+r_i = |S v_i - rho_i v_i|. By Weyl every eigenvalue lies within
+|S V - V diag rho|_F of its quotient in sorted order, so all but one lie
+at least delta_i = min_{j!=i} |rho_j - rho_i| - |S V - V diag rho|_F from
+rho_i, and Davis-Kahan bounds the angle from v_i to that one's eigenvector
+by sin <= r_i / delta_i. A column passes where r_i <= tau delta_i with
+tau = sqrt((1 - MATCH_THRESHOLD) / 2), or where r_i is at most d eps
+max|rho|, the backward-error scale of eigh itself. tau is no new
+tolerance: two frames each within asin(tau) of the eigenvectors overlap
+by at least cos(2 asin tau) = 1 - 2 tau^2 = MATCH_THRESHOLD, so solving a
+passing point and matching would have accepted V's columns in order, and
+the first solved point after a run of passing points, matched to V, takes
+the permutation and signs that composing through them would give. A
+point where every column of every weight block passes keeps V and
+reports rho, each within r_i^2 / delta_i of its eigenvalue (Kato-Temple).
+Testing ends at the first point that fails, whether it is then accepted
+or refused, so a bisection midpoint is always solved: the midpoints
+converge towards the last passing point, where V overlaps the
+eigenvectors by at least sqrt(1 - tau^2), about 0.975. The last point of
+a leg keeps V only within eigh's backward error, since its frame is what
+later legs, decoders and records read. Leg A starts at T_MAX, where the
+monomials are eigenlines to round-off, so its leading points keep the
+monomial frame (33 of 48 on S_5). A later leg comes in with the
+eigenframe the leg before ended on, which its start point keeps where it
+passes, as on legs B and D of S_5.
 
 Each old column takes the new column of largest overlap (`_match`); the
 leading points of a batch whose smallest such overlap reaches
@@ -501,18 +520,34 @@ def _match(overlaps):
     return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
 
 
-def _frozen(stacks, frame):
-    """(number of leading points the frame diagonalises, Rayleigh quotients
-    per batch) for per-batch stacks (points, k, d, d) of summed operators
-    S and the frame V they come in with. One product S V per batch gives
-    each column's quotient rho = v.Sv, (points, k, d), and residual
-    |Sv - rho v|; a point passes where every residual of every block with
-    d > 1 is at most d eps max|rho| over that block, the backward-error
-    scale of LAPACK's eigh. By Davis-Kahan the frame is then as close to
-    the point's eigenvectors as eigh's own would be. The quotients of a
-    batch with d = 1 are None."""
+def _frozen(stacks, frame, final=False):
+    """(number of leading points the frame is certified at, Rayleigh
+    quotients per batch) for per-batch stacks (points, k, d, d) of summed
+    operators S and the frame V they come in with.
+
+    One product S V per batch gives each column's quotient rho_i = v_i.S v_i,
+    (points, k, d), and residual r_i = |S v_i - rho_i v_i|. By Weyl every
+    eigenvalue lies within |S V - V diag rho|_F of its quotient in sorted
+    order, so every eigenvalue but one lies at least delta_i = min_{j!=i}
+    |rho_j - rho_i| - |S V - V diag rho|_F from rho_i, and where delta_i > 0
+    Davis-Kahan bounds the angle from v_i to that one's eigenvector u_i:
+    sin(v_i, u_i) <= r_i / delta_i. A column is certified where r_i <= tau
+    delta_i with tau = sqrt((1 - MATCH_THRESHOLD) / 2): two frames each
+    within asin(tau) of the eigenvectors overlap by at least cos(2 asin
+    tau) = 1 - 2 tau^2 = MATCH_THRESHOLD, so the matched overlap test of a
+    solved point would accept V's columns in order, and V overlaps the
+    eigenvectors by at least sqrt(1 - tau^2), about 0.975. A column is also
+    kept where r_i is at most d eps max|rho| over its block, the
+    backward-error scale of LAPACK's eigh, where the frame is as close to
+    the eigenvectors as eigh's own would be. A point passes where every
+    column of every block with d > 1 passes one of the two; rho_i is then
+    within r_i^2 / delta_i of its eigenvalue (Kato-Temple). With final, the
+    last point is the end of a leg, whose frame later legs, decoders and
+    records read: it passes on eigh's backward-error scale only. The
+    quotients of a batch with d = 1 are None."""
     count = len(stacks[0])
-    passing, quotients = np.ones(count, dtype=bool), []
+    tau = math.sqrt((1 - MATCH_THRESHOLD) / 2)
+    passing, within, quotients = np.ones(count, dtype=bool), np.ones(count, dtype=bool), []
     for stack, old in zip(stacks, frame):
         d = old.shape[-1]
         rho = None
@@ -520,13 +555,19 @@ def _frozen(stacks, frame):
             image = stack @ old
             rho = np.sum(old * image, axis=-2)
             residual = np.linalg.norm(image - old * rho[..., None, :], axis=-2)
-            bound = d * np.finfo(float).eps * np.abs(rho).max(axis=-1, keepdims=True)
-            passing &= np.all(residual <= bound, axis=(1, 2))
+            small = residual <= d * np.finfo(float).eps * np.abs(rho).max(axis=-1, keepdims=True)
+            gaps = np.abs(rho[..., :, None] - rho[..., None, :])
+            gaps[..., np.arange(d), np.arange(d)] = np.inf
+            delta = gaps.min(axis=-1) - np.linalg.norm(residual, axis=-1, keepdims=True)
+            passing &= np.all(small | ((delta > 0) & (residual <= tau * delta)), axis=(1, 2))
+            within &= np.all(small, axis=(1, 2))
         quotients.append(rho)
+    if final:
+        passing[-1] &= within[-1]
     return (count if passing.all() else int(passing.argmin())), quotients
 
 
-def _composed(weights, frame, cache, test=False):
+def _composed(weights, frame, cache, test=False, final=False):
     """Eigenframes of the combined operator at consecutive points, given by
     their weight rows over the cache's parts (`BlockCache.coefficients`),
     each matched to the frame before it (the first to frame), up to the
@@ -534,11 +575,18 @@ def _composed(weights, frame, cache, test=False):
 
     The operators of all points are summed into one buffer
     (`BlockCache.sum_parts`, each point's sum on its own, a part that a
-    point does not use weighted 0). With test, the leading points that the
-    given frame diagonalises to eigh's backward error (`_frozen`) are
-    frozen: each keeps the given frame, takes its Rayleigh quotients as
-    eigenvalues and matches at overlap 1. The leading point is tested
-    alone, and the rest of the batch only if it is frozen.
+    point does not use weighted 0). With test, the leading points at which
+    the given frame is certified (`_frozen`: within asin(tau) of the
+    eigenvectors, tau = sqrt((1 - MATCH_THRESHOLD) / 2), or within eigh's
+    backward error) are frozen: each keeps the given frame, takes its
+    Rayleigh quotients as eigenvalues and matches at overlap 1. Solving
+    such a point would have matched its eigenvectors to the frame in
+    order, at overlap at least MATCH_THRESHOLD, so the first solved point
+    after them, matched to the given frame, takes the permutation and
+    signs that composing through them would give. The leading point is
+    tested alone, and the rest of the batch only if it is frozen. With
+    final, the batch's last point ends the leg and is frozen only within
+    eigh's backward error.
 
     Each batch with d > 1 is diagonalised at the points after the frozen
     ones by one eigh call over their stack. One batched product gives the
@@ -551,9 +599,10 @@ def _composed(weights, frame, cache, test=False):
 
     Returns (frame at the last accepted point, per accepted point a pair
     (eigenvalues in basis order, min overlap), the min overlap of the
-    first refused point or None); the points after the accepted ones are
-    left to the caller. The frame returned is the given object itself
-    while no solved point is accepted.
+    first refused point or None, the number of frozen points); the points
+    after the accepted ones are left to the caller, and every point after
+    the frozen ones was solved. The frame returned is the given object
+    itself while no solved point is accepted.
     """
     count = len(weights)
     stacks = cache._views(cache.sum_parts(weights))
@@ -561,9 +610,9 @@ def _composed(weights, frame, cache, test=False):
     if test:
         # the leading point alone first, so that where it moves, as at the
         # start of most legs, the rest of the batch is not multiplied
-        frozen, quotients = _frozen([stack[:1] for stack in stacks], frame)
+        frozen, quotients = _frozen([stack[:1] for stack in stacks], frame, final and count == 1)
         if frozen and count > 1:
-            frozen, quotients = _frozen(stacks, frame)
+            frozen, quotients = _frozen(stacks, frame, final)
     # per point and column j of the frame before it, batch after batch:
     # the global column of the eigenvector j matches, the sign and the
     # overlap of that match, and the eigenvalue of global column j
@@ -624,7 +673,7 @@ def _composed(weights, frame, cache, test=False):
                 matched *= sign[offset:offset + k * d].reshape(k, d, 1)
                 frame[b] = np.swapaxes(matched, 1, 2)
             offset += k * d
-    return frame, steps, float(overlaps[accepted]) if accepted < count else None
+    return frame, steps, float(overlaps[accepted]) if accepted < count else None, frozen
 
 
 def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
@@ -645,34 +694,47 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     The points still to reach are taken in batches of consecutive points,
     as many as keep the batch's summed operators within BATCH_BYTES (at
     least one); each point's operator is the same whichever batch it is
-    summed in. Until an accepted point has moved the frame, `_composed`
-    tests each batch's leading points against the frame they come in
-    with: a point that frame diagonalises to eigh's backward error keeps
-    it, solves nothing and takes its Rayleigh quotients as eigenvalues,
-    at overlap 1; its trace row holds those quotients, and the rows are
-    the same in number. `_composed` accepts a batch's leading points whose
-    smallest best overlap is at least MATCH_THRESHOLD. A refused start
-    point fails the leg. Any other refused point gets the geometric midpoint between
-    it and the last accepted point inserted in front of it, evaluated as a
+    summed in. Until the first point that fails it, `_composed` tests
+    each batch's leading points against the frame they come in with: a
+    point at which that frame is certified (`_frozen`) keeps it, solves
+    nothing and takes its Rayleigh quotients as eigenvalues, at overlap 1;
+    its trace row holds those quotients, and the rows are the same in
+    number. Testing ends at the first point that fails, whether that point
+    is then accepted or refused, so every bisection midpoint is solved. A
+    midpoint in front of the first solved point lies between it and the
+    last frozen point, where the frame overlaps the eigenvectors by at
+    least sqrt(1 - tau^2) > MATCH_THRESHOLD; so the midpoints converge
+    towards an accepted step, as they do after a solved point.
+    `_composed` accepts a batch's leading points whose smallest best
+    overlap is at least MATCH_THRESHOLD. A refused start point fails the
+    leg. Any other refused point gets the geometric midpoint between it and
+    the last accepted point inserted in front of it, evaluated as a
     one-point array, and the next batch starts there; a refusal after
     MAX_BISECTIONS such midpoints in the leg fails it. Every accepted point
     after the start is a step; each grid point, and no midpoint, hands
     trace.append one record (leg, t, eigenvalues as a list of floats in
-    branch order). Returns (vectors at grid[-1], diagnostics).
+    branch order). Returns (vectors at grid[-1], diagnostics): steps,
+    bisections, the smallest accepted overlap, the points kept without
+    eigh (frozen) and the points eigensolved (solved), counting the points
+    of a batch solved and then discarded after a refusal.
     """
-    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+    diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
+            "frozen": 0, "solved": 0}
     per_batch = max(1, BATCH_BYTES // (8 * cache.size))
     grid = np.asarray(grid, dtype=float)
     weights = cache.coefficients(family(grid), coeffs, len(grid))
     # (point, on the grid, weight row)
     pending = [(t, True, w) for t, w in zip(grid, weights)]
     current, t_prev = vectors, None  # t_prev: the last accepted point
-    still = True  # no accepted point has moved the frame yet
+    testing = True  # no point has failed the test yet
     while pending:
         batch = pending[:per_batch]
-        frame, steps, refused = _composed([w for _, _, w in batch], current, cache, still)
-        still = still and frame is current
-        current = frame
+        # the last pending point is always the leg's last grid point
+        current, steps, refused, frozen = _composed([w for _, _, w in batch], current, cache,
+                                                    testing, len(batch) == len(pending))
+        testing = testing and frozen == len(batch)
+        diag["frozen"] += frozen
+        diag["solved"] += len(batch) - frozen
         for (t, on_grid, _), (values, overlap) in zip(batch, steps):
             diag["min_overlap"] = min(diag["min_overlap"], overlap)
             if t_prev is not None:
@@ -856,7 +918,7 @@ class FlowContext:
     """Everything needed to run the legs on one graded block, with the
     block's BlockCache. A base z that is not positive and increasing, or
     that the collision schedule reorders on leg A's grid, and a base q that
-    is not strictly increasing raise SetupError."""
+    is not strictly increasing, or a negative seed, raise SetupError."""
 
     def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
         self.r = r
@@ -873,6 +935,8 @@ class FlowContext:
         # the flow pairs its branches with RSK only for increasing q
         if list(self.q) != sorted(set(self.q)):
             raise SetupError("flow needs strictly increasing base q")
+        if self.opts.seed < 0:
+            raise SetupError("flow needs a non-negative seed")
         for t in np.geomspace(1.0, T_MAX, self.opts.steps):
             zt = collision_z(self.z, t)
             if any(a >= b for a, b in zip(zt, zt[1:])):
@@ -981,7 +1045,8 @@ class FlowContext:
         for leg in legs:
             frame = cache.identity() if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
-                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0}
+                diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
+                        "frozen": 0, "solved": 0}
             else:
                 frame, diag = transport(frame, cache, family(leg), leg.grid, coeffs[leg.name],
                                         trace=trace, leg=leg.name)

@@ -244,9 +244,19 @@ class TestFlow:
     # distinct but not increasing: the flow would pair branches wrongly
     ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]", "--q", "[3,1]"],
     ["cells", "--n", "3", "--q", "[1,3,2]"],
+    # numpy's generator takes no negative seed
+    ["cells", "--n", "3", "--seed", "-1"],
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--seed", "-1"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [["cells", "--n", "3"],
+                                     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]"]])
+def test_negative_seed_is_named(command, capsys):
+    assert main(command + ["--seed", "-1"]) == EXIT_USAGE
+    assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 class TestCells:

@@ -136,10 +136,12 @@ class TestFlowCells:
 
     def test_leg_a_freezes_its_near_monomial_points(self, monkeypatch):
         # the eigh-solved matrices per leg on S_4 (dim 24, a whole leg per
-        # eigh call): leg A keeps the monomial frame at its first 8 points,
-        # where the frame diagonalises the operator to within 24 eps max|rho|
-        # (their residual ratios grow about 2x a point, 0.87 at the 8th and
-        # 1.8 at the 9th); leg B's start ratio is about 8, so B solves all 48
+        # eigh call): leg A keeps the monomial frame at its first 38 points,
+        # where the frame is within eigh's backward error or certified
+        # within the match threshold by Davis-Kahan, and solves the last
+        # 10. Leg B starts from leg A's end frame, an eigenframe of the same
+        # commuting family, so its start point keeps that frame; its second
+        # point fails the test, which ends testing, and B solves the other 47
         solved = []
         real_eigh, real_transport = np.linalg.eigh, spectralflow.transport
 
@@ -149,14 +151,17 @@ class TestFlowCells:
 
         def tracking(*args, leg="", **kwargs):
             solved.append([leg, 0])
-            return real_transport(*args, leg=leg, **kwargs)
+            frame, diag = real_transport(*args, leg=leg, **kwargs)
+            solved[-1] += [diag["frozen"], diag["solved"]]
+            return frame, diag
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         monkeypatch.setattr(spectralflow, "transport", tracking)
         cells = right_cells(4)
         monkeypatch.undo()
         assert cells == kl_reference_cells(4, "right")
-        assert solved == [["A", 40], ["B", 48]]
+        # leg, eigh-solved matrices, frozen points, solved points
+        assert solved == [["A", 10, 38, 10], ["B", 47, 1, 47]]
 
     def test_custom_parameters(self):
         cells = right_cells(2, z=(1.0, 3.0), q=(2.0, 5.0))

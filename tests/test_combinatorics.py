@@ -202,6 +202,19 @@ class TestRSK:
             p, q = rsk(a)
             assert rsk_inverse(p, q) == a
 
+    def test_roundtrip_exhaustive_2x3(self):
+        for a in all_matrices(2, 3, 2):
+            assert rsk_inverse(*rsk(a)) == a
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_roundtrip_sweep_shapes(self, r):
+        # the benchmark sweep's range: r and n up to 8, entries up to 4
+        rng = random.Random(r)
+        for n in range(1, 9):
+            for _ in range(20):
+                a = NatMatrix([[rng.randint(0, 4) for _ in range(n)] for _ in range(r)])
+                assert rsk_inverse(*rsk(a)) == a
+
     def test_transpose_symmetry(self):
         for a in all_matrices(2, 3, 2):
             assert transpose_check(a)
