@@ -29,11 +29,6 @@ EXIT_MISMATCH = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-# cells flows the S_n block, whose n! monomials each get a dense row and
-# column: S_7 has 5040 monomials, and one dense part alone is 5040^2
-# doubles, about 203 MB
-CELLS_MAX_N = 6
-
 
 class UsageError(Exception):
     pass
@@ -236,6 +231,17 @@ def _flow_params(args, r, n):
     return z, q
 
 
+def _refuse_above_cap(what, r, n, steps, sizes, count=1):
+    """Refuse a run whose estimate (count x `flow_bytes`; sizes None: too big) passes the cap."""
+    cap = spectralflow.MAX_BYTES
+    if sizes is None:
+        raise UsageError(f"{what} needs more than the {cap >> 20} MiB cap for one dense part alone")
+    estimate = count * spectralflow.flow_bytes(r, n, sizes, steps)
+    if estimate > cap:
+        raise UsageError(f"{what} needs an estimated {estimate / 2**20:.0f} MiB, "
+                         f"above the {cap >> 20} MiB cap")
+
+
 def _trace_sink(fh):
     """Write the trace header to fh; returns the sink whose append writes one
     grid point's record (leg, t, eigenvalues) as rows leg,t,branch,eigenvalue.
@@ -276,16 +282,14 @@ def cmd_flow(args):
     if max(sums) > 170 or math.prod(map(math.factorial, sums)) > sys.float_info.max:
         raise UsageError(f"column sums {sums} give monomial norms beyond float range")
     if k is not None:
-        what = "basis dimension"
-        dim = math.prod(math.comb(ka + args.r - 1, args.r - 1) for ka in k)
+        _refuse_above_cap(f"block {k}", args.r, args.n, args.steps,
+                          spectralflow.weight_sizes(args.r, args.n, k, weight))
     else:
-        # a sweep is refused by the summed dimension of all its blocks,
-        # before they are listed: per column, the hockey-stick sum of
-        # comb(ka + r - 1, r - 1) over ka <= r * max_entry
-        what = "summed basis dimension of the swept blocks"
-        dim = math.comb(args.r * args.max_entry + args.r, args.r) ** args.n
-    if dim > args.budget:
-        raise UsageError(f"{what} {dim} exceeds budget {args.budget}")
+        # a sweep's summed estimate is at most its block count times that of its largest
+        # block, column sums r * max_entry, which holds each swept weight space in one of its own
+        count = (args.r * args.max_entry + 1) ** args.n
+        _refuse_above_cap(f"a sweep of {count} blocks", args.r, args.n, args.steps,
+                          spectralflow.weight_sizes(args.r, args.n, sums), count)
     try:
         with contextlib.ExitStack() as files:
             trace = None
@@ -313,9 +317,11 @@ def cmd_cells(args):
         "two-sided": cmcells.two_sided_cells,
     }
     z, q = _flow_params(args, args.n, args.n)
-    if args.n > CELLS_MAX_N:
-        raise UsageError(f"cells needs --n at most {CELLS_MAX_N} "
-                         "(the S_n block has n! monomials)")
+    # the S_n block is one weight space of n! monomials, refused by ln n! =
+    # lgamma(n + 1) before n! is computed if its dense part passes the cap
+    large = 2 * math.lgamma(args.n + 1) > math.log(spectralflow.MAX_BYTES / 8)
+    _refuse_above_cap(f"the S_{args.n} block", args.n, args.n, args.steps,
+                      None if large else [math.factorial(args.n)])
     try:
         partition = runners[args.kind](args.n, z=z, q=q,
                                        opts=spectralflow.FlowOpts(args.seed, args.steps))
@@ -389,9 +395,6 @@ def build_parser():
     p_fl.add_argument("--z", help="base z (JSON list, increasing positive)")
     p_fl.add_argument("--q", help="base q (JSON list, strictly increasing)")
     p_fl.add_argument("--steps", type=int, default=48)
-    p_fl.add_argument("--budget", type=int, default=300,
-                      help="largest basis dimension run: the block's, or for a sweep "
-                      "the summed dimension of every block it lists (default 300)")
     p_fl.add_argument("--trace", help="write eigenvalue traces to this CSV file")
     p_fl.set_defaults(func=cmd_flow)
 

@@ -39,11 +39,10 @@ leg A and then leg B, with B scaling z straight to zero, or leg D, or
 both B and D for two-sided cells, and cluster the records of those legs.
 
 Each leg weights its family's operators by one draw of coefficients
-(`start_coeffs`), redrawn until the combined operator at the leg's start
-has a simple spectrum on each weight block. No start family depends on a
-frame, so `FlowContext.run` draws for every leg it runs, in leg order,
-before the first transport: a degenerate start of any leg ends the run
-before any leg is transported.
+(`start_coeffs`); a combined start operator whose spectrum is not simple
+on some weight block ends the run. No start family depends on a frame, so
+`FlowContext.run` draws for every leg it runs, in leg order, before the
+first transport.
 
 Every family holds the diagonal gl_r Cartan, and the flow adds the
 weights W_i to each, so every operator summed along a leg is
@@ -60,51 +59,28 @@ these on the block:
   C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a} (2 Omega_bd + c_b + c_d)
          (`FlowContext.extract_T`).
 
-The `BlockCache` builds these parts once, when it is built, in one fixed
-order (`primitive_parts`), so every float sum over them adds its terms in
-one order; a term that names any other part raises. It holds each as a
-row of one of two matrices: the flat buffer of its weight blocks, viewed
-as stacks by block size, or, for a part with no off-diagonal entry (the
-E_ii^(a) and the identity), its diagonal alone, read off the monomials'
-exponents. A weighted sum of parts is a matrix-vector product with each.
-A family is a function of an array of points whose term lists'
-coefficients broadcast over those points: each leg evaluates it once on
-its whole grid and turns it into one array of weights, a row per point
-(`BlockCache.coefficients`); a bisection midpoint, and the start point
-of the coefficient draw, are one-point arrays. A leg runs in batches of
-consecutive points, as many as fit BATCH_BYTES: each point's operator
-is summed on its own, so a part it does not use has weight 0 and the
-batch goes on, and each block size is diagonalised by one batched eigh
-call per batch. A 1 x 1 weight block is not solved: its frame stays +-1
-and its value is its entry, which is what LAPACK returns.
+The `BlockCache` builds these parts once, in one fixed order
+(`primitive_parts`), so every float sum over them adds its terms in one
+order, and holds each as the flat buffer of its weight blocks or, for a
+part with no off-diagonal entry, its diagonal. A family is a function of
+an array of points: each leg evaluates it once on its whole grid, as one
+array of weights, a row per point (`BlockCache.coefficients`). A leg runs
+in batches of consecutive points, as many as fit BATCH_BYTES, each
+point's operator summed on its own, and each block size is diagonalised
+by one batched eigh call per batch. A 1 x 1 weight block is not solved:
+its frame stays +-1 and its value is its entry, as LAPACK returns.
 
-A point is not solved either where the incoming frame V is certified to
-be close enough to its eigenvectors (`_frozen`). One product S V per
-weight block gives the Rayleigh quotients rho and column residuals
-r_i = |S v_i - rho_i v_i|. By Weyl every eigenvalue lies within
-|S V - V diag rho|_F of its quotient in sorted order, so all but one lie
-at least delta_i = min_{j!=i} |rho_j - rho_i| - |S V - V diag rho|_F from
-rho_i, and Davis-Kahan bounds the angle from v_i to that one's eigenvector
-by sin <= r_i / delta_i. A column passes where r_i <= tau delta_i with
-tau = sqrt((1 - MATCH_THRESHOLD) / 2), or where r_i is at most d eps
-max|rho|, the backward-error scale of eigh itself. tau is no new
-tolerance: two frames each within asin(tau) of the eigenvectors overlap
-by at least cos(2 asin tau) = 1 - 2 tau^2 = MATCH_THRESHOLD, so solving a
-passing point and matching would have accepted V's columns in order, and
-the first solved point after a run of passing points, matched to V, takes
-the permutation and signs that composing through them would give. A
-point where every column of every weight block passes keeps V and
-reports rho, each within r_i^2 / delta_i of its eigenvalue (Kato-Temple).
-Testing ends at the first point that fails, whether it is then accepted
-or refused, so a bisection midpoint is always solved: the midpoints
-converge towards the last passing point, where V overlaps the
-eigenvectors by at least sqrt(1 - tau^2), about 0.975. The last point of
-a leg keeps V only within eigh's backward error, since its frame is what
-later legs, decoders and records read. Leg A starts at T_MAX, where the
-monomials are eigenlines to round-off, so its leading points keep the
-monomial frame (33 of 48 on S_5). A later leg comes in with the
-eigenframe the leg before ended on, which its start point keeps where it
-passes, as on legs B and D of S_5.
+A point is not solved either where the incoming frame V is certified
+close enough to its eigenvectors (`_frozen`: Weyl and Davis-Kahan bounds
+against tau = sqrt((1 - MATCH_THRESHOLD) / 2), which adds no tolerance).
+Such a point keeps V and reports its Rayleigh quotients, and solving it
+and matching would have accepted V's columns in order. Testing ends at
+the first point that fails, so a bisection midpoint is always solved; the
+last point of a leg keeps V only within eigh's backward error, since
+later legs, decoders and records read its frame. Leg A's leading points
+keep the monomial frame (33 of 48 on S_5), and a later leg's start point
+keeps the frame the leg before ended on where it passes, as on legs B and
+D of S_5.
 
 Each old column takes the new column of largest overlap (`_match`); the
 leading points of a batch whose smallest such overlap reaches
@@ -114,8 +90,10 @@ permutation and the unique optimal assignment. A refused point gets the
 geometric midpoint between it and the last accepted point inserted in
 front of it, and the next batch starts there; a leg that is refused
 again after MAX_BISECTIONS midpoints ends with a ContinuationError.
-There is still one flow, one coefficient draw per leg and one cache per
-graded block.
+There is one flow, one coefficient draw per leg and one cache per graded
+block. The command line refuses a run whose peak memory, estimated from
+the block's weight-space sizes (`flow_bytes`, `weight_sizes`), passes
+MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -179,7 +157,6 @@ SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
 BATCH_BYTES = 256 * 1024  # summed operators of one transport batch
 START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
-MAX_REDRAWS = 8  # coefficient draws tried for a simple start spectrum
 DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
 CANCEL_TOL = 1e-12  # relative squared norm below which a family operator is zero
 GAP_SAFETY = 1e3  # inter-class distance over intra-class distance a clustering needs
@@ -239,42 +216,27 @@ class BlockCache:
     positions per batch, in increasing d. The cache holds the parts
     `primitive_parts(r, n)`, in that order, as `parts`, and no other: every
     operator the flow sums is a combination of them (see the module
-    docstring). Each is assembled once, when the cache is built, from the
-    entry array of one MonomialBlock, which fills no generator table: the
-    block the cache is given, as `weight_basis` returns it, or one built
-    from a list of monomials. E_ii^(a) and the identity are diagonal, with
-    the monomials' (i, a) entries and ones on the diagonal, and their
-    diagonals are written straight from that array; each kappa_ij and
-    Omega_ab is built by `liealg.dense`, a walk of its words over it, as a
-    dim x dim matrix that lives until its weight blocks are copied out.
-    No part depends on z or q, so one cache serves every leg.
+    docstring), built once from the entry array of the MonomialBlock the
+    cache is given (or one built from a list of monomials): the diagonals
+    of E_ii^(a) and the identity straight from that array, each kappa_ij
+    and Omega_ab by `liealg.dense` as a dim x dim matrix that lives until
+    its weight blocks are copied out. One cache serves every leg.
     On a block of one weight, such as the S_n block, there is one batch
     with k = 1. `col_sums` holds the block's column sums, the constants of
     the dual operators.
 
-    Each part is written into a row of one of two matrices: a row of the
-    part matrix F (parts, size) holds a flat buffer of its weight blocks,
-    batch after batch; a part whose matrix has no off-diagonal nonzero (the
-    E_ii^(a), the identity, and any kappa_ij or Omega_ab that is diagonal
-    or 0 on a degenerate block, by an exact test of its dense matrix) is
-    held instead as its diagonal, a row of the matrix D (parts, dim).
-    `stacks(part)` gives the weight blocks as one (k, d, d) stack per
-    batch, views of F's row or a diagonal part expanded.
+    Each part is a row of the part matrix F (parts, size), a flat buffer
+    of its weight blocks, batch after batch, or, where its matrix has no
+    off-diagonal nonzero (the E_ii^(a), the identity, and a kappa_ij or
+    Omega_ab diagonal or 0 on a degenerate block, by an exact test), its
+    diagonal, a row of D (parts, dim). `stacks(part)` gives its weight
+    blocks as one (k, d, d) stack per batch.
 
-    Weights are rows over `parts`. `sum_parts` gives each point's sum as
-    its own two matrix-vector products, w_F @ F plus w_D @ D added on the
-    diagonal positions, so a point's sum does not depend on the other
-    points summed with it; a part a point does not use has weight 0.
-
-    A flow family, evaluated on an array of points, is a list of term
-    lists whose coefficients are numbers or arrays over those points.
-    `_rows` lays them out as one (points, operators, parts) array, and
-    `coefficients` turns that into one weight row per point on the parts
-    of the operators, each scaled to unit Frobenius norm: the norms come
-    from the coefficient rows and the Gram matrix of the parts (F F^T, D
-    D^T and F[:, diagonal] D^T, computed once with the parts), so no
-    operator of the family is ever built as a matrix of its own. A point's
-    row is the same whichever points it is evaluated with.
+    Weights are rows over `parts`: `sum_parts` sums them per point, and
+    `coefficients` turns a flow family, term lists whose coefficients are
+    numbers or arrays over an array of points, into one weight row per
+    point with each operator at unit Frobenius norm, through the Gram
+    matrix of the parts, so no operator is built as a matrix of its own.
     `normalised_sum` is the one-point sum of a family, and `combine` that
     of one liealg term list, unnormalised."""
 
@@ -478,6 +440,63 @@ class BlockCache:
                                                    self.col_sums))
 
 
+# the largest estimated peak of a run (`flow_bytes`): 1 GiB lets two runs, one per core of a
+# 2-core host, share its memory; CI's blocks and `cells --n 6` (234 MiB) fit, `cells --n 7` not
+MAX_BYTES = 2**30
+
+
+def weight_sizes(r, n, col_sums, row_sums=None):
+    """The sizes d_w of the block's gl_r weight spaces (of its one weight
+    space row_sums, if given), counted entry by entry down each column with
+    no monomial listed: a state is the row sums still open and the rest of
+    the column, with its number of ways. Every way starts a monomial, so
+    the count stops, returning None, once they outnumber the monomials of a
+    block whose dense part, 8 d^2 bytes, fits MAX_BYTES; a whole block
+    tells that first by its closed-form size."""
+    most = math.isqrt(MAX_BYTES // 8)
+    if row_sums is None:
+        if math.prod(math.comb(c + r - 1, r - 1) for c in col_sums) > most:
+            return None
+        caps = (sum(col_sums),) * r
+    elif len(row_sums) == r and sum(row_sums) == sum(col_sums):
+        caps = tuple(row_sums)
+    else:
+        return []
+    states = {(caps, 0): 1}
+    for c in filter(None, col_sums):  # an empty column changes no state
+        states = {(free, c): ways for (free, _), ways in states.items()}
+        for i in range(r):
+            placed = {}
+            for (free, left), ways in states.items():
+                # the rows below must take what is left of the column
+                for x in range(max(0, left - sum(free[i + 1:])), min(left, free[i]) + 1):
+                    key = (free[:i] + (free[i] - x,) + free[i + 1:], left - x)
+                    placed[key] = placed.get(key, 0) + ways
+            if sum(placed.values()) > most:
+                return None
+            states = placed
+    return list(states.values())
+
+
+def flow_bytes(r, n, sizes, steps):
+    """Bytes a flow on a block holds at its peak above the imported modules,
+    from the sizes d of its gl_r weight spaces (dim = sum d), its P parts and
+    the grid steps per leg: the C(r,2) + C(n,2) off-diagonal parts, sum d^2
+    floats each, the diagonal ones, dim floats each, and the P x P Gram
+    matrix twice (`BlockCache`); the dense dim x dim part `_build` holds;
+    max(r, n) + 20 buffers of sum d^2 floats: six frames, about eleven of a
+    point's eigensolve and matching, a decoder's max(r, n) stacks and three
+    products (the m x m clustering arrays of `cells`, on the one weight
+    block of S_n, take fewer); five (steps, 2(r + n), P) coefficient arrays
+    of a leg; 1 KiB per monomial; and 8 MiB, what a 1 x 1 block takes."""
+    dim, flat = sum(sizes), sum(d * d for d in sizes)
+    parts = r * n + math.comb(r, 2) + math.comb(n, 2) + 1
+    buffers = math.comb(r, 2) + math.comb(n, 2) + max(r, n) + 20
+    return (8 * (buffers * flat + dim * dim + parts * dim + 2 * parts * parts
+                 + 10 * steps * (r + n) * parts)
+            + 1024 * dim + 2**23)
+
+
 def _scaled(scalar, terms):
     """The term list of scalar times an operator."""
     return [(scalar * c, part) for c, part in terms]
@@ -489,19 +508,15 @@ def _draw_coeffs(rng, count):
 
 
 def start_coeffs(cache, ops, rng, leg=""):
-    """A draw of coefficients for the family ops, a leg's start family
-    evaluated at a one-point array, whose combined operator
-    (`BlockCache.normalised_sum`) has every gap inside each weight block
-    above START_GAP_MIN. Blocks never interact, so
-    values of two blocks are not compared; each batch with d > 1 is
-    checked by one eigvalsh call. Draws again up to MAX_REDRAWS times, then
-    raises ContinuationError."""
-    for _ in range(MAX_REDRAWS):
-        coeffs = _draw_coeffs(rng, len(ops))
-        if all(np.diff(np.linalg.eigvalsh(stack), axis=-1).min() > START_GAP_MIN
-               for stack in cache.normalised_sum(ops, coeffs) if stack.shape[-1] > 1):
-            return coeffs
-    raise ContinuationError(f"{leg}: degenerate combined spectrum after {MAX_REDRAWS} redraws")
+    """One draw of coefficients for ops, a leg's start family at a
+    one-point array, whose combined operator (`BlockCache.normalised_sum`)
+    has every gap inside each weight block above START_GAP_MIN (one
+    eigvalsh call per batch with d > 1), or ContinuationError."""
+    coeffs = _draw_coeffs(rng, len(ops))
+    if all(np.diff(np.linalg.eigvalsh(stack), axis=-1).min() > START_GAP_MIN
+           for stack in cache.normalised_sum(ops, coeffs) if stack.shape[-1] > 1):
+        return coeffs
+    raise ContinuationError(f"{leg}: degenerate combined spectrum")
 
 
 def _match(overlaps):
@@ -576,17 +591,13 @@ def _composed(weights, frame, cache, test=False, final=False):
     The operators of all points are summed into one buffer
     (`BlockCache.sum_parts`, each point's sum on its own, a part that a
     point does not use weighted 0). With test, the leading points at which
-    the given frame is certified (`_frozen`: within asin(tau) of the
-    eigenvectors, tau = sqrt((1 - MATCH_THRESHOLD) / 2), or within eigh's
-    backward error) are frozen: each keeps the given frame, takes its
-    Rayleigh quotients as eigenvalues and matches at overlap 1. Solving
-    such a point would have matched its eigenvectors to the frame in
-    order, at overlap at least MATCH_THRESHOLD, so the first solved point
-    after them, matched to the given frame, takes the permutation and
-    signs that composing through them would give. The leading point is
-    tested alone, and the rest of the batch only if it is frozen. With
-    final, the batch's last point ends the leg and is frozen only within
-    eigh's backward error.
+    the given frame is certified (`_frozen`) are frozen: each keeps the
+    given frame, takes its Rayleigh quotients as eigenvalues and matches at
+    overlap 1, so the first solved point after them, matched to the given
+    frame, takes the permutation and signs that composing through them
+    would give. The leading point is tested alone, and the rest of the
+    batch only if it is frozen; with final, the batch's last point ends the
+    leg and is frozen only within eigh's backward error.
 
     Each batch with d > 1 is diagonalised at the points after the frozen
     ones by one eigh call over their stack. One batched product gives the
@@ -689,22 +700,12 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     them, each scaled to unit norm, into a single operator, block-diagonal
     on the weight blocks.
 
-    The family is evaluated once on the whole grid, and
-    `BlockCache.coefficients` turns it into one weight row per grid point.
-    The points still to reach are taken in batches of consecutive points,
-    as many as keep the batch's summed operators within BATCH_BYTES (at
-    least one); each point's operator is the same whichever batch it is
-    summed in. Until the first point that fails it, `_composed` tests
-    each batch's leading points against the frame they come in with: a
-    point at which that frame is certified (`_frozen`) keeps it, solves
-    nothing and takes its Rayleigh quotients as eigenvalues, at overlap 1;
-    its trace row holds those quotients, and the rows are the same in
-    number. Testing ends at the first point that fails, whether that point
-    is then accepted or refused, so every bisection midpoint is solved. A
-    midpoint in front of the first solved point lies between it and the
-    last frozen point, where the frame overlaps the eigenvectors by at
-    least sqrt(1 - tau^2) > MATCH_THRESHOLD; so the midpoints converge
-    towards an accepted step, as they do after a solved point.
+    The family is evaluated once on the whole grid, as one weight row per
+    point (`BlockCache.coefficients`), and the points still to reach are
+    taken in batches of as many consecutive points as keep their summed
+    operators within BATCH_BYTES (at least one). Until the first point that
+    fails it, `_composed` tests each batch's leading points against the
+    incoming frame (`_frozen`), so every bisection midpoint is solved.
     `_composed` accepts a batch's leading points whose smallest best
     overlap is at least MATCH_THRESHOLD. A refused start point fails the
     leg. Any other refused point gets the geometric midpoint between it and
@@ -866,8 +867,6 @@ def _decode_chain(sizes, casimir_values, max_rows, memo=None):
     rows = []
     for step, (size, c2) in enumerate(zip(sizes, casimir_values), start=1):
         added = size - shape.size
-        if added < 0:
-            raise DecodingError(f"negative strip size at letter {step}")
         exact = memo.get((shape, added, step))
         if exact is None:
             exact = memo[shape, added, step] = {
@@ -875,10 +874,13 @@ def _decode_chain(sizes, casimir_values, max_rows, memo=None):
                 for mu in pieri_shapes(shape, added, min(step, max_rows))}
         candidates = sorted(((abs(val - c2), mu) for mu, val in exact.items()),
                             key=lambda pair: (pair[0], pair[1].parts))
-        if not candidates or candidates[0][0] > DECODE_TOL:
+        # a NaN value matches no shape
+        if not candidates or not candidates[0][0] <= DECODE_TOL:
             raise DecodingError(
                 f"no corner shape matches Casimir value {c2:.4f} at letter {step}"
             )
+        # the exact values are integers: unless two are equal, the second
+        # best residual is at least 1 - DECODE_TOL
         if len(candidates) > 1:
             (_, first), (_, second) = candidates[:2]
             if exact[first] == exact[second]:
@@ -886,10 +888,6 @@ def _decode_chain(sizes, casimir_values, max_rows, memo=None):
                 raise DecodingError(
                     f"exact Casimir tie at letter {step}: shapes {first.parts} "
                     f"and {second.parts} both give {exact[first]}"
-                )
-            if candidates[1][0] < 2 * DECODE_TOL:
-                raise DecodingError(
-                    f"ambiguous corner shape at letter {step}: {candidates[:2]}"
                 )
         mu = candidates[0][1]
         for i in range(1, len(mu) + 1):
@@ -1010,9 +1008,8 @@ class FlowContext:
         """Run the named legs of the table (`legs(straight_b)`) in order;
         returns a FlowResult.
 
-        Each leg's coefficients are drawn (`start_coeffs`) before any leg
-        runs, in leg order, so a degenerate start spectrum of any leg ends
-        the run before the first transport.
+        Each leg's coefficients are drawn (`start_coeffs`), in leg order,
+        before any leg runs, so a degenerate start ends the run at once.
 
         Every leg's family gets the weights W_i = sum_a E_ii^(a) added, as
         sums of the E_ii^(a) parts. Frames are kept as weight-block stacks

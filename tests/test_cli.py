@@ -141,17 +141,35 @@ class TestFlow:
         assert report["agreement"] and report["checked"] == 6
         assert report["failures"] == report["mismatches"] == []
 
-    def test_budget_overflow(self, capsys):
-        assert main(["flow", "--r", "3", "--n", "3", "--col-sums", "[4,4,4]",
-                     "--budget", "100"]) == EXIT_USAGE
+    def test_budget_overflow(self, capsys, monkeypatch):
+        # dim 4096, but 67 off-diagonal parts of sum d^2 = 2,704,156 floats
+        # each: the estimate passes the cap before any basis is listed
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was listed")
+
+        monkeypatch.setattr(spectralflow, "weight_basis", no_basis)
+        start = time.perf_counter()
+        assert main(["flow", "--r", "2", "--n", "12", "--col-sums", str([1] * 12)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "needs an estimated 2190 MiB, above the 1024 MiB cap" in capsys.readouterr().err
 
     def test_huge_sweep_is_refused_before_listing(self, capsys):
         # every block of r = 1 has dimension 1, but the sweep lists 21^7
-        # column-sum vectors; their summed dimension is checked first
+        # column-sum vectors; their count times the estimate of the largest
+        # is checked first
         start = time.perf_counter()
         assert main(["flow", "--r", "1", "--n", "7", "--max-entry", "20"]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
-        assert f"swept blocks {21 ** 7} exceeds budget 300" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"a sweep of {21 ** 7} blocks needs an estimated" in err
+        assert "above the 1024 MiB cap" in err
+
+    def test_block_past_the_old_dimension_limit_runs(self, capsys):
+        # dim 640 with sum d^2 = 11,056: within the cap with no flag
+        code, report = run(capsys, "flow", "--r", "4", "--n", "4", "--col-sums", "[2,1,1,1]")
+        assert code == EXIT_OK
+        assert report["agreement"] and report["checked"] == 640
+        assert report["failures"] == report["mismatches"] == []
 
     def test_sweep_within_default_budget(self, capsys):
         # 25 blocks of dimension (a + 1)(b + 1), 225 labels in all
@@ -247,6 +265,8 @@ class TestFlow:
     # numpy's generator takes no negative seed
     ["cells", "--n", "3", "--seed", "-1"],
     ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--seed", "-1"],
+    # runs are refused by their estimated memory, which no flag can raise
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--budget", "300"],
 ])
 def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
@@ -275,6 +295,38 @@ class TestCells:
 
         monkeypatch.setattr(cli.cmcells, "right_cells", no_flow)
         assert main(["cells", "--n", "7"]) == EXIT_USAGE
+
+    def test_refuses_n_12_at_once(self, capsys):
+        # 12! monomials: one dense part alone passes the cap, which the
+        # check tells from ln 12! without computing the estimate
+        start = time.perf_counter()
+        assert main(["cells", "--n", "12"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "the S_12 block needs more than the 1024 MiB cap" in capsys.readouterr().err
+
+    def test_s6_estimate_is_the_column_count(self, capsys, monkeypatch):
+        # cells --n 6 is checked with the estimate that flow gives the same
+        # block, counted by columns through --weight [1,1,1,1,1,1]: the one
+        # weight space of 6! monomials
+        estimates, flow_bytes = [], spectralflow.flow_bytes
+
+        def spy(*args):
+            estimates.append(flow_bytes(*args))
+            return estimates[-1]
+
+        def stop(*args, **kwargs):
+            raise spectralflow.SetupError("stopped after the check")
+
+        monkeypatch.setattr(spectralflow, "flow_bytes", spy)
+        monkeypatch.setattr(cli.cmcells, "right_cells", stop)
+        monkeypatch.setattr(spectralflow, "verify_main_theorem", stop)
+        assert main(["cells", "--n", "6"]) == cli.EXIT_INCONCLUSIVE
+        ones = str([1] * 6)
+        assert main(["flow", "--r", "6", "--n", "6", "--col-sums", ones,
+                     "--weight", ones]) == cli.EXIT_INCONCLUSIVE
+        assert spectralflow.weight_sizes(6, 6, (1,) * 6, (1,) * 6) == [720]
+        assert estimates == [flow_bytes(6, 6, [720], 48)] * 2
+        assert estimates[0] < spectralflow.MAX_BYTES
 
 
 class TestCoarseGrid:

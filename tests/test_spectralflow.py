@@ -35,7 +35,6 @@ from gaudinrsk.spectralflow import (
     BATCH_BYTES,
     MATCH_THRESHOLD,
     MAX_BISECTIONS,
-    MAX_REDRAWS,
     START_GAP_MIN,
     BlockCache,
     ClusteringError,
@@ -147,10 +146,8 @@ def _full_transport(vectors, cache, family, grid, rng):
     def operator(t, coeffs):
         return cache.full(cache.normalised_sum(family(t), coeffs))
 
-    for _ in range(MAX_REDRAWS):
-        coeffs = _draw_coeffs(rng, len(family(grid[0])))
-        if np.diff(np.linalg.eigvalsh(operator(grid[0], coeffs))).min() > START_GAP_MIN:
-            break
+    coeffs = _draw_coeffs(rng, len(family(grid[0])))
+    assert np.diff(np.linalg.eigvalsh(operator(grid[0], coeffs))).min() > START_GAP_MIN
     diag = {"steps": 0, "bisections": 0}
     current, overlap = _full_match(np.linalg.eigh(operator(grid[0], coeffs))[1], vectors)
     assert overlap >= MATCH_THRESHOLD
@@ -610,29 +607,42 @@ class TestTransport:
                 assert diag.tolist() == [label[i - 1, a - 1] for label in labels]
 
     def test_frame_matches_full_eigh(self):
-        # each leg of the table, chained as FlowContext.run chains them,
-        # against whole-block eigh and matching from the same frame and
-        # coefficient draw
+        # each leg of the table, chained and drawn as FlowContext.run chains
+        # and draws them (one stream, one draw per leg in leg order), against
+        # whole-block eigh and matching from the same frame and coefficient
+        # draw: two streams of one seed give both the same draws
         ctx = FlowContext(2, 3, (1, 1, 1))
         cache = ctx.cache
         assert len(cache.batches) > 1
         weight_terms = _weight_terms(2, 3)
         blocks, wholes = {}, {}
+        rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
         for leg in ctx.legs():
             def family(t, leg=leg):
                 return leg.family(t) + weight_terms
             whole = np.eye(cache.dim) if leg.start is None else wholes[leg.start]
             frame = cache.split(whole) if leg.start is None else blocks[leg.start]
-            coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(3),
-                                  leg.name)
+            coeffs = start_coeffs(cache, family(leg.grid[:1]), rng, leg.name)
             frame, diag = transport(frame, cache, family, leg.grid, coeffs, leg=leg.name)
-            whole, whole_diag = _full_transport(whole, cache, family, leg.grid,
-                                                np.random.default_rng(3))
+            whole, whole_diag = _full_transport(whole, cache, family, leg.grid, whole_rng)
             blocks[leg.name], wholes[leg.name] = frame, whole
             overlaps = np.abs(np.sum(cache.full(frame) * whole, axis=0))
             assert overlaps.min() > 1 - 1e-10, (leg.name, overlaps.min())
             assert (diag["steps"], diag["bisections"]) == (
                 whole_diag["steps"], whole_diag["bisections"])
+
+    def test_degenerate_draw_is_not_redrawn(self):
+        # the first draw of a new default_rng(3) makes leg E's start operator
+        # on (2,3,(1,1,1)) exactly degenerate on a weight block; the next
+        # draw would not, but a leg draws once and ends there
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        leg = ctx.legs()[4]
+        ops = leg.family(leg.grid[:1]) + _weight_terms(2, 3)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ContinuationError) as err:
+            start_coeffs(ctx.cache, ops, rng, leg.name)
+        assert str(err.value) == "E: degenerate combined spectrum"
+        assert len(start_coeffs(ctx.cache, ops, rng, leg.name)) == len(ops)
 
 
 class TestBatchedTransport:
@@ -1190,6 +1200,27 @@ class TestBlockCache:
         rows = cache.coefficients([[(1.0, part)] for part in want], np.ones(len(want)))
         assert rows.shape == (1, len(want))
 
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (3, 3, (2, 0, 1), None),
+        (1, 2, (2, 1), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ])
+    def test_estimate_covers_the_parts(self, r, n, col_sums, row_sums):
+        # the weight spaces counted by columns are the cache's blocks, and
+        # the estimate's part term, C(r,2) + C(n,2) rows of sum d^2 floats
+        # and every part as a diagonal, covers F and D as the cache built
+        # them (a part held as a diagonal takes dim <= sum d^2 floats)
+        cache = FlowContext(r, n, col_sums, row_sums).cache
+        sizes = spectralflow.weight_sizes(r, n, col_sums, row_sums)
+        assert sorted(sizes) == [idx.shape[1] for idx in cache.batches for _ in idx]
+        assert sum(d * d for d in sizes) == cache.size
+        parts = 8 * ((math.comb(r, 2) + math.comb(n, 2)) * cache.size
+                     + len(cache.parts) * cache.dim)
+        assert parts >= cache._full.nbytes + cache._diag.nbytes
+        estimate = spectralflow.flow_bytes(r, n, sizes, FlowOpts().steps)
+        assert estimate >= parts + 8 * cache.dim ** 2 + cache._gram.nbytes
+
     @pytest.mark.parametrize("part", [
         (weight_op, 1, 3),
         (nested_casimir, 2, 3),
@@ -1508,8 +1539,9 @@ class TestFlowBlock:
             assert np.max(np.abs(mat_a - combine(terms_d))) < 1e-12
 
     def test_degenerate_start_ends_before_any_transport(self, monkeypatch):
-        # leg C's start spectrum on (3,3,(2,2,2)) is degenerate on every
-        # draw; every start is checked before legs A and B run
+        # leg C's start spectrum on (3,3,(2,2,2)) is degenerate whatever the
+        # draw; each leg draws once, and every start is checked before legs
+        # A and B run
         calls = []
 
         def counting(*args, **kwargs):
@@ -1519,8 +1551,7 @@ class TestFlowBlock:
         monkeypatch.setattr(spectralflow, "transport", counting)
         with pytest.raises(ContinuationError) as err:
             flow_block(3, 3, (2, 2, 2))
-        assert str(err.value) == f"C: degenerate combined spectrum after {MAX_REDRAWS} redraws"
-        assert MAX_REDRAWS == 8
+        assert str(err.value) == "C: degenerate combined spectrum"
         assert calls == []
 
     def test_family_evaluated_once_per_leg(self, monkeypatch):
@@ -1574,6 +1605,13 @@ class TestDecodeChain:
         assert str(err.value) == (
             "exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24"
         )
+
+    def test_nan_value_matches_no_shape(self):
+        # every residual of a NaN value is NaN, which no tolerance test
+        # passes; it is not decoded to the shape that sorts first
+        with pytest.raises(DecodingError) as err:
+            _decode_chain([2], [float("nan")], 2)
+        assert str(err.value) == "no corner shape matches Casimir value nan at letter 1"
 
 
 class TestVerify:
