@@ -157,13 +157,13 @@ def _label_to_permutation(label):
 
 def _cells(n, z, q, opts, sides):
     """Partition S_n by coalescence of the S_n block's limit records, once
-    per side: after leg B on the straight schedule, z shrinking to zero
-    with q fixed (right cells), and after leg D (left). One flow runs leg A
-    once and every leg the sides need."""
+    per side: after leg B, z colliding at zero on the schedule of the
+    tableau check with q fixed (right cells), and after leg D, q shrinking
+    to zero (left). One flow runs leg A once and every leg the sides need."""
     legs = {"right": "B", "left": "D"}
     names = "".join(legs[side] for side in sides)
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
-    result = ctx.run("A" + names, names, straight_b=True)
+    result = ctx.run("A" + names, names)
     labels = [_label_to_permutation(branch.label) for branch in result.branches]
     return [CellPartition(n, side, [[labels[i] for i in cls]
                                     for cls in result.classes[legs[side]]])

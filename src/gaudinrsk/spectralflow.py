@@ -35,8 +35,8 @@ that selects the paths is the base point z:
 
 The tableau check (`flow_block`) runs legs A to E and reads out the two
 decoders only; it computes no records and no classes. The cell flows run
-leg A and then leg B, with B scaling z straight to zero, or leg D, or
-both B and D for two-sided cells, and cluster the records of those legs.
+the same table: leg A and then leg B, or leg D, or both B and D for
+two-sided cells, and cluster the records of those legs.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`); a combined start operator whose spectrum is not simple
@@ -66,30 +66,25 @@ part with no off-diagonal entry, its diagonal. A family is a function of
 an array of points: each leg evaluates it once on its whole grid, as one
 array of weights, a row per point (`BlockCache.coefficients`). A leg runs
 in batches of consecutive points, as many as fit BATCH_BYTES, each
-point's operator summed on its own, and each block size is diagonalised
-by one batched eigh call per batch. A 1 x 1 weight block is not solved:
-its frame stays +-1 and its value is its entry, as LAPACK returns.
+point's operator summed on its own (`transport`). A 1 x 1 weight block
+is not solved: its frame stays +-1 and its value is its entry, as LAPACK
+returns.
 
-A point is not solved either where the incoming frame V is certified
-close enough to its eigenvectors (`_frozen`: Weyl and Davis-Kahan bounds
-against tau = sqrt((1 - MATCH_THRESHOLD) / 2), which adds no tolerance).
-Such a point keeps V and reports its Rayleigh quotients, and solving it
-and matching would have accepted V's columns in order. Testing ends at
-the first point that fails, so a bisection midpoint is always solved; the
-last point of a leg keeps V only within eigh's backward error, since
-later legs, decoders and records read its frame. Leg A's leading points
-keep the monomial frame (33 of 48 on S_5), and a later leg's start point
-keeps the frame the leg before ended on where it passes, as on legs B and
-D of S_5.
-
-Each old column takes the new column of largest overlap (`_match`); the
-leading points of a batch whose smallest such overlap reaches
-MATCH_THRESHOLD are matched at once by composing these matchings. Every
-column's overlap then exceeds 1/sqrt(2), so each matching is a
-permutation and the unique optimal assignment. A refused point gets the
-geometric midpoint between it and the last accepted point inserted in
-front of it, and the next batch starts there; a leg that is refused
-again after MAX_BISECTIONS midpoints ends with a ContinuationError.
+Each batch is first certified, then solved. Until the first point that
+fails it, `_frozen` tests whether the incoming frame V is close enough
+to a point's eigenvectors (Weyl and Davis-Kahan bounds against tau =
+sqrt((1 - MATCH_THRESHOLD) / 2), which adds no tolerance); a certified
+point keeps V and reports its Rayleigh quotients, as on most of leg A,
+which starts from the monomial frame. Then `_composed` diagonalises the
+rest of the batch, one batched eigh call per block size, and matches it:
+each old column takes the new column of largest overlap (`_match`), and
+the leading points whose smallest such overlap reaches MATCH_THRESHOLD
+are accepted at once by composing these matchings. Every column's
+overlap then exceeds 1/sqrt(2), so each matching is a permutation and the
+unique optimal assignment. A refused point gets the geometric midpoint
+between it and the last accepted point inserted in front of it, and the
+next batch starts there; a leg that is refused again after
+MAX_BISECTIONS midpoints ends with a ContinuationError.
 There is one flow, one coefficient draw per leg and one cache per graded
 block. The command line refuses a run whose peak memory, estimated from
 the block's weight-space sizes (`flow_bytes`, `weight_sizes`), passes
@@ -229,8 +224,7 @@ class BlockCache:
     of its weight blocks, batch after batch, or, where its matrix has no
     off-diagonal nonzero (the E_ii^(a), the identity, and a kappa_ij or
     Omega_ab diagonal or 0 on a degenerate block, by an exact test), its
-    diagonal, a row of D (parts, dim). `stacks(part)` gives its weight
-    blocks as one (k, d, d) stack per batch.
+    diagonal, a row of D (parts, dim).
 
     Weights are rows over `parts`: `sum_parts` sums them per point, and
     `coefficients` turns a flow family, term lists whose coefficients are
@@ -238,7 +232,8 @@ class BlockCache:
     point with each operator at unit Frobenius norm, through the Gram
     matrix of the parts, so no operator is built as a matrix of its own.
     `normalised_sum` is the one-point sum of a family, and `combine` that
-    of one liealg term list, unnormalised."""
+    of one liealg term list, unnormalised, as one (k, d, d) stack per batch;
+    `combine([(1.0, part)])` gives a part's own weight blocks."""
 
     def __init__(self, r, n, basis):
         self.r = r
@@ -356,24 +351,6 @@ class BlockCache:
         except KeyError:
             raise ValueError(f"{part[0].__name__}{part[1:]} is not a primitive part "
                              f"of the r = {self.r}, n = {self.n} block") from None
-
-    def _flat(self, part):
-        """The flat buffer of the part's weight blocks: its row of F, or
-        its diagonal expanded into a new buffer."""
-        diagonal, row = self._where[self._position(part)]
-        if not diagonal:
-            return self._full[row]
-        flat = np.zeros(self.size)
-        flat[self._diagonal] = self._diag[row]
-        return flat
-
-    def stacks(self, part):
-        """The weight blocks of the part's matrix, one stack per batch."""
-        return self._views(self._flat(part))
-
-    def mat(self, part):
-        """Dense dim x dim matrix of the part, rebuilt from its stacks."""
-        return self.full(self.stacks(part))
 
     def sum_parts(self, weights):
         """Flat buffers (points, size) of sum_j weights[p][j] * part_j over
@@ -558,78 +535,63 @@ def _frozen(stacks, frame, final=False):
     column of every block with d > 1 passes one of the two; rho_i is then
     within r_i^2 / delta_i of its eigenvalue (Kato-Temple). With final, the
     last point is the end of a leg, whose frame later legs, decoders and
-    records read: it passes on eigh's backward-error scale only. The
-    quotients of a batch with d = 1 are None."""
+    records read: it passes on eigh's backward-error scale only. A batch
+    with d = 1 takes its entries as quotients.
+
+    The quotients and residuals are those of `rayleigh`. The leading point
+    is tested alone first, and the rest only if it passes, so that where
+    the frame moves, as at the start of most legs, the rest of the points
+    are not multiplied; the count is then 0 and the quotients None."""
     count = len(stacks[0])
+    if count > 1 and not _frozen([stack[:1] for stack in stacks], frame)[0]:
+        return 0, None
     tau = math.sqrt((1 - MATCH_THRESHOLD) / 2)
     passing, within, quotients = np.ones(count, dtype=bool), np.ones(count, dtype=bool), []
     for stack, old in zip(stacks, frame):
         d = old.shape[-1]
-        rho = None
-        if d > 1:
-            image = stack @ old
-            rho = np.sum(old * image, axis=-2)
-            residual = np.linalg.norm(image - old * rho[..., None, :], axis=-2)
-            small = residual <= d * np.finfo(float).eps * np.abs(rho).max(axis=-1, keepdims=True)
-            gaps = np.abs(rho[..., :, None] - rho[..., None, :])
-            gaps[..., np.arange(d), np.arange(d)] = np.inf
-            delta = gaps.min(axis=-1) - np.linalg.norm(residual, axis=-1, keepdims=True)
-            passing &= np.all(small | ((delta > 0) & (residual <= tau * delta)), axis=(1, 2))
-            within &= np.all(small, axis=(1, 2))
+        if d == 1:
+            quotients.append(stack[..., 0])
+            continue
+        rho, residual = (a[..., 0] for a in rayleigh(old, [stack]))
+        small = residual <= d * np.finfo(float).eps * np.abs(rho).max(axis=-1, keepdims=True)
+        gaps = np.abs(rho[..., :, None] - rho[..., None, :])
+        gaps[..., np.arange(d), np.arange(d)] = np.inf
+        delta = gaps.min(axis=-1) - np.linalg.norm(residual, axis=-1, keepdims=True)
+        passing &= np.all(small | ((delta > 0) & (residual <= tau * delta)), axis=(1, 2))
+        within &= np.all(small, axis=(1, 2))
         quotients.append(rho)
     if final:
         passing[-1] &= within[-1]
     return (count if passing.all() else int(passing.argmin())), quotients
 
 
-def _composed(weights, frame, cache, test=False, final=False):
-    """Eigenframes of the combined operator at consecutive points, given by
-    their weight rows over the cache's parts (`BlockCache.coefficients`),
-    each matched to the frame before it (the first to frame), up to the
-    first point whose smallest best overlap is below MATCH_THRESHOLD.
+def _composed(stacks, frame, cache):
+    """Eigenframes of the summed operators at consecutive points, given as
+    per-batch stacks (points, k, d, d), each matched to the frame before it
+    (the first to frame), up to the first point whose smallest best overlap
+    is below MATCH_THRESHOLD.
 
-    The operators of all points are summed into one buffer
-    (`BlockCache.sum_parts`, each point's sum on its own, a part that a
-    point does not use weighted 0). With test, the leading points at which
-    the given frame is certified (`_frozen`) are frozen: each keeps the
-    given frame, takes its Rayleigh quotients as eigenvalues and matches at
-    overlap 1, so the first solved point after them, matched to the given
-    frame, takes the permutation and signs that composing through them
-    would give. The leading point is tested alone, and the rest of the
-    batch only if it is frozen; with final, the batch's last point ends the
-    leg and is frozen only within eigh's backward error.
-
-    Each batch with d > 1 is diagonalised at the points after the frozen
-    ones by one eigh call over their stack. One batched product gives the
-    overlaps of every solved point's eigenvectors with the frame before:
-    the given frame for the first, the unmatched eigenvectors of the point
-    before for the others. `_match` pairs each column of the frame before
-    with a row of that product, and the matchings and signs of the
-    accepted points compose; a 1 x 1 block keeps its frame and takes its
-    entry as value.
+    Each batch with d > 1 is diagonalised by one eigh call over its stack.
+    One batched product gives the overlaps of every point's eigenvectors
+    with the frame before: the given frame for the first, the unmatched
+    eigenvectors of the point before for the others. `_match` pairs each
+    column of the frame before with a row of that product, and the
+    matchings and signs of the accepted points compose; a 1 x 1 block keeps
+    its frame and takes its entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
-    (eigenvalues in basis order, min overlap), the min overlap of the
-    first refused point or None, the number of frozen points); the points
-    after the accepted ones are left to the caller, and every point after
-    the frozen ones was solved. The frame returned is the given object
-    itself while no solved point is accepted.
+    (eigenvalues in basis order, min overlap), the min overlap of the first
+    refused point or None); the points after the accepted ones are left to
+    the caller. The frame returned is the given object itself while no
+    point is accepted.
     """
-    count = len(weights)
-    stacks = cache._views(cache.sum_parts(weights))
-    frozen, quotients = 0, [None] * len(frame)
-    if test:
-        # the leading point alone first, so that where it moves, as at the
-        # start of most legs, the rest of the batch is not multiplied
-        frozen, quotients = _frozen([stack[:1] for stack in stacks], frame, final and count == 1)
-        if frozen and count > 1:
-            frozen, quotients = _frozen(stacks, frame, final)
+    count = len(stacks[0])
     # per point and column j of the frame before it, batch after batch:
     # the global column of the eigenvector j matches, the sign and the
     # overlap of that match, and the eigenvalue of global column j
     best, signs, top, values, solved = [], [], [], [], []
     offset = 0
-    for stack, old, rho in zip(stacks, frame, quotients):
+    for stack, old in zip(stacks, frame):
         k, d = old.shape[:2]
         vecs = None
         if d == 1:
@@ -638,22 +600,13 @@ def _composed(weights, frame, cache, test=False, final=False):
             vals = stack[..., 0]
             rows, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
         else:
-            # a frozen point keeps each column at overlap 1
-            vals = np.empty((count, k, d))
-            rows = np.broadcast_to(np.arange(d), (count, k, d)).copy()
-            picked = np.ones((count, k, d))
-            if frozen:
-                vals[:frozen] = rho[:frozen]
-            if frozen < count:
-                vals[frozen:], vecs = np.linalg.eigh(stack[frozen:])
-                # the frames before each solved point, transposed in memory
-                # as matched frames are, so each product rounds as one with
-                # a matched frame
-                before = np.empty((count - frozen, k, d, d))
-                before[0] = np.swapaxes(old, 1, 2)
-                before[1:] = np.swapaxes(vecs[:-1], 2, 3)
-                rows[frozen:], picked[frozen:] = _match(
-                    np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
+            vals, vecs = np.linalg.eigh(stack)
+            # the frames before each point, transposed in memory as matched
+            # frames are, so each product rounds as one with a matched frame
+            before = np.empty((count, k, d, d))
+            before[0] = np.swapaxes(old, 1, 2)
+            before[1:] = np.swapaxes(vecs[:-1], 2, 3)
+            rows, picked = _match(np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
         best.append((rows + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
         signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
         top.append(np.abs(picked).reshape(count, -1))
@@ -672,7 +625,7 @@ def _composed(weights, frame, cache, test=False, final=False):
         branch_values = np.empty(cache.dim)
         branch_values[cache.positions] = values[g, order]
         steps.append((branch_values, overlaps[g]))
-    if accepted > frozen:
+    if accepted:
         frame = list(frame)
         offset = 0
         for b, (vecs, old) in enumerate(zip(solved, frame)):
@@ -680,11 +633,11 @@ def _composed(weights, frame, cache, test=False, final=False):
             if vecs is not None:
                 local = (order[offset:offset + k * d] - offset).reshape(k, d)
                 blk = np.arange(k)[:, None]
-                matched = vecs[accepted - 1 - frozen, blk, :, local - blk * d]
+                matched = vecs[accepted - 1, blk, :, local - blk * d]
                 matched *= sign[offset:offset + k * d].reshape(k, d, 1)
                 frame[b] = np.swapaxes(matched, 1, 2)
             offset += k * d
-    return frame, steps, float(overlaps[accepted]) if accepted < count else None, frozen
+    return frame, steps, float(overlaps[accepted]) if accepted < count else None
 
 
 def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
@@ -703,21 +656,26 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     The family is evaluated once on the whole grid, as one weight row per
     point (`BlockCache.coefficients`), and the points still to reach are
     taken in batches of as many consecutive points as keep their summed
-    operators within BATCH_BYTES (at least one). Until the first point that
-    fails it, `_composed` tests each batch's leading points against the
-    incoming frame (`_frozen`), so every bisection midpoint is solved.
-    `_composed` accepts a batch's leading points whose smallest best
-    overlap is at least MATCH_THRESHOLD. A refused start point fails the
-    leg. Any other refused point gets the geometric midpoint between it and
-    the last accepted point inserted in front of it, evaluated as a
-    one-point array, and the next batch starts there; a refusal after
-    MAX_BISECTIONS such midpoints in the leg fails it. Every accepted point
-    after the start is a step; each grid point, and no midpoint, hands
-    trace.append one record (leg, t, eigenvalues as a list of floats in
-    branch order). Returns (vectors at grid[-1], diagnostics): steps,
-    bisections, the smallest accepted overlap, the points kept without
-    eigh (frozen) and the points eigensolved (solved), counting the points
-    of a batch solved and then discarded after a refusal.
+    operators within BATCH_BYTES (at least one), each batch summed once
+    (`BlockCache.sum_parts`, each point's sum on its own). Until the first
+    point that fails it, each batch's leading points are tested against the
+    incoming frame (`_frozen`; the leg's last grid point on eigh's
+    backward-error scale only): each certified point keeps the frame and
+    takes its Rayleigh quotients as eigenvalues at overlap 1, so every
+    bisection midpoint is solved. `_composed` solves the rest of the batch
+    and accepts its leading points whose smallest best overlap is at least
+    MATCH_THRESHOLD; the first of them is matched to the frame the certified
+    points kept. A refused start point fails the leg. Any other refused
+    point gets the geometric midpoint between it and the last accepted
+    point inserted in front of it, evaluated as a one-point array, and the
+    next batch starts there; a refusal after MAX_BISECTIONS such midpoints
+    in the leg fails it. Every accepted point after the start is a step;
+    each grid point, and no midpoint, hands trace.append one record (leg,
+    t, eigenvalues as a list of floats in branch order). Returns (vectors
+    at grid[-1], diagnostics): steps, bisections, the smallest accepted
+    overlap, the points kept without eigh (frozen) and the points
+    eigensolved (solved), counting the points of a batch solved and then
+    discarded after a refusal.
     """
     diag = {"leg": leg, "steps": 0, "bisections": 0, "min_overlap": 1.0,
             "frozen": 0, "solved": 0}
@@ -730,10 +688,18 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     testing = True  # no point has failed the test yet
     while pending:
         batch = pending[:per_batch]
-        # the last pending point is always the leg's last grid point
-        current, steps, refused, frozen = _composed([w for _, _, w in batch], current, cache,
-                                                    testing, len(batch) == len(pending))
-        testing = testing and frozen == len(batch)
+        stacks = cache._views(cache.sum_parts([w for _, _, w in batch]))
+        frozen, quotients = 0, None
+        if testing:
+            # the last pending point is always the leg's last grid point
+            frozen, quotients = _frozen(stacks, current, len(batch) == len(pending))
+            testing = frozen == len(batch)
+        steps = [(cache.by_branch([rho[p] for rho in quotients]), 1.0) for p in range(frozen)]
+        refused = None
+        if frozen < len(batch):
+            current, solved, refused = _composed([stack[frozen:] for stack in stacks],
+                                                 current, cache)
+            steps += solved
         diag["frozen"] += frozen
         diag["solved"] += len(batch) - frozen
         for (t, on_grid, _), (values, overlap) in zip(batch, steps):
@@ -763,11 +729,14 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
 def snap_to_monomials(vectors, basis, cache):
     """Identify each start eigenline with a monomial; returns labels.
 
-    Cross-checks the coordinate match against rounded diagonal eigenvalues.
+    Cross-checks the coordinate match against the diagonal eigenvalues
+    v.E_ii^(a) v, with E_ii^(a) the diagonal of entries (i, a) of the
+    block's entry array.
     """
     labels = []
     used = set()
-    diagonals = {(i, a): cache.mat((op_E, i, i, a))
+    entries = cache.block.entry_array.reshape(cache.dim, cache.r * cache.n).astype(float)
+    diagonals = {(i, a): entries[:, (i - 1) * cache.n + a - 1]
                  for i in range(1, cache.r + 1) for a in range(1, cache.n + 1)}
     for b in range(vectors.shape[1]):
         v = vectors[:, b]
@@ -780,8 +749,8 @@ def snap_to_monomials(vectors, basis, cache):
             raise ContinuationError(f"branch {b}: duplicate monomial label")
         used.add(idx)
         label = basis[idx]
-        for (i, a), mat in diagonals.items():
-            val = v @ mat @ v
+        for (i, a), diagonal in diagonals.items():
+            val = (v * diagonal) @ v
             if abs(val - label[i - 1, a - 1]) > 1e-6:
                 raise ContinuationError(
                     f"branch {b}: diagonal eigenvalue {val} disagrees with label"
@@ -943,33 +912,23 @@ class FlowContext:
         self.basis = self.cache.basis
         self.rng = np.random.default_rng(self.opts.seed)
 
-    def legs(self, straight_b=False):
+    def legs(self):
         """The leg table in run order; each leg is a log-spaced grid and a
-        family of the grid parameter. Leg A follows the ordered-collision
-        schedule `collision_z` from T_MAX down to t = 1, where it ends at
-        the base z; every later leg starts there. Leg B follows the same
-        schedule on to t = T_MIN, or with straight_b scales z straight to
-        zero, as the right-cell flow does. Each family stays bounded on its
-        leg; its path scalars are folded into the coefficients of its term
-        lists."""
+        family of the grid parameter. Legs A and B run one family on the
+        ordered-collision schedule `collision_z`: A from T_MAX down to t = 1,
+        where it ends at the base z and every later leg starts, and B on to
+        t = T_MIN. Each family stays bounded on its leg; its path scalars
+        are folded into the coefficients of its term lists."""
         cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
         steps = self.opts.steps
         s_grid = np.geomspace(1.0, S_MIN, steps)
         z0, q0 = (0.0,) * n, (0.0,) * r
 
-        def collision(t):
-            return collision_z(z, t)
-
-        def straight(t):
-            return tuple(t * x for x in z)
-
-        def main(z_of):
-            def family(t):
-                zt = z_of(t)
-                return ([nabla_terms(i, zt, q, n) for i in range(1, r + 1)]
-                        + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, r))
-                           for a in range(1, n + 1)])
-            return family
+        def main(t):
+            zt = collision_z(z, t)
+            return ([nabla_terms(i, zt, q, n) for i in range(1, r + 1)]
+                    + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, r))
+                       for a in range(1, n + 1)])
 
         def gt(s):
             qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
@@ -996,17 +955,16 @@ class FlowContext:
             return [cache.gaudin_mat(a, z, q0) for a in range(1, n + 1)]
 
         return (
-            Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main(collision)),
-            Leg("B", "A", np.geomspace(1.0, T_MIN, steps),
-                main(straight if straight_b else collision), limit=z_limit),
+            Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main),
+            Leg("B", "A", np.geomspace(1.0, T_MIN, steps), main, limit=z_limit),
             Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
             Leg("D", "A", s_grid, qshrink, limit=q_limit),
             Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
         )
 
-    def run(self, names, classes_from="", straight_b=False, trace=None):
-        """Run the named legs of the table (`legs(straight_b)`) in order;
-        returns a FlowResult.
+    def run(self, names, classes_from="", trace=None):
+        """Run the named legs of the table (`legs`) in order; returns a
+        FlowResult.
 
         Each leg's coefficients are drawn (`start_coeffs`), in leg order,
         before any leg runs, so a degenerate start ends the run at once.
@@ -1028,7 +986,7 @@ class FlowContext:
         # checks that the monomials are the start eigenlines
         labels = list(self.basis)
         branches = [EigenBranch(label) for label in labels]
-        legs = [leg for leg in self.legs(straight_b) if leg.name in names]
+        legs = [leg for leg in self.legs() if leg.name in names]
 
         def family(leg):
             return lambda t: leg.family(t) + weight_terms

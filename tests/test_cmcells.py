@@ -42,16 +42,6 @@ class TestCMPoints:
         assert np.allclose(sorted(v.real for v in y_eigs), sorted(p), atol=1e-6)
         assert max(abs(v.imag) for v in y_eigs) < 1e-6
 
-    def test_straight_leg_b_shrinks_z(self):
-        # the right-cell leg B at its last grid point t is leg A's family
-        # at the base point t * z, with q unchanged
-        q = (3.0, 4.0)
-        straight = FlowContext(2, 2, (1, 1), z=(1.0, 2.0), q=q).legs(straight_b=True)[1]
-        t = straight.grid[-1]
-        assert t == 1e-3
-        shrunk = FlowContext(2, 2, (1, 1), z=(1e-3, 2e-3), q=q).legs()[0]
-        assert straight.family(t) == shrunk.family(1.0)
-
 
 class TestCellPartition:
     def test_rejects_non_partition(self):
@@ -126,13 +116,13 @@ class TestFlowCells:
         runs = []
         original = FlowContext.run
 
-        def recording(self, names, classes_from="", straight_b=False, trace=None):
-            runs.append((names, classes_from, straight_b))
-            return original(self, names, classes_from, straight_b, trace)
+        def recording(self, names, classes_from="", trace=None):
+            runs.append((names, classes_from))
+            return original(self, names, classes_from, trace)
 
         monkeypatch.setattr(FlowContext, "run", recording)
         assert two_sided_cells(4) == kl_reference_cells(4, "two-sided")
-        assert runs == [("ABD", "BD", True)]
+        assert runs == [("ABD", "BD")]
 
     def test_leg_a_freezes_its_near_monomial_points(self, monkeypatch):
         # the eigh-solved matrices per leg on S_4 (dim 24, a whole leg per
@@ -162,6 +152,32 @@ class TestFlowCells:
         assert cells == kl_reference_cells(4, "right")
         # leg, eigh-solved matrices, frozen points, solved points
         assert solved == [["A", 10, 38, 10], ["B", 47, 1, 47]]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_right_cells_cut_with_a_wide_margin(self, monkeypatch, n):
+        # the records leg B hands to coalescence_classes on S_n, seed 0,
+        # under the sup-norm distance of the pairwise reference: records of
+        # two classes lie at least 1e7 times farther apart than any two of
+        # one class, far past the GAP_SAFETY the clustering needs
+        handed = []
+        classes_of = spectralflow.coalescence_classes
+
+        def capture(records, residuals):
+            classes = classes_of(records, residuals)
+            handed.append((np.asarray(records), classes))
+            return classes
+
+        monkeypatch.setattr(spectralflow, "coalescence_classes", capture)
+        assert right_cells(n) == kl_reference_cells(n, "right")
+        [(records, classes)] = handed
+        dists = np.abs(records[:, None, :] - records[None, :, :]).max(axis=-1, initial=0.0)
+        member = np.empty(len(records), dtype=int)
+        for c, cls in enumerate(classes):
+            member[cls] = c
+        same = member[:, None] == member[None, :]
+        intra = dists[same].max()
+        inter = dists[~same].min()
+        assert inter >= 1e7 * intra, (inter, intra)
 
     def test_custom_parameters(self):
         cells = right_cells(2, z=(1.0, 3.0), q=(2.0, 5.0))

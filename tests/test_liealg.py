@@ -591,10 +591,9 @@ def _leg_parts(ctx):
     J_a, dual kappa_ab and the corner Casimirs of both decoders. Returns
     (the parts, the builders of the leg table's parts)."""
     parts = set()
-    for straight_b in (False, True):
-        for leg in ctx.legs(straight_b):
-            for t in (leg.grid[0], leg.grid[-1]):
-                parts.update(part for terms in leg.family(t) for _, part in terms)
+    for leg in ctx.legs():
+        for t in (leg.grid[0], leg.grid[-1]):
+            parts.update(part for terms in leg.family(t) for _, part in terms)
     builders = {part[0] for part in parts}
     r, n = ctx.r, ctx.n
     parts.update((weight_op, i, n) for i in range(1, r + 1))

@@ -46,6 +46,7 @@ from gaudinrsk.spectralflow import (
     _composed,
     _decode_chain,
     _draw_coeffs,
+    _frozen,
     coalescence_classes,
     col_sum_blocks,
     collision_z,
@@ -402,12 +403,6 @@ class TestSchedules:
         report = verify_main_theorem(2, 3, col_sums=(1, 1, 1), q=(-1.0, 2.0))
         assert report["agreement"] and report["checked"] == 8
 
-    def test_straight_schedule(self):
-        # the straight leg B runs leg A's family at z scaled by t, q fixed
-        straight = FlowContext(1, 2, (1, 1), z=(1.0, 2.0), q=(3.0,)).legs(straight_b=True)[1]
-        at_half = FlowContext(1, 2, (1, 1), z=(0.5, 1.0), q=(3.0,)).legs()[0]
-        assert straight.family(0.5) == at_half.family(1.0)
-
 
 class TestCoalescence:
     def test_clusters_close_records(self):
@@ -534,10 +529,13 @@ class TestMatch:
     @staticmethod
     def _refused(start, cache, family, coeffs):
         """The overlap at which `_composed` refuses a single point from the
-        start frame, which it returns unchanged with no step."""
+        start frame, which it returns unchanged with no step; `_frozen`
+        does not certify the start frame there either."""
         weights = cache.coefficients(family(np.array([1.0])), coeffs)
-        frame, steps, refused, frozen = _composed(weights, start, cache)
-        assert frame is start and steps == [] and frozen == 0
+        stacks = cache._views(cache.sum_parts(weights))
+        assert _frozen(stacks, start)[0] == 0
+        frame, steps, refused = _composed(stacks, start, cache)
+        assert frame is start and steps == []
         assert refused < MATCH_THRESHOLD
         return refused
 
@@ -603,7 +601,7 @@ class TestTransport:
         assert labels == ctx.basis
         for i in range(1, r + 1):
             for a in range(1, n + 1):
-                diag = np.diag(ctx.cache.mat((op_E, i, i, a)))
+                diag = np.diag(ctx.cache.full(ctx.cache.combine([(1.0, (op_E, i, i, a))])))
                 assert diag.tolist() == [label[i - 1, a - 1] for label in labels]
 
     def test_frame_matches_full_eigh(self):
@@ -1053,9 +1051,10 @@ class TestDiagonalParts:
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
         for part in cache.parts:
             mat = dense(part_operator(part), cache.block)
-            for got, want in zip(cache.stacks(part), cache.split(mat)):
+            stacks = cache.combine([(1.0, part)])
+            for got, want in zip(stacks, cache.split(mat)):
                 assert np.array_equal(got, want)
-            assert np.array_equal(cache.mat(part), mat)
+            assert np.array_equal(cache.full(stacks), mat)
         # the weights W_i summed from their E_ii^(a) parts: the weight
         # blocks of weight_op's own dense matrix, bit for bit
         for i, terms in enumerate(_weight_terms(r, n), start=1):
@@ -1244,7 +1243,7 @@ class TestBlockCache:
         with pytest.raises(ValueError, match=message):
             cache.coefficients([[(1.0, (op_E, 1, 1, 1))], [(0.0, part)]], [1.0, 1.0])
         with pytest.raises(ValueError, match=message):
-            cache.stacks(part)
+            cache.combine([(1.0, part)])
         assert part not in cache.parts
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
@@ -1284,8 +1283,8 @@ class TestBlockCache:
             mat = dense(part_operator(part), basis)
             assert not mat[outside].any(), part
             # a primitive as the cache holds it, a composite by its weight blocks
-            got = (ctx.cache.mat(part) if part in ctx.cache.parts
-                   else ctx.cache.full(ctx.cache.split(mat)))
+            got = ctx.cache.full(ctx.cache.combine([(1.0, part)]) if part in ctx.cache.parts
+                                 else ctx.cache.split(mat))
             assert np.array_equal(got, mat), part
 
     def test_dense_matches_word_by_word(self, monkeypatch):
@@ -1320,7 +1319,8 @@ class TestBlockCache:
         # the parts written off the entry array, as the cache holds them
         for part in ctx.cache.parts:
             if part[0] in (op_E, identity):
-                built.append((part_operator(part), ctx.cache.mat(part)))
+                built.append((part_operator(part),
+                              ctx.cache.full(ctx.cache.combine([(1.0, part)]))))
         # the composites, which the flow no longer builds, word by word too
         for op in ([weight_op(i, n) for i in range(1, r + 1)]
                    + [jm(a, r) for a in range(2, n + 1)]
@@ -1384,15 +1384,15 @@ class TestBlockCache:
     def test_each_part_is_held_once(self):
         # every part is one row of F (sum k d^2 floats) or of D (dim
         # floats), however often and however it is asked for, and the
-        # stacks of a part of F are views of its row: no dim x dim copy
+        # weight-block stacks of a row of F are views of it: no dim x dim copy
         cache = BlockCache(2, 4, weight_basis(2, 4, (2, 1, 1, 2)))
         full = [(omega, 3, 4, 2), (omega, 1, 2, 2), (kappa, 1, 2, 4)]
         diagonal = [(op_E, 1, 1, 2), (identity,)]
         for part in full + diagonal:
-            cache.stacks(part)
+            cache.combine([(1.0, part)])
         cache.combine([(0.5, part) for part in full + diagonal])
         cache.coefficients([[(1.0, part)] for part in diagonal + full], np.ones(5))
-        cache.stacks(full[0])
+        cache.combine([(1.0, full[0])])
         held_full, held_diagonal = TestDiagonalParts.held(cache)
         assert set(full) <= held_full and set(diagonal) <= held_diagonal
         # the 8 E_ii^(a) and the identity in D; kappa_12 and the 6 Omega_ab in F
@@ -1401,7 +1401,7 @@ class TestBlockCache:
         assert cache._full.nbytes == len(held_full) * cache.size * 8
         assert cache._diag.nbytes == len(held_diagonal) * cache.dim * 8
         for part in full:
-            stacks = cache.stacks(part)
+            stacks = cache._views(cache._full[cache._where[cache.parts.index(part)][1]])
             assert len(stacks) > 1
             assert all(stack.base is cache._full.base for stack in stacks)
             assert sum(stack.size for stack in stacks) == cache.size
@@ -1524,10 +1524,9 @@ class TestFlowBlock:
             assert ba.s_tableau == bb.s_tableau
             assert ba.t_tableau == bb.t_tableau
 
-    @pytest.mark.parametrize("straight_b", [False, True])
-    def test_later_legs_start_at_leg_a_end(self, straight_b):
+    def test_later_legs_start_at_leg_a_end(self):
         ctx = FlowContext(2, 3, (1, 1, 1), z=(1.0, 2.0, 4.0))
-        legs = {leg.name: leg for leg in ctx.legs(straight_b)}
+        legs = {leg.name: leg for leg in ctx.legs()}
         def combine(terms):
             return ctx.cache.full(ctx.cache.combine(terms))
 
@@ -1562,13 +1561,13 @@ class TestFlowBlock:
         calls, draws = [], []
         legs, draw = FlowContext.legs, spectralflow._draw_coeffs
 
-        def counting_legs(self, straight_b=False):
+        def counting_legs(self):
             def counted(leg):
                 def family(t):
                     calls.append((leg.name, np.shape(t)))
                     return leg.family(t)
                 return leg._replace(family=family)
-            return tuple(counted(leg) for leg in legs(self, straight_b))
+            return tuple(counted(leg) for leg in legs(self))
 
         def counting_draw(rng, count):
             draws.append(count)
