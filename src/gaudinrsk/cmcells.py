@@ -158,8 +158,8 @@ def _label_to_permutation(label):
 def _cells(n, z, q, opts, sides):
     """Partition S_n by coalescence of the S_n block's limit records, once
     per side: after leg B, z colliding at zero on the schedule of the
-    tableau check with q fixed (right cells), and after leg D, q shrinking
-    to zero (left). One flow runs leg A once and every leg the sides need."""
+    tableau check with q fixed (right cells), and after leg D, q colliding
+    at zero with z fixed (left); one flow runs leg A once and each leg needed."""
     legs = {"right": "B", "left": "D"}
     names = "".join(legs[side] for side in sides)
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)

@@ -13,9 +13,8 @@ operator kappa(i, j, n); symmetric parts are keyed by the ordered pair. The
 exact builders sum the terms in rationals, the spectral flow in floats.
 The flow's term lists name four kinds of part only: the E_ii^(a), the
 kappa_ij, the Omega_ab and the identity (the empty word). The collision
-limit 4 J_a is the sum of its Omega terms (`gaudin_limit_terms`), and on
-a block with column sums c the dual dynamical operators take dual kappa_ab
-= 4 Omega_ab + 2 (c_a + c_b) (`block_dual_nabla_terms`).
+limit 4 J_a is the sum of its Omega terms (`gaudin_limit_terms`), and
+`mirrored_terms` writes the term lists of the transposed block in these.
 
 The float matrices of the spectral flow come from `dense`, which walks
 each word over the block's entry array (`MonomialBlock.walk`): every basis
@@ -255,20 +254,6 @@ def dual_nabla_terms(a, w, z, r):
                for b in range(1, len(z) + 1) if b != a])
 
 
-def block_dual_nabla_terms(a, w, z, r, col_sums):
-    """The terms of `dual_nabla_terms` on the block with column sums c, in
-    parts of the gl_r side and the identity: E_aa in row i is E_ii^(a), and
-    dual_kappa_ab = 4 Omega_ab + 2 (c_a + c_b) there, since E'_ab E'_ba =
-    Omega_ab + E'_aa and E'_aa is the constant c_a on the block."""
-    out = [(w[i - 1], (op_E, i, i, a)) for i in range(1, r + 1)]
-    for b in range(1, len(z) + 1):
-        if b != a:
-            x = 1 / (z[a - 1] - z[b - 1])
-            out += [(4 * x, (omega, min(a, b), max(a, b), r)),
-                    (2 * (col_sums[a - 1] + col_sums[b - 1]) * x, (identity,))]
-    return out
-
-
 def dual_nabla(a, w, z, r):
     """Dynamical Hamiltonian on the gl_n side, for column index a on r rows."""
     return _terms_sum(dual_nabla_terms(a, _exact(w), _exact(z), r))
@@ -305,6 +290,29 @@ def gaudin_limit_terms(a, r):
     They are the exchange parts themselves, J_a = sum_{b<a} Omega_ba, so no
     part of its own is built for J_a."""
     return [(4, (omega, b, a, r)) for b in range(1, a)]
+
+
+def mirrored_terms(terms, r, n, col_sums):
+    """A term list of the mirrored side, on the n x r block of transposed
+    matrices, in the parts of the r x n block with column sums c: E'^(i)_aa
+    = E_ii^(a); kappa'_ab = 4 Omega_ab + 2 (c_a + c_b), as E'_ab E'_ba =
+    Omega_ab + E'_aa and E'_aa = c_a; Omega'_ij = kappa_ij / 4 - (W_i + W_j)
+    / 2, W_i = sum_a E_ii^(a). So its dynamical operators are `dual_nabla`."""
+    out = []
+    for c, part in terms:
+        if part[0] is op_E:  # (op_E, a, a, i)
+            out.append((c, (op_E, part[3], part[3], part[1])))
+        elif part[0] is kappa:  # (kappa, a, b, r)
+            a, b = part[1:3]
+            out += [(4 * c, (omega, a, b, r)),
+                    (2 * (col_sums[a - 1] + col_sums[b - 1]) * c, (identity,))]
+        elif part[0] is omega:  # (omega, i, j, n)
+            i, j = part[1:3]
+            out += ([(c / 4, (kappa, i, j, n))]
+                    + [(-c / 2, (op_E, k, k, a)) for k in (i, j) for a in range(1, n + 1)])
+        else:
+            out.append((c, part))
+    return out
 
 
 def jm(a, r):

@@ -11,11 +11,17 @@ pair always equals the RSK image of the label.
 The transport runs along the legs of one table (`FlowContext.legs`). Each
 leg is one schedule: a log-spaced grid and a family of the grid parameter.
 All operators of a leg's family commute at every path point, and
-`FlowContext.run` carries the frame along each leg in turn. The only input
-that selects the paths is the base point z:
+`FlowContext.run` carries the frame along each leg in turn.
+
+Each family is written once, for a side: a rows x cols block at (z, q)
+and a map to this block's parts (`FlowContext._families`). Legs D and E
+are legs B and C of the mirrored side (n, r, q, z) of the transposed
+block, whose Gaudin and dynamical operators are this side's dynamical and
+Gaudin ones up to scalars (bispectral duality). Both sides take q - q_1 + 1
+for q, positive as the schedules need. The base point selects the paths:
 
   A  large-parameter -> base point: dynamical family plus z-scaled
-     exchange operators, z on the ordered-collision schedule
+     exchange operators (`main`), z on the ordered-collision schedule
      (`collision_z`), which passes through the base z at t = 1; branches
      start as monomials.
   B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
@@ -23,15 +29,14 @@ that selects the paths is the base point z:
      the tracked spectrum simple. Its end frame feeds leg C, and, when
      clustered, the z-side records (dynamical limits at z = 0), whose
      coalescence classes are linked by the records' own Rayleigh residuals.
-  C  from B's end, q rescaled at z = 0: the rescaled dynamical operators
-     converge to the nested commuting limits; its end frame feeds the S
-     decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
-  D  from A's end, q -> 0 at A's end point z: exchange family plus q-scaled
-     dynamical operators; its end frame feeds leg E, and, when clustered,
-     the q-side records (exchange limits at q = 0), shared with the
-     mirrored gl_n action.
-  E  from D's end, z-rescale at q = 0 on the gl_n side; its end frame
-     feeds the T decoder (`FlowContext.extract_T`, dual corner Casimirs).
+  C  from B's end, q rescaled at z = 0 (`gt`): the rescaled dynamical
+     operators converge to the nested commuting limits; its end frame feeds
+     the S decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
+  D  leg B of the mirrored side, from A's end: q -> 0 at z; its end frame
+     feeds leg E, and, when clustered, the q-side records (Gaudin limits at
+     q = 0, up to scalars).
+  E  leg C of the mirrored side; its end frame feeds the T decoder
+     (`FlowContext.extract_T`, the S decoder on the mirrored side).
 
 The tableau check (`flow_block`) runs legs A to E and reads out the two
 decoders only; it computes no records and no classes. The cell flows run
@@ -54,10 +59,10 @@ these on the block:
 
   W_i = sum_a E_ii^(a),
   J_a = sum_{b<a} Omega_ba (`liealg.gaudin_limit_terms`),
-  dual kappa_ab = 4 Omega_ab + 2 (c_a + c_b) (`liealg.block_dual_nabla_terms`),
-  C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext.extract_S`),
-  C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a} (2 Omega_bd + c_b + c_d)
-         (`FlowContext.extract_T`).
+  C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext._decode`),
+  E'^(i)_aa = E_ii^(a), kappa'_ab = 4 Omega_ab + 2 (c_a + c_b) and
+  Omega'_ij = 1/4 kappa_ij - 1/2 (W_i + W_j), the mirrored side's parts
+  (`liealg.mirrored_terms`).
 
 The `BlockCache` builds these parts once, in one fixed order
 (`primitive_parts`), so every float sum over them adds its terms in one
@@ -95,6 +100,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -109,13 +115,13 @@ from .combinatorics import (
 from .crystals import pieri_shapes
 from .liealg import (
     _as_block,
-    block_dual_nabla_terms,
     casimir_eigenvalue,
     dense,
     gaudin_limit_terms,
     gaudin_terms,
     identity,
     kappa,
+    mirrored_terms,
     nabla_terms,
     omega,
     op_E,
@@ -406,6 +412,7 @@ class BlockCache:
         point, as per-batch stacks (`coefficients`)."""
         return self._views(self.sum_parts(self.coefficients(ops, coeffs))[0])
 
+    # no flow code calls these: the benchmark's layer table and tests do
     def nabla_mat(self, i, z, q):
         return self.combine(nabla_terms(i, z, q, self.n))
 
@@ -413,8 +420,8 @@ class BlockCache:
         return self.combine(gaudin_terms(a, z, q, self.r))
 
     def dual_nabla0_mat(self, a, z):
-        return self.combine(block_dual_nabla_terms(a, (0.0,) * self.r, z, self.r,
-                                                   self.col_sums))
+        return self.combine(mirrored_terms(nabla_terms(a, (0.0,) * self.r, z, self.r),
+                                           self.r, self.n, self.col_sums))
 
 
 # the largest estimated peak of a run (`flow_bytes`): 1 GiB lets two runs, one per core of a
@@ -908,59 +915,59 @@ class FlowContext:
             zt = collision_z(self.z, t)
             if any(a >= b for a, b in zip(zt, zt[1:])):
                 raise SetupError(f"collision schedule unordered at t={t}")
+        # the sides (rows, cols, z, q, map to this block's parts), q - q_1 + 1
+        # for q; no map holds self, so a context is freed without the cycle GC
+        q = tuple(x - self.q[0] + 1 for x in self.q)
+        self.sides = ((r, n, self.z, q, lambda terms: terms),
+                      (n, r, q, self.z, partial(mirrored_terms, r=r, n=n, col_sums=self.col_sums)))
         self.cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))
         self.basis = self.cache.basis
         self.rng = np.random.default_rng(self.opts.seed)
 
     def legs(self):
         """The leg table in run order; each leg is a log-spaced grid and a
-        family of the grid parameter. Legs A and B run one family on the
-        ordered-collision schedule `collision_z`: A from T_MAX down to t = 1,
-        where it ends at the base z and every later leg starts, and B on to
-        t = T_MIN. Each family stays bounded on its leg; its path scalars
-        are folded into the coefficients of its term lists."""
-        cache, r, n, z, q = self.cache, self.r, self.n, self.z, self.q
+        family of the grid parameter (`_families`). Legs A, B and D run a
+        side's `main`: A from T_MAX down to t = 1, where it ends at the base
+        point, and B and D from there on to t = T_MIN."""
         steps = self.opts.steps
-        s_grid = np.geomspace(1.0, S_MIN, steps)
-        z0, q0 = (0.0,) * n, (0.0,) * r
+        (main, gt, z_limit), (main_m, gt_m, z_limit_m) = map(self._families, self.sides)
+        down, s_grid = np.geomspace(1.0, T_MIN, steps), np.geomspace(1.0, S_MIN, steps)
+        return (
+            Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main),
+            Leg("B", "A", down, main, limit=z_limit),
+            Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
+            Leg("D", "A", down, main_m, limit=z_limit_m),
+            Leg("E", "D", s_grid, gt_m, decode=self.extract_T, key="t_tableau"),
+        )
+
+    def _families(self, side):
+        """(main, gt, z_limit) of a side in this block's parts: main(t), the
+        nabla_i and z_a H_a at z on the collision schedule; gt(s), the
+        nabla_i at z = 0 with q_i scaled by s^(rows - i), and the 4 J_a;
+        z_limit(), the nabla_i at z = 0 as weight-block stacks. Path scalars
+        are folded into the coefficients, so each family stays bounded."""
+        rows, cols, z, q, mapped = side
+        z0 = (0.0,) * cols
 
         def main(t):
             zt = collision_z(z, t)
-            return ([nabla_terms(i, zt, q, n) for i in range(1, r + 1)]
-                    + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, r))
-                       for a in range(1, n + 1)])
+            return [mapped(terms) for terms in
+                    [nabla_terms(i, zt, q, cols) for i in range(1, rows + 1)]
+                    + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, rows))
+                       for a in range(1, cols + 1)]]
 
         def gt(s):
-            qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-            return ([_scaled(s ** (r - i), nabla_terms(i, z0, qs, n)) for i in range(1, r + 1)]
-                    + [gaudin_limit_terms(a, r) for a in range(2, n + 1)])
-
-        def qshrink(s):
-            qs = tuple(s * x for x in q)
-            return ([_scaled(s, nabla_terms(i, z, qs, n)) for i in range(1, r + 1)]
-                    + [gaudin_terms(a, z, qs, r) for a in range(1, n + 1)])
-
-        def dual_gt(u):
-            zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-            return ([_scaled(u ** (n - a), block_dual_nabla_terms(a, q0, zu, r, self.col_sums))
-                     for a in range(1, n + 1)]
-                    + [_scaled(u ** (n - a), gaudin_terms(a, zu, q0, r))
-                       for a in range(1, n + 1)]
-                    + [nabla_terms(i, z0, q, n) for i in range(1, r + 1)])
+            qs = tuple(q[i - 1] * s ** (rows - i) for i in range(1, rows + 1))
+            return [mapped(terms) for terms in
+                    [_scaled(s ** (rows - i), nabla_terms(i, z0, qs, cols))
+                     for i in range(1, rows + 1)]
+                    + [gaudin_limit_terms(a, rows) for a in range(2, cols + 1)]]
 
         def z_limit():
-            return [cache.nabla_mat(i, z0, q) for i in range(1, r + 1)]
+            return [self.cache.combine(mapped(nabla_terms(i, z0, q, cols)))
+                    for i in range(1, rows + 1)]
 
-        def q_limit():
-            return [cache.gaudin_mat(a, z, q0) for a in range(1, n + 1)]
-
-        return (
-            Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main),
-            Leg("B", "A", np.geomspace(1.0, T_MIN, steps), main, limit=z_limit),
-            Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
-            Leg("D", "A", s_grid, qshrink, limit=q_limit),
-            Leg("E", "D", s_grid, dual_gt, decode=self.extract_T, key="t_tableau"),
-        )
+        return main, gt, z_limit
 
     def run(self, names, classes_from="", trace=None):
         """Run the named legs of the table (`legs`) in order; returns a
@@ -1025,45 +1032,30 @@ class FlowContext:
         return tuple(self.cache.by_branch([batch[k] for batch in batches]) for k in (0, 1))
 
     def extract_S(self, frame, labels):
-        """Decode tableau S of every branch from a leg C end frame. By Howe
-        duality every shape on an r x n block has at most min(r, n) rows.
-
-        The corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab
-        is read off the kappa parts the legs hold: a branch lies in one
-        weight block, where W_a is its row sum w_a, so its value is the exact
-        integer sum_{a<=i} w_a^2 plus the Rayleigh quotient of the summed
-        kappa stacks."""
-        r, n = self.r, self.n
-        quotients, _ = self._rayleigh(frame, [
-            self.cache.combine([(0.5, (kappa, a, b, n)) for b in range(2, i + 1)
-                                for a in range(1, b)])
-            for i in range(1, r + 1)])
-        out, memo = [], {}
-        for label, row in zip(labels, quotients):
-            wt = label.row_sums()
-            sizes = [sum(wt[:i]) for i in range(1, r + 1)]
-            values = [sum(x * x for x in wt[:i]) + row[i - 1] for i in range(1, r + 1)]
-            out.append(_decode_chain(sizes, values, min(r, n), memo))
-        return out
+        """Tableau S of every branch from a leg C end frame (`_decode`)."""
+        return self._decode(frame, self.sides[0], [label.row_sums() for label in labels])
 
     def extract_T(self, frame, labels):
-        """Decode the mirrored tableau T of every branch from a leg E end
-        frame, with shapes of at most min(r, n) rows as for S.
+        """Tableau T of every branch from a leg E end frame (`_decode`)."""
+        return self._decode(frame, self.sides[1], [self.col_sums] * len(labels))
 
-        The dual corner Casimir C'_a = sum_{b<=a} c_b^2 + sum_{b<d<=a}
-        (2 Omega_bd + c_b + c_d) on the block with column sums c is read off
-        the Omega parts the legs hold: the Rayleigh quotient of the summed
-        Omega stacks plus the exact integer, the same on every branch."""
-        r, n, c = self.r, self.n, self.col_sums
+    def _decode(self, frame, side, weights):
+        """A tableau per branch, of at most min(r, n) rows (Howe duality),
+        from a side's leg C end frame and each branch's weights w there: the
+        side's corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i}
+        kappa_ab is the exact sum_{a<=i} w_a^2 plus the Rayleigh quotient of
+        its summed kappa stacks, as a branch lies in one weight block."""
+        rows, cols, _, _, mapped = side
         quotients, _ = self._rayleigh(frame, [
-            self.cache.combine([(2.0, (omega, b, d, r)) for d in range(2, a + 1)
-                                for b in range(1, d)])
-            for a in range(1, n + 1)])
-        constants = np.array([sum(x * x for x in c[:a]) + (a - 1) * sum(c[:a])
-                              for a in range(1, n + 1)])
-        sizes = [sum(c[:a]) for a in range(1, n + 1)]
-        memo = {}
-        return [_decode_chain(sizes, constants + row, min(r, n), memo) for row in quotients]
+            self.cache.combine(mapped([(0.5, (kappa, a, b, cols)) for b in range(2, i + 1)
+                                       for a in range(1, b)]))
+            for i in range(1, rows + 1)])
+        out, memo = [], {}
+        for wt, row in zip(weights, quotients):
+            sizes = [sum(wt[:i]) for i in range(1, rows + 1)]
+            values = [sum(x * x for x in wt[:i]) + row[i - 1] for i in range(1, rows + 1)]
+            out.append(_decode_chain(sizes, values, min(rows, cols), memo))
+        return out
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):

@@ -153,12 +153,14 @@ class TestFlowCells:
         # leg, eigh-solved matrices, frozen points, solved points
         assert solved == [["A", 10, 38, 10], ["B", 47, 1, 47]]
 
+    @pytest.mark.parametrize("kind", ["right", "left"])
     @pytest.mark.parametrize("n", [4, 5])
-    def test_right_cells_cut_with_a_wide_margin(self, monkeypatch, n):
-        # the records leg B hands to coalescence_classes on S_n, seed 0,
-        # under the sup-norm distance of the pairwise reference: records of
-        # two classes lie at least 1e7 times farther apart than any two of
-        # one class, far past the GAP_SAFETY the clustering needs
+    def test_cells_cut_with_a_wide_margin(self, monkeypatch, n, kind):
+        # the records leg B (right) or leg D (left, leg B of the mirrored
+        # side) hands to coalescence_classes on S_n, seed 0, under the
+        # sup-norm distance of the pairwise reference: records of two
+        # classes lie at least 1e7 times farther apart than any two of one
+        # class, far past the GAP_SAFETY the clustering needs
         handed = []
         classes_of = spectralflow.coalescence_classes
 
@@ -168,7 +170,8 @@ class TestFlowCells:
             return classes
 
         monkeypatch.setattr(spectralflow, "coalescence_classes", capture)
-        assert right_cells(n) == kl_reference_cells(n, "right")
+        cells = {"right": right_cells, "left": left_cells}[kind]
+        assert cells(n) == kl_reference_cells(n, kind)
         [(records, classes)] = handed
         dists = np.abs(records[:, None, :] - records[None, :, :]).max(axis=-1, initial=0.0)
         member = np.empty(len(records), dtype=int)

@@ -10,7 +10,6 @@ from gaudinrsk.combinatorics import NatMatrix
 from gaudinrsk.liealg import (
     MonomialBlock,
     Operator,
-    block_dual_nabla_terms,
     casimir_eigenvalue,
     commute_on,
     delta_n,
@@ -23,11 +22,14 @@ from gaudinrsk.liealg import (
     exact_matrix,
     gaudin_h,
     gaudin_limit_terms,
+    gaudin_terms,
     identity,
     is_adjoint_pair,
     jm,
     kappa,
+    mirrored_terms,
     nabla,
+    nabla_terms,
     nested_casimir,
     omega,
     op_E,
@@ -349,16 +351,30 @@ class TestBlockIdentities:
     @pytest.mark.parametrize("r, n, k, w", BLOCKS)
     def test_limit_and_dual_terms(self, r, n, k, w):
         # the flow's term lists against the composites they replace: 4 J_a
-        # = sum_{b<a} 4 Omega_ba, and the dual dynamical operators in Omega
-        # parts and the identity
+        # = sum_{b<a} 4 Omega_ba; and the families of the mirrored n x r
+        # side, mapped to this block's parts, against the gl_n operators
+        # built from its own words: its dynamical operators are the dual
+        # ones, and its Gaudin operators
+        # H'_i = sum_a q'_a E'^(i)_aa + sum_{j != i} 4 Omega'_ij / (z'_i - z'_j),
+        # with E'^(i)_ab the gl_n generator E_ab in row i and
+        # Omega'_ij = sum_ab E'^(i)_ab E'^(j)_ba
         block = weight_basis(r, n, k, w)
         for a in range(2, n + 1):
             self.same(_terms_sum(gaudin_limit_terms(a, r)), 4 * jm(a, r), block)
         z = tuple(Fraction(x, 3) for x in (2, 5, 7, 11)[:n])
         dq = tuple(Fraction(x, 2) for x in (3, -1, 4, 1)[:r])
         for a in range(1, n + 1):
-            self.same(_terms_sum(block_dual_nabla_terms(a, dq, z, r, k)),
+            self.same(_terms_sum(mirrored_terms(nabla_terms(a, dq, z, r), r, n, k)),
                       dual_nabla(a, dq, z, r), block)
+        for i in range(1, r + 1):
+            exchange = [_summed(dual_op_E(a, b, i) * dual_op_E(b, a, j)
+                                for a in range(1, n + 1) for b in range(1, n + 1))
+                        .scale(4 / (dq[i - 1] - dq[j - 1]))
+                        for j in range(1, r + 1) if j != i]
+            mirrored_gaudin = _summed([dual_op_E(a, a, i).scale(z[a - 1])
+                                       for a in range(1, n + 1)] + exchange)
+            self.same(_terms_sum(mirrored_terms(gaudin_terms(i, dq, z, n), r, n, k)),
+                      mirrored_gaudin, block)
 
 
 def _random_operator(rng, r, n, terms=6):

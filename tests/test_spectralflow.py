@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,7 @@ from gaudinrsk.liealg import (
     weight_basis,
     weight_op,
 )
+from gaudinrsk.liealg import _summed
 from gaudinrsk.spectralflow import (
     BATCH_BYTES,
     MATCH_THRESHOLD,
@@ -80,13 +83,23 @@ def _dense_terms(basis):
     return combine
 
 
+def _dual_omega(i, j, n):
+    """Omega'_ij of the mirrored side from its own words: sum_ab E'^(i)_ab
+    E'^(j)_ba, E'^(i)_ab being the gl_n generator E_ab in row i."""
+    return _summed(dual_op_E(a, b, i) * dual_op_E(b, a, j)
+                   for a in range(1, n + 1) for b in range(1, n + 1))
+
+
 def _dense_families(ctx):
     """Leg name -> family(t), a list of dense operator matrices, on the
-    default leg table."""
-    r, n, z, q = ctx.r, ctx.n, ctx.z, ctx.q
+    default leg table. Legs D and E are built from the gl_n operators of
+    liealg: the dual dynamical operators and the mirrored Gaudin operators
+    H'_i = sum_a z_a E'^(i)_aa + sum_{j != i} 4 Omega'_ij / (q_i - q_j),
+    with q the shifted base q - q_1 + 1 on the collision schedule."""
+    r, n, z = ctx.r, ctx.n, ctx.z
+    q = tuple(x - ctx.q[0] + 1 for x in ctx.q)
     combine = _dense_terms(ctx.basis)
-    z0, q0 = (0.0,) * n, (0.0,) * r
-    nab0 = [combine(nabla_terms(i, z0, q, n)) for i in range(1, r + 1)]
+    z0 = (0.0,) * n
 
     def main(t):
         zt = collision_z(z, t)
@@ -99,19 +112,24 @@ def _dense_families(ctx):
         return ([s ** (r - i) * combine(nabla_terms(i, z0, qs, n)) for i in range(1, r + 1)]
                 + [combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
 
-    def qshrink(s):
-        qs = tuple(s * x for x in q)
-        return ([s * combine(nabla_terms(i, z, qs, n)) for i in range(1, r + 1)]
-                + [combine(gaudin_terms(a, z, qs, r)) for a in range(1, n + 1)])
+    def mirrored_gaudin(i, qt):
+        return combine([(z[a - 1], (dual_op_E, a, a, i)) for a in range(1, n + 1)]
+                       + [(4 / (qt[i - 1] - qt[j - 1]), (_dual_omega, min(i, j), max(i, j), n))
+                          for j in range(1, r + 1) if j != i])
 
-    def dual_gt(u):
-        zu = tuple(z[a - 1] * u ** (n - a) for a in range(1, n + 1))
-        return ([u ** (n - a) * combine(dual_nabla_terms(a, q0, zu, r))
+    def mirrored_main(t):
+        qt = collision_z(q, t)
+        return ([combine(dual_nabla_terms(a, qt, z, r)) for a in range(1, n + 1)]
+                + [qt[i - 1] * mirrored_gaudin(i, qt) for i in range(1, r + 1)])
+
+    def mirrored_gt(s):
+        zs = tuple(z[a - 1] * s ** (n - a) for a in range(1, n + 1))
+        return ([s ** (n - a) * combine(dual_nabla_terms(a, (0.0,) * r, zs, r))
                  for a in range(1, n + 1)]
-                + [u ** (n - a) * combine(gaudin_terms(a, zu, q0, r)) for a in range(1, n + 1)]
-                + nab0)
+                + [combine([(4, (_dual_omega, j, i, n)) for j in range(1, i)])
+                   for i in range(2, r + 1)])
 
-    return {"A": main, "B": main, "C": gt, "D": qshrink, "E": dual_gt}
+    return {"A": main, "B": main, "C": gt, "D": mirrored_main, "E": mirrored_gt}
 
 
 def _weight_terms(r, n):
@@ -402,6 +420,11 @@ class TestSchedules:
     def test_accepts_increasing_q_of_any_sign(self):
         report = verify_main_theorem(2, 3, col_sums=(1, 1, 1), q=(-1.0, 2.0))
         assert report["agreement"] and report["checked"] == 8
+        # the schedules take q - q_1 + 1: leg C's rescaled q_i s^(r-i) of
+        # an all-negative q would cross the wall q_1 = q_2 (at s = 2/3
+        # here) and pair 12 of the 54 labels with the wrong tableaux
+        report = verify_main_theorem(3, 3, col_sums=(2, 1, 1), q=(-3.0, -2.0, -1.0))
+        assert report["agreement"] and report["checked"] == 54
 
 
 class TestCoalescence:
@@ -629,14 +652,23 @@ class TestTransport:
             assert (diag["steps"], diag["bisections"]) == (
                 whole_diag["steps"], whole_diag["bisections"])
 
-    def test_degenerate_draw_is_not_redrawn(self):
-        # the first draw of a new default_rng(3) makes leg E's start operator
-        # on (2,3,(1,1,1)) exactly degenerate on a weight block; the next
-        # draw would not, but a leg draws once and ends there
+    def test_degenerate_draw_is_not_redrawn(self, monkeypatch):
+        # a planted first draw weights the two weights W_i of leg E's start
+        # family on (2,3,(1,1,1)) alone; each is a scalar on a weight block,
+        # so the start operator is exactly degenerate on the blocks with
+        # d > 1. The next draw would not be, but a leg draws once and ends
+        # there
         ctx = FlowContext(2, 3, (1, 1, 1))
         leg = ctx.legs()[4]
         ops = leg.family(leg.grid[:1]) + _weight_terms(2, 3)
         rng = np.random.default_rng(3)
+        draw = spectralflow._draw_coeffs
+
+        def planted(rng, count):
+            monkeypatch.setattr(spectralflow, "_draw_coeffs", draw)
+            return np.r_[np.zeros(count - 2), draw(rng, 2)]
+
+        monkeypatch.setattr(spectralflow, "_draw_coeffs", planted)
         with pytest.raises(ContinuationError) as err:
             start_coeffs(ctx.cache, ops, rng, leg.name)
         assert str(err.value) == "E: degenerate combined spectrum"
@@ -1492,14 +1524,30 @@ class TestFlowBlock:
         def forbidden(*args, **kwargs):
             raise AssertionError("flow computed a record")
 
+        legs = FlowContext.legs
         monkeypatch.setattr(spectralflow, "coalescence_classes", forbidden)
-        monkeypatch.setattr(BlockCache, "nabla_mat", forbidden)
-        monkeypatch.setattr(BlockCache, "gaudin_mat", forbidden)
+        monkeypatch.setattr(FlowContext, "legs", lambda self: tuple(
+            leg._replace(limit=forbidden) for leg in legs(self)))
         report = verify_main_theorem(2, 3, col_sums=(1, 1, 1))
         assert report["agreement"]
         assert report["checked"] == 8
         assert report["failures"] == report["mismatches"] == []
         assert flow_block(2, 3, (1, 1, 1)).classes == {}
+
+    def test_context_is_freed_with_its_last_reference(self):
+        # no attribute of a context, such as the mirrored side's part map,
+        # refers back to it, so its block cache goes with its last
+        # reference and not at a later pass of the cycle collector, which
+        # would let the caches of several flows pile up
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        ctx.run("ABCDE")
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_shape_consistency(self):
         result = flow_block(2, 3, (1, 1, 1))
@@ -1533,9 +1581,18 @@ class TestFlowBlock:
         a_end = [combine(terms) for terms in legs["A"].family(legs["A"].grid[-1])]
         for mat_a, terms_b in zip(a_end, legs["B"].family(legs["B"].grid[0])):
             assert np.max(np.abs(mat_a - combine(terms_b))) < 1e-12
-        # at s = 1 the first r operators of leg D are the nabla_i of leg A
-        for mat_a, terms_d in zip(a_end[:2], legs["D"].family(1.0)[:2]):
-            assert np.max(np.abs(mat_a - combine(terms_d))) < 1e-12
+        # leg D starts on the mirrored side at the base point, where its
+        # dynamical operators nabla'_a are the H_a of leg A's z_a H_a, and
+        # its q_i H'_i are q_i nabla_i, each up to one scalar per weight
+        # block
+        z, q, r, n = ctx.z, ctx.q, ctx.r, ctx.n
+        d_start = [combine(terms) for terms in legs["D"].family(1.0)]
+        pairs = ([(d_start[a], a_end[r + a] / z[a]) for a in range(n)]
+                 + [(d_start[n + i], q[i] * a_end[i]) for i in range(r)])
+        for mat_d, mat_a in pairs:
+            for stack in ctx.cache.split(mat_d - mat_a):
+                scalars = stack[:, :1, :1] * np.eye(stack.shape[-1])
+                assert np.max(np.abs(stack - scalars)) < 1e-12
 
     def test_degenerate_start_ends_before_any_transport(self, monkeypatch):
         # leg C's start spectrum on (3,3,(2,2,2)) is degenerate whatever the
