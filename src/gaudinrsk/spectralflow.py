@@ -66,10 +66,11 @@ these on the block:
 
 The `BlockCache` builds these parts once, in one fixed order
 (`primitive_parts`), so every float sum over them adds its terms in one
-order, and holds each as the flat buffer of its weight blocks or, for a
-part with no off-diagonal entry, its diagonal. A family is a function of
-an array of points: each leg evaluates it once on its whole grid, as one
-array of weights, a row per point (`BlockCache.coefficients`). A leg runs
+order, and holds each as its weight-block entries at the flat positions
+where some part is nonzero or, for a part with no off-diagonal entry, its
+diagonal. A family is a function of an array of points: each leg
+evaluates it once on its whole grid, as one array of weights, a row per
+point (`BlockCache.coefficients`). A leg runs
 in batches of consecutive points, as many as fit BATCH_BYTES, each
 point's operator summed on its own (`transport`). A 1 x 1 weight block
 is not solved: its frame stays +-1 and its value is its entry, as LAPACK
@@ -221,16 +222,20 @@ class BlockCache:
     cache is given (or one built from a list of monomials): the diagonals
     of E_ii^(a) and the identity straight from that array, each kappa_ij
     and Omega_ab by `liealg.dense` as a dim x dim matrix that lives until
-    its weight blocks are copied out. One cache serves every leg.
+    its nonzero weight-block entries are copied out. One cache serves every
+    leg.
     On a block of one weight, such as the S_n block, there is one batch
     with k = 1. `col_sums` holds the block's column sums, the constants of
     the dual operators.
 
-    Each part is a row of the part matrix F (parts, size), a flat buffer
-    of its weight blocks, batch after batch, or, where its matrix has no
-    off-diagonal nonzero (the E_ii^(a), the identity, and a kappa_ij or
-    Omega_ab diagonal or 0 on a degenerate block, by an exact test), its
-    diagonal, a row of D (parts, dim).
+    Each part is a row of the part matrix F (parts, |U|), its flat buffer
+    of weight blocks, batch after batch, read at U (`_support`): the sorted
+    flat positions where some row of F is nonzero, a tenth of the buffer
+    on the S_5 block. F is filled from each part's nonzero entries once
+    all are built, so no (parts, size) array is held. A part whose
+    matrix has no off-diagonal nonzero (the E_ii^(a), the identity, and a
+    kappa_ij or Omega_ab diagonal or 0 on a degenerate block, by an exact
+    test) is instead its diagonal, a row of D (parts, dim).
 
     Weights are rows over `parts`: `sum_parts` sums them per point, and
     `coefficients` turns a flow family, term lists whose coefficients are
@@ -264,12 +269,14 @@ class BlockCache:
              for idx, start, d in self._layout()] or [[]]).astype(int)
         self.parts = primitive_parts(r, n)
         self._index = {part: j for j, part in enumerate(self.parts)}
-        # a row of F and of D for every part; the rows a part does not take
-        # are never written, so they take no memory
-        full = np.empty((len(self.parts), self.size))
+        # a row of D for every part; the rows a part does not take are never
+        # written, so they take no memory
         diag = np.empty((len(self.parts), self.dim))
         self._where = []  # position -> (held as a diagonal, row of its matrix)
         full_at, diag_at = [], []  # the position of each row of F and of D
+        held = []  # (flat positions, values) of the nonzero entries of each row of F
+        support = np.zeros(self.size, dtype=bool)  # where some row of F is nonzero
+        row = np.empty(self.size)  # one part's weight blocks, reused part by part
         # E_ii^(a) multiplies each monomial by its entry (i, a), and the
         # identity by 1: the exact values `dense` gives on their diagonals
         entries = self.block.entry_array[self.positions].reshape(self.dim, r * n).astype(float)
@@ -279,19 +286,30 @@ class BlockCache:
             elif part[0] is identity:
                 diagonal = np.ones(self.dim)
             else:
-                diagonal = self._build(part, full[len(full_at)])
+                diagonal = self._build(part, row)
             if diagonal is None:
                 self._where.append((False, len(full_at)))
                 full_at.append(position)
+                at = np.flatnonzero(row)
+                support[at] = True
+                held.append((at, row[at]))
             else:
                 self._where.append((True, len(diag_at)))
                 diag[len(diag_at)] = diagonal
                 diag_at.append(position)
-        self._full, self._diag = full[:len(full_at)], diag[:len(diag_at)]
+        # F on U, the sorted flat positions where some row of F is nonzero
+        self._support = np.flatnonzero(support)
+        self._full = np.zeros((len(held), self._support.size))
+        for flat, (at, values) in zip(self._full, held):
+            flat[np.searchsorted(self._support, at)] = values
+        self._diag = diag[:len(diag_at)]
         self._full_at = np.array(full_at, dtype=int)
         self._diag_at = np.array(diag_at, dtype=int)
-        # the Gram matrix: Frobenius inner products of the parts
-        cross = self._full[:, self._diagonal] @ self._diag.T
+        # the Gram matrix: Frobenius inner products of the parts; F meets D
+        # on the diagonal positions in U only
+        on = support[self._diagonal]
+        cross = (self._full[:, np.searchsorted(self._support, self._diagonal[on])]
+                 @ self._diag[:, on].T)
         self._gram = np.empty((len(self.parts),) * 2)
         self._gram[self._full_at[:, None], self._full_at] = self._full @ self._full.T
         self._gram[self._diag_at[:, None], self._diag_at] = self._diag @ self._diag.T
@@ -361,12 +379,12 @@ class BlockCache:
     def sum_parts(self, weights):
         """Flat buffers (points, size) of sum_j weights[p][j] * part_j over
         `parts`, one row per point p. Each point's sum is its own pair of
-        products, w_F @ F and then w_D @ D added on the diagonal positions,
-        each into a buffer of its own, so it does not depend on the other
+        products, w_F @ F written at U into a zeroed buffer and then w_D @ D
+        added on the diagonal positions, so it does not depend on the other
         points summed with it."""
-        out = np.empty((len(weights), self.size))
+        out = np.zeros((len(weights), self.size))
         for flat, w in zip(out, weights):
-            flat[...] = w[self._full_at] @ self._full
+            flat[self._support] = w[self._full_at] @ self._full
             flat[self._diagonal] += w[self._diag_at] @ self._diag
         return out
 
@@ -466,8 +484,9 @@ def flow_bytes(r, n, sizes, steps):
     """Bytes a flow on a block holds at its peak above the imported modules,
     from the sizes d of its gl_r weight spaces (dim = sum d), its P parts and
     the grid steps per leg: the C(r,2) + C(n,2) off-diagonal parts, sum d^2
-    floats each, the diagonal ones, dim floats each, and the P x P Gram
-    matrix twice (`BlockCache`); the dense dim x dim part `_build` holds;
+    floats each (a bound: a row of F takes |U| of them), the diagonal ones,
+    dim floats each, and the P x P Gram matrix twice (`BlockCache`); the
+    dense dim x dim part `_build` holds;
     max(r, n) + 20 buffers of sum d^2 floats: six frames, about eleven of a
     point's eigensolve and matching, a decoder's max(r, n) stacks and three
     products (the m x m clustering arrays of `cells`, on the one weight
@@ -548,11 +567,25 @@ def _frozen(stacks, frame, final=False):
     The quotients and residuals are those of `rayleigh`. The leading point
     is tested alone first, and the rest only if it passes, so that where
     the frame moves, as at the start of most legs, the rest of the points
-    are not multiplied; the count is then 0 and the quotients None."""
+    are not multiplied; the count is then 0 and the quotients None. No
+    point is multiplied twice: the rest's products follow the leading
+    point's, as one product over the whole batch would give them."""
     count = len(stacks[0])
-    if count > 1 and not _frozen([stack[:1] for stack in stacks], frame)[0]:
-        return 0, None
+    passing, quotients = _certified([stack[:1] for stack in stacks], frame, final and count == 1)
+    if count > 1:
+        if not passing[0]:
+            return 0, None
+        rest, later = _certified([stack[1:] for stack in stacks], frame, final)
+        passing = np.concatenate([passing, rest])
+        quotients = [np.concatenate(pair) for pair in zip(quotients, later)]
+    return (count if passing.all() else int(passing.argmin())), quotients
+
+
+def _certified(stacks, frame, final):
+    """The test of `_frozen` on every point of the stacks: (whether each
+    point passes, Rayleigh quotients per batch)."""
     tau = math.sqrt((1 - MATCH_THRESHOLD) / 2)
+    count = len(stacks[0])
     passing, within, quotients = np.ones(count, dtype=bool), np.ones(count, dtype=bool), []
     for stack, old in zip(stacks, frame):
         d = old.shape[-1]
@@ -569,10 +602,10 @@ def _frozen(stacks, frame, final=False):
         quotients.append(rho)
     if final:
         passing[-1] &= within[-1]
-    return (count if passing.all() else int(passing.argmin())), quotients
+    return passing, quotients
 
 
-def _composed(stacks, frame, cache):
+def _composed(stacks, frame, cache, traced=False):
     """Eigenframes of the summed operators at consecutive points, given as
     per-batch stacks (points, k, d, d), each matched to the frame before it
     (the first to frame), up to the first point whose smallest best overlap
@@ -587,10 +620,10 @@ def _composed(stacks, frame, cache):
     its frame and takes its entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
-    (eigenvalues in basis order, min overlap), the min overlap of the first
-    refused point or None); the points after the accepted ones are left to
-    the caller. The frame returned is the given object itself while no
-    point is accepted.
+    (eigenvalues in basis order, or None unless traced, min overlap), the
+    min overlap of the first refused point or None); the points after the
+    accepted ones are left to the caller. The frame returned is the given
+    object itself while no point is accepted.
     """
     count = len(stacks[0])
     # per point and column j of the frame before it, batch after batch:
@@ -629,8 +662,10 @@ def _composed(stacks, frame, cache):
         # branch c sits at column order[c] of the frame before point g
         sign = signs[g, order] * sign
         order = best[g, order]
-        branch_values = np.empty(cache.dim)
-        branch_values[cache.positions] = values[g, order]
+        branch_values = None
+        if traced:
+            branch_values = np.empty(cache.dim)
+            branch_values[cache.positions] = values[g, order]
         steps.append((branch_values, overlaps[g]))
     if accepted:
         frame = list(frame)
@@ -678,9 +713,10 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     next batch starts there; a refusal after MAX_BISECTIONS such midpoints
     in the leg fails it. Every accepted point after the start is a step;
     each grid point, and no midpoint, hands trace.append one record (leg,
-    t, eigenvalues as a list of floats in branch order). Returns (vectors
-    at grid[-1], diagnostics): steps, bisections, the smallest accepted
-    overlap, the points kept without eigh (frozen) and the points
+    t, eigenvalues as a list of floats in branch order), the only reader
+    of those eigenvalues: with no trace they are not laid out. Returns
+    (vectors at grid[-1], diagnostics): steps, bisections, the smallest
+    accepted overlap, the points kept without eigh (frozen) and the points
     eigensolved (solved), counting the points of a batch solved and then
     discarded after a refusal.
     """
@@ -693,6 +729,7 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     pending = [(t, True, w) for t, w in zip(grid, weights)]
     current, t_prev = vectors, None  # t_prev: the last accepted point
     testing = True  # no point has failed the test yet
+    traced = trace is not None
     while pending:
         batch = pending[:per_batch]
         stacks = cache._views(cache.sum_parts([w for _, _, w in batch]))
@@ -701,11 +738,13 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             # the last pending point is always the leg's last grid point
             frozen, quotients = _frozen(stacks, current, len(batch) == len(pending))
             testing = frozen == len(batch)
-        steps = [(cache.by_branch([rho[p] for rho in quotients]), 1.0) for p in range(frozen)]
+        # a point's eigenvalues in branch order are read by the trace only
+        steps = [(cache.by_branch([rho[p] for rho in quotients]) if traced else None, 1.0)
+                 for p in range(frozen)]
         refused = None
         if frozen < len(batch):
             current, solved, refused = _composed([stack[frozen:] for stack in stacks],
-                                                 current, cache)
+                                                 current, cache, traced)
             steps += solved
         diag["frozen"] += frozen
         diag["solved"] += len(batch) - frozen
@@ -713,7 +752,7 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             diag["min_overlap"] = min(diag["min_overlap"], overlap)
             if t_prev is not None:
                 diag["steps"] += 1
-            if on_grid and trace is not None:
+            if on_grid and traced:
                 trace.append((leg, float(t), values.tolist()))
             t_prev = t
         del pending[:len(steps)]

@@ -984,6 +984,63 @@ class TestBatchedTransport:
         assert untested_diag["frozen"] == 0
         assert all(np.array_equal(a, b) for a, b in zip(frame, untested))
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_frozen_multiplies_each_point_once(self, monkeypatch, n):
+        # leg A of S_n from the monomial frame, its first six points in one
+        # batch, all certified: the leading point is multiplied alone, the
+        # other five once more, and the quotients, and the residuals of
+        # both products, are those of one product over the whole batch
+        ctx = FlowContext(n, n, (1,) * n, (1,) * n)
+        cache, leg = ctx.cache, ctx.legs()[0]
+
+        def family(t):
+            return leg.family(t) + _weight_terms(n, n)
+
+        coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(0))
+        weights = cache.coefficients(family(leg.grid[:6]), coeffs, 6)
+        stacks, start = cache._views(cache.sum_parts(weights)), cache.identity()
+        multiplied = []
+
+        def counting(vectors, ops):
+            multiplied.append(sum(len(op) for op in ops))
+            return rayleigh(vectors, ops)
+
+        monkeypatch.setattr(spectralflow, "rayleigh", counting)
+        count, quotients = _frozen(stacks, start)
+        monkeypatch.undo()
+        assert count == 6 and multiplied == [1, 5]
+        for stack, old, rho in zip(stacks, start, quotients):
+            whole = rayleigh(old, [stack])
+            parts = [rayleigh(old, [stack[:1]]), rayleigh(old, [stack[1:]])]
+            assert rho.tobytes() == whole[0][..., 0].tobytes()
+            for k in (0, 1):
+                assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+        (2, 4, (2, 1, 1, 2), None),
+        (3, 3, (2, 1, 1), None),
+    ])
+    def test_trace_sink_changes_nothing(self, r, n, col_sums, row_sums):
+        # every leg, chained as FlowContext.run chains them, with a trace
+        # sink and without one: the same frame bytes and diagnostics, and a
+        # trace row per grid point
+        ctx = FlowContext(r, n, col_sums, row_sums)
+        cache, frames = ctx.cache, {}
+        for leg in ctx.legs():
+            def family(t, leg=leg):
+                return leg.family(t) + _weight_terms(r, n)
+
+            coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(0))
+            start = cache.identity() if leg.start is None else frames[leg.start]
+            trace = []
+            frame, diag = transport(start, cache, family, leg.grid, coeffs, trace, leg.name)
+            bare, bare_diag = transport(start, cache, family, leg.grid, coeffs, leg=leg.name)
+            assert diag == bare_diag
+            assert [a.tobytes() for a in frame] == [b.tobytes() for b in bare]
+            assert [t for _, t, _ in trace] == list(leg.grid)
+            frames[leg.name] = frame
+
     def test_refused_start(self, monkeypatch):
         # a start frame turned by 30 degrees in the 2 x 2 block
         cache = self._planted()
@@ -1040,7 +1097,10 @@ class TestDiagonalParts:
             if as_diagonal:
                 assert np.array_equal(cache._diag[row], np.diag(mat)[cache.positions])
             else:
-                assert np.array_equal(cache._full[row], _whole_flat(cache, part))
+                # F holds the part's flat buffer at U; the buffer is 0 off U
+                flat = _whole_flat(cache, part)
+                assert np.array_equal(cache._full[row], flat[cache._support])
+                assert not np.delete(flat, cache._support).any()
         cartans = {(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)}
         full, diagonal = self.held(cache)
         assert diagonal - cartans - {(identity,)} == self.DEGENERATE.get(col_sums, set())
@@ -1241,16 +1301,69 @@ class TestBlockCache:
         # the weight spaces counted by columns are the cache's blocks, and
         # the estimate's part term, C(r,2) + C(n,2) rows of sum d^2 floats
         # and every part as a diagonal, covers F and D as the cache built
-        # them (a part held as a diagonal takes dim <= sum d^2 floats)
+        # them (a row of F takes |U| <= sum d^2 floats, and a part held as a
+        # diagonal dim <= sum d^2)
         cache = FlowContext(r, n, col_sums, row_sums).cache
         sizes = spectralflow.weight_sizes(r, n, col_sums, row_sums)
         assert sorted(sizes) == [idx.shape[1] for idx in cache.batches for _ in idx]
         assert sum(d * d for d in sizes) == cache.size
+        assert cache._full.shape[1] == len(cache._support) <= cache.size
         parts = 8 * ((math.comb(r, 2) + math.comb(n, 2)) * cache.size
                      + len(cache.parts) * cache.dim)
         assert parts >= cache._full.nbytes + cache._diag.nbytes
         estimate = spectralflow.flow_bytes(r, n, sizes, FlowOpts().steps)
         assert estimate >= parts + 8 * cache.dim ** 2 + cache._gram.nbytes
+
+    # the blocks above, S_5, and (2,3,(2,0,1)), whose Omega_12 and Omega_23
+    # are 0 and held in D
+    COMPACT = [
+        (2, 3, (1, 1, 1), None),
+        (3, 3, (2, 0, 1), None),
+        (1, 2, (2, 1), None),
+        (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
+        (5, 5, (1, 1, 1, 1, 1), (1, 1, 1, 1, 1)),
+        (2, 3, (2, 0, 1), None),
+    ]
+
+    @staticmethod
+    def _dense_rows(cache):
+        """The rows of F as flat buffers of all sum k d^2 weight-block
+        entries, cut from liealg.dense, in the order of F's rows."""
+        rows = [_whole_flat(cache, part) for part, (as_diagonal, _) in
+                zip(cache.parts, cache._where) if not as_diagonal]
+        return np.array(rows).reshape(len(rows), cache.size)
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", COMPACT)
+    def test_rows_are_held_on_their_union(self, r, n, col_sums, row_sums):
+        # U is the sorted union of the positions where some row of F is
+        # nonzero: each row of F is its dense row at U, and every dense row
+        # is zero off U; every part, F's, D's or 0, combines to its dense
+        # weight blocks exactly
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        rows = self._dense_rows(cache)
+        assert np.array_equal(cache._support, np.flatnonzero(rows.any(axis=0)))
+        assert np.array_equal(cache._full, rows[:, cache._support])
+        assert not np.delete(rows, cache._support, axis=1).any()
+        for part in cache.parts:
+            mat = dense(part_operator(part), cache.block)
+            stacks = cache.combine([(1.0, part)])
+            assert len(stacks) == len(cache.batches)
+            for got, want in zip(stacks, cache.split(mat)):
+                assert np.array_equal(got, want), part
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", COMPACT)
+    def test_sum_matches_dense_rows(self, r, n, col_sums, row_sums):
+        # each point's sum on U against the same products over the dense
+        # rows of F, w_F @ F and then w_D @ D on the diagonal positions
+        cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
+        rows = self._dense_rows(cache)
+        weights = np.random.default_rng(4).uniform(-2.0, 2.0, (5, len(cache.parts)))
+        weights[1, :] = 0.0
+        for w, got in zip(weights, cache.sum_parts(weights)):
+            want = w[cache._full_at] @ rows
+            want[cache._diagonal] += w[cache._diag_at] @ cache._diag
+            assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+            assert not np.delete(got, np.union1d(cache._support, cache._diagonal)).any()
 
     @pytest.mark.parametrize("part", [
         (weight_op, 1, 3),
@@ -1414,9 +1527,10 @@ class TestBlockCache:
                 assert err < 1e-12, (leg.name, t, err)
 
     def test_each_part_is_held_once(self):
-        # every part is one row of F (sum k d^2 floats) or of D (dim
+        # every part is one row of F (|U| < sum k d^2 floats) or of D (dim
         # floats), however often and however it is asked for, and the
-        # weight-block stacks of a row of F are views of it: no dim x dim copy
+        # weight-block stacks of a part are views of one flat buffer of sum
+        # k d^2 floats: no dim x dim copy
         cache = BlockCache(2, 4, weight_basis(2, 4, (2, 1, 1, 2)))
         full = [(omega, 3, 4, 2), (omega, 1, 2, 2), (kappa, 1, 2, 4)]
         diagonal = [(op_E, 1, 1, 2), (identity,)]
@@ -1430,13 +1544,14 @@ class TestBlockCache:
         # the 8 E_ii^(a) and the identity in D; kappa_12 and the 6 Omega_ab in F
         assert (len(held_full), len(held_diagonal)) == (7, 9)
         assert len(cache.parts) == len(cache._full) + len(cache._diag) == 16
-        assert cache._full.nbytes == len(held_full) * cache.size * 8
+        assert len(cache._support) < cache.size
+        assert cache._full.nbytes == len(held_full) * len(cache._support) * 8
         assert cache._diag.nbytes == len(held_diagonal) * cache.dim * 8
         for part in full:
-            stacks = cache._views(cache._full[cache._where[cache.parts.index(part)][1]])
+            stacks = cache.combine([(1.0, part)])
             assert len(stacks) > 1
-            assert all(stack.base is cache._full.base for stack in stacks)
-            assert sum(stack.size for stack in stacks) == cache.size
+            assert all(stack.base is stacks[0].base for stack in stacks)
+            assert stacks[0].base.size == sum(stack.size for stack in stacks) == cache.size
         assert cache.size < cache.dim ** 2
 
     @pytest.mark.parametrize("cancelling", [
