@@ -61,8 +61,11 @@ def _load_matrix(args):
     if args.matrix is not None:
         raw = args.matrix
     elif args.file is not None:
-        with open(args.file) as fh:
-            raw = fh.read()
+        try:
+            with open(args.file) as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise UsageError(f"cannot read matrix: {err}")
     else:
         raise UsageError("need --matrix or --file")
     rows = _json_vector(raw, "matrix")
@@ -101,6 +104,8 @@ def cmd_rsk(args):
     if args.check:
         return _rsk_check(args)
     if args.inverse:
+        if args.p is None or args.q is None:
+            raise UsageError("--inverse needs --p and --q")
         p_rows = _json_vector(args.p, "--p")
         q_rows = _json_vector(args.q, "--q")
         try:

@@ -31,7 +31,8 @@ for q, positive as the schedules need. The base point selects the paths:
      coalescence classes are linked by the records' own Rayleigh residuals.
   C  from B's end, q rescaled at z = 0 (`gt`): the rescaled dynamical
      operators converge to the nested commuting limits; its end frame feeds
-     the S decoder (`FlowContext.extract_S`, corner Casimirs of gl_r).
+     the S decoder (`FlowContext.extract_S`): each letter is the one integer
+     eigenvalue of a gl_r corner Casimir in its residual interval.
   D  leg B of the mirrored side, from A's end: q -> 0 at z; its end frame
      feeds leg E, and, when clustered, the q-side records (Gaudin limits at
      q = 0, up to scalars).
@@ -39,9 +40,10 @@ for q, positive as the schedules need. The base point selects the paths:
      (`FlowContext.extract_T`, the S decoder on the mirrored side).
 
 The tableau check (`flow_block`) runs legs A to E and reads out the two
-decoders only; it computes no records and no classes. The cell flows run
-the same table: leg A and then leg B, or leg D, or both B and D for
-two-sided cells, and cluster the records of those legs.
+decoders only; it computes no records and no classes, and a decoder's
+error names its leg. The cell flows run the same table: leg A and then
+leg B, or leg D, or both B and D for two-sided cells, and cluster the
+records of those legs.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`); a combined start operator whose spectrum is not simple
@@ -159,10 +161,9 @@ SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
 BATCH_BYTES = 256 * 1024  # summed operators of one transport batch
 START_GAP_MIN = 1e-9  # smallest gap of the combined start spectrum
-DECODE_TOL = 0.3  # Casimir residual accepted when decoding a letter
 CANCEL_TOL = 1e-12  # relative squared norm below which a family operator is zero
 GAP_SAFETY = 1e3  # inter-class distance over intra-class distance a clustering needs
-ROUNDOFF = 1e-9  # round-off allowed between two records, relative to the largest record
+ROUNDOFF = 1e-9  # round-off allowed relative to the largest record or to a Casimir value
 
 
 @dataclass
@@ -867,48 +868,46 @@ def coalescence_classes(records, residuals):
     return classes
 
 
-def _decode_chain(sizes, casimir_values, max_rows, memo=None):
+def _decode_chain(sizes, values, residuals, max_rows, memo=None):
     """Recover a tableau from corner Casimir data.
 
-    sizes[i] is the exact number of boxes after step i+1; casimir_values[i]
-    approximates the quadratic Casimir of the rank-(i+1) corner. Each step
-    adds a horizontal strip filled with the letter i+1, and no shape has
-    more than max_rows rows. memo, a dict shared by the chains of one
-    decoder call (one max_rows), keeps the candidate shapes and their
-    exact Casimir values per (shape, boxes added, letter).
+    sizes[i] is the exact number of boxes after step i+1; values[i] is a
+    Rayleigh quotient rho of the quadratic Casimir of the rank-(i+1) corner
+    and residuals[i] its residual r. The Casimir's eigenvalues are integers,
+    one within r of rho (Krylov-Weinstein): letter i+1 fills the horizontal
+    strip of the Pieri step, of at most max_rows rows, whose value is the
+    one integer in [rho - h, rho + h], h = r + ROUNDOFF |rho|. memo, shared
+    by the chains of one decoder call (one max_rows), keeps the candidate
+    shapes and their exact values per (shape, boxes added, letter).
     """
     memo = {} if memo is None else memo
-    shape = Partition([])
-    rows = []
-    for step, (size, c2) in enumerate(zip(sizes, casimir_values), start=1):
+    shape, rows = Partition([]), []
+    for step, (size, rho, res) in enumerate(zip(sizes, values, residuals), start=1):
         added = size - shape.size
         exact = memo.get((shape, added, step))
         if exact is None:
             exact = memo[shape, added, step] = {
                 mu: casimir_eigenvalue(mu, step)
                 for mu in pieri_shapes(shape, added, min(step, max_rows))}
-        candidates = sorted(((abs(val - c2), mu) for mu, val in exact.items()),
-                            key=lambda pair: (pair[0], pair[1].parts))
-        # a NaN value matches no shape
-        if not candidates or not candidates[0][0] <= DECODE_TOL:
+        half = res + ROUNDOFF * abs(rho)
+        finite = math.isfinite(rho) and math.isfinite(res)  # else it holds no integer
+        held = range(math.ceil(rho - half), math.floor(rho + half) + 1) if finite else range(0)
+        value = held[0] if len(held) == 1 else None
+        shapes = sorted((mu for mu, val in exact.items() if val == value), key=lambda mu: mu.parts)
+        if len(shapes) > 1:
+            # no choice of z or q separates shapes with equal eigenvalues
             raise DecodingError(
-                f"no corner shape matches Casimir value {c2:.4f} at letter {step}"
+                f"exact Casimir tie at letter {step}: shapes {shapes[0].parts} "
+                f"and {shapes[1].parts} both give {value}"
             )
-        # the exact values are integers: unless two are equal, the second
-        # best residual is at least 1 - DECODE_TOL
-        if len(candidates) > 1:
-            (_, first), (_, second) = candidates[:2]
-            if exact[first] == exact[second]:
-                # no choice of z or q separates shapes with equal eigenvalues
-                raise DecodingError(
-                    f"exact Casimir tie at letter {step}: shapes {first.parts} "
-                    f"and {second.parts} both give {exact[first]}"
-                )
-        mu = candidates[0][1]
-        for i in range(1, len(mu) + 1):
-            while len(rows) < i:
-                rows.append([])
-            rows[i - 1].extend([step] * (mu.part(i) - shape.part(i)))
+        if not shapes:
+            where = f": {rho} +- {half:.2g} holds integers {list(held)}" if finite else ""
+            raise DecodingError(
+                f"no corner shape matches Casimir value {rho:.4f} at letter {step}{where}")
+        mu = shapes[0]
+        rows += [[] for _ in range(len(mu) - len(rows))]
+        for i, row in enumerate(rows, start=1):
+            row.extend([step] * (mu.part(i) - shape.part(i)))
         shape = mu
     return SemistandardTableau(rows, len(sizes))
 
@@ -1060,7 +1059,11 @@ class FlowContext:
                     np.column_stack([records, weights]),
                     np.column_stack([residuals, np.zeros_like(weights)]))
             if leg.decode is not None:
-                for branch, tab in zip(branches, leg.decode(frame, labels)):
+                try:
+                    tableaux = leg.decode(frame, labels)
+                except DecodingError as err:
+                    raise DecodingError(f"{leg.name}: {err}") from err
+                for branch, tab in zip(branches, tableaux):
                     setattr(branch, leg.key, tab)
         return FlowResult(branches, classes, {"legs": diags})
 
@@ -1083,17 +1086,18 @@ class FlowContext:
         from a side's leg C end frame and each branch's weights w there: the
         side's corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i}
         kappa_ab is the exact sum_{a<=i} w_a^2 plus the Rayleigh quotient of
-        its summed kappa stacks, as a branch lies in one weight block."""
+        its summed kappa stacks, as a branch lies in one weight block; that
+        quotient's residual is C_i's, and `_decode_chain` takes both."""
         rows, cols, _, _, mapped = side
-        quotients, _ = self._rayleigh(frame, [
+        quotients, residuals = self._rayleigh(frame, [
             self.cache.combine(mapped([(0.5, (kappa, a, b, cols)) for b in range(2, i + 1)
                                        for a in range(1, b)]))
             for i in range(1, rows + 1)])
         out, memo = [], {}
-        for wt, row in zip(weights, quotients):
+        for wt, row, res in zip(weights, quotients, residuals):
             sizes = [sum(wt[:i]) for i in range(1, rows + 1)]
             values = [sum(x * x for x in wt[:i]) + row[i - 1] for i in range(1, rows + 1)]
-            out.append(_decode_chain(sizes, values, min(rows, cols), memo))
+            out.append(_decode_chain(sizes, values, res, min(rows, cols), memo))
         return out
 
 

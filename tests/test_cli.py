@@ -88,6 +88,29 @@ class TestRsk:
     def test_missing_input(self, capsys):
         assert main(["rsk"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--p", "[[1]]"],
+        ["--q", "[[1]]", "--n", "1", "--r", "1"],
+    ])
+    def test_inverse_without_tableaux_is_usage_error(self, capsys, argv):
+        assert main(["rsk", "--inverse"] + argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --inverse needs --p and --q\n"
+
+    def test_unreadable_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        assert main(["rsk", "--file", str(missing)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cannot read matrix: ")
+        assert str(missing) in out.err
+        # a directory is no matrix file either, nor bytes that are not text
+        assert main(["rsk", "--file", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot read matrix: ")
+        binary = tmp_path / "m.bin"
+        binary.write_bytes(b"\xff\xfe[[1]]")
+        assert main(["rsk", "--file", str(binary)]) == EXIT_USAGE
+
 
 class TestCrystal:
     def test_block_graph(self, capsys):

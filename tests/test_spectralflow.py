@@ -1725,6 +1725,14 @@ class TestFlowBlock:
         assert str(err.value) == "C: degenerate combined spectrum"
         assert calls == []
 
+    def test_decoding_error_names_its_leg(self):
+        # the S decoder reads leg C's end frame, where the rank-3 corner
+        # Casimir cannot tell (3,3) from (4,1,1)
+        with pytest.raises(DecodingError) as err:
+            flow_block(3, 3, (3, 2, 1))
+        assert str(err.value) == (
+            "C: exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24")
+
     def test_family_evaluated_once_per_leg(self, monkeypatch):
         # each leg's family is called once on its whole grid, once on its
         # start point for the coefficient draw, and once per bisection
@@ -1772,17 +1780,81 @@ class TestDecodeChain:
         values = [casimir_eigenvalue((3,), 1), casimir_eigenvalue((3, 1), 2), 24]
         assert casimir_eigenvalue((3, 3), 3) == casimir_eigenvalue((4, 1, 1), 3) == 24
         with pytest.raises(DecodingError) as err:
-            _decode_chain((3, 4, 6), values, 3)
+            _decode_chain((3, 4, 6), values, [0.0] * 3, 3)
         assert str(err.value) == (
             "exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24"
         )
 
     def test_nan_value_matches_no_shape(self):
-        # every residual of a NaN value is NaN, which no tolerance test
-        # passes; it is not decoded to the shape that sorts first
+        # the interval of a NaN value holds no integer; it is not decoded
+        # to the shape that sorts first
         with pytest.raises(DecodingError) as err:
-            _decode_chain([2], [float("nan")], 2)
+            _decode_chain([2], [float("nan")], [0.0], 2)
         assert str(err.value) == "no corner shape matches Casimir value nan at letter 1"
+
+    @pytest.mark.parametrize("value, residual, held", [
+        # 4.2 is within 0.3 of the Casimir value 4 of the shape (2) at rank
+        # 1, but its residual does not exclude the eigenvalue 5
+        (4.2, 0.9, "4.2 +- 0.9 holds integers [4, 5]"),
+        # 4.25 is within 0.3 of 4, but the residual puts every eigenvalue
+        # off every integer
+        (4.25, 0.01, "4.25 +- 0.01 holds integers []"),
+        # 5 is an integer, but no Pieri step by 2 boxes at rank 1 gives it
+        (5.0, 0.1, "5.0 +- 0.1 holds integers [5]"),
+    ])
+    def test_interval_without_one_pieri_value_is_refused(self, value, residual, held):
+        with pytest.raises(DecodingError) as err:
+            _decode_chain([2], [value], [residual], 1)
+        assert str(err.value) == (
+            f"no corner shape matches Casimir value {value:.4f} at letter 1: {held}")
+
+    def test_roundoff_widens_the_interval(self):
+        # a quotient whose residual rounds to 0 sits a few ulps off its
+        # integer; ROUNDOFF times the value covers it
+        assert _decode_chain([2], [4 + 1e-14], [0.0], 1).to_lists() == [[1, 1]]
+
+    @pytest.mark.parametrize("legs, index, casimir, other", [
+        ("ABC", 0, nested_casimir, "n"),
+        ("ADE", 1, dual_nested_casimir, "r"),
+    ])
+    def test_intervals_come_from_the_corner_casimirs(self, monkeypatch, legs, index, casimir,
+                                                     other):
+        # every value and residual handed to _decode_chain is the Rayleigh
+        # quotient and residual of the dense corner Casimir of the decoded
+        # side, on the weight block of the branch, at the leg's end frame
+        frames, chains = [], []
+        decode, decode_chain = FlowContext._decode, spectralflow._decode_chain
+
+        def recording_decode(self, frame, side, weights):
+            frames.append((frame, side))
+            return decode(self, frame, side, weights)
+
+        def recording_chain(sizes, values, residuals, max_rows, memo=None):
+            chains.append((values, residuals))
+            return decode_chain(sizes, values, residuals, max_rows, memo)
+
+        monkeypatch.setattr(FlowContext, "_decode", recording_decode)
+        monkeypatch.setattr(spectralflow, "_decode_chain", recording_chain)
+        ctx = FlowContext(3, 3, (2, 1, 1))
+        ctx.run(legs)
+        (frame, side), = frames
+        assert side is ctx.sides[index]
+        cache = ctx.cache
+        assert len(chains) == cache.dim
+        mats = [dense(casimir(i, getattr(ctx, other)), ctx.basis)
+                for i in range(1, side[0] + 1)]
+        for batch, idx in zip(frame, cache.batches):
+            for vecs, at in zip(batch, idx):
+                for col, position in enumerate(at):
+                    v = vecs[:, col]
+                    values, residuals = chains[position]
+                    for i, mat in enumerate(mats):
+                        image = mat[np.ix_(at, at)] @ v
+                        rho = v @ image
+                        res = np.linalg.norm(image - rho * v)
+                        scale = 1e-12 * max(1.0, abs(rho))
+                        assert abs(values[i] - rho) <= scale
+                        assert abs(residuals[i] - res) <= scale
 
 
 class TestVerify:
