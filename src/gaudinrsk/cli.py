@@ -435,7 +435,7 @@ def _apply_config_file(argv):
                     raise UsageError(f"bad config line: {line!r}")
                 key, value = line.split("=", 1)
                 extra.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config: {err}")
     # insert defaults right after the subcommand so explicit flags override
     return argv[:1] + extra + argv[1:]

@@ -155,19 +155,19 @@ def _label_to_permutation(label):
     return Permutation(one_line)
 
 
-def _cells(n, z, q, opts, sides):
+def _cells(n, z, q, opts, kinds):
     """Partition S_n by coalescence of the S_n block's limit records, once
-    per side: after leg B, z colliding at zero on the schedule of the
-    tableau check with q fixed (right cells), and after leg D, q colliding
-    at zero with z fixed (left); one flow runs leg A once and each leg needed."""
-    legs = {"right": "B", "left": "D"}
-    names = "".join(legs[side] for side in sides)
+    per kind, as its leg ends: leg B, z colliding at zero on the schedule of
+    the tableau check with q fixed (right cells), and leg D, q colliding at
+    zero with z fixed (left); one flow runs leg A once and each leg needed."""
+    legs = {"right": ("B", 0), "left": ("D", 1)}  # (leg, side) each kind clusters
+    sides = dict(legs[kind] for kind in kinds)
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
-    result = ctx.run("A" + names, names)
-    labels = [_label_to_permutation(branch.label) for branch in result.branches]
-    return [CellPartition(n, side, [[labels[i] for i in cls]
-                                    for cls in result.classes[legs[side]]])
-            for side in sides]
+    classes = {name: ctx.classes(frame, sides[name])
+               for name, frame, _ in ctx.run("A" + "".join(sides)) if name in sides}
+    labels = [_label_to_permutation(label) for label in ctx.basis]
+    return [CellPartition(n, kind, [[labels[i] for i in cls] for cls in classes[legs[kind][0]]])
+            for kind in kinds]
 
 
 def right_cells(n, z=None, q=None, opts=None):

@@ -11,7 +11,8 @@ pair always equals the RSK image of the label.
 The transport runs along the legs of one table (`FlowContext.legs`). Each
 leg is one schedule: a log-spaced grid and a family of the grid parameter.
 All operators of a leg's family commute at every path point, and
-`FlowContext.run` carries the frame along each leg in turn.
+`FlowContext.run` carries the frame along each leg in turn and yields its
+end frame; it reads nothing out.
 
 Each family is written once, for a side: a rows x cols block at (z, q)
 and a map to this block's parts (`FlowContext._families`). Legs D and E
@@ -26,24 +27,24 @@ for q, positive as the schedules need. The base point selects the paths:
      start as monomials.
   B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
      exchange operators converge to the partial exchange sums J_a, keeping
-     the tracked spectrum simple. Its end frame feeds leg C, and, when
-     clustered, the z-side records (dynamical limits at z = 0), whose
-     coalescence classes are linked by the records' own Rayleigh residuals.
+     the tracked spectrum simple. Its end frame feeds leg C and the z-side
+     records (dynamical limits at z = 0).
   C  from B's end, q rescaled at z = 0 (`gt`): the rescaled dynamical
      operators converge to the nested commuting limits; its end frame feeds
      the S decoder (`FlowContext.extract_S`): each letter is the one integer
      eigenvalue of a gl_r corner Casimir in its residual interval.
   D  leg B of the mirrored side, from A's end: q -> 0 at z; its end frame
-     feeds leg E, and, when clustered, the q-side records (Gaudin limits at
-     q = 0, up to scalars).
+     feeds leg E and the q-side records (Gaudin limits at q = 0, up to
+     scalars).
   E  leg C of the mirrored side; its end frame feeds the T decoder
      (`FlowContext.extract_T`, the S decoder on the mirrored side).
 
-The tableau check (`flow_block`) runs legs A to E and reads out the two
-decoders only; it computes no records and no classes, and a decoder's
-error names its leg. The cell flows run the same table: leg A and then
-leg B, or leg D, or both B and D for two-sided cells, and cluster the
-records of those legs.
+The callers read each end frame out as its leg ends, so a failing readout
+ends the flow there. The tableau check (`flow_block`) decodes S at leg C's
+end and T at leg E's; it computes no records, and a decoder's error names
+its leg. The cell flows run leg A and then B, or D, or both, and cluster
+the records at each of their ends (`FlowContext.classes`), linked by the
+records' own Rayleigh residuals.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`); a combined start operator whose spectrum is not simple
@@ -184,14 +185,13 @@ def collision_z(z, t):
 @dataclass
 class EigenBranch:
     label: NatMatrix
-    s_tableau: SemistandardTableau = None
-    t_tableau: SemistandardTableau = None
+    s_tableau: SemistandardTableau
+    t_tableau: SemistandardTableau
 
 
 @dataclass
 class FlowResult:
     branches: list
-    classes: dict  # leg name -> coalescence classes of its records
     diagnostics: dict
 
 
@@ -565,26 +565,10 @@ def _frozen(stacks, frame, final=False):
     records read: it passes on eigh's backward-error scale only. A batch
     with d = 1 takes its entries as quotients.
 
-    The quotients and residuals are those of `rayleigh`. The leading point
-    is tested alone first, and the rest only if it passes, so that where
-    the frame moves, as at the start of most legs, the rest of the points
-    are not multiplied; the count is then 0 and the quotients None. No
-    point is multiplied twice: the rest's products follow the leading
-    point's, as one product over the whole batch would give them."""
-    count = len(stacks[0])
-    passing, quotients = _certified([stack[:1] for stack in stacks], frame, final and count == 1)
-    if count > 1:
-        if not passing[0]:
-            return 0, None
-        rest, later = _certified([stack[1:] for stack in stacks], frame, final)
-        passing = np.concatenate([passing, rest])
-        quotients = [np.concatenate(pair) for pair in zip(quotients, later)]
-    return (count if passing.all() else int(passing.argmin())), quotients
-
-
-def _certified(stacks, frame, final):
-    """The test of `_frozen` on every point of the stacks: (whether each
-    point passes, Rayleigh quotients per batch)."""
+    The quotients and residuals are those of `rayleigh`, one product over
+    the whole batch, whose rows for a point do not depend on the other
+    points in it. Where the leading point fails, as at the start of most
+    legs, the other points' rows go unread."""
     tau = math.sqrt((1 - MATCH_THRESHOLD) / 2)
     count = len(stacks[0])
     passing, within, quotients = np.ones(count, dtype=bool), np.ones(count, dtype=bool), []
@@ -603,7 +587,7 @@ def _certified(stacks, frame, final):
         quotients.append(rho)
     if final:
         passing[-1] &= within[-1]
-    return passing, quotients
+    return (count if passing.all() else int(passing.argmin())), quotients
 
 
 def _composed(stacks, frame, cache, traced=False):
@@ -913,7 +897,7 @@ def _decode_chain(sizes, values, residuals, max_rows, memo=None):
 
 
 class Leg(NamedTuple):
-    """One row of the leg table."""
+    """One row of the leg table: what `FlowContext.run` transports."""
 
     name: str
     start: str | None  # leg whose end frame this one continues; None: monomials
@@ -921,9 +905,6 @@ class Leg(NamedTuple):
     # array of points -> term lists whose coefficients broadcast over them,
     # without the weights
     family: Callable
-    limit: Callable | None = None  # () -> exact limit operators (weight-block stacks)
-    decode: Callable | None = None  # (end frame, labels) -> tableaux
-    key: str | None = None  # where each branch keeps the decoded tableaux
 
 
 class FlowContext:
@@ -968,21 +949,20 @@ class FlowContext:
         side's `main`: A from T_MAX down to t = 1, where it ends at the base
         point, and B and D from there on to t = T_MIN."""
         steps = self.opts.steps
-        (main, gt, z_limit), (main_m, gt_m, z_limit_m) = map(self._families, self.sides)
+        (main, gt), (main_m, gt_m) = map(self._families, self.sides)
         down, s_grid = np.geomspace(1.0, T_MIN, steps), np.geomspace(1.0, S_MIN, steps)
         return (
             Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main),
-            Leg("B", "A", down, main, limit=z_limit),
-            Leg("C", "B", s_grid, gt, decode=self.extract_S, key="s_tableau"),
-            Leg("D", "A", down, main_m, limit=z_limit_m),
-            Leg("E", "D", s_grid, gt_m, decode=self.extract_T, key="t_tableau"),
+            Leg("B", "A", down, main),
+            Leg("C", "B", s_grid, gt),
+            Leg("D", "A", down, main_m),
+            Leg("E", "D", s_grid, gt_m),
         )
 
     def _families(self, side):
-        """(main, gt, z_limit) of a side in this block's parts: main(t), the
-        nabla_i and z_a H_a at z on the collision schedule; gt(s), the
-        nabla_i at z = 0 with q_i scaled by s^(rows - i), and the 4 J_a;
-        z_limit(), the nabla_i at z = 0 as weight-block stacks. Path scalars
+        """(main, gt) of a side in this block's parts: main(t), the nabla_i
+        and z_a H_a at z on the collision schedule; gt(s), the nabla_i at
+        z = 0 with q_i scaled by s^(rows - i), and the 4 J_a. Path scalars
         are folded into the coefficients, so each family stays bounded."""
         rows, cols, z, q, mapped = side
         z0 = (0.0,) * cols
@@ -1001,36 +981,23 @@ class FlowContext:
                      for i in range(1, rows + 1)]
                     + [gaudin_limit_terms(a, rows) for a in range(2, cols + 1)]]
 
-        def z_limit():
-            return [self.cache.combine(mapped(nabla_terms(i, z0, q, cols)))
-                    for i in range(1, rows + 1)]
+        return main, gt
 
-        return main, gt, z_limit
-
-    def run(self, names, classes_from="", trace=None):
-        """Run the named legs of the table (`legs`) in order; returns a
-        FlowResult.
+    def run(self, names, trace=None):
+        """Run the named legs of the table (`legs`) in order, yielding
+        (leg name, end frame, transport diagnostics) as each leg ends.
 
         Each leg's coefficients are drawn (`start_coeffs`), in leg order,
         before any leg runs, so a degenerate start ends the run at once.
-
         Every leg's family gets the weights W_i = sum_a E_ii^(a) added, as
-        sums of the E_ii^(a) parts. Frames are kept as weight-block stacks
-        (`BlockCache.split`). Only a leg named in classes_from reads records
-        off its end frame: the Rayleigh quotients of its limit operators,
-        with residuals, and then the r weights W_i, taken as each branch's
-        exact row sums with residual 0 (a frame column lies in one weight
-        block, where W_i is the constant row sum i). `coalescence_classes`
-        clusters them into the result's classes under the leg's name. A
-        decoding leg stores its tableaux on the branches.
+        sums of the E_ii^(a) parts. Frames are weight-block stacks
+        (`BlockCache.split`) whose columns follow the branches labelled by
+        `basis`. A caller reads a frame out as it is yielded, so an error
+        of its readout ends the flow before the next leg runs.
         """
         cache = self.cache
         weight_terms = [[(1.0, (op_E, i, i, a)) for a in range(1, self.n + 1)]
                         for i in range(1, self.r + 1)]
-        # leg A starts from the identity frame, so its start-overlap test
-        # checks that the monomials are the start eigenlines
-        labels = list(self.basis)
-        branches = [EigenBranch(label) for label in labels]
         legs = [leg for leg in self.legs() if leg.name in names]
 
         def family(leg):
@@ -1041,8 +1008,10 @@ class FlowContext:
             for leg in legs:
                 coeffs[leg.name] = start_coeffs(cache, family(leg)(leg.grid[:1]), self.rng,
                                                 leg.name)
-        frames, classes, diags = {}, {}, []
+        frames = {}
         for leg in legs:
+            # leg A starts from the identity frame, so its start-overlap test
+            # checks that the monomials are the start eigenlines
             frame = cache.identity() if leg.start is None else frames[leg.start]
             if cache.dim <= 1:
                 diag = {"leg": leg.name, "steps": 0, "bisections": 0, "min_overlap": 1.0,
@@ -1051,21 +1020,20 @@ class FlowContext:
                 frame, diag = transport(frame, cache, family(leg), leg.grid, coeffs[leg.name],
                                         trace=trace, leg=leg.name)
             frames[leg.name] = frame
-            diags.append(diag)
-            if leg.name in classes_from:
-                records, residuals = self._rayleigh(frame, leg.limit())
-                weights = np.array([m.row_sums() for m in self.basis], dtype=float)
-                classes[leg.name] = coalescence_classes(
-                    np.column_stack([records, weights]),
-                    np.column_stack([residuals, np.zeros_like(weights)]))
-            if leg.decode is not None:
-                try:
-                    tableaux = leg.decode(frame, labels)
-                except DecodingError as err:
-                    raise DecodingError(f"{leg.name}: {err}") from err
-                for branch, tab in zip(branches, tableaux):
-                    setattr(branch, leg.key, tab)
-        return FlowResult(branches, classes, {"legs": diags})
+            yield leg.name, frame, diag
+
+    def classes(self, frame, side):
+        """`coalescence_classes` of the branches at leg B's end frame (side
+        0) or leg D's (side 1): the Rayleigh records of the side's nabla_i at
+        z = 0, and the r weights W_i as each branch's exact row sums with
+        residual 0 (a frame column lies in one weight block)."""
+        rows, cols, _, q, mapped = self.sides[side]
+        records, residuals = self._rayleigh(frame, [
+            self.cache.combine(mapped(nabla_terms(i, (0.0,) * cols, q, cols)))
+            for i in range(1, rows + 1)])
+        weights = np.array([m.row_sums() for m in self.basis], dtype=float)
+        return coalescence_classes(np.column_stack([records, weights]),
+                                   np.column_stack([residuals, np.zeros_like(weights)]))
 
     def _rayleigh(self, frame, ops):
         """Rayleigh quotients of the ops (weight-block stacks) on a frame and
@@ -1103,21 +1071,31 @@ class FlowContext:
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):
     """Run all legs once on one graded block and decode (S, T) on every
-    branch; returns a FlowResult with no classes, as no leg is clustered.
+    branch, S from leg C's end frame and T from leg E's, each as its leg
+    ends; returns a FlowResult.
 
     A continuation or decoding failure, or branches whose S and T shapes
-    differ, raise a FlowError; the block is not run again.
+    differ, raise a FlowError; a decoder's error names its leg and ends the
+    flow there. The block is not run again.
     """
     ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
-    result = ctx.run("ABCDE", trace=trace)
-    result.diagnostics.update(q=list(ctx.q), z=list(ctx.z), seed=ctx.opts.seed)
-    for branch in result.branches:
+    decoders = {"C": ctx.extract_S, "E": ctx.extract_T}
+    tableaux, diags = {}, []
+    for name, frame, diag in ctx.run("ABCDE", trace):
+        diags.append(diag)
+        if name in decoders:
+            try:
+                tableaux[name] = decoders[name](frame, ctx.basis)
+            except DecodingError as err:
+                raise DecodingError(f"{name}: {err}") from err
+    branches = [EigenBranch(*branch) for branch in zip(ctx.basis, tableaux["C"], tableaux["E"])]
+    for branch in branches:
         if branch.s_tableau.shape != branch.t_tableau.shape:
             raise DecodingError(
                 f"shape mismatch for label {branch.label!r}: "
                 f"{branch.s_tableau.shape} vs {branch.t_tableau.shape}"
             )
-    return result
+    return FlowResult(branches, {"legs": diags})
 
 
 def col_sum_blocks(r, n, max_entry):

@@ -418,6 +418,14 @@ class TestReports:
         assert code == EXIT_OK
         assert report["P"] == [[1], [2]]
 
+    def test_config_file_not_text_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_bytes(b"\xff\xfematrix=[[1]]\n")
+        assert main(["rsk", "--config", str(cfg)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: cannot read config: ")
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("disk full")

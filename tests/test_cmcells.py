@@ -113,16 +113,24 @@ class TestFlowCells:
         assert two_sided_cells(3) == kl_reference_cells(3, "two-sided")
 
     def test_two_sided_cells_run_leg_a_once(self, monkeypatch):
-        runs = []
-        original = FlowContext.run
+        # one flow transports legs A, B and D once each, and clusters legs B
+        # and D
+        runs, transported = [], []
+        original, transport = FlowContext.run, spectralflow.transport
 
-        def recording(self, names, classes_from="", trace=None):
-            runs.append((names, classes_from))
-            return original(self, names, classes_from, trace)
+        def recording(self, names, trace=None):
+            runs.append(names)
+            return original(self, names, trace)
+
+        def counting(*args, **kwargs):
+            transported.append(kwargs["leg"])
+            return transport(*args, **kwargs)
 
         monkeypatch.setattr(FlowContext, "run", recording)
+        monkeypatch.setattr(spectralflow, "transport", counting)
         assert two_sided_cells(4) == kl_reference_cells(4, "two-sided")
-        assert runs == [("ABD", "BD")]
+        assert runs == ["ABD"]
+        assert transported == ["A", "B", "D"]
 
     def test_leg_a_freezes_its_near_monomial_points(self, monkeypatch):
         # the eigh-solved matrices per leg on S_4 (dim 24, a whole leg per

@@ -620,7 +620,7 @@ class TestTransport:
         # each branch label is the monomial whose E_ii^(a) eigenvalues are
         # the label's entries
         ctx = FlowContext(r, n, col_sums, row_sums)
-        labels = [branch.label for branch in ctx.run("A").branches]
+        labels = [branch.label for branch in flow_block(r, n, col_sums, row_sums).branches]
         assert labels == ctx.basis
         for i in range(1, r + 1):
             for a in range(1, n + 1):
@@ -987,9 +987,8 @@ class TestBatchedTransport:
     @pytest.mark.parametrize("n", [4, 5])
     def test_frozen_multiplies_each_point_once(self, monkeypatch, n):
         # leg A of S_n from the monomial frame, its first six points in one
-        # batch, all certified: the leading point is multiplied alone, the
-        # other five once more, and the quotients, and the residuals of
-        # both products, are those of one product over the whole batch
+        # batch, all certified by one product over the whole batch, whose
+        # rows for a point are those of a product over fewer points
         ctx = FlowContext(n, n, (1,) * n, (1,) * n)
         cache, leg = ctx.cache, ctx.legs()[0]
 
@@ -1008,7 +1007,7 @@ class TestBatchedTransport:
         monkeypatch.setattr(spectralflow, "rayleigh", counting)
         count, quotients = _frozen(stacks, start)
         monkeypatch.undo()
-        assert count == 6 and multiplied == [1, 5]
+        assert count == 6 and multiplied == [6]
         for stack, old, rho in zip(stacks, start, quotients):
             whole = rayleigh(old, [stack])
             parts = [rayleigh(old, [stack[:1]]), rayleigh(old, [stack[1:]])]
@@ -1446,7 +1445,10 @@ class TestBlockCache:
         monkeypatch.setattr(spectralflow, "dense", recording_dense)
         r, n = 2, 3
         ctx = FlowContext(r, n, (1, 1, 1))
-        ctx.run("ABCDE", "B")
+        frames = {name: frame for name, frame, _ in ctx.run("ABCDE")}
+        ctx.classes(frames["B"], 0)
+        ctx.extract_S(frames["C"], ctx.basis)
+        ctx.extract_T(frames["E"], ctx.basis)
         basis = ctx.basis
         # only the off-diagonal primitives, kappa_ij and Omega_ab, go through
         # dense: the E_ii^(a) and the identity are written off the entry
@@ -1596,10 +1598,10 @@ class TestFlowBlock:
         assert branch.t_tableau.rows == ((1,), (2,))
 
     @staticmethod
-    def _clustered(monkeypatch, ctx, names, classes_from):
-        """ctx.run(names, classes_from) with the (records, residuals) handed
-        to each coalescence_classes call captured; returns (result, the
-        captured pairs)."""
+    def _clustered(monkeypatch, ctx):
+        """ctx.classes at leg B's end frame, after legs A and B, with the
+        (records, residuals) handed to each coalescence_classes call
+        captured; returns (the classes, the captured pairs)."""
         handed = []
 
         def capture(records, residuals):
@@ -1607,12 +1609,13 @@ class TestFlowBlock:
             return coalescence_classes(records, residuals)
 
         monkeypatch.setattr(spectralflow, "coalescence_classes", capture)
-        return ctx.run(names, classes_from), handed
+        *_, (_, frame, _) = ctx.run("AB")
+        return ctx.classes(frame, 0), handed
 
     def test_endpoint_eigenvalues_are_exact_limits(self, monkeypatch):
         # z = 0 records must match the limit family to continuation accuracy
         ctx = FlowContext(2, 2, (1, 1), (1, 1))
-        _, [(records, _)] = self._clustered(monkeypatch, ctx, "AB", "B")
+        _, [(records, _)] = self._clustered(monkeypatch, ctx)
         cache = ctx.cache
         limit_ops = [cache.full(cache.nabla_mat(i, (0.0, 0.0), ctx.q)) for i in (1, 2)]
         exact = set()
@@ -1626,28 +1629,25 @@ class TestFlowBlock:
         # the r weight columns of the records are the branches' row sums,
         # exactly, with residual 0; the classes are those of the records
         ctx = FlowContext(2, 3, (1, 1, 1))
-        result, [(records, residuals)] = self._clustered(monkeypatch, ctx, "AB", "B")
+        classes, [(records, residuals)] = self._clustered(monkeypatch, ctx)
         row_sums = np.array([m.row_sums() for m in ctx.basis], dtype=float)
         assert records.shape == residuals.shape == (ctx.cache.dim, ctx.r + ctx.r)
         assert np.array_equal(records[:, -ctx.r:], row_sums)
         assert not residuals[:, -ctx.r:].any()
-        assert result.classes["B"] == _pairwise_classes(records, residuals)
+        assert classes == _pairwise_classes(records, residuals)
 
     def test_flow_computes_no_records(self, monkeypatch):
-        # the tableau check reads out only the decoders: no limit operator
-        # is built and nothing is clustered
+        # the tableau check reads out only the decoders: no record is
+        # computed and nothing is clustered
         def forbidden(*args, **kwargs):
             raise AssertionError("flow computed a record")
 
-        legs = FlowContext.legs
         monkeypatch.setattr(spectralflow, "coalescence_classes", forbidden)
-        monkeypatch.setattr(FlowContext, "legs", lambda self: tuple(
-            leg._replace(limit=forbidden) for leg in legs(self)))
+        monkeypatch.setattr(FlowContext, "classes", forbidden)
         report = verify_main_theorem(2, 3, col_sums=(1, 1, 1))
         assert report["agreement"]
         assert report["checked"] == 8
         assert report["failures"] == report["mismatches"] == []
-        assert flow_block(2, 3, (1, 1, 1)).classes == {}
 
     def test_context_is_freed_with_its_last_reference(self):
         # no attribute of a context, such as the mirrored side's part map,
@@ -1655,7 +1655,8 @@ class TestFlowBlock:
         # reference and not at a later pass of the cycle collector, which
         # would let the caches of several flows pile up
         ctx = FlowContext(2, 3, (1, 1, 1))
-        ctx.run("ABCDE")
+        for _ in ctx.run("ABCDE"):
+            pass
         ref = weakref.ref(ctx)
         gc.disable()
         try:
@@ -1672,11 +1673,12 @@ class TestFlowBlock:
     def test_classes_group_by_recording_tableau(self):
         # fibers of (recording tableau, weight): shapes (3) give four
         # singletons, shape (2,1) gives two classes of two
-        result = FlowContext(2, 3, (1, 1, 1)).run("AB", "B")
-        assert list(result.classes) == ["B"]
-        assert sorted(len(c) for c in result.classes["B"]) == [1, 1, 1, 1, 2, 2]
-        for cls in result.classes["B"]:
-            symbols = {rsk(result.branches[i].label)[1] for i in cls}
+        ctx = FlowContext(2, 3, (1, 1, 1))
+        *_, (_, frame, _) = ctx.run("AB")
+        classes = ctx.classes(frame, 0)
+        assert sorted(len(c) for c in classes) == [1, 1, 1, 1, 2, 2]
+        for cls in classes:
+            symbols = {rsk(ctx.basis[i])[1] for i in cls}
             assert len(symbols) == 1
 
     def test_base_points_agree(self):
@@ -1732,6 +1734,20 @@ class TestFlowBlock:
             flow_block(3, 3, (3, 2, 1))
         assert str(err.value) == (
             "C: exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24")
+
+    def test_decoding_error_ends_the_flow_at_its_leg(self, monkeypatch):
+        # leg C's frame is decoded as leg C ends, so its tie ends the flow
+        # before legs D and E are transported
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["leg"])
+            return transport(*args, **kwargs)
+
+        monkeypatch.setattr(spectralflow, "transport", counting)
+        with pytest.raises(DecodingError, match="^C: exact Casimir tie at letter 3: "):
+            flow_block(3, 3, (3, 2, 1))
+        assert calls == ["A", "B", "C"]
 
     def test_family_evaluated_once_per_leg(self, monkeypatch):
         # each leg's family is called once on its whole grid, once on its
@@ -1836,7 +1852,8 @@ class TestDecodeChain:
         monkeypatch.setattr(FlowContext, "_decode", recording_decode)
         monkeypatch.setattr(spectralflow, "_decode_chain", recording_chain)
         ctx = FlowContext(3, 3, (2, 1, 1))
-        ctx.run(legs)
+        *_, (_, end, _) = ctx.run(legs)
+        (ctx.extract_S, ctx.extract_T)[index](end, ctx.basis)
         (frame, side), = frames
         assert side is ctx.sides[index]
         cache = ctx.cache
