@@ -175,10 +175,15 @@ def cmd_crystal(args):
         raise UsageError("--rank must be at least 1")
     if args.shape is not None:
         shape = _json_vector(args.shape, "--shape")
+        if any(not isinstance(x, int) for x in shape):
+            raise UsageError("--shape entries must be integers")
         try:
-            elements = cb.semistandard_tableaux(shape, args.rank)
-        except (ValueError, TypeError) as err:
+            shape = cb.Partition(shape)
+        except ValueError as err:
             raise UsageError(f"bad shape: {err}")
+        if len(shape) > args.rank:
+            raise UsageError(f"--shape has {len(shape)} rows, more than --rank {args.rank}")
+        elements = cb.semistandard_tableaux(shape, args.rank)
         serialize = lambda t: t.to_lists()
     elif args.col_sums is not None:
         k = _json_vector(args.col_sums, "--col-sums")

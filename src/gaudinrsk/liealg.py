@@ -199,10 +199,17 @@ def weight_op(i, n):
 
 
 def kappa(i, j, n):
-    """kappa_ij = 2(E_ij E_ji + E_ji E_ij) under the diagonal gl_r action."""
-    x = delta_n(i, j, n)
-    y = delta_n(j, i, n)
-    return (x * y + y * x).scale(2)
+    """kappa_ij = 2(E_ij E_ji + E_ji E_ij) under the diagonal gl_r action,
+    written out as the words of (x y + y x).scale(2), x = delta_n(i, j, n)
+    and y = delta_n(j, i, n), in their order: E_ij^(a) E_ji^(b), then
+    E_ji^(a) E_ij^(b), each at 2; for i = j the two coincide, at 4."""
+    two, terms = Fraction(2), {}
+    for x, y in ((i, j), (j, i)):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                word = (("E", x, y, a), ("E", y, x, b))
+                terms[word] = terms.get(word, 0) + two
+    return Operator._from_fractions(terms)
 
 
 def dual_kappa(a, b, r):
@@ -261,11 +268,9 @@ def dual_nabla(a, w, z, r):
 
 def omega(a, b, r):
     """Quadratic exchange between columns a and b: sum_ij E_ij^(a) E_ji^(b)."""
-    terms = {}
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            terms[(("E", i, j, a), ("E", j, i, b))] = 1
-    return Operator(terms)
+    one = Fraction(1)
+    return Operator._from_fractions({(("E", i, j, a), ("E", j, i, b)): one
+                                     for i in range(1, r + 1) for j in range(1, r + 1)})
 
 
 def gaudin_terms(a, z, q, r):

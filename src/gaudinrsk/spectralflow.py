@@ -62,7 +62,7 @@ these on the block:
 
   W_i = sum_a E_ii^(a),
   J_a = sum_{b<a} Omega_ba (`liealg.gaudin_limit_terms`),
-  C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext._decode`),
+  C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext._casimirs`),
   E'^(i)_aa = E_ii^(a), kappa'_ab = 4 Omega_ab + 2 (c_a + c_b) and
   Omega'_ij = 1/4 kappa_ij - 1/2 (W_i + W_j), the mirrored side's parts
   (`liealg.mirrored_terms`).
@@ -525,8 +525,9 @@ def start_coeffs(cache, ops, rng, leg=""):
 
 def _match(overlaps):
     """The matching rule of every transport step, on signed overlaps
-    (..., d, d) whose entry (i, j) is new column i dotted with old column
-    j: each old column j takes the new column of largest |overlap|.
+    (..., d, d) whose row j holds old column j dotted with each new column:
+    each old column j takes the new column of largest |overlap|, the argmax
+    along its row.
 
     Both frames are orthonormal, so where every such overlap exceeds
     1/sqrt(2), as on every step that reaches MATCH_THRESHOLD, this is a
@@ -535,8 +536,8 @@ def _match(overlaps):
     Returns (new column of each old column, its signed overlap), two
     arrays (..., d).
     """
-    rows = np.abs(overlaps).argmax(axis=-2)
-    return rows, np.take_along_axis(overlaps, rows[..., None, :], axis=-2)[..., 0, :]
+    cols = np.abs(overlaps).argmax(axis=-1)
+    return cols, np.take_along_axis(overlaps, cols[..., None], axis=-1)[..., 0]
 
 
 def _frozen(stacks, frame, final=False):
@@ -597,12 +598,13 @@ def _composed(stacks, frame, cache, traced=False):
     is below MATCH_THRESHOLD.
 
     Each batch with d > 1 is diagonalised by one eigh call over its stack.
-    One batched product gives the overlaps of every point's eigenvectors
-    with the frame before: the given frame for the first, the unmatched
-    eigenvectors of the point before for the others. `_match` pairs each
-    column of the frame before with a row of that product, and the
-    matchings and signs of the accepted points compose; a 1 x 1 block keeps
-    its frame and takes its entry as value.
+    Two batched products, written into one array, give the overlaps of
+    every point's eigenvectors with the frame before, as (frame before)^T
+    @ (eigenvectors), so row j is old column j: the given frame for the
+    first point, the unmatched eigenvectors of the point before for the
+    others. `_match` pairs each column of the frame before with the argmax
+    along its row, and the matchings and signs of the accepted points
+    compose; a 1 x 1 block keeps its frame and takes its entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
     (eigenvalues in basis order, or None unless traced, min overlap), the
@@ -623,16 +625,15 @@ def _composed(stacks, frame, cache, traced=False):
             # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
             # aligns back to the frame's +-1 at overlap 1
             vals = stack[..., 0]
-            rows, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
+            cols, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
         else:
             vals, vecs = np.linalg.eigh(stack)
-            # the frames before each point, transposed in memory as matched
-            # frames are, so each product rounds as one with a matched frame
-            before = np.empty((count, k, d, d))
-            before[0] = np.swapaxes(old, 1, 2)
-            before[1:] = np.swapaxes(vecs[:-1], 2, 3)
-            rows, picked = _match(np.swapaxes(vecs, 2, 3) @ np.swapaxes(before, 2, 3))
-        best.append((rows + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
+            # (frame before)^T @ (new eigenvectors): row j is old column j
+            overlaps = np.empty((count, k, d, d))
+            np.matmul(np.swapaxes(old, 1, 2), vecs[0], out=overlaps[0])
+            np.matmul(np.swapaxes(vecs[:-1], 2, 3), vecs[1:], out=overlaps[1:])
+            cols, picked = _match(overlaps)
+        best.append((cols + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
         signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
         top.append(np.abs(picked).reshape(count, -1))
         values.append(vals.reshape(count, -1))
@@ -1049,23 +1050,47 @@ class FlowContext:
         """Tableau T of every branch from a leg E end frame (`_decode`)."""
         return self._decode(frame, self.sides[1], [self.col_sums] * len(labels))
 
-    def _decode(self, frame, side, weights):
-        """A tableau per branch, of at most min(r, n) rows (Howe duality),
-        from a side's leg C end frame and each branch's weights w there: the
-        side's corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i}
-        kappa_ab is the exact sum_{a<=i} w_a^2 plus the Rayleigh quotient of
-        its summed kappa stacks, as a branch lies in one weight block; that
-        quotient's residual is C_i's, and `_decode_chain` takes both."""
+    def _casimirs(self, frame, side, weights):
+        """Corner Casimir data (sizes, values, residuals), arrays (branches,
+        rows), from a side's leg C end frame and each branch's weights w
+        there: entry i - 1 of a row holds the boxes sum_{a<=i} w_a and the
+        Rayleigh quotient and residual of the side's corner Casimir C_i =
+        sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab, the exact sum_{a<=i}
+        w_a^2 plus the quotient of its summed kappa stacks, as a branch lies
+        in one weight block; that quotient's residual is C_i's."""
         rows, cols, _, _, mapped = side
         quotients, residuals = self._rayleigh(frame, [
             self.cache.combine(mapped([(0.5, (kappa, a, b, cols)) for b in range(2, i + 1)
                                        for a in range(1, b)]))
             for i in range(1, rows + 1)])
-        out, memo = [], {}
-        for wt, row, res in zip(weights, quotients, residuals):
-            sizes = [sum(wt[:i]) for i in range(1, rows + 1)]
-            values = [sum(x * x for x in wt[:i]) + row[i - 1] for i in range(1, rows + 1)]
-            out.append(_decode_chain(sizes, values, res, min(rows, cols), memo))
+        wt = np.array(weights, dtype=int).reshape(len(weights), rows)
+        return (np.cumsum(wt, axis=1), np.cumsum(wt * wt, axis=1) + quotients.reshape(wt.shape),
+                residuals.reshape(wt.shape))
+
+    def _decode(self, frame, side, weights):
+        """A tableau per branch, of at most min(r, n) rows (Howe duality),
+        from the corner Casimir data of a side's leg C end frame
+        (`_casimirs`). Every letter's interval [ceil(rho - h), floor(rho +
+        h)], h = r + ROUNDOFF |rho|, is taken for all branches at once, as
+        `_decode_chain` takes it; the branches whose intervals each hold one
+        integer share one `_decode_chain` call per (sizes, integers). Any
+        other branch is decoded on its own, so the first branch in basis
+        order whose chain fails raises, as if each were decoded alone."""
+        rows, cols = side[:2]
+        sizes, values, residuals = self._casimirs(frame, side, weights)
+        half = residuals + ROUNDOFF * np.abs(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            low, high = np.ceil(values - half), np.floor(values + half)
+        # low == high only where both are finite: a NaN or infinite value
+        # or residual gives a NaN or an infinite bound on one side only
+        single = np.all(low == high, axis=1)
+        out, memo, decoded = [], {}, {}
+        for size, row, res, one, letters in zip(sizes.tolist(), values, residuals, single, low):
+            # a branch without one integer per letter is its own key
+            key = (tuple(size), tuple(map(int, letters))) if one else len(out)
+            if key not in decoded:
+                decoded[key] = _decode_chain(size, row, res, min(rows, cols), memo)
+            out.append(decoded[key])
         return out
 
 

@@ -137,6 +137,8 @@ class TestCrystal:
         ["--rank", "2", "--col-sums", "[\"1\"]"],
         ["--rank", "2", "--col-sums", "[true]"],
         ["--rank", "2", "--shape", "[true]"],
+        ["--rank", "2", "--shape", "[2.5]"],
+        ["--rank", "2", "--shape", "[3,1,1]"],
     ])
     def test_bad_rank_or_col_sums_is_a_usage_error(self, capsys, argv):
         # as for flow: no empty graph for a block that cannot exist

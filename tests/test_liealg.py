@@ -174,6 +174,22 @@ class TestOperatorAlgebra:
         with pytest.raises(ValueError):
             exact_matrix(delta_n(2, 1, 2), block)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_kappa_and_omega_are_their_products(self, n):
+        # the written-out words of kappa_ij and Omega_ab are those of the
+        # operator products, in the same order and with equal Fractions;
+        # kappa_ii's two products coincide, at 4
+        for i, j in itertools.product(range(1, 4), repeat=2):
+            x, y = delta_n(i, j, n), delta_n(j, i, n)
+            expected = (x * y + y * x).scale(2)
+            assert list(kappa(i, j, n).terms.items()) == list(expected.terms.items())
+            assert all(type(c) is Fraction for c in kappa(i, j, n).terms.values())
+            exchange = _summed(op_E(a, b, i) * op_E(b, a, j)
+                               for a in range(1, n + 1) for b in range(1, n + 1))
+            assert list(omega(i, j, n).terms.items()) == list(exchange.terms.items())
+            assert all(type(c) is Fraction for c in omega(i, j, n).terms.values())
+        assert set(kappa(2, 2, n).terms.values()) == {Fraction(4)}
+
 
 class TestCommutingFamilies:
     def test_dynamical_family_commutes(self):

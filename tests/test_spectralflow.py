@@ -520,13 +520,27 @@ class TestMatch:
         """_match, applied to each block's overlap product as `_composed`
         applies it, against one linear_sum_assignment per block."""
         vals = np.random.default_rng(7).standard_normal(new.shape[:2])
-        rows, picked = spectralflow._match(np.swapaxes(new, 1, 2) @ old)
+        cols, picked = spectralflow._match(np.swapaxes(old, 1, 2) @ new)
         blk = np.arange(len(new))[:, None]
-        matched = new[blk, :, rows] * np.where(picked < 0, -1.0, 1.0)[:, :, None]
+        matched = new[blk, :, cols] * np.where(picked < 0, -1.0, 1.0)[:, :, None]
         expected = _lsa_match(new, old, vals)
         assert np.array_equal(np.swapaxes(matched, 1, 2), expected[0])
-        assert np.array_equal(vals[blk, rows], expected[1])
+        assert np.array_equal(vals[blk, cols], expected[1])
         assert np.abs(picked).min() == expected[2]
+
+    def test_rows_are_old_columns(self):
+        # row j of old^T @ new is old column j: the new frame holds old
+        # column j at column perm[j], flipped where flip[j] is -1, so
+        # _match names perm[j] and overlap flip[j] for every old column j
+        old = self._frames(np.random.default_rng(3), 1, 4)[0]
+        perm, flip = np.array([2, 0, 3, 1]), np.array([1.0, -1.0, -1.0, 1.0])
+        new = np.empty_like(old)
+        new[:, perm] = old * flip
+        cols, picked = spectralflow._match(old.T @ new)
+        assert np.array_equal(cols, perm)
+        assert np.allclose(picked, flip, rtol=0, atol=1e-12)
+        # the transposed product names the inverse permutation instead
+        assert np.array_equal(spectralflow._match(new.T @ old)[0], np.argsort(perm))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_small_rotations(self, seed):
@@ -973,10 +987,10 @@ class TestBatchedTransport:
             for stack, kept in zip(cache.normalised_sum(family(np.array([t])), coeffs), start):
                 if stack.shape[-1] == 1:
                     continue
-                rows, picked = spectralflow._match(np.swapaxes(np.linalg.eigh(stack)[1], 1, 2)
-                                                   @ kept)
+                cols, picked = spectralflow._match(np.swapaxes(kept, 1, 2)
+                                                   @ np.linalg.eigh(stack)[1])
                 rho = np.sum(kept * (stack @ kept), axis=-2)
-                assert np.array_equal(rows, rho.argsort(axis=-1).argsort(axis=-1))
+                assert np.array_equal(cols, rho.argsort(axis=-1).argsort(axis=-1))
                 assert np.abs(picked).min() >= MATCH_THRESHOLD
         monkeypatch.setattr(spectralflow, "_frozen",
                             lambda stacks, frame, final=False: (0, [None] * len(frame)))
@@ -1835,43 +1849,86 @@ class TestDecodeChain:
     ])
     def test_intervals_come_from_the_corner_casimirs(self, monkeypatch, legs, index, casimir,
                                                      other):
-        # every value and residual handed to _decode_chain is the Rayleigh
-        # quotient and residual of the dense corner Casimir of the decoded
-        # side, on the weight block of the branch, at the leg's end frame
+        # every branch's values and residuals are the Rayleigh quotient and
+        # residual of the dense corner Casimir of the decoded side, on the
+        # weight block of the branch, at the leg's end frame; each chain
+        # decoded is one of these rows, one per distinct (sizes, integers)
         frames, chains = [], []
-        decode, decode_chain = FlowContext._decode, spectralflow._decode_chain
+        casimirs, decode_chain = FlowContext._casimirs, spectralflow._decode_chain
 
-        def recording_decode(self, frame, side, weights):
-            frames.append((frame, side))
-            return decode(self, frame, side, weights)
+        def recording_casimirs(self, frame, side, weights):
+            data = casimirs(self, frame, side, weights)
+            frames.append((frame, side, data))
+            return data
 
         def recording_chain(sizes, values, residuals, max_rows, memo=None):
-            chains.append((values, residuals))
+            chains.append((sizes, values, residuals))
             return decode_chain(sizes, values, residuals, max_rows, memo)
 
-        monkeypatch.setattr(FlowContext, "_decode", recording_decode)
+        monkeypatch.setattr(FlowContext, "_casimirs", recording_casimirs)
         monkeypatch.setattr(spectralflow, "_decode_chain", recording_chain)
         ctx = FlowContext(3, 3, (2, 1, 1))
         *_, (_, end, _) = ctx.run(legs)
         (ctx.extract_S, ctx.extract_T)[index](end, ctx.basis)
-        (frame, side), = frames
+        (frame, side, (sizes, values, residuals)), = frames
         assert side is ctx.sides[index]
         cache = ctx.cache
-        assert len(chains) == cache.dim
+        assert values.shape == residuals.shape == (cache.dim, side[0])
         mats = [dense(casimir(i, getattr(ctx, other)), ctx.basis)
                 for i in range(1, side[0] + 1)]
         for batch, idx in zip(frame, cache.batches):
             for vecs, at in zip(batch, idx):
                 for col, position in enumerate(at):
                     v = vecs[:, col]
-                    values, residuals = chains[position]
                     for i, mat in enumerate(mats):
                         image = mat[np.ix_(at, at)] @ v
                         rho = v @ image
                         res = np.linalg.norm(image - rho * v)
                         scale = 1e-12 * max(1.0, abs(rho))
-                        assert abs(values[i] - rho) <= scale
-                        assert abs(residuals[i] - res) <= scale
+                        assert abs(values[position, i] - rho) <= scale
+                        assert abs(residuals[position, i] - res) <= scale
+        letters = np.rint(values).astype(int)
+        keys = [(tuple(size), tuple(row)) for size, row in zip(sizes.tolist(), letters.tolist())]
+        assert len(chains) == len(set(keys)) < cache.dim
+        firsts = [keys.index(key) for key in dict.fromkeys(keys)]
+        for (size, vals, res), b in zip(chains, firsts):
+            assert size == sizes[b].tolist()
+            assert np.array_equal(vals, values[b]) and np.array_equal(res, residuals[b])
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_shared_chains_decode_as_each_branch_alone(self, side):
+        # the tableaux of one decoder call are those of one `_decode_chain`
+        # per branch on its own row of corner Casimir data
+        ctx = FlowContext(3, 3, (2, 1, 1))
+        *_, (_, end, _) = ctx.run("ABC" if side == 0 else "ADE")
+        weights = ([m.row_sums() for m in ctx.basis] if side == 0
+                   else [ctx.col_sums] * ctx.cache.dim)
+        rows, cols = ctx.sides[side][:2]
+        sizes, values, residuals = ctx._casimirs(end, ctx.sides[side], weights)
+        alone = [_decode_chain(size, row, res, min(rows, cols))
+                 for size, row, res in zip(sizes.tolist(), values, residuals)]
+        assert ctx._decode(end, ctx.sides[side], weights) == alone
+
+    @pytest.mark.parametrize("first, second", [(2, 5), (5, 2)])
+    def test_first_failing_branch_in_basis_order_raises(self, monkeypatch, first, second):
+        # branch `first` fails on an interval holding no integer (a NaN
+        # value), branch `second` on one integer that no Pieri step gives
+        # (its first letter shifted by 1); whichever comes first in basis
+        # order raises, with the message of its chain decoded alone
+        ctx = FlowContext(3, 3, (2, 1, 1))
+        *_, (_, end, _) = ctx.run("ABC")
+        weights = [m.row_sums() for m in ctx.basis]
+        sizes, values, residuals = ctx._casimirs(end, ctx.sides[0], weights)
+        values[first, 0] = np.nan
+        values[second, 0] += 1
+        monkeypatch.setattr(FlowContext, "_casimirs",
+                            lambda self, frame, side, weights: (sizes, values, residuals))
+        b = min(first, second)
+        with pytest.raises(DecodingError) as expected:
+            _decode_chain(sizes[b].tolist(), values[b], residuals[b], 3)
+        with pytest.raises(DecodingError) as got:
+            ctx.extract_S(end, ctx.basis)
+        assert str(got.value) == str(expected.value)
 
 
 class TestVerify:
