@@ -1,11 +1,13 @@
 """Eigenline continuation recovering both tableaux of the correspondence.
 
 Runs the full flow on the multilinear block of 2x3 matrices: eigenlines are
-labelled by monomials at large parameter separation, transported to the
-degenerate limits, and decoded into a pair of tableaux per branch. The
-decoded pair is compared against row insertion for every branch. The same
-flow's leg B end frame also gives the coalescence classes at z -> 0, which
-the tableau check alone (`flow_block`) does not compute.
+labelled by monomials at large parameter separation, transported from one
+base point to the two caterpillar points, z collided in order (leg B) and
+q collided in order (leg D), and decoded into a pair of tableaux per
+branch: T at leg B's end and S at leg D's. The decoded pair is compared
+against row insertion for every branch. The same leg B end frame also
+gives the coalescence classes at z -> 0, which the tableau check alone
+(`flow_block`) does not compute.
 """
 
 from gaudinrsk.combinatorics import rsk
@@ -18,10 +20,10 @@ def rows(t):
 
 def main():
     ctx = FlowContext(2, 3, (1, 1, 1))
-    frames = {name: frame for name, frame, _ in ctx.run("ABCDE")}
+    frames = {name: frame for name, frame, _ in ctx.run("ABD")}
     labels = ctx.basis
-    s_tableaux = ctx.extract_S(frames["C"], labels)
-    t_tableaux = ctx.extract_T(frames["E"], labels)
+    t_tableaux = ctx.extract_T(frames["B"], labels)
+    s_tableaux = ctx.extract_S(frames["D"], labels)
     print(f"{len(labels)} eigenline branches on the block\n")
     print(f"{'label':22} {'S (flow)':10} {'Q (rsk)':10} {'T (flow)':10} {'P (rsk)':10}")
     agree = True

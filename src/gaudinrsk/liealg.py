@@ -12,8 +12,7 @@ part is a hashable key such as (kappa, i, j, n), naming the constant
 operator kappa(i, j, n); symmetric parts are keyed by the ordered pair. The
 exact builders sum the terms in rationals, the spectral flow in floats.
 The flow's term lists name four kinds of part only: the E_ii^(a), the
-kappa_ij, the Omega_ab and the identity (the empty word). The collision
-limit 4 J_a is the sum of its Omega terms (`gaudin_limit_terms`), and
+kappa_ij, the Omega_ab and the identity (the empty word), and
 `mirrored_terms` writes the term lists of the transposed block in these.
 
 The float matrices of the spectral flow come from `dense`, which walks
@@ -287,14 +286,6 @@ def gaudin_terms(a, z, q, r):
 def gaudin_h(a, z, q, r):
     """Gaudin Hamiltonian for column a."""
     return _terms_sum(gaudin_terms(a, _exact(z), _exact(q), r))
-
-
-def gaudin_limit_terms(a, r):
-    """Terms of 4 J_a, the limit of z_a H_a when z collides to 0 with
-    z_1 << ... << z_n: z_a / (z_a - z_b) tends to 1 for b < a, to 0 for b > a.
-    They are the exchange parts themselves, J_a = sum_{b<a} Omega_ba, so no
-    part of its own is built for J_a."""
-    return [(4, (omega, b, a, r)) for b in range(1, a)]
 
 
 def mirrored_terms(terms, r, n, col_sums):

@@ -15,36 +15,37 @@ All operators of a leg's family commute at every path point, and
 end frame; it reads nothing out.
 
 Each family is written once, for a side: a rows x cols block at (z, q)
-and a map to this block's parts (`FlowContext._families`). Legs D and E
-are legs B and C of the mirrored side (n, r, q, z) of the transposed
-block, whose Gaudin and dynamical operators are this side's dynamical and
-Gaudin ones up to scalars (bispectral duality). Both sides take q - q_1 + 1
-for q, positive as the schedules need. The base point selects the paths:
+and a map to this block's parts (`FlowContext._family`). Leg D is leg B
+of the mirrored side (n, r, q, z) of the transposed block, whose Gaudin
+and dynamical operators are this side's dynamical and Gaudin ones up to
+scalars (bispectral duality). Both sides take q - q_1 + 1 for q, positive
+as the schedules need. The base point selects the paths:
 
   A  large-parameter -> base point: dynamical family plus z-scaled
      exchange operators (`main`), z on the ordered-collision schedule
      (`collision_z`), which passes through the base z at t = 1; branches
      start as monomials.
   B  from A's end, z -> 0 on the same schedule: same family; the z-scaled
-     exchange operators converge to the partial exchange sums J_a, keeping
-     the tracked spectrum simple. Its end frame feeds leg C and the z-side
-     records (dynamical limits at z = 0).
-  C  from B's end, q rescaled at z = 0 (`gt`): the rescaled dynamical
-     operators converge to the nested commuting limits; its end frame feeds
-     the S decoder (`FlowContext.extract_S`): each letter is the one integer
-     eigenvalue of a gl_r corner Casimir in its residual interval.
-  D  leg B of the mirrored side, from A's end: q -> 0 at z; its end frame
-     feeds leg E and the q-side records (Gaudin limits at q = 0, up to
-     scalars).
-  E  leg C of the mirrored side; its end frame feeds the T decoder
-     (`FlowContext.extract_T`, the S decoder on the mirrored side).
+     exchange operators converge to the partial exchange sums J_a =
+     sum_{b<a} Omega_ba, keeping the tracked spectrum simple. Its end is
+     the caterpillar point in z, where the J_a fix the Casimirs of the
+     nested partial tensor products of the columns: its end frame feeds
+     the T decoder (`FlowContext.extract_T`) and the z-side records
+     (dynamical limits at z = 0).
+  D  leg B of the mirrored side, from A's end: q -> 0 at z, to the
+     caterpillar point in q; its end frame feeds the S decoder
+     (`FlowContext.extract_S`) and the q-side records (Gaudin limits at
+     q = 0, up to scalars).
 
-The callers read each end frame out as its leg ends, so a failing readout
-ends the flow there. The tableau check (`flow_block`) decodes S at leg C's
-end and T at leg E's; it computes no records, and a decoder's error names
-its leg. The cell flows run leg A and then B, or D, or both, and cluster
-the records at each of their ends (`FlowContext.classes`), linked by the
-records' own Rayleigh residuals.
+The S decoder reads the gl_r corner Casimirs and the T decoder the
+mirrored side's, the gl_n ones; each letter is the one integer eigenvalue
+of a corner Casimir in its residual interval. The callers read each end
+frame out as its leg ends, so a failing readout ends the flow there. The
+tableau check (`flow_block`) decodes T at leg B's end and S at leg D's; it
+computes no records, and a decoder's error names its leg. The cell flows
+run leg A and then B, or D, or both, and cluster the records at each of
+their ends (`FlowContext.classes`), linked by the records' own Rayleigh
+residuals.
 
 Each leg weights its family's operators by one draw of coefficients
 (`start_coeffs`); a combined start operator whose spectrum is not simple
@@ -61,7 +62,6 @@ the identity. Every other operator the flow uses is an exact sum of
 these on the block:
 
   W_i = sum_a E_ii^(a),
-  J_a = sum_{b<a} Omega_ba (`liealg.gaudin_limit_terms`),
   C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab (`FlowContext._casimirs`),
   E'^(i)_aa = E_ii^(a), kappa'_ab = 4 Omega_ab + 2 (c_a + c_b) and
   Omega'_ij = 1/4 kappa_ij - 1/2 (W_i + W_j), the mirrored side's parts
@@ -121,7 +121,6 @@ from .liealg import (
     _as_block,
     casimir_eigenvalue,
     dense,
-    gaudin_limit_terms,
     gaudin_terms,
     identity,
     kappa,
@@ -155,8 +154,7 @@ class DecodingError(FlowError):
 
 
 T_MAX = 1e3  # leg A starts at this collision parameter
-T_MIN = 1e-3  # leg B ends at this z scale
-S_MIN = 1e-3  # legs C, D and E end at this scale
+T_MIN = 1e-3  # legs B and D end at this scale
 MATCH_THRESHOLD = 0.9  # a step with a lower overlap is bisected
 SNAP_THRESHOLD = 0.999  # start overlap needed to label a branch by a monomial
 MAX_BISECTIONS = 40  # per leg
@@ -946,27 +944,23 @@ class FlowContext:
 
     def legs(self):
         """The leg table in run order; each leg is a log-spaced grid and a
-        family of the grid parameter (`_families`). Legs A, B and D run a
-        side's `main`: A from T_MAX down to t = 1, where it ends at the base
-        point, and B and D from there on to t = T_MIN."""
+        side's family of the grid parameter (`_family`): A from T_MAX down
+        to t = 1, where it ends at the base point, and B and D from there on
+        to t = T_MIN."""
         steps = self.opts.steps
-        (main, gt), (main_m, gt_m) = map(self._families, self.sides)
-        down, s_grid = np.geomspace(1.0, T_MIN, steps), np.geomspace(1.0, S_MIN, steps)
+        main, main_m = map(self._family, self.sides)
+        down = np.geomspace(1.0, T_MIN, steps)
         return (
             Leg("A", None, np.geomspace(T_MAX, 1.0, steps), main),
             Leg("B", "A", down, main),
-            Leg("C", "B", s_grid, gt),
             Leg("D", "A", down, main_m),
-            Leg("E", "D", s_grid, gt_m),
         )
 
-    def _families(self, side):
-        """(main, gt) of a side in this block's parts: main(t), the nabla_i
-        and z_a H_a at z on the collision schedule; gt(s), the nabla_i at
-        z = 0 with q_i scaled by s^(rows - i), and the 4 J_a. Path scalars
-        are folded into the coefficients, so each family stays bounded."""
+    def _family(self, side):
+        """A side's family main(t) in this block's parts: the nabla_i and
+        z_a H_a at z on the collision schedule. Path scalars are folded into
+        the coefficients, so the family stays bounded."""
         rows, cols, z, q, mapped = side
-        z0 = (0.0,) * cols
 
         def main(t):
             zt = collision_z(z, t)
@@ -975,14 +969,7 @@ class FlowContext:
                     + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, rows))
                        for a in range(1, cols + 1)]]
 
-        def gt(s):
-            qs = tuple(q[i - 1] * s ** (rows - i) for i in range(1, rows + 1))
-            return [mapped(terms) for terms in
-                    [_scaled(s ** (rows - i), nabla_terms(i, z0, qs, cols))
-                     for i in range(1, rows + 1)]
-                    + [gaudin_limit_terms(a, rows) for a in range(2, cols + 1)]]
-
-        return main, gt
+        return main
 
     def run(self, names, trace=None):
         """Run the named legs of the table (`legs`) in order, yielding
@@ -1043,21 +1030,25 @@ class FlowContext:
         return tuple(self.cache.by_branch([batch[k] for batch in batches]) for k in (0, 1))
 
     def extract_S(self, frame, labels):
-        """Tableau S of every branch from a leg C end frame (`_decode`)."""
+        """Tableau S of every branch from a leg D end frame, the caterpillar
+        point in q (`_decode`)."""
         return self._decode(frame, self.sides[0], [label.row_sums() for label in labels])
 
     def extract_T(self, frame, labels):
-        """Tableau T of every branch from a leg E end frame (`_decode`)."""
+        """Tableau T of every branch from a leg B end frame, the caterpillar
+        point in z (`_decode`)."""
         return self._decode(frame, self.sides[1], [self.col_sums] * len(labels))
 
     def _casimirs(self, frame, side, weights):
         """Corner Casimir data (sizes, values, residuals), arrays (branches,
-        rows), from a side's leg C end frame and each branch's weights w
-        there: entry i - 1 of a row holds the boxes sum_{a<=i} w_a and the
-        Rayleigh quotient and residual of the side's corner Casimir C_i =
-        sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab, the exact sum_{a<=i}
-        w_a^2 plus the quotient of its summed kappa stacks, as a branch lies
-        in one weight block; that quotient's residual is C_i's."""
+        rows), of a side, from the end frame of the leg that collides the
+        other side's points (leg D for side 0, leg B for side 1) and each
+        branch's weights w there: entry i - 1 of a row holds the boxes
+        sum_{a<=i} w_a and the Rayleigh quotient and residual of the side's
+        corner Casimir C_i = sum_{a<=i} W_a^2 + 1/2 sum_{a<b<=i} kappa_ab,
+        the exact sum_{a<=i} w_a^2 plus the quotient of its summed kappa
+        stacks, as a branch lies in one weight block; that quotient's
+        residual is C_i's."""
         rows, cols, _, _, mapped = side
         quotients, residuals = self._rayleigh(frame, [
             self.cache.combine(mapped([(0.5, (kappa, a, b, cols)) for b in range(2, i + 1)
@@ -1069,7 +1060,7 @@ class FlowContext:
 
     def _decode(self, frame, side, weights):
         """A tableau per branch, of at most min(r, n) rows (Howe duality),
-        from the corner Casimir data of a side's leg C end frame
+        from the corner Casimir data of a side at a caterpillar end frame
         (`_casimirs`). Every letter's interval [ceil(rho - h), floor(rho +
         h)], h = r + ROUNDOFF |rho|, is taken for all branches at once, as
         `_decode_chain` takes it; the branches whose intervals each hold one
@@ -1095,25 +1086,26 @@ class FlowContext:
 
 
 def flow_block(r, n, col_sums, row_sums=None, z=None, q=None, opts=None, trace=None):
-    """Run all legs once on one graded block and decode (S, T) on every
-    branch, S from leg C's end frame and T from leg E's, each as its leg
-    ends; returns a FlowResult.
+    """Run legs A, B and D once on one graded block and decode (S, T) on
+    every branch, T from leg B's end frame and S from leg D's, the
+    caterpillar points in z and in q, each as its leg ends; returns a
+    FlowResult.
 
     A continuation or decoding failure, or branches whose S and T shapes
     differ, raise a FlowError; a decoder's error names its leg and ends the
     flow there. The block is not run again.
     """
     ctx = FlowContext(r, n, col_sums, row_sums, z, q, opts)
-    decoders = {"C": ctx.extract_S, "E": ctx.extract_T}
+    decoders = {"B": ctx.extract_T, "D": ctx.extract_S}
     tableaux, diags = {}, []
-    for name, frame, diag in ctx.run("ABCDE", trace):
+    for name, frame, diag in ctx.run("ABD", trace):
         diags.append(diag)
         if name in decoders:
             try:
                 tableaux[name] = decoders[name](frame, ctx.basis)
             except DecodingError as err:
                 raise DecodingError(f"{name}: {err}") from err
-    branches = [EigenBranch(*branch) for branch in zip(ctx.basis, tableaux["C"], tableaux["E"])]
+    branches = [EigenBranch(*branch) for branch in zip(ctx.basis, tableaux["D"], tableaux["B"])]
     for branch in branches:
         if branch.s_tableau.shape != branch.t_tableau.shape:
             raise DecodingError(

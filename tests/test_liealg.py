@@ -21,7 +21,6 @@ from gaudinrsk.liealg import (
     dual_op_E,
     exact_matrix,
     gaudin_h,
-    gaudin_limit_terms,
     gaudin_terms,
     identity,
     is_adjoint_pair,
@@ -366,17 +365,13 @@ class TestBlockIdentities:
 
     @pytest.mark.parametrize("r, n, k, w", BLOCKS)
     def test_limit_and_dual_terms(self, r, n, k, w):
-        # the flow's term lists against the composites they replace: 4 J_a
-        # = sum_{b<a} 4 Omega_ba; and the families of the mirrored n x r
-        # side, mapped to this block's parts, against the gl_n operators
-        # built from its own words: its dynamical operators are the dual
-        # ones, and its Gaudin operators
+        # the families of the mirrored n x r side, mapped to this block's
+        # parts, against the gl_n operators built from its own words: its
+        # dynamical operators are the dual ones, and its Gaudin operators
         # H'_i = sum_a q'_a E'^(i)_aa + sum_{j != i} 4 Omega'_ij / (z'_i - z'_j),
         # with E'^(i)_ab the gl_n generator E_ab in row i and
         # Omega'_ij = sum_ab E'^(i)_ab E'^(j)_ba
         block = weight_basis(r, n, k, w)
-        for a in range(2, n + 1):
-            self.same(_terms_sum(gaudin_limit_terms(a, r)), 4 * jm(a, r), block)
         z = tuple(Fraction(x, 3) for x in (2, 5, 7, 11)[:n])
         dq = tuple(Fraction(x, 2) for x in (3, -1, 4, 1)[:r])
         for a in range(1, n + 1):

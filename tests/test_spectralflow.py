@@ -18,7 +18,6 @@ from gaudinrsk.liealg import (
     dual_nested_casimir,
     dual_op_E,
     gaudin_h,
-    gaudin_limit_terms,
     gaudin_terms,
     identity,
     jm,
@@ -92,25 +91,19 @@ def _dual_omega(i, j, n):
 
 def _dense_families(ctx):
     """Leg name -> family(t), a list of dense operator matrices, on the
-    default leg table. Legs D and E are built from the gl_n operators of
-    liealg: the dual dynamical operators and the mirrored Gaudin operators
+    default leg table. Leg D is built from the gl_n operators of liealg:
+    the dual dynamical operators and the mirrored Gaudin operators
     H'_i = sum_a z_a E'^(i)_aa + sum_{j != i} 4 Omega'_ij / (q_i - q_j),
     with q the shifted base q - q_1 + 1 on the collision schedule."""
     r, n, z = ctx.r, ctx.n, ctx.z
     q = tuple(x - ctx.q[0] + 1 for x in ctx.q)
     combine = _dense_terms(ctx.basis)
-    z0 = (0.0,) * n
 
     def main(t):
         zt = collision_z(z, t)
         return ([combine(nabla_terms(i, zt, q, n)) for i in range(1, r + 1)]
                 + [zt[a - 1] * combine(gaudin_terms(a, zt, q, r))
                    for a in range(1, n + 1)])
-
-    def gt(s):
-        qs = tuple(q[i - 1] * s ** (r - i) for i in range(1, r + 1))
-        return ([s ** (r - i) * combine(nabla_terms(i, z0, qs, n)) for i in range(1, r + 1)]
-                + [combine(gaudin_limit_terms(a, r)) for a in range(2, n + 1)])
 
     def mirrored_gaudin(i, qt):
         return combine([(z[a - 1], (dual_op_E, a, a, i)) for a in range(1, n + 1)]
@@ -122,14 +115,7 @@ def _dense_families(ctx):
         return ([combine(dual_nabla_terms(a, qt, z, r)) for a in range(1, n + 1)]
                 + [qt[i - 1] * mirrored_gaudin(i, qt) for i in range(1, r + 1)])
 
-    def mirrored_gt(s):
-        zs = tuple(z[a - 1] * s ** (n - a) for a in range(1, n + 1))
-        return ([s ** (n - a) * combine(dual_nabla_terms(a, (0.0,) * r, zs, r))
-                 for a in range(1, n + 1)]
-                + [combine([(4, (_dual_omega, j, i, n)) for j in range(1, i)])
-                   for i in range(2, r + 1)])
-
-    return {"A": main, "B": main, "C": gt, "D": mirrored_main, "E": mirrored_gt}
+    return {"A": main, "B": main, "D": mirrored_main}
 
 
 def _weight_terms(r, n):
@@ -420,9 +406,9 @@ class TestSchedules:
     def test_accepts_increasing_q_of_any_sign(self):
         report = verify_main_theorem(2, 3, col_sums=(1, 1, 1), q=(-1.0, 2.0))
         assert report["agreement"] and report["checked"] == 8
-        # the schedules take q - q_1 + 1: leg C's rescaled q_i s^(r-i) of
-        # an all-negative q would cross the wall q_1 = q_2 (at s = 2/3
-        # here) and pair 12 of the 54 labels with the wrong tableaux
+        # the schedules take q - q_1 + 1: leg D's collision schedule of an
+        # all-negative q would reverse its order on the way to 0 (q_3 falls
+        # below q_1 here), crossing the walls q_i = q_j
         report = verify_main_theorem(3, 3, col_sums=(2, 1, 1), q=(-3.0, -2.0, -1.0))
         assert report["agreement"] and report["checked"] == 54
 
@@ -667,13 +653,13 @@ class TestTransport:
                 whole_diag["steps"], whole_diag["bisections"])
 
     def test_degenerate_draw_is_not_redrawn(self, monkeypatch):
-        # a planted first draw weights the two weights W_i of leg E's start
+        # a planted first draw weights the two weights W_i of leg D's start
         # family on (2,3,(1,1,1)) alone; each is a scalar on a weight block,
         # so the start operator is exactly degenerate on the blocks with
         # d > 1. The next draw would not be, but a leg draws once and ends
         # there
         ctx = FlowContext(2, 3, (1, 1, 1))
-        leg = ctx.legs()[4]
+        leg = ctx.legs()[2]
         ops = leg.family(leg.grid[:1]) + _weight_terms(2, 3)
         rng = np.random.default_rng(3)
         draw = spectralflow._draw_coeffs
@@ -685,7 +671,7 @@ class TestTransport:
         monkeypatch.setattr(spectralflow, "_draw_coeffs", planted)
         with pytest.raises(ContinuationError) as err:
             start_coeffs(ctx.cache, ops, rng, leg.name)
-        assert str(err.value) == "E: degenerate combined spectrum"
+        assert str(err.value) == "D: degenerate combined spectrum"
         assert len(start_coeffs(ctx.cache, ops, rng, leg.name)) == len(ops)
 
 
@@ -742,22 +728,15 @@ class TestBatchedTransport:
         weight_terms = _weight_terms(ctx.r, ctx.n)
         frames, calls = {}, [0, 0]
         for leg in ctx.legs():
-            if leg.start is not None and leg.start not in frames:
-                continue
-
             def family(t, leg=leg):
                 return leg.family(t) + weight_terms
-            try:
-                coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(0))
-            except ContinuationError:
-                continue  # a degenerate start, as on leg C of (3,3,(2,2,2))
+            coeffs = start_coeffs(cache, family(leg.grid[:1]), np.random.default_rng(0))
             start = cache.identity() if leg.start is None else frames[leg.start]
             (got, want), leg_calls = self._both(monkeypatch, start, cache, family, leg.grid,
                                                 coeffs, leg.name)
             self._assert_same(got, want)
             frames[leg.name] = got[0]
             calls = [a + b for a, b in zip(calls, leg_calls)]
-        assert frames
         return calls
 
     @pytest.mark.parametrize("r, n, col_sums", [
@@ -776,9 +755,10 @@ class TestBatchedTransport:
         ctx = FlowContext(4, 4, (1, 1, 1, 1), (1, 1, 1, 1))
         batched, pointwise = self._legs(monkeypatch, ctx, points)
         if points is None:
-            # one weight block of dim 24: a whole leg per batch
+            # one weight block of dim 24: a whole leg per batch, so one
+            # eigh call for each of the three legs
             assert BATCH_BYTES // (8 * ctx.cache.size) >= FlowOpts().steps
-            assert batched == 5
+            assert batched == 3
         else:
             assert batched <= pointwise
 
@@ -1459,15 +1439,15 @@ class TestBlockCache:
         monkeypatch.setattr(spectralflow, "dense", recording_dense)
         r, n = 2, 3
         ctx = FlowContext(r, n, (1, 1, 1))
-        frames = {name: frame for name, frame, _ in ctx.run("ABCDE")}
+        frames = {name: frame for name, frame, _ in ctx.run("ABD")}
         ctx.classes(frames["B"], 0)
-        ctx.extract_S(frames["C"], ctx.basis)
-        ctx.extract_T(frames["E"], ctx.basis)
+        ctx.extract_T(frames["B"], ctx.basis)
+        ctx.extract_S(frames["D"], ctx.basis)
         basis = ctx.basis
         # only the off-diagonal primitives, kappa_ij and Omega_ab, go through
         # dense: the E_ii^(a) and the identity are written off the entry
-        # array, and the weights, J_a, dual kappa_ab and both corner
-        # Casimirs are read off the parts, so no composite is built
+        # array, and the weights, dual kappa_ab and both corner Casimirs are
+        # read off the parts, so no composite is built
         off_diagonal = ([kappa(i, j, n) for j in range(2, r + 1) for i in range(1, j)]
                         + [omega(a, b, r) for b in range(2, n + 1) for a in range(1, b)])
         assert len(built) == math.comb(r, 2) + math.comb(n, 2)
@@ -1517,7 +1497,6 @@ class TestBlockCache:
             pairs.append((cache.gaudin_mat(a, zf, qf), gaudin_h(a, z, q, r)))
             pairs.append((cache.gaudin_mat(a, zf, (0.0,) * r), gaudin_h(a, z, q0, r)))
             pairs.append((cache.dual_nabla0_mat(a, zf), dual_nabla(a, q0, z, r)))
-            pairs.append((cache.combine(gaudin_limit_terms(a, r)), jm(a, r).scale(4)))
         for stacks, op in pairs:
             assert np.max(np.abs(cache.full(stacks) - dense(op, basis))) < 1e-12
 
@@ -1669,7 +1648,7 @@ class TestFlowBlock:
         # reference and not at a later pass of the cycle collector, which
         # would let the caches of several flows pile up
         ctx = FlowContext(2, 3, (1, 1, 1))
-        for _ in ctx.run("ABCDE"):
+        for _ in ctx.run("ABD"):
             pass
         ref = weakref.ref(ctx)
         gc.disable()
@@ -1726,32 +1705,45 @@ class TestFlowBlock:
                 assert np.max(np.abs(stack - scalars)) < 1e-12
 
     def test_degenerate_start_ends_before_any_transport(self, monkeypatch):
-        # leg C's start spectrum on (3,3,(2,2,2)) is degenerate whatever the
-        # draw; each leg draws once, and every start is checked before legs
-        # A and B run
-        calls = []
+        # a planted draw weights the three weights W_i of leg D's start
+        # family on (3,3,(2,2,2)) alone, a scalar on each weight block, so
+        # leg D's start spectrum is degenerate; each leg draws once, and
+        # every start is checked before legs A and B run
+        calls, draws = [], []
+        draw = spectralflow._draw_coeffs
 
         def counting(*args, **kwargs):
             calls.append(kwargs.get("leg"))
             return transport(*args, **kwargs)
 
+        def planted(rng, count):
+            draws.append(count)
+            coeffs = draw(rng, count)
+            if len(draws) == 3:  # leg D's draw: the weights come last
+                coeffs[:-3] = 0
+            return coeffs
+
         monkeypatch.setattr(spectralflow, "transport", counting)
+        monkeypatch.setattr(spectralflow, "_draw_coeffs", planted)
         with pytest.raises(ContinuationError) as err:
             flow_block(3, 3, (2, 2, 2))
-        assert str(err.value) == "C: degenerate combined spectrum"
+        assert str(err.value) == "D: degenerate combined spectrum"
+        assert len(draws) == 3
         assert calls == []
 
     def test_decoding_error_names_its_leg(self):
-        # the S decoder reads leg C's end frame, where the rank-3 corner
-        # Casimir cannot tell (3,3) from (4,1,1)
-        with pytest.raises(DecodingError) as err:
-            flow_block(3, 3, (3, 2, 1))
-        assert str(err.value) == (
-            "C: exact Casimir tie at letter 3: shapes (3, 3) and (4, 1, 1) both give 24")
+        # the T decoder reads leg B's end frame and the S decoder leg D's;
+        # on each of these blocks the rank-3 corner Casimir of one side
+        # cannot tell (3,3) from (4,1,1)
+        for col_sums, leg in [((2, 2, 2), "B"), ((3, 2, 1), "D")]:
+            with pytest.raises(DecodingError) as err:
+                flow_block(3, 3, col_sums)
+            assert str(err.value) == (f"{leg}: exact Casimir tie at letter 3: "
+                                      "shapes (3, 3) and (4, 1, 1) both give 24")
 
     def test_decoding_error_ends_the_flow_at_its_leg(self, monkeypatch):
-        # leg C's frame is decoded as leg C ends, so its tie ends the flow
-        # before legs D and E are transported
+        # leg B's frame is decoded as leg B ends, so its tie ends the flow
+        # before leg D is transported
         calls = []
 
         def counting(*args, **kwargs):
@@ -1759,9 +1751,9 @@ class TestFlowBlock:
             return transport(*args, **kwargs)
 
         monkeypatch.setattr(spectralflow, "transport", counting)
-        with pytest.raises(DecodingError, match="^C: exact Casimir tie at letter 3: "):
-            flow_block(3, 3, (3, 2, 1))
-        assert calls == ["A", "B", "C"]
+        with pytest.raises(DecodingError, match="^B: exact Casimir tie at letter 3: "):
+            flow_block(3, 3, (2, 2, 2))
+        assert calls == ["A", "B"]
 
     def test_family_evaluated_once_per_leg(self, monkeypatch):
         # each leg's family is called once on its whole grid, once on its
@@ -1787,11 +1779,11 @@ class TestFlowBlock:
         monkeypatch.setattr(spectralflow, "_draw_coeffs", counting_draw)
         result = flow_block(2, 4, (2, 1, 1, 2))
         bisections = {d["leg"]: d["bisections"] for d in result.diagnostics["legs"]}
-        assert bisections == {"A": 1, "B": 0, "C": 0, "D": 0, "E": 0}
-        assert len(draws) == 5
+        assert bisections == {"A": 1, "B": 0, "D": 0}
+        assert len(draws) == 3
         steps = FlowOpts().steps
-        assert len(calls) == 5 + len(draws) + 1
-        for name in "BCDE":
+        assert len(calls) == 3 + len(draws) + 1
+        for name in "BD":
             assert [shape for leg, shape in calls if leg == name] == [(1,), (steps,)]
         assert [shape for leg, shape in calls if leg == "A"] == [(1,), (steps,), (1,)]
 
@@ -1799,8 +1791,8 @@ class TestFlowBlock:
         trace = []
         result = flow_block(2, 2, (1, 1), row_sums=(1, 1), trace=trace)
         legs = {leg for leg, _, _ in trace}
-        assert legs == {"A", "B", "C", "D", "E"}
-        assert [d["leg"] for d in result.diagnostics["legs"]] == list("ABCDE")
+        assert legs == {"A", "B", "D"}
+        assert [d["leg"] for d in result.diagnostics["legs"]] == list("ABD")
 
 
 class TestDecodeChain:
@@ -1844,8 +1836,8 @@ class TestDecodeChain:
         assert _decode_chain([2], [4 + 1e-14], [0.0], 1).to_lists() == [[1, 1]]
 
     @pytest.mark.parametrize("legs, index, casimir, other", [
-        ("ABC", 0, nested_casimir, "n"),
-        ("ADE", 1, dual_nested_casimir, "r"),
+        ("AD", 0, nested_casimir, "n"),
+        ("AB", 1, dual_nested_casimir, "r"),
     ])
     def test_intervals_come_from_the_corner_casimirs(self, monkeypatch, legs, index, casimir,
                                                      other):
@@ -1900,7 +1892,7 @@ class TestDecodeChain:
         # the tableaux of one decoder call are those of one `_decode_chain`
         # per branch on its own row of corner Casimir data
         ctx = FlowContext(3, 3, (2, 1, 1))
-        *_, (_, end, _) = ctx.run("ABC" if side == 0 else "ADE")
+        *_, (_, end, _) = ctx.run("AD" if side == 0 else "AB")
         weights = ([m.row_sums() for m in ctx.basis] if side == 0
                    else [ctx.col_sums] * ctx.cache.dim)
         rows, cols = ctx.sides[side][:2]
@@ -1916,7 +1908,7 @@ class TestDecodeChain:
         # (its first letter shifted by 1); whichever comes first in basis
         # order raises, with the message of its chain decoded alone
         ctx = FlowContext(3, 3, (2, 1, 1))
-        *_, (_, end, _) = ctx.run("ABC")
+        *_, (_, end, _) = ctx.run("AD")
         weights = [m.row_sums() for m in ctx.basis]
         sizes, values, residuals = ctx._casimirs(end, ctx.sides[0], weights)
         values[first, 0] = np.nan
