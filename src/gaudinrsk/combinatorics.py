@@ -468,41 +468,6 @@ def transpose_check(matrix):
     return pt == q and qt == p
 
 
-def evacuation(tableau):
-    """Schuetzenberger evacuation of a standard tableau (an involution)."""
-    if not tableau.is_standard():
-        raise ValueError("evacuation requires a standard tableau")
-    size = tableau.size
-    rows = [list(row) for row in tableau.rows]
-    out = {}
-    for step in range(size):
-        # delta operation: empty the (1,1) box, slide the hole outwards
-        i, j = 0, 0
-        while True:
-            below = rows[i + 1][j] if i + 1 < len(rows) and j < len(rows[i + 1]) else None
-            right = rows[i][j + 1] if j + 1 < len(rows[i]) else None
-            if below is None and right is None:
-                break
-            if right is None or (below is not None and below < right):
-                rows[i][j] = below
-                i += 1
-            else:
-                rows[i][j] = right
-                j += 1
-        rows[i].pop()
-        if not rows[i]:
-            rows.pop(i)
-        out[(i, j)] = size - step
-    if not out:
-        return SemistandardTableau((), tableau.alphabet_bound)
-    n_rows = max(i for i, _ in out) + 1
-    result = [
-        [out[(i, j)] for j in range(sum(1 for key in out if key[0] == i))]
-        for i in range(n_rows)
-    ]
-    return SemistandardTableau(result, tableau.alphabet_bound)
-
-
 def all_matrices(r, n, max_entry):
     """Every r-by-n matrix with entries in 0..max_entry."""
     cells = list(itertools.product(range(max_entry + 1), repeat=r * n))

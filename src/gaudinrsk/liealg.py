@@ -32,16 +32,18 @@ only at the images it reaches. The checks keep integer coefficients over
 the common denominator of the operator's rationals, so every check is
 exact and free of floating point.
 
-`weight_basis` returns its basis as a `MonomialBlock`, a read-only sequence
-of the monomials, and its tables and entry array live as long as that
-object: every check given the same block shares them and fills each entry
-once. A plain list of monomials gets a fresh block on every call.
+`weight_basis` enumerates a block as one int64 entry array, column by
+column, and returns it as a `MonomialBlock`, a read-only sequence of the
+monomials that keeps that array; its tables and entry array live as long as
+that object: every check given the same block shares them and fills each
+entry once. A plain list of monomials gets a fresh block on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -347,54 +349,59 @@ def casimir_eigenvalue(shape, rank, order=2):
     return sum(p * (p + rank + 1 - 2 * j) for j, p in enumerate(shape, start=1))
 
 
-def _capped_compositions(total, caps):
-    """All tuples of non-negative integers with the sum, entry i at most caps[i]."""
-    if not caps:
-        return [()] if total == 0 else []
-    out = []
-    rest = sum(caps[1:])
-    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
-        for tail in _capped_compositions(total - first, caps[1:]):
-            out.append((first,) + tail)
-    return out
-
-
 def weight_basis(r, n, col_sums, row_sums=None):
     """Monomial basis of the graded piece with the given column sums,
     optionally restricted to fixed row sums (a gl_r weight block), as a
     `MonomialBlock` with empty generator tables. Row sums of the wrong
     length or total give the empty block.
 
-    Columns are filled left to right within the row sums still open, so
-    only matrices of the block are built. Deterministic order:
-    lexicographic in the flattened entries.
+    The block is enumerated as one int64 array of flattened entries,
+    column by column and, within a column, row by row: each stage holds a
+    (count, r*n) array of partial fillings, and each filling is repeated
+    once for every entry the row sums still open and the rest of its column
+    allow. With equal totals every such filling completes to a matrix of
+    the block, so no stage holds a filling outside it. The rows are then
+    sorted lexicographically in the flattened entries, the basis order,
+    and the block keeps the array as its `entry_array`; its labels are
+    built from the rows. A sum that is not an integer raises TypeError, and
+    r times the largest sum must fit int64, else OverflowError.
     """
     if len(col_sums) != n:
         raise ValueError(f"expected {n} column sums, got {len(col_sums)}")
+    col_sums = [operator.index(c) for c in col_sums]
+    total = sum(col_sums)
     if row_sums is None:
-        open_rows = [sum(col_sums)] * r
-    elif len(row_sums) == r and sum(row_sums) == sum(col_sums):
-        open_rows = list(row_sums)
+        open_rows = [total] * r
+    elif len(row_sums) == r and sum(row_sums) == total:
+        open_rows = [operator.index(x) for x in row_sums]
     else:
         return MonomialBlock([])
-    out = []
-
-    # with equal totals, any columns that fit the open row sums complete
-    # to a matrix of the block, so no branch of the recursion is wasted
-    def rec(a, cols):
-        if a == n:
-            out.append(NatMatrix([[cols[c][i] for c in range(n)] for i in range(r)], r, n))
-            return
-        for col in _capped_compositions(col_sums[a], tuple(open_rows)):
-            for i, x in enumerate(col):
-                open_rows[i] -= x
-            rec(a + 1, cols + [col])
-            for i, x in enumerate(col):
-                open_rows[i] += x
-
-    rec(0, [])
-    out.sort(key=lambda m: m.entries)
-    return MonomialBlock(out)
+    # the rows below a cell hold at most r times the largest sum
+    if max(map(abs, col_sums + open_rows + [total])) * max(r, 1) >= 2 ** 63:
+        raise OverflowError("weight_basis needs sums that fit int64")
+    filled = np.zeros((1, r * n), dtype=np.int64)
+    free = np.array(open_rows, dtype=np.int64).reshape(1, r)
+    for a, c in enumerate(col_sums):
+        left = np.full(len(filled), c, dtype=np.int64)
+        for i in range(r):
+            # the rows below must take what is left of the column
+            low = np.maximum(left - free[:, i + 1:].sum(axis=1), 0)
+            ways = np.maximum(np.minimum(left, free[:, i]) - low + 1, 0)
+            keep = np.repeat(np.arange(len(ways)), ways)
+            x = low[keep] + np.arange(len(keep)) - np.repeat(np.cumsum(ways) - ways, ways)
+            filled, free, left = filled[keep], free[keep], left[keep] - x
+            filled[:, i * n + a] = x
+            free[:, i] -= x
+        filled = filled[left == 0]  # with no rows, only an empty column is filled
+    if not len(filled):
+        return MonomialBlock([])
+    if r * n:
+        filled = filled[np.lexsort(filled.T[::-1])]
+    # every row is a matrix of the block, so the labels need no check
+    block = MonomialBlock(NatMatrix._unchecked(tuple(map(tuple, m)), r, n)
+                          for m in filled.reshape(len(filled), r, n).tolist())
+    block.entry_array = filled
+    return block
 
 
 def sqnorm(matrix):
@@ -414,16 +421,19 @@ class MonomialBlock(Sequence):
     any sequence of the same monomials in the same order. Its tables change
     as checks run, so it is not hashable.
 
-    `entry_array` holds the basis as one int64 array, built on first use;
-    `walk`, and through it `dense`, reads only that array.
+    `entry_array` holds the basis as one int64 array: `weight_basis`
+    enumerates the block as that array and hands it over, and a block made
+    from a list of monomials builds it on first use. `walk`, and through it
+    `dense`, reads only that array, as do `sqnorms` and `float_sqnorms`.
 
     The tables serve the exact checks. Monomials are numbered in basis
-    order; a monomial outside the basis that some word reaches gets the
-    next free number. The table of a generator maps a monomial number to
-    (image number, count), or to None where the generator kills the
-    monomial. An entry is filled through `Operator.apply_monomial` of the
-    generator's single-term operator, kept in `generators`, the first time
-    a word reaches its monomial, so the tables grow only with the monomials
+    order (`numbers`, built when the first table entry is filled); a
+    monomial outside the basis that some word reaches gets the next free
+    number. The table of a generator maps a monomial number to (image
+    number, count), or to None where the generator kills the monomial. An
+    entry is filled through `Operator.apply_monomial` of the generator's
+    single-term operator, kept in `generators`, the first time a word
+    reaches its monomial, so the tables grow only with the monomials
     actually reached, and they live as long as the block: every check given
     this block (as `weight_basis` returns it) shares them, while a check
     given a list of monomials builds a fresh block for that call alone.
@@ -433,7 +443,9 @@ class MonomialBlock(Sequence):
         self.basis = list(basis)
         self.dim = len(self.basis)
         self.monomials = list(self.basis)
-        self.numbers = {m: i for i, m in enumerate(self.basis)}
+        # set here, not by a cached_property: one that writes the instance
+        # dict slows every attribute read of the block in the exact checks
+        self._numbers = None
         self.tables = {}
         # the single-generator operator that fills each table
         self.generators = {}
@@ -483,11 +495,19 @@ class MonomialBlock(Sequence):
                     )
         return action.den, cols
 
+    @property
+    def numbers(self):
+        """The number of each monomial reached so far: the basis in its
+        order, then the images `_fill` adds; built on first use."""
+        if self._numbers is None:
+            self._numbers = {m: i for i, m in enumerate(self.basis)}
+        return self._numbers
+
     @functools.cached_property
     def sqnorms(self):
-        """The squared norm (`sqnorm`) of each basis monomial, computed on
-        first use."""
-        return [sqnorm(m) for m in self.basis]
+        """The squared norm (`sqnorm`) of each basis monomial, an exact
+        Python int, computed on first use from the rows of `entry_array`."""
+        return [math.prod(map(math.factorial, row)) for row in self.entry_array.tolist()]
 
     @functools.cached_property
     def float_sqnorms(self):

@@ -212,9 +212,11 @@ class BlockCache:
 
     Every part the flow uses commutes with the diagonal gl_r Cartan, so it
     maps each weight space (the monomials with fixed row sums) to itself.
-    The basis is split once into these weight blocks, and blocks of equal
-    size d form a batch: `batches` holds one (k, d) array of basis
-    positions per batch, in increasing d. The cache holds the parts
+    The basis is split once into these weight blocks, by the row sums of
+    the block's entry array, and blocks of equal size d form a batch:
+    `batches` holds one (k, d) array of basis positions per batch, in
+    increasing d, its weight blocks in order of first appearance in the
+    basis and each block's positions ascending. The cache holds the parts
     `primitive_parts(r, n)`, in that order, as `parts`, and no other: every
     operator the flow sums is a combination of them (see the module
     docstring), built once from the entry array of the MonomialBlock the
@@ -252,16 +254,19 @@ class BlockCache:
         self.basis = self.block.basis
         self.dim = self.block.dim
         self.col_sums = self.basis[0].col_sums() if self.dim else (0,) * n
-        weights = {}
-        for pos, m in enumerate(self.basis):
-            weights.setdefault(m.row_sums(), []).append(pos)
-        by_size = {}
-        for positions in weights.values():
-            by_size.setdefault(len(positions), []).append(positions)
-        self.batches = [np.array(by_size[d]) for d in sorted(by_size)]
+        # the weight space of each monomial, its first position and its size
+        row_sums = self.block.entry_array.reshape(self.dim, r, n).sum(axis=2)
+        _, first, space, sizes = np.unique(row_sums, axis=0, return_index=True,
+                                           return_inverse=True, return_counts=True)
+        # basis position of each frame column, batch after batch: by weight
+        # space size, then weight space in order of first appearance, then
+        # basis position
+        self.positions = np.lexsort((np.arange(self.dim), first[space], sizes[space]))
+        ds, ks = np.unique(sizes, return_counts=True)
+        ends = np.cumsum(ds * ks)
+        self.batches = [self.positions[end - k * d:end].reshape(k, d)
+                        for d, k, end in zip(ds.tolist(), ks.tolist(), ends.tolist())]
         self.size = sum(idx.size * idx.shape[1] for idx in self.batches)
-        # basis position of each frame column, batch after batch
-        self.positions = np.concatenate([idx.ravel() for idx in self.batches] or [[]]).astype(int)
         # flat-buffer position of each diagonal entry, in the same order
         self._diagonal = np.concatenate(
             [start + np.arange(idx.size) * (d + 1) - np.arange(idx.size) // d * d
@@ -929,10 +934,11 @@ class FlowContext:
             raise SetupError("flow needs strictly increasing base q")
         if self.opts.seed < 0:
             raise SetupError("flow needs a non-negative seed")
-        for t in np.geomspace(1.0, T_MAX, self.opts.steps):
-            zt = collision_z(self.z, t)
-            if any(a >= b for a, b in zip(zt, zt[1:])):
-                raise SetupError(f"collision schedule unordered at t={t}")
+        grid = np.geomspace(1.0, T_MAX, self.opts.steps)
+        zt = np.reshape(collision_z(self.z, grid), (n, grid.size))
+        unordered = np.flatnonzero((zt[:-1] >= zt[1:]).any(axis=0))
+        if unordered.size:
+            raise SetupError(f"collision schedule unordered at t={grid[unordered[0]]}")
         # the sides (rows, cols, z, q, map to this block's parts), q - q_1 + 1
         # for q; no map holds self, so a context is freed without the cycle GC
         q = tuple(x - self.q[0] + 1 for x in self.q)

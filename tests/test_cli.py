@@ -6,7 +6,7 @@ import time
 import pytest
 
 from gaudinrsk import cli, cmcells, spectralflow
-from gaudinrsk.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from gaudinrsk.cli import EXIT_INCONCLUSIVE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -208,6 +208,18 @@ class TestFlow:
         code, report = run(capsys, "flow", "--r", "1", "--n", "1", "--col-sums", "[170]")
         assert code == EXIT_OK
         assert report["checked"] == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weight_block_with_a_casimir_tie_is_inconclusive(self, capsys, seed):
+        # the corner shapes (3, 3) and (4, 1, 1) give one quadratic Casimir
+        # value at letter 4: the run ends inconclusive on leg B, naming the
+        # tie, and reports no pairing
+        code, report = run(capsys, "flow", "--r", "3", "--n", "4", "--col-sums", "[2,1,1,2]",
+                           "--weight", "[2,2,2]", "--seed", str(seed))
+        assert code == EXIT_INCONCLUSIVE
+        assert not report["agreement"] and not report["checked"] and not report["mismatches"]
+        [failure] = report["failures"]
+        assert failure["error"].startswith("B: exact Casimir tie at letter 4: ")
 
     def test_needs_block_selector(self, capsys):
         assert main(["flow", "--r", "2", "--n", "2"]) == EXIT_USAGE

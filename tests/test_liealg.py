@@ -37,12 +37,54 @@ from gaudinrsk.liealg import (
     weight_basis,
     weight_op,
 )
-from gaudinrsk.liealg import _capped_compositions, _summed, _terms_sum
+from gaudinrsk.liealg import _summed, _terms_sum
 from gaudinrsk.spectralflow import FlowContext
 
 Z = (Fraction(5), Fraction(2), Fraction(1))
 Q = (Fraction(3), Fraction(1))
 BASIS = weight_basis(2, 3, (1, 1, 1))
+
+
+def _capped_compositions(total, caps):
+    """All tuples of non-negative integers with the sum, entry i at most caps[i]."""
+    if not caps:
+        return [()] if total == 0 else []
+    out = []
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _capped_compositions(total - first, caps[1:]):
+            out.append((first,) + tail)
+    return out
+
+
+def _recursive_basis(r, n, col_sums, row_sums=None):
+    """The oracle of `weight_basis`: the block as a sorted list of checked
+    monomials, filled column by column in a recursion over the row sums
+    still open."""
+    if len(col_sums) != n:
+        raise ValueError(f"expected {n} column sums, got {len(col_sums)}")
+    if row_sums is None:
+        open_rows = [sum(col_sums)] * r
+    elif len(row_sums) == r and sum(row_sums) == sum(col_sums):
+        open_rows = list(row_sums)
+    else:
+        return []
+    out = []
+
+    def rec(a, cols):
+        if a == n:
+            out.append(NatMatrix([[cols[c][i] for c in range(n)] for i in range(r)], r, n))
+            return
+        for col in _capped_compositions(col_sums[a], tuple(open_rows)):
+            for i, x in enumerate(col):
+                open_rows[i] -= x
+            rec(a + 1, cols + [col])
+            for i, x in enumerate(col):
+                open_rows[i] += x
+
+    rec(0, [])
+    out.sort(key=lambda m: m.entries)
+    return out
 
 
 class TestBasis:
@@ -82,6 +124,87 @@ class TestBasis:
             for w in weights + [(sum(k) + 1,) + (0,) * (r - 1)]:
                 block = weight_basis(r, n, k, row_sums=w)
                 assert block == [m for m in full if m.row_sums() == tuple(w)]
+
+
+class TestArrayEnumeration:
+    # empty columns, r = 1, n = 1, no rows or columns, row sums of the
+    # wrong length or total, negative sums, weight blocks of (4,4,(2,2,2,2))
+    # and (3,4,(2,1,1,2)), and entries above 2^31
+    CORPUS = [
+        (2, 3, (1, 1, 1), None),
+        (3, 3, (2, 0, 3), None),
+        (2, 2, (0, 0), None),
+        (3, 3, (2, 2, 2), None),
+        (1, 3, (2, 0, 1), None),
+        (1, 2, (2, 1), (3,)),
+        (3, 1, (4,), None),
+        (3, 1, (4,), (2, 0, 2)),
+        (2, 0, (), None),
+        (0, 2, (0, 0), None),
+        (0, 2, (1, 0), None),
+        (2, 3, (1, 1, 1), (1, 1, 1)),
+        (2, 3, (1, 1, 1), (2, 0)),
+        (2, 2, (1, 1), (3, -1)),
+        (2, 2, (-1, 1), None),
+        (4, 4, (2, 2, 2, 2), (2, 2, 2, 2)),
+        (4, 4, (2, 2, 2, 2), (3, 2, 2, 1)),
+        (4, 4, (2, 2, 2, 2), (8, 0, 0, 0)),
+        (3, 4, (2, 1, 1, 2), (2, 2, 2)),
+        (2, 2, (2 ** 40, 1), (2 ** 40, 1)),
+        (1, 3, (2 ** 33, 5, 0), None),
+        (2, 1, (2 ** 31 + 2,), (2 ** 31, 2)),
+    ]
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", CORPUS)
+    def test_equals_the_recursion(self, r, n, col_sums, row_sums):
+        block = weight_basis(r, n, col_sums, row_sums)
+        want = _recursive_basis(r, n, col_sums, row_sums)
+        assert list(block) == want
+        assert all(type(x) is int for m in block for row in m.entries for x in row)
+        assert [hash(m) for m in block] == [hash(m) for m in want]
+        oracle = MonomialBlock(want)
+        assert block.entry_array.dtype == oracle.entry_array.dtype == np.int64
+        assert block.entry_array.shape == oracle.entry_array.shape
+        assert np.array_equal(block.entry_array, oracle.entry_array)
+        assert block._numbers is None  # built on first use
+        assert block.numbers == {m: i for i, m in enumerate(want)} == oracle.numbers
+
+    @pytest.mark.parametrize("r, n, col_sums", [
+        (2, 3, (1, 1, 1)), (3, 3, (2, 0, 3)), (2, 2, (25, 24)), (1, 2, (3, 0))])
+    def test_norms_are_the_factorial_products(self, r, n, col_sums):
+        block = weight_basis(r, n, col_sums)
+        norms = [sqnorm(m) for m in block]
+        assert block.sqnorms == norms and all(type(x) is int for x in block.sqnorms)
+        floats = np.array([float(x) for x in norms])
+        assert block.float_sqnorms.tobytes() == floats.tobytes()
+        assert MonomialBlock(list(block)).float_sqnorms.tobytes() == floats.tobytes()
+
+    def test_norms_above_2_53_round_once(self):
+        # products of factorials that a float does not hold exactly
+        norms = weight_basis(2, 2, (25, 24)).sqnorms
+        assert sum(float(x) != x for x in norms) > 100
+        assert max(norms) == math.factorial(25) * math.factorial(24)
+
+    @pytest.mark.parametrize("col_sums", [(171, 0), (100, 100)])
+    def test_norm_beyond_float_range_raises(self, col_sums):
+        block = weight_basis(1, 2, col_sums)
+        assert block.sqnorms == [sqnorm(block[0])]
+        with pytest.raises(OverflowError):
+            block.float_sqnorms
+        with pytest.raises(OverflowError):
+            dense(op_E(1, 1, 1), block)
+
+    @pytest.mark.parametrize("col_sums, row_sums", [((1.5, 1), None), ((2, 1), (1.5, 1.5))])
+    def test_non_integer_sums_raise(self, col_sums, row_sums):
+        for enumerate_block in (weight_basis, _recursive_basis):
+            with pytest.raises(TypeError):
+                enumerate_block(2, 2, col_sums, row_sums)
+
+    @pytest.mark.parametrize("r, col_sums, row_sums", [
+        (1, (2 ** 63,), None), (2, (2 ** 62, 0), None), (2, (2 ** 62,), (2 ** 62, 0))])
+    def test_sums_beyond_int64_raise(self, r, col_sums, row_sums):
+        with pytest.raises(OverflowError):
+            weight_basis(r, len(col_sums), col_sums, row_sums)
 
 
 class TestBasisBlock:

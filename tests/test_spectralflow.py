@@ -384,6 +384,24 @@ class TestSchedules:
         with pytest.raises(SetupError):
             FlowContext(2, 2, (1, 1), z=(2.0, 1.0))
 
+    def test_unordered_schedule_names_its_first_t(self, monkeypatch):
+        # a positive increasing base z keeps its order on the whole grid, as
+        # z_i(t) / z_{i+1}(t) = 2t / (1 + t^2) z_i / z_{i+1}; a schedule that
+        # swaps z_1 and z_2 from t = 10 on is refused at the first grid
+        # point there, as a point-by-point loop finds it
+        def swapped(z, t):
+            zt = collision_z(z, t)
+            late = np.asarray(t) >= 10
+            return (np.where(late, zt[1], zt[0]), np.where(late, zt[0], zt[1])) + zt[2:]
+
+        monkeypatch.setattr(spectralflow, "collision_z", swapped)
+        first = next(t for t in np.geomspace(1.0, spectralflow.T_MAX, 48)
+                     if any(a >= b for a, b in zip(swapped((1.0, 2.0, 3.0), t),
+                                                   swapped((1.0, 2.0, 3.0), t)[1:])))
+        assert 10 <= first < 12
+        with pytest.raises(SetupError, match=f"collision schedule unordered at t={first}$"):
+            FlowContext(2, 3, (1, 1, 1))
+
     def test_rejects_nonpositive_base(self):
         with pytest.raises(SetupError):
             FlowContext(2, 2, (1, 1), z=(0.0, 1.0))
@@ -1306,6 +1324,33 @@ class TestBlockCache:
         assert parts >= cache._full.nbytes + cache._diag.nbytes
         estimate = spectralflow.flow_bytes(r, n, sizes, FlowOpts().steps)
         assert estimate >= parts + 8 * cache.dim ** 2 + cache._gram.nbytes
+
+    @pytest.mark.parametrize("r, n, col_sums, row_sums", [
+        (2, 3, (1, 1, 1), None),
+        (3, 3, (2, 0, 1), None),
+        (3, 4, (2, 1, 1, 2), None),
+        (3, 4, (2, 1, 1, 2), (2, 2, 2)),
+        (2, 3, (1, 1, 1), (2, 0)),
+        (2, 0, (), None),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batches_group_the_weight_spaces(self, r, n, col_sums, row_sums, reverse):
+        # the weight spaces by the row sums of the basis monomials, in order
+        # of first appearance with their positions ascending, batched by
+        # size; a list of monomials in another order is split the same way
+        block = weight_basis(r, n, col_sums, row_sums)
+        if reverse:
+            block = list(block)[::-1]
+        spaces = {}
+        for pos, m in enumerate(block):
+            spaces.setdefault(m.row_sums(), []).append(pos)
+        by_size = {}
+        for positions in spaces.values():
+            by_size.setdefault(len(positions), []).append(positions)
+        cache = BlockCache(r, n, block)
+        assert [idx.tolist() for idx in cache.batches] == [by_size[d] for d in sorted(by_size)]
+        assert cache.positions.tolist() == [p for idx in cache.batches for p in idx.ravel()]
+        assert cache.size == sum(d * d * len(by_size[d]) for d in by_size)
 
     # the blocks above, S_5, and (2,3,(2,0,1)), whose Omega_12 and Omega_23
     # are 0 and held in D
