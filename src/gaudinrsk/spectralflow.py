@@ -69,8 +69,9 @@ these on the block:
 
 The `BlockCache` builds these parts once, in one fixed order
 (`primitive_parts`), so every float sum over them adds its terms in one
-order, and holds each as its weight-block entries at the flat positions
-where some part is nonzero or, for a part with no off-diagonal entry, its
+order, and holds each by its kind: a kappa_ij or Omega_ab as its
+weight-block entries at the flat positions where some such part is
+nonzero, an E_ii^(a) or the identity, diagonal on monomials, as its
 diagonal. A family is a function of an array of points: each leg
 evaluates it once on its whole grid, as one array of weights, a row per
 point (`BlockCache.coefficients`). A leg runs
@@ -223,8 +224,7 @@ class BlockCache:
     cache is given (or one built from a list of monomials): the diagonals
     of E_ii^(a) and the identity straight from that array, each kappa_ij
     and Omega_ab by `liealg.dense` as a dim x dim matrix that lives until
-    its nonzero weight-block entries are copied out. One cache serves every
-    leg.
+    its weight blocks are copied out. One cache serves every leg.
     On a block of one weight, such as the S_n block, there is one batch
     with k = 1. `col_sums` holds the block's column sums, the constants of
     the dual operators.
@@ -233,10 +233,12 @@ class BlockCache:
     of weight blocks, batch after batch, read at U (`_support`): the sorted
     flat positions where some row of F is nonzero, a tenth of the buffer
     on the S_5 block. F is filled from each part's nonzero entries once
-    all are built, so no (parts, size) array is held. A part whose
-    matrix has no off-diagonal nonzero (the E_ii^(a), the identity, and a
-    kappa_ij or Omega_ab diagonal or 0 on a degenerate block, by an exact
-    test) is instead its diagonal, a row of D (parts, dim).
+    all are built, so no (parts, size) array is held. The store follows
+    the part's kind, the rule `flow_bytes` charges: each kappa_ij and
+    Omega_ab is a row of F, also where a degenerate block makes it
+    diagonal or 0 (its diagonal then lies in U), and each E_ii^(a) and
+    the identity, diagonal on monomials, is its diagonal, a row of D
+    (r*n + 1, dim).
 
     Weights are rows over `parts`: `sum_parts` sums them per point, and
     `coefficients` turns a flow family, term lists whose coefficients are
@@ -273,42 +275,32 @@ class BlockCache:
              for idx, start, d in self._layout()] or [[]]).astype(int)
         self.parts = primitive_parts(r, n)
         self._index = {part: j for j, part in enumerate(self.parts)}
-        # a row of D for every part; the rows a part does not take are never
-        # written, so they take no memory
-        diag = np.empty((len(self.parts), self.dim))
-        self._where = []  # position -> (held as a diagonal, row of its matrix)
-        full_at, diag_at = [], []  # the position of each row of F and of D
+        # the store follows the kind: the E_ii^(a) and the identity are rows
+        # of D, every kappa_ij and Omega_ab a row of F
+        in_d = np.array([part[0] in (op_E, identity) for part in self.parts])
+        self._full_at = np.flatnonzero(~in_d)
+        self._diag_at = np.flatnonzero(in_d)
+        # E_ii^(a) multiplies each monomial by its entry (i, a), and the
+        # identity by 1: the exact values `dense` gives on their diagonals.
+        # `parts` lists the E_ii^(a) row by row, as the entry array's columns
+        self._diag = np.ones((r * n + 1, self.dim))
+        self._diag[:-1] = self.block.entry_array[self.positions].reshape(self.dim, r * n).T
         held = []  # (flat positions, values) of the nonzero entries of each row of F
         support = np.zeros(self.size, dtype=bool)  # where some row of F is nonzero
         row = np.empty(self.size)  # one part's weight blocks, reused part by part
-        # E_ii^(a) multiplies each monomial by its entry (i, a), and the
-        # identity by 1: the exact values `dense` gives on their diagonals
-        entries = self.block.entry_array[self.positions].reshape(self.dim, r * n).astype(float)
-        for position, part in enumerate(self.parts):
-            if part[0] is op_E:
-                diagonal = entries[:, (part[1] - 1) * n + part[3] - 1]
-            elif part[0] is identity:
-                diagonal = np.ones(self.dim)
-            else:
-                diagonal = self._build(part, row)
-            if diagonal is None:
-                self._where.append((False, len(full_at)))
-                full_at.append(position)
-                at = np.flatnonzero(row)
-                support[at] = True
-                held.append((at, row[at]))
-            else:
-                self._where.append((True, len(diag_at)))
-                diag[len(diag_at)] = diagonal
-                diag_at.append(position)
+        for position in self._full_at:
+            # the dim x dim matrix lives until its weight blocks are copied out
+            stacks = self.split(dense(part_operator(self.parts[position]), self.block))
+            for view, stack in zip(self._views(row), stacks):
+                view[...] = stack
+            at = np.flatnonzero(row)
+            support[at] = True
+            held.append((at, row[at]))
         # F on U, the sorted flat positions where some row of F is nonzero
         self._support = np.flatnonzero(support)
         self._full = np.zeros((len(held), self._support.size))
         for flat, (at, values) in zip(self._full, held):
             flat[np.searchsorted(self._support, at)] = values
-        self._diag = diag[:len(diag_at)]
-        self._full_at = np.array(full_at, dtype=int)
-        self._diag_at = np.array(diag_at, dtype=int)
         # the Gram matrix: Frobenius inner products of the parts; F meets D
         # on the diagonal positions in U only
         on = support[self._diagonal]
@@ -319,18 +311,6 @@ class BlockCache:
         self._gram[self._diag_at[:, None], self._diag_at] = self._diag @ self._diag.T
         self._gram[self._full_at[:, None], self._diag_at] = cross
         self._gram[self._diag_at[:, None], self._full_at] = cross.T
-
-    def _build(self, part, row):
-        """Build the part's dim x dim matrix by `liealg.dense`, freed on
-        return. Where it has an off-diagonal nonzero, write its weight
-        blocks into row, a flat buffer, and return None; otherwise return
-        its diagonal in frame-column order."""
-        mat = dense(part_operator(part), self.block)
-        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
-            return np.diagonal(mat)[self.positions]
-        for view, stack in zip(self._views(row), self.split(mat)):
-            view[...] = stack
-        return None
 
     def _layout(self):
         """(positions, flat-buffer start, d) of each batch."""
@@ -487,10 +467,11 @@ def weight_sizes(r, n, col_sums, row_sums=None):
 def flow_bytes(r, n, sizes, steps):
     """Bytes a flow on a block holds at its peak above the imported modules,
     from the sizes d of its gl_r weight spaces (dim = sum d), its P parts and
-    the grid steps per leg: the C(r,2) + C(n,2) off-diagonal parts, sum d^2
-    floats each (a bound: a row of F takes |U| of them), the diagonal ones,
-    dim floats each, and the P x P Gram matrix twice (`BlockCache`); the
-    dense dim x dim part `_build` holds;
+    the grid steps per leg: the C(r,2) + C(n,2) kappa_ij and Omega_ab, the
+    rows of F, sum d^2 floats each (a bound: a row of F takes |U| of them),
+    the parts as diagonals, dim floats each, and the P x P Gram matrix
+    twice (`BlockCache`); the one dense dim x dim part held while F is
+    built;
     max(r, n) + 20 buffers of sum d^2 floats: six frames, about eleven of a
     point's eigensolve and matching, a decoder's max(r, n) stacks and three
     products (the m x m clustering arrays of `cells`, on the one weight
@@ -914,8 +895,9 @@ class Leg(NamedTuple):
 class FlowContext:
     """Everything needed to run the legs on one graded block, with the
     block's BlockCache. A base z that is not positive and increasing, or
-    that the collision schedule reorders on leg A's grid, and a base q that
-    is not strictly increasing, or a negative seed, raise SetupError."""
+    that the collision schedule reorders on leg A's grid, a base q that is
+    not strictly increasing, also once shifted to q - q_1 + 1 (the q the
+    sides take), or a negative seed, raise SetupError."""
 
     def __init__(self, r, n, col_sums, row_sums=None, z=None, q=None, opts=None):
         self.r = r
@@ -929,19 +911,22 @@ class FlowContext:
             raise SetupError("collision schedule needs positive base z")
         if list(self.z) != sorted(set(self.z)):
             raise SetupError("collision schedule needs increasing base z")
-        # the flow pairs its branches with RSK only for increasing q
-        if list(self.q) != sorted(set(self.q)):
-            raise SetupError("flow needs strictly increasing base q")
+        # the flow pairs its branches with RSK only for increasing q; the
+        # sides take q - q_1 + 1, which merges q closer than one ulp of 1
+        q = tuple(x - self.q[0] + 1 for x in self.q)
+        if list(q) != sorted(set(q)):
+            raise SetupError(f"flow needs strictly increasing base q, got q - q_1 + 1 = {q}")
         if self.opts.seed < 0:
             raise SetupError("flow needs a non-negative seed")
         grid = np.geomspace(1.0, T_MAX, self.opts.steps)
-        zt = np.reshape(collision_z(self.z, grid), (n, grid.size))
+        # a z near the float limit overflows to inf on the grid, unordered
+        with np.errstate(over="ignore"):
+            zt = np.reshape(collision_z(self.z, grid), (n, grid.size))
         unordered = np.flatnonzero((zt[:-1] >= zt[1:]).any(axis=0))
         if unordered.size:
             raise SetupError(f"collision schedule unordered at t={grid[unordered[0]]}")
         # the sides (rows, cols, z, q, map to this block's parts), q - q_1 + 1
         # for q; no map holds self, so a context is freed without the cycle GC
-        q = tuple(x - self.q[0] + 1 for x in self.q)
         self.sides = ((r, n, self.z, q, lambda terms: terms),
                       (n, r, q, self.z, partial(mirrored_terms, r=r, n=n, col_sums=self.col_sums)))
         self.cache = BlockCache(r, n, weight_basis(r, n, self.col_sums, self.row_sums))

@@ -309,6 +309,20 @@ def test_malformed_flow_input_is_usage_error(argv, capsys):
     assert main(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, shifted", [
+    (["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[0,1e-300]"], "(1.0, 1.0)"),
+    (["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[0,1e-16]"], "(1.0, 1.0)"),
+    (["cells", "--n", "3", "--q", "[0,1e-300,1]"], "(1.0, 1.0, 2.0)"),
+])
+def test_q_merged_by_the_shift_is_refused(argv, shifted, capsys):
+    # increasing q closer than one ulp of 1 become equal as q - q_1 + 1, the
+    # q the flow takes: the run ends inconclusive and names them
+    code, report = run(capsys, *argv)
+    assert code == EXIT_INCONCLUSIVE
+    errors = [report["error"]] if "error" in report else [f["error"] for f in report["failures"]]
+    assert errors == [f"flow needs strictly increasing base q, got q - q_1 + 1 = {shifted}"]
+
+
 @pytest.mark.parametrize("command", [["cells", "--n", "3"],
                                      ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]"]])
 def test_negative_seed_is_named(command, capsys):

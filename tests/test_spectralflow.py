@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from gaudinrsk import spectralflow
+from gaudinrsk import cli, spectralflow
 from gaudinrsk.combinatorics import NatMatrix, rsk
 from gaudinrsk.liealg import (
     casimir_eigenvalue,
@@ -402,14 +403,29 @@ class TestSchedules:
         with pytest.raises(SetupError, match=f"collision schedule unordered at t={first}$"):
             FlowContext(2, 3, (1, 1, 1))
 
+    def test_overflowing_schedule_is_refused_quietly(self, capsys):
+        # an increasing z near the float limit overflows to inf on leg A's
+        # grid, where inf >= inf is unordered: the run is refused with the
+        # first such t and no numpy overflow warning
+        argv = ["flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]",
+                "--z", "[1e297,2e297,3e297]"]
+        assert cli.main(argv) == cli.EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert [f["error"] for f in json.loads(out)["failures"]] == [
+            "collision schedule unordered at t=745.3159674382284"]
+        assert not err
+
     def test_rejects_nonpositive_base(self):
         with pytest.raises(SetupError):
             FlowContext(2, 2, (1, 1), z=(0.0, 1.0))
 
-    @pytest.mark.parametrize("q", [(3.0, 1.0), (2.0, 2.0), (1.0, 3.0, 2.0)])
+    @pytest.mark.parametrize("q", [(3.0, 1.0), (2.0, 2.0), (1.0, 3.0, 2.0),
+                                   (0.0, 1e-300), (0.0, 1e-16), (0.0, 1e-300, 1.0)])
     def test_rejects_q_not_increasing(self, q):
         # the flow pairs branches with RSK only for increasing q: at q =
-        # (3, 1) it gave 6 mismatches on (2,3,(1,1,1)), now a failure
+        # (3, 1) it gave 6 mismatches on (2,3,(1,1,1)), now a failure. The
+        # sides take q - q_1 + 1, which makes q closer than one ulp of 1
+        # equal, where nabla_i divides by q_i - q_j = 0
         r = len(q)
         with pytest.raises(SetupError, match="strictly increasing base q"):
             FlowContext(r, 3, (1, 1, 1), q=q)
@@ -1080,7 +1096,8 @@ class TestDiagonalParts:
     # (2,2,(2,0)), where every weight block is 1 x 1, so kappa_12 is diagonal
     BLOCKS = [(3, 3, (1, 1, 1), (1, 1, 1)), (3, 3, (2, 1, 1), None),
               (2, 3, (2, 0, 1), None), (2, 2, (2, 0), None)]
-    # the primitive parts held in D besides the E_ii^(a) and the identity
+    # the kappa_ij and Omega_ab with no off-diagonal entry on the block; they
+    # are rows of F like every other kappa_ij and Omega_ab
     DEGENERATE = {(2, 0, 1): {(omega, 1, 2, 2), (omega, 2, 3, 2)},
                   (2, 0): {(omega, 1, 2, 2), (kappa, 1, 2, 2)}}
 
@@ -1091,36 +1108,40 @@ class TestDiagonalParts:
 
     @staticmethod
     def held(cache):
-        """The parts held as rows of F and those held as rows of D."""
-        full = {part for part, (as_diagonal, _) in zip(cache.parts, cache._where)
-                if not as_diagonal}
-        return full, set(cache.parts) - full
+        """The parts held as rows of F and those held as rows of D, in the
+        order of the rows."""
+        return ([cache.parts[j] for j in cache._full_at],
+                [cache.parts[j] for j in cache._diag_at])
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_detection_is_exact(self, r, n, col_sums, row_sums):
-        # every primitive part lands in D exactly when its dense matrix has
-        # no off-diagonal nonzero
+        # the store follows the kind: D holds the E_ii^(a) and the identity,
+        # each with no off-diagonal nonzero and dense's diagonal bit for bit;
+        # F holds every kappa_ij and Omega_ab, each its flat buffer at U and 0
+        # off U, also the DEGENERATE ones, whose diagonal lies in U
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
-        for part, (as_diagonal, row) in zip(cache.parts, cache._where):
-            mat = dense(part_operator(part), cache.block)
-            off_diagonal = np.count_nonzero(mat - np.diag(np.diag(mat)))
-            assert as_diagonal == (off_diagonal == 0), part
-            if as_diagonal:
-                assert np.array_equal(cache._diag[row], np.diag(mat)[cache.positions])
-            else:
-                # F holds the part's flat buffer at U; the buffer is 0 off U
-                flat = _whole_flat(cache, part)
-                assert np.array_equal(cache._full[row], flat[cache._support])
-                assert not np.delete(flat, cache._support).any()
-        cartans = {(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)}
         full, diagonal = self.held(cache)
-        assert diagonal - cartans - {(identity,)} == self.DEGENERATE.get(col_sums, set())
-        # a diagonal part keeps no row of F
+        cartans = [(op_E, i, i, a) for i in range(1, r + 1) for a in range(1, n + 1)]
+        assert diagonal == cartans + [(identity,)]
+        assert full == [part for part in cache.parts if part[0] in (kappa, omega)]
         assert (len(cache._full), len(cache._diag)) == (len(full), len(diagonal))
+        for row, part in zip(cache._diag, diagonal):
+            mat = dense(part_operator(part), cache.block)
+            assert not np.count_nonzero(mat - np.diag(np.diag(mat))), part
+            assert row.tobytes() == np.diag(mat)[cache.positions].tobytes(), part
+        no_off_diagonal = set()
+        for row, part in zip(cache._full, full):
+            mat = dense(part_operator(part), cache.block)
+            if not np.count_nonzero(mat - np.diag(np.diag(mat))):
+                no_off_diagonal.add(part)
+            flat = _whole_flat(cache, part)
+            assert np.array_equal(row, flat[cache._support]), part
+            assert not np.delete(flat, cache._support).any(), part
+        assert no_off_diagonal == self.DEGENERATE.get(col_sums, set())
         if col_sums in self.DEGENERATE:
             return
-        # composites are not held; the same exact test on their dense
-        # matrices, whose weight blocks hold all of them
+        # composites are not held; the exact test on their dense matrices,
+        # whose weight blocks hold all of them
         composites = [(weight_op, i, n) for i in range(1, r + 1)]
         others = [(self.exchange, 1, 2, 1, 2), (self.exchange, 2, 3, 3, 1),
                   (nested_casimir, 2, n)]
@@ -1143,11 +1164,12 @@ class TestDiagonalParts:
         cache = BlockCache(r, n, weight_basis(r, n, col_sums, row_sums))
         written = [part for part in cache.parts if part[0] in (op_E, identity)]
         assert len(written) == r * n + 1
-        for part in written:
-            as_diagonal, row = cache._where[cache.parts.index(part)]
+        assert self.held(cache)[1] == written
+        assert cache._diag.shape == (len(written), cache.dim)
+        for row, part in zip(cache._diag, written):
             mat = dense(part_operator(part), cache.block)
-            assert as_diagonal and not np.count_nonzero(mat - np.diag(np.diag(mat))), part
-            assert cache._diag[row].tobytes() == np.diag(mat)[cache.positions].tobytes(), part
+            assert not np.count_nonzero(mat - np.diag(np.diag(mat))), part
+            assert row.tobytes() == np.diag(mat)[cache.positions].tobytes(), part
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", BLOCKS)
     def test_stacks_and_mat_are_dense(self, r, n, col_sums, row_sums):
@@ -1297,7 +1319,8 @@ class TestBlockCache:
                 named.update(dict.fromkeys(part for _, part in terms))
         assert list(named) == want
         # one row of F or D per part, and weights over exactly this list
-        assert len(cache._full) + len(cache._diag) == len(cache._where) == len(want)
+        assert sorted(cache._full_at.tolist() + cache._diag_at.tolist()) == list(range(len(want)))
+        assert (len(cache._full), len(cache._diag)) == (len(cache._full_at), len(cache._diag_at))
         assert cache._gram.shape == (len(want), len(want))
         rows = cache.coefficients([[(1.0, part)] for part in want], np.ones(len(want)))
         assert rows.shape == (1, len(want))
@@ -1353,7 +1376,7 @@ class TestBlockCache:
         assert cache.size == sum(d * d * len(by_size[d]) for d in by_size)
 
     # the blocks above, S_5, and (2,3,(2,0,1)), whose Omega_12 and Omega_23
-    # are 0 and held in D
+    # are 0, rows of F that are 0
     COMPACT = [
         (2, 3, (1, 1, 1), None),
         (3, 3, (2, 0, 1), None),
@@ -1367,8 +1390,7 @@ class TestBlockCache:
     def _dense_rows(cache):
         """The rows of F as flat buffers of all sum k d^2 weight-block
         entries, cut from liealg.dense, in the order of F's rows."""
-        rows = [_whole_flat(cache, part) for part, (as_diagonal, _) in
-                zip(cache.parts, cache._where) if not as_diagonal]
+        rows = [_whole_flat(cache, cache.parts[j]) for j in cache._full_at]
         return np.array(rows).reshape(len(rows), cache.size)
 
     @pytest.mark.parametrize("r, n, col_sums, row_sums", COMPACT)
@@ -1580,7 +1602,7 @@ class TestBlockCache:
         cache.coefficients([[(1.0, part)] for part in diagonal + full], np.ones(5))
         cache.combine([(1.0, full[0])])
         held_full, held_diagonal = TestDiagonalParts.held(cache)
-        assert set(full) <= held_full and set(diagonal) <= held_diagonal
+        assert set(full) <= set(held_full) and set(diagonal) <= set(held_diagonal)
         # the 8 E_ii^(a) and the identity in D; kappa_12 and the 6 Omega_ab in F
         assert (len(held_full), len(held_diagonal)) == (7, 9)
         assert len(cache.parts) == len(cache._full) + len(cache._diag) == 16
