@@ -241,12 +241,14 @@ def _flow_params(args, r, n):
     return z, q
 
 
-def _refuse_above_cap(what, r, n, steps, sizes, count=1):
-    """Refuse a run whose estimate (count x `flow_bytes`; sizes None: too big) passes the cap."""
+def _refuse_above_cap(what, r, n, steps, sizes, blocks=1):
+    """Refuse a run whose estimate passes the cap: the `flow_bytes` of its
+    largest block (sizes; None: too big), as its blocks run one after
+    another, plus 1 KiB per block for what the report keeps of each."""
     cap = spectralflow.MAX_BYTES
     if sizes is None:
         raise UsageError(f"{what} needs more than the {cap >> 20} MiB cap for one dense part alone")
-    estimate = count * spectralflow.flow_bytes(r, n, sizes, steps)
+    estimate = spectralflow.flow_bytes(r, n, sizes, steps) + 1024 * blocks
     if estimate > cap:
         raise UsageError(f"{what} needs an estimated {estimate / 2**20:.0f} MiB, "
                          f"above the {cap >> 20} MiB cap")
@@ -295,8 +297,8 @@ def cmd_flow(args):
         _refuse_above_cap(f"block {k}", args.r, args.n, args.steps,
                           spectralflow.weight_sizes(args.r, args.n, k, weight))
     else:
-        # a sweep's summed estimate is at most its block count times that of its largest
-        # block, column sums r * max_entry, which holds each swept weight space in one of its own
+        # a sweep runs its blocks one after another, so it is charged its largest block,
+        # column sums r * max_entry, which holds each swept weight space in one of its own
         count = (args.r * args.max_entry + 1) ** args.n
         _refuse_above_cap(f"a sweep of {count} blocks", args.r, args.n, args.steps,
                           spectralflow.weight_sizes(args.r, args.n, sums), count)

@@ -478,58 +478,40 @@ def all_matrices(r, n, max_entry):
     return out
 
 
-def standard_tableaux(shape):
-    """All standard Young tableaux of the given shape."""
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    size = shape.size
-    results = []
-
-    def rec(rows, value):
-        if value > size:
-            results.append(SemistandardTableau(rows, size))
-            return
-        for i in range(len(shape)):
-            filled = len(rows[i]) if i < len(rows) else 0
-            if filled >= shape[i]:
-                continue
-            above = len(rows[i - 1]) if 0 < i <= len(rows) else 0
-            if i > 0 and above <= filled:
-                continue
-            new_rows = [list(row) for row in rows]
-            while len(new_rows) <= i:
-                new_rows.append([])
-            new_rows[i].append(value)
-            rec(new_rows, value + 1)
-
-    rec([], 1)
-    return results
-
-
 def semistandard_tableaux(shape, bound, content=None):
-    """All SSYT of a shape with entries <= bound (optionally fixed content)."""
-    shape = shape if isinstance(shape, Partition) else Partition(shape)
-    results = []
-    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
-    cells.sort()
+    """All SSYT of a shape with entries <= bound, cells filled row by row.
 
-    def rec(idx, rows):
+    With a content, a vector of length bound, a letter is tried only while
+    its count is not used up; another length gives no tableau. The standard
+    tableaux of a shape of size n are those with bound n and content
+    (1,) * n.
+    """
+    shape = shape if isinstance(shape, Partition) else Partition(shape)
+    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
+    if content is None:
+        left = [len(cells)] * bound
+    elif len(content) == bound and sum(content) == len(cells) and min(content, default=0) >= 0:
+        left = list(content)
+    else:
+        return []
+    results = []
+    rows = [[] for _ in shape]
+
+    def rec(idx):
         if idx == len(cells):
-            t = SemistandardTableau(rows, bound)
-            if content is None or t.content() == tuple(content):
-                results.append(t)
+            results.append(SemistandardTableau(rows, bound))
             return
         i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
+        lo = rows[i][j - 1] if j > 0 else 1
         if i > 0:
             lo = max(lo, rows[i - 1][j] + 1)
         for v in range(lo, bound + 1):
-            new_rows = [list(row) for row in rows]
-            while len(new_rows) <= i:
-                new_rows.append([])
-            new_rows[i].append(v)
-            rec(idx + 1, new_rows)
+            if left[v - 1]:
+                left[v - 1] -= 1
+                rows[i].append(v)
+                rec(idx + 1)
+                rows[i].pop()
+                left[v - 1] += 1
 
-    rec(0, [])
+    rec(0)
     return results

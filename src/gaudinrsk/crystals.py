@@ -2,12 +2,13 @@
 
 Matrices with fixed column sums form a tensor product of monomial crystals,
 one factor per column (columns ordered left to right). Tableaux carry the
-usual crystal structure via their column reading word. The signature rule
-works factor by factor, not letter by letter, and `verify_isomorphism`
-maps each element and applies each codomain operator to it at most once
-per call. Every crystal image is still built by the validating
-constructors. The exhaustive RSK-equivariance suite in the tests pins the
-sign conventions.
+usual crystal structure via their column reading word, one factor per
+cell. e_i and f_i are one step (`_step`): it reads the factors once, and
+the signature rule works factor by factor, not letter by letter.
+`verify_isomorphism` maps each element and applies each codomain operator
+to it at most once per call. Every crystal image is still built by the
+validating constructors. The exhaustive RSK-equivariance suite in the
+tests pins the sign conventions.
 """
 
 from __future__ import annotations
@@ -61,81 +62,50 @@ def _signature_select(eps_phi):
     return e_target, f_target
 
 
-def _matrix_targets(matrix, i):
-    # eps_i = A[i+1,a], phi_i = A[i,a] (1-based), column by column
-    return _signature_select(zip(matrix.entries[i], matrix.entries[i - 1]))
+def _step(i, x, up):
+    """e_i (up) or f_i on x, or None where it is undefined.
 
-
-def _matrix_apply(matrix, i, col, raise_op):
-    rows = [list(row) for row in matrix.entries]
-    if raise_op:
-        rows[i - 1][col] += 1
-        rows[i][col] -= 1
+    The tensor factors are read once: a matrix's columns, factor a with
+    eps_i = A[i+1,a] and phi_i = A[i,a] (1-based), or a tableau's cells in
+    column reading order (columns left to right, each bottom to top), a
+    cell with letter i + 1 or i being a '-' or a '+'; cells with any other
+    letter cancel nothing and are skipped. In the factor `_signature_select`
+    picks, one box moves from row i + 1 to row i (up) or back: one unit of
+    a column's entry A[i+1,a] or A[i,a], or a cell's letter.
+    """
+    matrix = isinstance(x, NatMatrix)
+    bound = x.r if matrix else x.alphabet_bound
+    if not 1 <= i <= bound - 1:
+        raise ValueError(f"crystal index {i} out of range for rank {bound}")
+    rows = [list(row) for row in (x.entries if matrix else x.rows)]
+    if matrix:
+        eps_phi = zip(rows[i], rows[i - 1])
     else:
-        rows[i - 1][col] -= 1
-        rows[i][col] += 1
-    return NatMatrix(rows, matrix.r, matrix.n)
-
-
-def _reading_word(tableau):
-    """Column reading word: columns left to right, bottom to top."""
-    word = []
-    n_cols = len(tableau.rows[0]) if tableau.rows else 0
-    for j in range(n_cols):
-        col = [row[j] for row in tableau.rows if len(row) > j]
-        word.extend(reversed(col))
-    return word
-
-
-def _tableau_positions(tableau):
-    positions = []
-    n_cols = len(tableau.rows[0]) if tableau.rows else 0
-    for j in range(n_cols):
-        col = [(i, j) for i, row in enumerate(tableau.rows) if len(row) > j]
-        positions.extend(reversed(col))
-    return positions
-
-
-def _tableau_targets(tableau, i):
-    word = _reading_word(tableau)
-    eps_phi = [(1 if x == i + 1 else 0, 1 if x == i else 0) for x in word]
-    return _signature_select(eps_phi)
-
-
-def _tableau_apply(tableau, pos, delta):
-    rows = [list(row) for row in tableau.rows]
-    rows[pos[0]][pos[1]] += delta
-    return SemistandardTableau(rows, tableau.alphabet_bound)
-
-
-def _index_bound(x):
-    return x.alphabet_bound if isinstance(x, SemistandardTableau) else x.r
+        cells = [(a, b) for b in range(len(rows[0]) if rows else 0)
+                 for a in reversed(range(len(rows)))
+                 if len(rows[a]) > b and rows[a][b] in (i, i + 1)]
+        eps_phi = [(rows[a][b] - i, i + 1 - rows[a][b]) for a, b in cells]
+    target = _signature_select(eps_phi)[0 if up else 1]
+    if target is None:
+        return None
+    move = -1 if up else 1
+    if matrix:
+        rows[i - 1][target] -= move
+        rows[i][target] += move
+        return NatMatrix(rows, x.r, x.n)
+    a, b = cells[target]
+    rows[a][b] += move
+    return SemistandardTableau(rows, bound)
 
 
 def crystal_e(i, x):
     """Raising operator e_i; returns None when undefined."""
-    if not 1 <= i <= _index_bound(x) - 1:
-        raise ValueError(f"crystal index {i} out of range for rank {_index_bound(x)}")
-    if isinstance(x, NatMatrix):
-        target, _ = _matrix_targets(x, i)
-        return None if target is None else _matrix_apply(x, i, target, raise_op=True)
-    target, _ = _tableau_targets(x, i)
-    if target is None:
-        return None
-    return _tableau_apply(x, _tableau_positions(x)[target], -1)
+    return _step(i, x, up=True)
 
 
 def crystal_f(i, x):
     """Lowering operator f_i; returns None when undefined."""
-    if not 1 <= i <= _index_bound(x) - 1:
-        raise ValueError(f"crystal index {i} out of range for rank {_index_bound(x)}")
-    if isinstance(x, NatMatrix):
-        _, target = _matrix_targets(x, i)
-        return None if target is None else _matrix_apply(x, i, target, raise_op=False)
-    _, target = _tableau_targets(x, i)
-    if target is None:
-        return None
-    return _tableau_apply(x, _tableau_positions(x)[target], +1)
+    return _step(i, x, up=False)
 
 
 def crystal_graph(elements, rank):
@@ -151,17 +121,11 @@ def crystal_graph(elements, rank):
 
 @dataclass
 class CrystalMap:
-    """A candidate crystal morphism together with the operators on each side."""
+    """A candidate crystal morphism of gl_r crystals of the given rank."""
 
     name: str
     apply: callable
     rank: int
-    dom_e: callable = crystal_e
-    dom_f: callable = crystal_f
-    cod_e: callable = crystal_e
-    cod_f: callable = crystal_f
-    dom_weight: callable = weight
-    cod_weight: callable = weight
 
 
 @dataclass
@@ -189,15 +153,15 @@ def verify_isomorphism(cmap, samples, max_violations=10):
     """
     apply = functools.cache(cmap.apply)
     ops = (
-        (cmap.dom_e, functools.cache(cmap.cod_e), "e"),
-        (cmap.dom_f, functools.cache(cmap.cod_f), "f"),
+        (crystal_e, functools.cache(crystal_e), "e"),
+        (crystal_f, functools.cache(crystal_f), "f"),
     )
     report = IsomorphismReport()
     for x in samples:
         report.checked += 1
         y = apply(x)
-        if tuple(cmap.dom_weight(x)) != tuple(cmap.cod_weight(y)):
-            report.violations.append(("weight", x, cmap.dom_weight(x), cmap.cod_weight(y)))
+        if tuple(weight(x)) != tuple(weight(y)):
+            report.violations.append(("weight", x, weight(x), weight(y)))
         for i in range(1, cmap.rank):
             for dom_op, cod_op, tag in ops:
                 xi = dom_op(i, x)

@@ -387,7 +387,7 @@ class BlockCache:
         rows of `_rows`."""
         return self._views(self.sum_parts(self._rows([terms], 1)[:, 0])[0])
 
-    def coefficients(self, ops, coeffs, points=1):
+    def coefficients(self, ops, coeffs, points=1, leg=""):
         """Weights (points, parts) over `parts` with
         sum_o coeffs[o] * op_o / |op_o|_F = sum_j weights[p, j] * part_j at
         each point p, for term lists ops whose coefficients are numbers or
@@ -398,21 +398,28 @@ class BlockCache:
         whose terms cancel on the block there, its squared norm at most
         CANCEL_TOL times sum_jk |m_oj m_ok G_jk|, is left out at that point.
         Every product is taken per point, so a point's weights do not
-        depend on the other points evaluated with it.
+        depend on the other points evaluated with it. A coefficient, squared
+        norm or weight that is not finite, as a q spread near the float
+        limit gives, raises ContinuationError naming the leg.
         """
-        rows = self._rows(ops, points)
         gram = self._gram
-        sq = np.sum(rows @ gram * rows, axis=-1)
-        scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=-1)
-        live = sq > CANCEL_TOL * scale
-        factors = np.zeros(sq.shape)
-        factors[live] = np.broadcast_to(coeffs, sq.shape)[live] / np.sqrt(sq[live])
-        return (factors[:, None, :] @ rows)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self._rows(ops, points)
+            sq = np.sum(rows @ gram * rows, axis=-1)
+            scale = np.sum(np.abs(rows) @ np.abs(gram) * np.abs(rows), axis=-1)
+            live = sq > CANCEL_TOL * scale
+            factors = np.zeros(sq.shape)
+            factors[live] = np.broadcast_to(coeffs, sq.shape)[live] / np.sqrt(sq[live])
+            weights = (factors[:, None, :] @ rows)[:, 0]
+        if not all(np.isfinite(x).all() for x in (rows, sq, scale, weights)):
+            raise ContinuationError(f"{leg}: family overflows the float range "
+                                    "(a coefficient, norm or weight is not finite)")
+        return weights
 
-    def normalised_sum(self, ops, coeffs):
+    def normalised_sum(self, ops, coeffs, leg=""):
         """sum_o coeffs[o] * op_o / |op_o|_F over the term lists ops of one
         point, as per-batch stacks (`coefficients`)."""
-        return self._views(self.sum_parts(self.coefficients(ops, coeffs))[0])
+        return self._views(self.sum_parts(self.coefficients(ops, coeffs, leg=leg))[0])
 
     # no flow code calls these: the benchmark's layer table and tests do
     def nabla_mat(self, i, z, q):
@@ -502,7 +509,7 @@ def start_coeffs(cache, ops, rng, leg=""):
     eigvalsh call per batch with d > 1), or ContinuationError."""
     coeffs = _draw_coeffs(rng, len(ops))
     if all(np.diff(np.linalg.eigvalsh(stack), axis=-1).min() > START_GAP_MIN
-           for stack in cache.normalised_sum(ops, coeffs) if stack.shape[-1] > 1):
+           for stack in cache.normalised_sum(ops, coeffs, leg) if stack.shape[-1] > 1):
         return coeffs
     raise ContinuationError(f"{leg}: degenerate combined spectrum")
 
@@ -694,7 +701,7 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             "frozen": 0, "solved": 0}
     per_batch = max(1, BATCH_BYTES // (8 * cache.size))
     grid = np.asarray(grid, dtype=float)
-    weights = cache.coefficients(family(grid), coeffs, len(grid))
+    weights = cache.coefficients(family(grid), coeffs, len(grid), leg)
     # (point, on the grid, weight row)
     pending = [(t, True, w) for t, w in zip(grid, weights)]
     current, t_prev = vectors, None  # t_prev: the last accepted point
@@ -737,7 +744,8 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
                 f"after {MAX_BISECTIONS} bisections"
             )
         mid = math.sqrt(t_prev * t)
-        pending.insert(0, (mid, False, cache.coefficients(family(np.array([mid])), coeffs)[0]))
+        pending.insert(0, (mid, False, cache.coefficients(family(np.array([mid])), coeffs,
+                                                           leg=leg)[0]))
         diag["bisections"] += 1
     return current, diag
 
@@ -954,11 +962,13 @@ class FlowContext:
         rows, cols, z, q, mapped = side
 
         def main(t):
-            zt = collision_z(z, t)
-            return [mapped(terms) for terms in
-                    [nabla_terms(i, zt, q, cols) for i in range(1, rows + 1)]
-                    + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, rows))
-                       for a in range(1, cols + 1)]]
+            # a coefficient past the float range is named by `coefficients`
+            with np.errstate(over="ignore", invalid="ignore"):
+                zt = collision_z(z, t)
+                return [mapped(terms) for terms in
+                        [nabla_terms(i, zt, q, cols) for i in range(1, rows + 1)]
+                        + [_scaled(zt[a - 1], gaudin_terms(a, zt, q, rows))
+                           for a in range(1, cols + 1)]]
 
         return main
 

@@ -180,8 +180,8 @@ class TestFlow:
 
     def test_huge_sweep_is_refused_before_listing(self, capsys):
         # every block of r = 1 has dimension 1, but the sweep lists 21^7
-        # column-sum vectors; their count times the estimate of the largest
-        # is checked first
+        # column-sum vectors; the estimate of the largest plus 1 KiB per
+        # block for the report is checked first
         start = time.perf_counter()
         assert main(["flow", "--r", "1", "--n", "7", "--max-entry", "20"]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
@@ -202,6 +202,27 @@ class TestFlow:
         assert code == EXIT_OK
         assert report["checked"] == 225
         assert report["agreement"]
+
+    def test_sweep_is_charged_its_largest_block(self, capsys):
+        # 171 blocks of dimension 1: the blocks run one after another, so the
+        # sweep is charged its largest block's estimate, not 171 of them
+        code, report = run(capsys, "flow", "--r", "1", "--n", "1", "--max-entry", "170")
+        assert code == EXIT_OK
+        assert report["checked"] == len(report["blocks"]) == 171
+        assert report["agreement"] and report["failures"] == report["mismatches"] == []
+
+    def test_sweep_of_large_blocks_is_admitted(self, capsys, monkeypatch):
+        # 125 blocks, the largest (4,4,4) of dim 125 and about 9 MiB: the
+        # sweep passes the cap (1102 MiB when charged 125 times that)
+        swept = []
+
+        def record(r, n, **kwargs):
+            swept.append((r, n, kwargs["max_entry"]))
+            return {"failures": [], "agreement": True}
+
+        monkeypatch.setattr(spectralflow, "verify_main_theorem", record)
+        assert main(["flow", "--r", "2", "--n", "3", "--max-entry", "2"]) == EXIT_OK
+        assert swept == [(2, 3, 2)]
 
     def test_largest_float_column_sum_runs(self, capsys):
         # float(170!) is finite
@@ -321,6 +342,28 @@ def test_q_merged_by_the_shift_is_refused(argv, shifted, capsys):
     assert code == EXIT_INCONCLUSIVE
     errors = [report["error"]] if "error" in report else [f["error"] for f in report["failures"]]
     assert errors == [f"flow needs strictly increasing base q, got q - q_1 + 1 = {shifted}"]
+
+
+OVERFLOW = "A: family overflows the float range (a coefficient, norm or weight is not finite)"
+
+
+@pytest.mark.parametrize("argv", [
+    # the family's coefficients overflow
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[0,1e300]"],
+    # the coefficients are finite, but their squared norms overflow
+    ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--q", "[0,1e150]"],
+    ["cells", "--n", "3", "--q", "[0,1,1e300]"],
+])
+def test_overflowing_q_is_named(argv, capsys):
+    # the run ends inconclusive naming leg A and the overflow, not a
+    # degenerate spectrum or an undecodable letter, and numpy prints no
+    # warning (RuntimeWarning is an error under this suite)
+    assert main(argv) == EXIT_INCONCLUSIVE
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    errors = [report["error"]] if "error" in report else [f["error"] for f in report["failures"]]
+    assert errors == [OVERFLOW]
+    assert not err
 
 
 @pytest.mark.parametrize("command", [["cells", "--n", "3"],

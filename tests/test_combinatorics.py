@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -18,10 +19,20 @@ from gaudinrsk.combinatorics import (
     rsk,
     rsk_inverse,
     semistandard_tableaux,
-    standard_tableaux,
     transpose_check,
 )
 from gaudinrsk.combinatorics import _bump
+
+
+def _partitions_up_to(size):
+    """Every partition of 1..size, as tuples of weakly decreasing parts."""
+    def rec(left, most):
+        if left == 0:
+            yield ()
+        for part in range(min(left, most), 0, -1):
+            for rest in rec(left - part, part):
+                yield (part,) + rest
+    return [p for n in range(1, size + 1) for p in rec(n, n)]
 
 
 class TestConstructorMessages:
@@ -131,7 +142,7 @@ class TestTableau:
             (1, 1, 1, 1): 1,
         }
         for shape, count in counts.items():
-            tabs = standard_tableaux(shape)
+            tabs = semistandard_tableaux(shape, 4, (1,) * 4)
             assert len(tabs) == count
             assert all(t.is_standard() for t in tabs)
 
@@ -139,6 +150,35 @@ class TestTableau:
         # Kostka numbers: K_{(2,1),content} for entries <= 3
         assert len(semistandard_tableaux([2, 1], 3)) == 8
         assert len(semistandard_tableaux([2, 1], 3, content=(1, 1, 1))) == 2
+        # a content of another length than the bound, or with a negative
+        # count, gives no tableau
+        assert semistandard_tableaux([2, 1], 3, (1, 1, 1, 0)) == []
+        assert semistandard_tableaux([2, 1], 3, (2, 1)) == []
+        assert semistandard_tableaux([2, 1], 3, (2, 2, -1)) == []
+
+    def test_content_prunes_to_the_filtered_set(self):
+        # every content of length 3 for every shape of size <= 5 with at most
+        # three rows: the pruned enumeration, in order, is the unconstrained
+        # one filtered by content
+        for shape in _partitions_up_to(5):
+            if len(shape) > 3:
+                continue
+            every = semistandard_tableaux(shape, 3)
+            for content in itertools.product(range(sum(shape) + 1), repeat=3):
+                want = [t for t in every if t.content() == content]
+                assert semistandard_tableaux(shape, 3, content) == want, (shape, content)
+
+    def test_standard_counts_by_hook_length(self):
+        # f^lambda = n! / prod of hook lengths, for every shape up to n = 7
+        for shape in _partitions_up_to(7):
+            n = sum(shape)
+            tabs = semistandard_tableaux(shape, n, (1,) * n)
+            conj = Partition(shape).conjugate()
+            hooks = math.prod(shape[i] - j + conj[j] - i - 1
+                              for i in range(len(shape)) for j in range(shape[i]))
+            assert len(tabs) == math.factorial(n) // hooks, shape
+            assert len(set(tabs)) == len(tabs)
+            assert all(t.is_standard() and t.shape == Partition(shape) for t in tabs)
 
 
 class TestBiword:
@@ -420,7 +460,8 @@ def evacuation(tableau):
 class TestEvacuation:
     def test_involution(self):
         for shape in [(3, 1), (2, 2), (2, 1, 1), (3, 2)]:
-            for t in standard_tableaux(shape):
+            n = sum(shape)
+            for t in semistandard_tableaux(shape, n, (1,) * n):
                 assert evacuation(evacuation(t)) == t
 
     def test_rejects_non_standard(self):

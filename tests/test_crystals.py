@@ -10,6 +10,7 @@ from gaudinrsk.combinatorics import (
     rsk,
     semistandard_tableaux,
 )
+from gaudinrsk import crystals
 from gaudinrsk.crystals import (
     CrystalMap,
     IsomorphismReport,
@@ -214,15 +215,12 @@ def _oracle_verify(cmap, samples, max_violations=10):
     for x in samples:
         report.checked += 1
         y = cmap.apply(x)
-        if tuple(cmap.dom_weight(x)) != tuple(cmap.cod_weight(y)):
-            report.violations.append(("weight", x, cmap.dom_weight(x), cmap.cod_weight(y)))
+        if tuple(weight(x)) != tuple(weight(y)):
+            report.violations.append(("weight", x, weight(x), weight(y)))
         for i in range(1, cmap.rank):
-            for dom_op, cod_op, tag in (
-                (cmap.dom_e, cmap.cod_e, "e"),
-                (cmap.dom_f, cmap.cod_f, "f"),
-            ):
-                xi = dom_op(i, x)
-                yi = cod_op(i, y)
+            for op, tag in ((crystal_e, "e"), (crystal_f, "f")):
+                xi = op(i, x)
+                yi = op(i, y)
                 if (xi is None) != (yi is None):
                     report.violations.append((tag, i, x, "defined/undefined mismatch"))
                 elif xi is not None and cmap.apply(xi) != yi:
@@ -282,7 +280,7 @@ class TestVerifyIsomorphismMemo:
             x = violation[1] if violation[0] == "weight" else violation[2]
             assert x == bad or bad in (crystal_e(1, x), crystal_f(1, x)), violation
 
-    def test_map_and_codomain_operators_run_once_per_argument(self):
+    def test_map_and_codomain_operators_run_once_per_argument(self, monkeypatch):
         applied, cod_calls = [], []
 
         def apply(a):
@@ -290,18 +288,25 @@ class TestVerifyIsomorphismMemo:
             return rsk(a)[1]
 
         def counting(op, tag):
+            # the codomain of the recording map holds the tableaux
             def wrapped(i, y):
-                cod_calls.append((tag, i, y))
+                if isinstance(y, SemistandardTableau):
+                    cod_calls.append((tag, i, y))
                 return op(i, y)
             return wrapped
 
-        cmap = CrystalMap("recording", apply, rank=3,
-                          cod_e=counting(crystal_e, "e"), cod_f=counting(crystal_f, "f"))
+        monkeypatch.setattr(crystals, "crystal_e", counting(crystal_e, "e"))
+        monkeypatch.setattr(crystals, "crystal_f", counting(crystal_f, "f"))
+        cmap = CrystalMap("recording", apply, rank=3)
         samples = all_matrices(3, 3, 1)
         report = verify_isomorphism(cmap, samples)
         assert report.ok and report.checked == len(samples)
         assert len(applied) == len(set(applied))
         assert len(cod_calls) == len(set(cod_calls))
+        # the operators are read at call time: every image of a sample meets
+        # both codomain operators at each index
+        assert set(cod_calls) == {(tag, i, rsk(a)[1]) for a in samples
+                                  for i in (1, 2) for tag in "ef"}
         # the samples are mapped, and so is every e_i/f_i image of one
         images = {op(i, x) for x in samples for i in (1, 2) for op in (crystal_e, crystal_f)}
         assert set(applied) == set(samples) | (images - {None})

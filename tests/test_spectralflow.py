@@ -1630,6 +1630,21 @@ class TestBlockCache:
         mat = cache.full(cache.combine(other))
         assert np.max(np.abs(got - 1.25 * mat / np.linalg.norm(mat))) < 1e-12
 
+    @pytest.mark.parametrize("ops, coeffs", [
+        # a coefficient that is not finite, at one of three points
+        ([[(np.array([1.0, np.inf, 2.0]), (op_E, 1, 1, 1))]], [1.0]),
+        # finite coefficients whose squared norm overflows
+        ([[(1e200, (op_E, 1, 1, 1)), (1.0, (op_E, 2, 2, 3))]], [1.0]),
+        # finite coefficients and norms, a weight that overflows
+        ([[(1.0, (op_E, 1, 1, 1))]], [np.inf]),
+    ])
+    def test_overflow_is_named(self, ops, coeffs):
+        # numpy warns of nothing (RuntimeWarning is an error here): the leg
+        # is named with the overflow
+        cache = BlockCache(2, 3, weight_basis(2, 3, (1, 1, 1)))
+        with pytest.raises(ContinuationError, match=r"^X: family overflows the float range"):
+            cache.coefficients(ops, coeffs, 3, leg="X")
+
 
 class TestFlowBlock:
     def test_failure_is_not_retried(self, monkeypatch):
