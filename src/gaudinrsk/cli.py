@@ -328,6 +328,8 @@ def cmd_cells(args):
         "left": cmcells.left_cells,
         "two-sided": cmcells.two_sided_cells,
     }
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     z, q = _flow_params(args, args.n, args.n)
     # the S_n block is one weight space of n! monomials, refused by ln n! =
     # lgamma(n + 1) before n! is computed if its dense part passes the cap
@@ -393,8 +395,9 @@ def build_parser():
     p_cr = sub.add_parser("crystal", help="emit a crystal graph as a JSON edge list")
     common(p_cr)
     p_cr.add_argument("--rank", type=int, required=True, help="crystal index bound r")
-    p_cr.add_argument("--shape", help="tableau shape (JSON list)")
-    p_cr.add_argument("--col-sums", help="matrix block column sums (JSON list)")
+    elements = p_cr.add_mutually_exclusive_group()
+    elements.add_argument("--shape", help="tableau shape (JSON list)")
+    elements.add_argument("--col-sums", help="matrix block column sums (JSON list)")
     p_cr.set_defaults(func=cmd_crystal)
 
     p_fl = sub.add_parser("flow", help="verify flow-extracted tableaux against RSK")

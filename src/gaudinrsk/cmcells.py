@@ -26,7 +26,7 @@ from .combinatorics import (
     all_permutations,
     rs_permutation,
 )
-from .spectralflow import FlowContext
+from .spectralflow import ClusteringError, FlowContext
 
 
 @dataclass
@@ -163,8 +163,14 @@ def _cells(n, z, q, opts, kinds):
     legs = {"right": ("B", 0), "left": ("D", 1)}  # (leg, side) each kind clusters
     sides = dict(legs[kind] for kind in kinds)
     ctx = FlowContext(n, n, (1,) * n, (1,) * n, z, q, opts)
-    classes = {name: ctx.classes(frame, sides[name])
-               for name, frame, _ in ctx.run("A" + "".join(sides)) if name in sides}
+    classes = {}
+    for name, frame, _ in ctx.run("A" + "".join(sides)):
+        if name in sides:
+            # a clustering error names its leg, as decoding errors do
+            try:
+                classes[name] = ctx.classes(frame, sides[name])
+            except ClusteringError as err:
+                raise ClusteringError(f"{name}: {err}") from err
     labels = [_label_to_permutation(label) for label in ctx.basis]
     return [CellPartition(n, kind, [[labels[i] for i in cls] for cls in classes[legs[kind][0]]])
             for kind in kinds]

@@ -53,8 +53,8 @@ from .combinatorics import NatMatrix, Partition
 
 
 def _shift(matrix, moves):
-    """Add the (row, col, delta) moves; return None if an entry goes negative.
-    Only the rows that change are rebuilt."""
+    """Add the (row, col, delta) moves, each of which leaves its entry
+    non-negative. Only the rows that change are rebuilt."""
     rows = list(matrix.entries)
     changed = {}
     for i, a, d in moves:
@@ -62,8 +62,6 @@ def _shift(matrix, moves):
         if row is None:
             row = changed[i] = list(rows[i])
         row[a] += d
-        if row[a] < 0:
-            return None
     for i, row in changed.items():
         rows[i] = tuple(row)
     return NatMatrix._unchecked(tuple(rows), matrix.r, matrix.n)

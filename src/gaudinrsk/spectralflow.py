@@ -89,7 +89,8 @@ which starts from the monomial frame. Then `_composed` diagonalises the
 rest of the batch, one batched eigh call per block size, and matches it:
 each old column takes the new column of largest overlap (`_match`), and
 the leading points whose smallest such overlap reaches MATCH_THRESHOLD
-are accepted at once by composing these matchings. Every column's
+are accepted at once: each batch composes its own matchings and signs,
+and batches share only the count of accepted points. Every column's
 overlap then exceeds 1/sqrt(2), so each matching is a permutation and the
 unique optimal assignment. A refused point gets the geometric midpoint
 between it and the last accepted point inserted in front of it, and the
@@ -582,7 +583,7 @@ def _frozen(stacks, frame, final=False):
     return (count if passing.all() else int(passing.argmin())), quotients
 
 
-def _composed(stacks, frame, cache, traced=False):
+def _composed(stacks, frame, traced=False):
     """Eigenframes of the summed operators at consecutive points, given as
     per-batch stacks (points, k, d, d), each matched to the frame before it
     (the first to frame), up to the first point whose smallest best overlap
@@ -594,68 +595,56 @@ def _composed(stacks, frame, cache, traced=False):
     @ (eigenvectors), so row j is old column j: the given frame for the
     first point, the unmatched eigenvectors of the point before for the
     others. `_match` pairs each column of the frame before with the argmax
-    along its row, and the matchings and signs of the accepted points
-    compose; a 1 x 1 block keeps its frame and takes its entry as value.
+    along its row. Batches share only the count of accepted points: each
+    composes its own matchings and signs over them. A 1 x 1 block keeps
+    its frame and takes its entry as value.
 
     Returns (frame at the last accepted point, per accepted point a pair
-    (eigenvalues in basis order, or None unless traced, min overlap), the
-    min overlap of the first refused point or None); the points after the
-    accepted ones are left to the caller. The frame returned is the given
-    object itself while no point is accepted.
+    (eigenvalues per batch, (k, d) arrays laid out like the frame, or None
+    unless traced, min overlap), the min overlap of the first refused
+    point or None); the points after the accepted ones are left to the
+    caller. The frame returned is the given object itself while no point
+    is accepted.
     """
     count = len(stacks[0])
-    # per point and column j of the frame before it, batch after batch:
-    # the global column of the eigenvector j matches, the sign and the
-    # overlap of that match, and the eigenvalue of global column j
-    best, signs, top, values, solved = [], [], [], [], []
-    offset = 0
-    for stack, old in zip(stacks, frame):
-        k, d = old.shape[:2]
-        vecs = None
-        if d == 1:
-            # LAPACK's eigenvector of a 1 x 1 block is 1, which matching
-            # aligns back to the frame's +-1 at overlap 1
-            vals = stack[..., 0]
-            cols, picked = np.zeros((count, k, 1), dtype=int), np.ones((count, k, 1))
-        else:
-            vals, vecs = np.linalg.eigh(stack)
-            # (frame before)^T @ (new eigenvectors): row j is old column j
-            overlaps = np.empty((count, k, d, d))
-            np.matmul(np.swapaxes(old, 1, 2), vecs[0], out=overlaps[0])
-            np.matmul(np.swapaxes(vecs[:-1], 2, 3), vecs[1:], out=overlaps[1:])
-            cols, picked = _match(overlaps)
-        best.append((cols + (offset + d * np.arange(k))[:, None]).reshape(count, -1))
-        signs.append(np.where(picked < 0, -1.0, 1.0).reshape(count, -1))
-        top.append(np.abs(picked).reshape(count, -1))
-        values.append(vals.reshape(count, -1))
-        solved.append(vecs)
-        offset += k * d
-    best, signs, top, values = (np.concatenate(a, axis=1) for a in (best, signs, top, values))
-    overlaps = top.min(axis=1, initial=1.0)
+    # a 1 x 1 block's value is its entry and its frame stays: LAPACK's
+    # eigenvector 1 would be matched back to the frame's +-1 at overlap 1
+    values = [stack[..., 0] for stack in stacks]
+    # per batch with d > 1: its index, eigenvectors, the new column each
+    # column of the frame before matches and the sign of that match
+    solved, overlaps = [], np.ones(count)
+    for b, (stack, old) in enumerate(zip(stacks, frame)):
+        if old.shape[-1] == 1:
+            continue
+        values[b], vecs = np.linalg.eigh(stack)
+        # (frame before)^T @ (new eigenvectors): row j is old column j
+        products = np.empty(stack.shape)
+        np.matmul(np.swapaxes(old, 1, 2), vecs[0], out=products[0])
+        np.matmul(np.swapaxes(vecs[:-1], 2, 3), vecs[1:], out=products[1:])
+        cols, picked = _match(products)
+        np.minimum(overlaps, np.abs(picked).min(axis=(1, 2)), out=overlaps)
+        solved.append((b, vecs, cols, np.where(picked < 0, -1.0, 1.0)))
     refused = np.flatnonzero(overlaps < MATCH_THRESHOLD)
     accepted = int(refused[0]) if refused.size else count
-    order, sign, steps = np.arange(cache.dim), np.ones(cache.dim), []
-    for g in range(accepted):
-        # branch c sits at column order[c] of the frame before point g
-        sign = signs[g, order] * sign
-        order = best[g, order]
-        branch_values = None
+    if not accepted:
+        return frame, [], float(overlaps[0])
+    frame, points = list(frame), np.arange(accepted)[:, None, None]
+    for b, vecs, cols, signs in solved:
+        k, d = cols.shape[1:]
+        blk = np.arange(k)[:, None]
+        # column c of block j of the frame follows column orders[g + 1, j, c]
+        # of point g's eigenvectors; orders[0] is the frame's own order
+        orders = np.empty((accepted + 1, k, d), dtype=int)
+        orders[0] = np.arange(d)
+        for g in range(accepted):
+            orders[g + 1] = cols[g][blk, orders[g]]
         if traced:
-            branch_values = np.empty(cache.dim)
-            branch_values[cache.positions] = values[g, order]
-        steps.append((branch_values, overlaps[g]))
-    if accepted:
-        frame = list(frame)
-        offset = 0
-        for b, (vecs, old) in enumerate(zip(solved, frame)):
-            k, d = old.shape[:2]
-            if vecs is not None:
-                local = (order[offset:offset + k * d] - offset).reshape(k, d)
-                blk = np.arange(k)[:, None]
-                matched = vecs[accepted - 1, blk, :, local - blk * d]
-                matched *= sign[offset:offset + k * d].reshape(k, d, 1)
-                frame[b] = np.swapaxes(matched, 1, 2)
-            offset += k * d
+            values[b] = values[b][points, blk, orders[1:]]
+        matched = vecs[accepted - 1][blk, :, orders[-1]]
+        matched *= signs[points, blk, orders[:-1]].prod(axis=0)[:, :, None]
+        frame[b] = np.swapaxes(matched, 1, 2)
+    steps = [([vals[g] for vals in values] if traced else None, overlaps[g])
+             for g in range(accepted)]
     return frame, steps, float(overlaps[accepted]) if accepted < count else None
 
 
@@ -691,7 +680,9 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
     in the leg fails it. Every accepted point after the start is a step;
     each grid point, and no midpoint, hands trace.append one record (leg,
     t, eigenvalues as a list of floats in branch order), the only reader
-    of those eigenvalues: with no trace they are not laid out. Returns
+    of those eigenvalues: certified and solved points alike hand their
+    per-batch values to `BlockCache.by_branch` there, and with no trace
+    they are not kept. Returns
     (vectors at grid[-1], diagnostics): steps, bisections, the smallest
     accepted overlap, the points kept without eigh (frozen) and the points
     eigensolved (solved), counting the points of a batch solved and then
@@ -715,13 +706,13 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             # the last pending point is always the leg's last grid point
             frozen, quotients = _frozen(stacks, current, len(batch) == len(pending))
             testing = frozen == len(batch)
-        # a point's eigenvalues in branch order are read by the trace only
-        steps = [(cache.by_branch([rho[p] for rho in quotients]) if traced else None, 1.0)
+        # a point's eigenvalues are read by the trace only
+        steps = [([rho[p] for rho in quotients] if traced else None, 1.0)
                  for p in range(frozen)]
         refused = None
         if frozen < len(batch):
             current, solved, refused = _composed([stack[frozen:] for stack in stacks],
-                                                 current, cache, traced)
+                                                 current, traced)
             steps += solved
         diag["frozen"] += frozen
         diag["solved"] += len(batch) - frozen
@@ -730,7 +721,7 @@ def transport(vectors, cache, family, grid, coeffs, trace=None, leg=""):
             if t_prev is not None:
                 diag["steps"] += 1
             if on_grid and traced:
-                trace.append((leg, float(t), values.tolist()))
+                trace.append((leg, float(t), cache.by_branch(values).tolist()))
             t_prev = t
         del pending[:len(steps)]
         if refused is None:

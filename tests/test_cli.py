@@ -1,11 +1,13 @@
 import csv
 import io
+import itertools
 import json
 import time
 
 import pytest
 
 from gaudinrsk import cli, cmcells, spectralflow
+from gaudinrsk.combinatorics import rsk
 from gaudinrsk.cli import EXIT_INCONCLUSIVE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -245,6 +247,63 @@ class TestFlow:
     def test_needs_block_selector(self, capsys):
         assert main(["flow", "--r", "2", "--n", "2"]) == EXIT_USAGE
 
+    def test_planted_wrong_pairing_exits_1(self, capsys, monkeypatch):
+        # S swapped between two branches of one shape: the shapes of S and T
+        # still agree on every branch, so the flow ends, and the check
+        # against RSK lists both labels with S, T, P and Q
+        flow_block, swapped = spectralflow.flow_block, []
+
+        def planted(*args, **kwargs):
+            result = flow_block(*args, **kwargs)
+            a, b = next((a, b) for a, b in itertools.combinations(result.branches, 2)
+                        if a.s_tableau.shape == b.s_tableau.shape
+                        and a.s_tableau != b.s_tableau)
+            a.s_tableau, b.s_tableau = b.s_tableau, a.s_tableau
+            swapped.extend((a, b))
+            return result
+
+        monkeypatch.setattr(spectralflow, "flow_block", planted)
+        code, report = run(capsys, "flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]")
+        assert code == EXIT_MISMATCH
+        assert not report["agreement"] and report["failures"] == []
+        assert report["checked"] == 8
+        assert report["blocks"] == [{"col_sums": [1, 1, 1], "dim": 8, "mismatches": 2}]
+        expected = []
+        for branch in swapped:
+            p, q = rsk(branch.label)
+            expected.append({"label": branch.label.to_lists(), "S": branch.s_tableau.to_lists(),
+                             "T": branch.t_tableau.to_lists(), "P": p.to_lists(),
+                             "Q": q.to_lists()})
+        assert report["mismatches"] == expected
+        # each S is the other label's Q, and T is still P
+        assert [m["S"] for m in expected] == [m["Q"] for m in expected[::-1]]
+        assert all(m["T"] == m["P"] for m in expected)
+
+    def test_decoded_shapes_that_differ_end_the_flow(self, capsys, monkeypatch):
+        # one decoder gives the first branch a tableau of another shape than
+        # the other decoder's: the flow ends on that DecodingError, exit 2,
+        # and pairs no label
+        result = spectralflow.flow_block(2, 3, (1, 1, 1))
+        first = result.branches[0]
+        other = next(b.s_tableau for b in result.branches
+                     if b.s_tableau.shape != first.s_tableau.shape)
+        extract_S = spectralflow.FlowContext.extract_S
+
+        def planted(self, frame, labels):
+            return [other] + extract_S(self, frame, labels)[1:]
+
+        monkeypatch.setattr(spectralflow.FlowContext, "extract_S", planted)
+        message = (f"shape mismatch for label {first.label!r}: "
+                   f"{other.shape} vs {first.t_tableau.shape}")
+        with pytest.raises(spectralflow.DecodingError) as err:
+            spectralflow.flow_block(2, 3, (1, 1, 1))
+        assert str(err.value) == message
+        code, report = run(capsys, "flow", "--r", "2", "--n", "3", "--col-sums", "[1,1,1]")
+        assert code == EXIT_INCONCLUSIVE
+        assert report["failures"] == [{"col_sums": [1, 1, 1], "error": message}]
+        assert not report["agreement"] and report["checked"] == 0
+        assert report["mismatches"] == report["blocks"] == []
+
     def test_trace_written(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _ = run(capsys, "flow", "--r", "2", "--n", "2",
@@ -366,6 +425,33 @@ def test_overflowing_q_is_named(argv, capsys):
     assert not err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rsk", "--matrix", "[[1,"], "bad matrix: Expecting value: line 1 column 5 (char 4)"),
+    (["rsk", "--matrix", "3"], "matrix must be a JSON list"),
+    (["rsk", "--inverse", "--p", "[[1,2],[2]]", "--q", "[[1,1,2]]", "--r", "2", "--n", "2"],
+     "shape mismatch: Partition([2, 1]) vs Partition([3])"),
+    # JSON reads Infinity and NaN as floats
+    (["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]", "--z", "[1,Infinity]"],
+     "--z entries must be finite numbers"),
+    (["flow", "--r", "2", "--n", "2", "--col-sums", "[1.5,1]"],
+     "--col-sums and --weight entries must be non-negative integers"),
+    (["rsk", "--config"], "--config needs a file path"),
+    (["rsk", "--config", "{cfg}"], "bad config line: 'matrix'"),
+    # cells has no --r
+    (["cells", "--n", "0"], "--n must be at least 1"),
+    (["flow", "--r", "0", "--n", "2", "--col-sums", "[1,1]"], "--r and --n must be at least 1"),
+    # the report would hold a flag that was ignored
+    (["crystal", "--rank", "2", "--shape", "[2,1]", "--col-sums", "[1]"],
+     "argument --col-sums: not allowed with argument --shape"),
+])
+def test_usage_error_names_its_cause(argv, message, capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("matrix\n")
+    assert main([arg.format(cfg=cfg) for arg in argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["cells", "--n", "3"],
                                      ["flow", "--r", "2", "--n", "2", "--col-sums", "[1,1]"]])
 def test_negative_seed_is_named(command, capsys):
@@ -382,6 +468,20 @@ class TestCells:
 
     def test_unknown_kind(self, capsys):
         assert main(["cells", "--n", "3", "--kind", "middle"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind, error", [
+        ("right", "B: ambiguous clustering: intra 1.344e+00 vs inter 6.679e+00"),
+        ("left", "D: ambiguous clustering: intra 1.344e-04 vs inter 6.679e-04"),
+        # leg B clusters first
+        ("two-sided", "B: ambiguous clustering: intra 1.344e+00 vs inter 6.679e+00"),
+    ])
+    def test_clustering_error_names_its_leg(self, capsys, kind, error, seed):
+        # z spread 1e4 wide: the records at each leg's end do not separate
+        code, report = run(capsys, "cells", "--n", "3", "--z", "[1e4,2e4,3e4]",
+                           "--kind", kind, "--seed", str(seed))
+        assert code == EXIT_INCONCLUSIVE
+        assert report["error"] == error
 
     def test_refuses_n_7_before_any_flow(self, capsys, monkeypatch):
         def no_flow(*args, **kwargs):

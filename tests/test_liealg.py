@@ -25,6 +25,7 @@ from gaudinrsk.liealg import (
     identity,
     is_adjoint_pair,
     jm,
+    joint_eigenprojectors,
     kappa,
     mirrored_terms,
     nabla,
@@ -360,6 +361,12 @@ class TestCommutingFamilies:
         )
         for w, x in itertools.product(ws, others):
             assert commute_on(w, x, BASIS)
+
+    def test_projectors_refuse_a_non_semisimple_operator(self):
+        # E_12 in column 1 moves a box from row 2 to row 1: nilpotent and
+        # nonzero on the block, so its one eigenvalue 0 does not annihilate it
+        with pytest.raises(ValueError, match="^operator is not semisimple with integer spectrum$"):
+            joint_eigenprojectors([op_E(1, 2, 1)], weight_basis(2, 2, (1, 1)))
 
 
 class TestAdjointness:

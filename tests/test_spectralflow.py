@@ -591,7 +591,7 @@ class TestMatch:
         weights = cache.coefficients(family(np.array([1.0])), coeffs)
         stacks = cache._views(cache.sum_parts(weights))
         assert _frozen(stacks, start)[0] == 0
-        frame, steps, refused = _composed(stacks, start, cache)
+        frame, steps, refused = _composed(stacks, start)
         assert frame is start and steps == []
         assert refused < MATCH_THRESHOLD
         return refused
@@ -1293,6 +1293,20 @@ class TestBlockCache:
         assert cache.block is block
         assert BlockCache(2, 3, list(block)).block is not block
 
+    @pytest.mark.parametrize("r, n, col_sums, row_sums, sizes", [
+        # a whole block past the cap's 11,585 monomials, told by its
+        # closed-form size 2^14 before any count
+        (2, 14, (1,) * 14, None, None),
+        # row sums of the wrong length or total select no weight space
+        (2, 3, (1, 1, 1), (1, 1, 1), []),
+        (2, 3, (1, 1, 1), (2, 2), []),
+        # one weight space of C(16, 8) = 12,870 monomials: the count stops
+        # once its ways pass the cap
+        (2, 16, (1,) * 16, (8, 8), None),
+    ])
+    def test_weight_sizes_past_the_cap_or_empty(self, r, n, col_sums, row_sums, sizes):
+        assert spectralflow.weight_sizes(r, n, col_sums, row_sums) == sizes
+
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
         (2, 3, (1, 1, 1), None),
         (3, 3, (2, 0, 1), None),
@@ -1647,6 +1661,36 @@ class TestBlockCache:
 
 
 class TestFlowBlock:
+    @pytest.mark.parametrize("s", [10, 1000])
+    def test_z_and_q_scales_trade(self, s):
+        # (s z, q) and (z, s q) give legs A and B one normalised family up to
+        # constants on the block, and q spread s wide is s q shifted: each
+        # decodes the tableaux of the base point
+        def tableaux(**kwargs):
+            return [(b.label, b.s_tableau, b.t_tableau)
+                    for b in flow_block(3, 3, (2, 1, 1), **kwargs).branches]
+
+        base = tableaux()
+        assert tableaux(z=(s, 2 * s, 3 * s), q=(1, 2, 3)) == base
+        assert tableaux(z=(1, 2, 3), q=(s, 2 * s, 3 * s)) == base
+        assert tableaux(z=(1, 2, 3), q=(0, s, 2 * s)) == base
+
+    def test_product_of_scales_is_what_fails(self):
+        # a q spread of 1e4 and a z scale of 1e4 end on one leg B error, with
+        # one Casimir value to 15 digits; scaling z down by as much lets the
+        # q spread of 1e4 run, so the flow fails to follow the product of the
+        # scales, not the q spread
+        prefix = "B: no corner shape matches Casimir value 2.7498 at letter 2: "
+        values = []
+        for z, q in [(None, (0, 1e4)), ((1e4, 2e4), None)]:
+            with pytest.raises(DecodingError) as err:
+                flow_block(2, 2, (1, 1), z=z, q=q)
+            assert str(err.value).startswith(prefix)
+            values.append(float(str(err.value)[len(prefix):].split()[0]))
+        assert values[0] == pytest.approx(values[1], rel=1e-14, abs=0)
+        report = verify_main_theorem(2, 2, col_sums=(1, 1), z=(1e-4, 2e-4), q=(0, 1e4))
+        assert report["agreement"] and report["checked"] == 4 and not report["failures"]
+
     def test_failure_is_not_retried(self, monkeypatch):
         calls = []
 
