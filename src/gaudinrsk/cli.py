@@ -302,19 +302,15 @@ def cmd_flow(args):
         count = (args.r * args.max_entry + 1) ** args.n
         _refuse_above_cap(f"a sweep of {count} blocks", args.r, args.n, args.steps,
                           spectralflow.weight_sizes(args.r, args.n, sums), count)
-    try:
-        with contextlib.ExitStack() as files:
-            trace = None
-            if args.trace:
-                # rows go to the file as each grid point is reached
-                trace = _trace_sink(files.enter_context(_atomic(args.trace)))
-            report = spectralflow.verify_main_theorem(
-                args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
-                z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,
-            )
-    except spectralflow.FlowError as err:
-        _emit({"config": _config(args), "error": str(err)}, args)
-        return EXIT_INCONCLUSIVE
+    with contextlib.ExitStack() as files:
+        trace = None
+        if args.trace:
+            # rows go to the file as each grid point is reached
+            trace = _trace_sink(files.enter_context(_atomic(args.trace)))
+        report = spectralflow.verify_main_theorem(
+            args.r, args.n, col_sums=k, row_sums=weight, max_entry=args.max_entry,
+            z=z, q=q, opts=spectralflow.FlowOpts(args.seed, args.steps), trace=trace,
+        )
     report["config"] = _config(args)
     _emit(report, args)
     if report["failures"]:
@@ -336,12 +332,8 @@ def cmd_cells(args):
     large = 2 * math.lgamma(args.n + 1) > math.log(spectralflow.MAX_BYTES / 8)
     _refuse_above_cap(f"the S_{args.n} block", args.n, args.n, args.steps,
                       None if large else [math.factorial(args.n)])
-    try:
-        partition = runners[args.kind](args.n, z=z, q=q,
-                                       opts=spectralflow.FlowOpts(args.seed, args.steps))
-    except spectralflow.FlowError as err:
-        _emit({"config": _config(args), "error": str(err)}, args)
-        return EXIT_INCONCLUSIVE
+    partition = runners[args.kind](args.n, z=z, q=q,
+                                   opts=spectralflow.FlowOpts(args.seed, args.steps))
     reference = cmcells.kl_reference_cells(args.n, args.kind)
     matches = partition == reference
     report = {
@@ -460,6 +452,10 @@ def main(argv=None):
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except spectralflow.FlowError as err:
+        # a flow or cells run that cannot decide reports why, with its configuration
+        _emit({"config": _config(args), "error": str(err)}, args)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

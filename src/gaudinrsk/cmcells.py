@@ -24,6 +24,7 @@ import numpy as np
 from .combinatorics import (
     Permutation,
     all_permutations,
+    components,
     rs_permutation,
 )
 from .spectralflow import ClusteringError, FlowContext
@@ -108,24 +109,10 @@ class CellPartition:
 
     def join(self, other, kind="two-sided"):
         """Coarsest partition refined by both (transitive closure of unions)."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for block in self.blocks + other.blocks:
-            for w in block:
-                parent.setdefault(w, w)
-            root = find(block[0])
-            for w in block[1:]:
-                parent[find(w)] = root
-        groups = {}
-        for w in parent:
-            groups.setdefault(find(w), []).append(w)
-        return CellPartition(self.n, kind, list(groups.values()))
+        blocks = self.blocks + other.blocks
+        links = [(block[0], w) for block in blocks for w in block[1:]]
+        return CellPartition(self.n, kind,
+                             components([w for block in blocks for w in block], links))
 
 
 def kl_reference_cells(n, kind):

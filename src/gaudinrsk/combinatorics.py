@@ -8,6 +8,8 @@ inserts each matrix row as one weakly increasing run into plain row lists,
 row by row, and builds (and so validates) P and Q once, after the last run;
 `rsk_inverse` unwinds each letter's strip of Q as one run, row by row,
 and counts the word that leaves the first row straight into the matrix.
+`components` is the one union-find: the classes that links generate, as
+the flow's coalescence classes and the join of two cell partitions use.
 """
 
 from __future__ import annotations
@@ -325,6 +327,27 @@ class Permutation:
 
 def all_permutations(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def components(items, links):
+    """The classes of the equivalence relation on the items (hashable) that
+    the links, pairs of items, generate, by union-find: each class lists
+    its items in the order given, and the classes come in the order of
+    their first items."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        parent[find(x)] = find(y)
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
 
 
 def _bump(rows, value):

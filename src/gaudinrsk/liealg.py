@@ -15,6 +15,11 @@ The flow's term lists name four kinds of part only: the E_ii^(a), the
 kappa_ij, the Omega_ab and the identity (the empty word), and
 `mirrored_terms` writes the term lists of the transposed block in these.
 
+`_cells` is the one decoder of a generator: it turns E_ij^(a) or
+D_ab^(i) into the cells its box move leaves and enters, and refuses a
+generator out of range on the block's shape with IndexError, so every
+path below refuses it alike.
+
 The float matrices of the spectral flow come from `dense`, which walks
 each word over the block's entry array (`MonomialBlock.walk`): every basis
 monomial at once, in integer counts, each image found by an exact integer
@@ -69,22 +74,15 @@ def _shift(matrix, moves):
 
 def _apply_generator(gen, matrix):
     """One box move on a monomial: returns (count, new matrix), or None
-    where the move kills the monomial (count 0)."""
-    kind, i, j, a = gen
-    if kind == "E":  # gl_r: row j -> row i inside column a
-        count = matrix[j - 1, a - 1]
-        if count == 0:
-            return None
-        if i == j:
-            return count, matrix
-        return count, _shift(matrix, [(i - 1, a - 1, +1), (j - 1, a - 1, -1)])
-    # kind == "D", gl_n: column j -> column i inside row a
-    count = matrix[a - 1, j - 1]
+    where the move kills the monomial (count 0). The move's cells come
+    from `_cells`, so a generator out of range raises IndexError."""
+    (i, a), (k, b) = _cells(gen, matrix.r, matrix.n)
+    count = matrix.entries[i][a]
     if count == 0:
         return None
-    if i == j:
+    if i == k and a == b:
         return count, matrix
-    return count, _shift(matrix, [(a - 1, i - 1, +1), (a - 1, j - 1, -1)])
+    return count, _shift(matrix, [(k, b, +1), (i, a, -1)])
 
 
 class Operator:
@@ -683,17 +681,21 @@ def _as_block(basis):
 WALK_CHUNK = 1 << 20
 
 
+@functools.cache
 def _cells(gen, r, n):
-    """(source cell, target cell) of a box move, as flat indices i * n + a
-    into a monomial's entries."""
+    """The cells a box move leaves and enters on r x n monomials, as
+    ((row, col), (row, col)), 0-based: the one decoder of a generator, for
+    `_apply_generator`, the walks of `dense` and the exact checks alike,
+    kept per (gen, r, n) so each decodes once. A generator out of range
+    raises IndexError."""
     kind, i, j, a = gen
     rows, cols = (r, n) if kind == "E" else (n, r)
     if not (1 <= i <= rows and 1 <= j <= rows and 1 <= a <= cols):
         raise IndexError(f"generator {gen!r} is out of range on {r} x {n} monomials")
     if kind == "E":  # row j -> row i inside column a
-        return (j - 1) * n + a - 1, (i - 1) * n + a - 1
+        return (j - 1, a - 1), (i - 1, a - 1)
     # kind == "D": column j -> column i inside row a
-    return (a - 1) * n + j - 1, (a - 1) * n + i - 1
+    return (a - 1, j - 1), (a - 1, i - 1)
 
 
 def _walk_arrays(words, r, n):
@@ -705,16 +707,13 @@ def _walk_arrays(words, r, n):
     word's total shift of the entries (W, r*n); and the cells the shift
     raises with their rise (W, L), padded with cell 0 and rise 0."""
     count, length = len(words), len(words[0])
-    cells = {}
     sources, offsets, raised, rises = [], [], [], []
     shift_rows, shift_cells, shift_values = [], [], []
     for w, word in enumerate(words):
         shift = {}
         for gen in word:
-            move = cells.get(gen)
-            if move is None:
-                move = cells[gen] = _cells(gen, r, n)
-            src, dst = move
+            (i, a), (k, b) = _cells(gen, r, n)
+            src, dst = i * n + a, k * n + b
             sources.append(src)
             offsets.append(shift.get(src, 0))
             if src != dst:

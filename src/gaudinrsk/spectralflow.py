@@ -116,6 +116,7 @@ from .combinatorics import (
     NatMatrix,
     Partition,
     SemistandardTableau,
+    components,
     rsk,
 )
 from .crystals import pieri_shapes
@@ -802,14 +803,6 @@ def coalescence_classes(records, residuals):
     records, residuals = (np.asarray(a, dtype=float) for a in (records, residuals))
     m = len(records)
     slack = ROUNDOFF * np.abs(records).max(initial=0.0)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # sup-norm distances and links, one record column at a time
     dists = np.zeros((m, m))
     linked = np.ones((m, m), dtype=bool)
@@ -821,14 +814,11 @@ def coalescence_classes(records, residuals):
         diff -= res
         linked &= diff <= slack
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
-    for i, j in np.argwhere(upper & linked).tolist():
-        parent[find(i)] = find(j)
-    roots = np.array([find(i) for i in range(m)], dtype=int)
-    groups = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(root, []).append(i)
-    classes = sorted(groups.values())
-    same = roots[:, None] == roots[None, :]
+    classes = components(range(m), np.argwhere(upper & linked).tolist())
+    class_of = np.empty(m, dtype=int)
+    for k, cls in enumerate(classes):
+        class_of[cls] = k
+    same = class_of[:, None] == class_of[None, :]
     intra = float(dists[upper & same].max(initial=0.0))
     inter = float(dists[upper & ~same].min(initial=math.inf))
     if intra * GAP_SAFETY > inter:

@@ -72,6 +72,28 @@ class TestRsk:
         assert report["ok"]
         assert len(calls) == 2 * report["checked"]
 
+    def test_check_lists_each_failure(self, capsys, monkeypatch):
+        # one planted failure in the exhaustive loop (entries up to 2) and
+        # one in the sampled loop: the run exits 1 and lists both
+        planted = cli.cb.NatMatrix([[2, 0], [1, 1]])
+        exhaustive = sum(1 for r in (1, 2, 3) for n in (1, 2, 3)
+                         for _ in cli.cb.all_matrices(r, n, 2))
+        seen = []
+        round_trips = cli._round_trips
+
+        def planting(a):
+            seen.append(a)
+            if (len(seen) <= exhaustive and a == planted) or len(seen) == exhaustive + 2:
+                return False
+            return round_trips(a)
+
+        monkeypatch.setattr(cli, "_round_trips", planting)
+        code, report = run(capsys, "rsk", "--check", "--samples", "3")
+        assert code == EXIT_MISMATCH
+        assert report["ok"] is False
+        assert report["checked"] == len(seen) == exhaustive + 3
+        assert report["failures"] == [planted.to_lists(), seen[exhaustive + 1].to_lists()]
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-dim", "0"),
         ("--max-entry", "-1"),
@@ -243,6 +265,16 @@ class TestFlow:
         assert not report["agreement"] and not report["checked"] and not report["mismatches"]
         [failure] = report["failures"]
         assert failure["error"].startswith("B: exact Casimir tie at letter 4: ")
+
+    def test_weight_sweep_checks_the_blocks_that_hold_it(self, capsys):
+        # six of the nine blocks hold no matrix with row sums (1, 1) and
+        # flow as blocks of dim 0
+        code, report = run(capsys, "flow", "--r", "2", "--n", "2", "--max-entry", "1",
+                           "--weight", "[1,1]")
+        assert code == EXIT_OK
+        assert report["agreement"] and report["checked"] == 4
+        assert [b["dim"] for b in report["blocks"]] == [0, 0, 1, 0, 2, 0, 1, 0, 0]
+        assert report["failures"] == report["mismatches"] == []
 
     def test_needs_block_selector(self, capsys):
         assert main(["flow", "--r", "2", "--n", "2"]) == EXIT_USAGE

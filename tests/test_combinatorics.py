@@ -13,6 +13,7 @@ from gaudinrsk.combinatorics import (
     all_matrices,
     all_permutations,
     biword_to_matrix,
+    components,
     matrix_to_biword,
     permutation_matrix,
     rs_permutation,
@@ -86,6 +87,16 @@ class TestConstructorMessages:
             NatMatrix(entries, r, n)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("one_line,message", [
+        ([1, 1], "(1, 1) is not a permutation of 1..2"),
+        ([2, 3], "(2, 3) is not a permutation of 1..2"),
+        ([0], "(0,) is not a permutation of 1..1"),
+    ])
+    def test_permutation(self, one_line, message):
+        with pytest.raises(ValueError) as err:
+            Permutation(one_line)
+        assert str(err.value) == message
+
     def test_accepted_edge_cases(self):
         assert SemistandardTableau([[1], [], [2]]).rows == ((1,), (2,))
         assert SemistandardTableau([], None).alphabet_bound == 0
@@ -94,6 +105,44 @@ class TestConstructorMessages:
         assert NatMatrix((), 0, 3).entries == ()
         assert NatMatrix([[1.0, 0]]).entries == ((1, 0),)
         assert Partition([3, 0, 3, 1]).parts == (3, 3, 1)
+
+
+class TestSmallValues:
+    """Text forms, empty cases and small accessors, each with its value."""
+
+    @pytest.mark.parametrize("value,expected", [
+        (lambda: str(SemistandardTableau([])), "(empty tableau)"),
+        (lambda: str(SemistandardTableau([[1, 1, 2], [2]])), "1 1 2\n2"),
+        (lambda: repr(SemistandardTableau([[1, 2], [2]])), "SemistandardTableau([[1, 2], [2]])"),
+        (lambda: repr(Permutation((2, 3, 1))), "Permutation([2, 3, 1])"),
+        (lambda: repr(Biword([(1, 2), (2, 1)])), "Biword([(1, 2), (2, 1)])"),
+        (lambda: Biword([(1, 2)]) == Biword([(1, 2)]), True),
+        (lambda: Biword([(1, 2)]) == [(1, 2)], False),
+        (lambda: Partition().conjugate().parts, ()),
+        (lambda: SemistandardTableau([], 3).transpose().rows, ()),
+        (lambda: SemistandardTableau([], 3).transpose().alphabet_bound, 3),
+        (lambda: NatMatrix.zero(2, 3).entries, ((0, 0, 0), (0, 0, 0))),
+        (lambda: NatMatrix([[1, 2], [0, 3]]).total, 6),
+    ], ids=["str-empty-tableau", "str-tableau", "repr-tableau", "repr-permutation",
+            "repr-biword", "biword-eq", "biword-ne-list", "conjugate-empty",
+            "transpose-empty", "transpose-empty-bound", "zero-matrix", "total"])
+    def test_value(self, value, expected):
+        assert value() == expected
+
+
+class TestComponents:
+    def test_classes_in_the_order_given(self):
+        # each class lists its items in the order given, and the classes
+        # come in the order of their first items
+        assert components("dcba", [("a", "d"), ("b", "b")]) == [["d", "a"], ["c"], ["b"]]
+        assert components(range(6), [(4, 1), (1, 5), (0, 2)]) == [[0, 2], [1, 4, 5], [3]]
+        assert components([], []) == []
+
+    def test_links_close_transitively(self):
+        # a chain of links joins its ends, whichever way each link points
+        links = [(i + 1, i) if i % 2 else (i, i + 1) for i in range(9)]
+        assert components(range(10), links) == [list(range(10))]
+        assert components([3, 1, 3], []) == [[3], [1]]
 
 
 class TestPartition:

@@ -31,6 +31,19 @@ class TestOperatorBasics:
         assert weight(NatMatrix([[1, 2], [0, 1]])) == (3, 1)
         assert weight(SemistandardTableau([[1, 1, 2], [2]], 3)) == (2, 2, 0)
 
+    @pytest.mark.parametrize("x", [(1, 2), [[1, 0], [0, 1]], None])
+    def test_weight_refuses_other_objects(self, x):
+        with pytest.raises(TypeError, match="not a crystal element"):
+            weight(x)
+
+    @pytest.mark.parametrize("report,text", [
+        (IsomorphismReport(checked=12), "isomorphism check passed on 12 elements"),
+        (IsomorphismReport(checked=12, violations=["f_1 at A", "e_2 at B"]),
+         "2 violations (first: f_1 at A)"),
+    ], ids=["passed", "failed"])
+    def test_report_text(self, report, text):
+        assert str(report) == text
+
     def test_index_range(self):
         a = NatMatrix([[1, 0], [0, 1]])
         with pytest.raises(ValueError):

@@ -226,6 +226,8 @@ class TestBasisBlock:
         assert [block[i] for i in range(len(block))] == expected
         assert block[-1] == expected[-1]
         assert block[1:3] == expected[1:3] and isinstance(block[1:3], list)
+        # an object that is not a sequence is left to its own comparison
+        assert block.__eq__(3) is NotImplemented and block != 3
 
     def test_mismatched_row_sums_give_empty_block(self):
         for row_sums in ((2, 0), (1, 1, 1), (3,)):
@@ -517,6 +519,12 @@ class TestBlockIdentities:
             self.same(_terms_sum(mirrored_terms(gaudin_terms(i, dq, z, n), r, n, k)),
                       mirrored_gaudin, block)
 
+    def test_identity_part_is_kept(self):
+        # the identity, the empty word, is the same operator on both sides
+        terms = [(Fraction(3, 2), (identity,)), (1, (op_E, 1, 1, 2))]
+        assert mirrored_terms(terms, 2, 3, (1, 1, 1)) == [
+            (Fraction(3, 2), (identity,)), (1, (op_E, 2, 2, 1))]
+
 
 def _random_operator(rng, r, n, terms=6):
     """Seeded operator whose words keep row and column sums: each word is a
@@ -715,15 +723,19 @@ class TestGeneratorTables:
         skewed = nabs[0] + op_E(1, 2, 1) * tiny
         assert not is_adjoint_pair(skewed, skewed, basis)
 
-    @pytest.mark.parametrize("op", [op_E(0, 1, 1), op_E(3, 1, 1), dual_op_E(1, 1, 0)],
-                             ids=["E(0,1,1)", "E(3,1,1)", "D(1,1,0)"])
+    @pytest.mark.parametrize("op", [op_E(0, 1, 1), op_E(1, 0, 1), op_E(1, 2, 0), op_E(3, 1, 1),
+                                    dual_op_E(0, 1, 1), dual_op_E(1, 2, 0), dual_op_E(1, 1, 0)],
+                             ids=["E(0,1,1)", "E(1,0,1)", "E(1,2,0)", "E(3,1,1)",
+                                  "D(0,1,1)", "D(1,2,0)", "D(1,1,0)"])
     @pytest.mark.parametrize("check", [
         lambda op, block: exact_matrix(op, block),
         lambda op, block: commute_on(op, op_E(1, 1, 1), block),
         lambda op, block: is_adjoint_pair(op, op, block),
-    ], ids=["exact_matrix", "commute_on", "is_adjoint_pair"])
+        lambda op, block: op.apply_monomial(NatMatrix([[1, 0], [2, 1]])),
+    ], ids=["exact_matrix", "commute_on", "is_adjoint_pair", "apply_monomial"])
     def test_generator_out_of_range(self, check, op):
-        # index 0 would wrap to the last row through negative indexing
+        # index 0 would wrap to the last row or column through negative
+        # indexing; every path decodes the move through `_cells`
         with pytest.raises(IndexError, match="out of range"):
             check(op, weight_basis(2, 2, (1, 1)))
 

@@ -646,6 +646,22 @@ class TestTransport:
         labels = snap_to_monomials(np.eye(4), basis, cache)
         assert labels == basis
 
+    @pytest.mark.parametrize("overlap, columns, error", [
+        (math.sqrt(0.5), [0, 1, 2, 3], "branch 0: start overlap 0.70711 with nearest monomial"),
+        (1.0, [0, 1, 1, 3], "branch 2: duplicate monomial label"),
+        # above SNAP_THRESHOLD, but the branch's E_ii^(a) values mix two labels
+        ((1 + spectralflow.SNAP_THRESHOLD) / 2, [0, 1, 2, 3],
+         "branch 0: diagonal eigenvalue .* disagrees with label"),
+    ], ids=["low-overlap", "duplicate-label", "mixed-diagonal"])
+    def test_snap_refusals(self, overlap, columns, error):
+        # the monomial frame, branch 0 turned towards monomial 1 until its
+        # overlap with monomial 0 is `overlap`, then the columns picked
+        frame = np.eye(4)
+        frame[:2, 0] = overlap, math.sqrt(1 - overlap ** 2)
+        basis = weight_basis(2, 2, (1, 1))
+        with pytest.raises(ContinuationError, match=error):
+            snap_to_monomials(frame[:, columns], basis, BlockCache(2, 2, basis))
+
     @pytest.mark.parametrize("r, n, col_sums, row_sums", [
         (2, 3, (1, 1, 1), None),
         (4, 4, (1, 1, 1, 1), (1, 1, 1, 1)),
